@@ -212,6 +212,26 @@ impl HedgePolicy {
         matches!(self, HedgePolicy::Disabled)
     }
 
+    /// The instant (µs) a hedge copy of a job released at `release_us`
+    /// with deadline `deadline_us` fires: `fraction` of the slack after
+    /// the release, rounded down, in saturating arithmetic. `None` (no
+    /// hedge) when hedging is disabled, when `fraction` is not a finite
+    /// value strictly inside `(0, 1)` — NaN, ±∞, 0, 1, negative or huge
+    /// values — or when the instant does not land strictly inside
+    /// `(release, deadline)`.
+    pub fn fire_at_us(&self, release_us: u64, deadline_us: u64) -> Option<u64> {
+        let HedgePolicy::SlackFraction { fraction } = *self else {
+            return None;
+        };
+        // Written so that NaN fails the test too.
+        if !(fraction > 0.0 && fraction < 1.0) {
+            return None;
+        }
+        let slack = deadline_us.saturating_sub(release_us);
+        let at = release_us.saturating_add((slack as f64 * fraction) as u64);
+        (at > release_us && at < deadline_us).then_some(at)
+    }
+
     /// Stable lowercase label for report keys and figure rows.
     pub fn label(&self) -> &'static str {
         match self {
@@ -306,6 +326,42 @@ mod tests {
         // pin the policy data contract.
         let p = RetryPolicy::exponential(2, SimDuration::from_millis(5));
         assert_eq!(p.max_attempts, 2);
+    }
+
+    #[test]
+    fn hedge_fire_instant_is_defined_for_every_fraction() {
+        let hedge = |fraction| HedgePolicy::SlackFraction { fraction };
+        // Half of a 100 ms slack after a 1 s release.
+        assert_eq!(hedge(0.5).fire_at_us(1_000_000, 1_100_000), Some(1_050_000));
+        for bad in [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            1.0,
+            -0.5,
+            1e30,
+        ] {
+            assert_eq!(hedge(bad).fire_at_us(1_000_000, 1_100_000), None, "{bad}");
+            // Near the top of the clock, where an unchecked sum overflows.
+            assert_eq!(
+                hedge(bad).fire_at_us(u64::MAX - 10, u64::MAX),
+                None,
+                "{bad}"
+            );
+        }
+        // Valid fractions saturate instead of wrapping.
+        assert_eq!(
+            hedge(0.5).fire_at_us(u64::MAX - 10, u64::MAX),
+            Some(u64::MAX - 5)
+        );
+        // Too little slack to move off the release, an empty or an
+        // inverted window, and a disabled policy never hedge.
+        assert_eq!(hedge(0.5).fire_at_us(10, 11), None);
+        assert_eq!(hedge(0.5).fire_at_us(10, 10), None);
+        assert_eq!(hedge(0.5).fire_at_us(10, 5), None);
+        assert_eq!(HedgePolicy::Disabled.fire_at_us(0, 100), None);
     }
 
     #[test]

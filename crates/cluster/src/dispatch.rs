@@ -89,11 +89,12 @@
 //!   toward the lowest index. With no faults this is least-pending-work
 //!   routing; under brownouts it sheds load away from degraded shards.
 
-use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::cmp::{Ordering, Reverse};
+use std::collections::{BinaryHeap, VecDeque};
 
-/// One hedged job's `(id, processed, quality)` as observed on a shard,
-/// fed to the first-wins duel settlement in the merge.
+/// One duelling copy's `(duel slot, processed, quality)` as observed on
+/// a shard, fed to the first-wins duel settlement in the merge: duel
+/// `k`'s primary copy reports into slot `2k`, its hedge copy `2k + 1`.
 type DuelOutcome = (u32, f64, f64);
 
 use qes_core::job::{Job, JobId, JobSet};
@@ -113,6 +114,9 @@ use rayon::prelude::*;
 use crate::admission::{AdmissionPolicy, HedgePolicy, OverloadPolicy, RetryPolicy};
 use crate::fault::{effective_cores, FaultKind, FaultPlan};
 use crate::meter::PowerMeter;
+
+#[cfg(test)]
+mod reference;
 
 /// How the dispatcher picks a shard for each arriving job.
 #[derive(Clone, Debug, PartialEq)]
@@ -163,39 +167,64 @@ pub fn split_seed(base: u64, lane: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The in-flight window of one shard: `(deadline_us, demand, slot)` of
-/// routed jobs whose deadlines are still ahead, where `slot` indexes the
-/// shard's routed-job stream (so a crash can strand exactly the jobs
-/// still in the window). Deadline-sorted by construction; retirement
-/// pops from the front and the probe scans prefixes in deadline order.
-type InFlight = VecDeque<(u64, f64, u32)>;
+/// One entry of a shard's in-flight window: a routed copy whose
+/// deadline is still ahead.
+#[derive(Clone, Copy, Debug)]
+struct InFlightJob {
+    deadline_us: u64,
+    demand: f64,
+    /// Index into the shard's routed-job stream, so a crash can strand
+    /// exactly the copies still in the window.
+    slot: u32,
+    /// The job's position in the input stream: the index of its
+    /// per-job dispatch state.
+    pos: u32,
+}
 
-/// The step-2 probe speed (GHz) of one in-flight window at `now_us`,
-/// optionally with a candidate job appended: the maximum prefix density
-/// over deadline-ordered jobs, exactly the closed form the DES policy
-/// uses for its per-core power requests (demands are processing units =
-/// 1 GHz·ms, hence the factor 1000 against microsecond windows). A
-/// window or candidate whose deadline is at or before `now_us` (zero
-/// slack) is clamped to a 1 µs floor so the density stays finite
-/// instead of underflowing or dividing by zero.
-fn probe_speed(window: &InFlight, now_us: u64, candidate: Option<(u64, f64)>) -> f64 {
+/// The in-flight window of one shard. Deadline-sorted by construction;
+/// retirement pops from the front and the probe scans prefixes in
+/// deadline order.
+type InFlight = VecDeque<InFlightJob>;
+
+/// The step-2 probe speeds (GHz) of one in-flight window at `now_us`,
+/// without and with a candidate job `(deadline_us, demand)` appended:
+/// the maximum prefix density over deadline-ordered jobs, exactly the
+/// closed form the DES policy uses for its per-core power requests
+/// (demands are processing units = 1 GHz·ms, hence the factor 1000
+/// against microsecond windows). One pass gives both, because the
+/// candidate's term only extends the prefix maximum. A window entry or
+/// candidate whose deadline is at or before `now_us` (zero slack) is
+/// clamped to a 1 µs floor so the density stays finite instead of
+/// underflowing or dividing by zero.
+fn probe_speeds(window: &InFlight, now_us: u64, (cand_us, cand_demand): (u64, f64)) -> (f64, f64) {
+    let density = |cum: f64, d_us: u64| cum * 1000.0 / d_us.saturating_sub(now_us).max(1) as f64;
     let mut cum = 0.0;
     let mut speed = 0.0f64;
-    for &(d_us, w, _) in window {
-        cum += w;
-        speed = speed.max(cum * 1000.0 / d_us.saturating_sub(now_us).max(1) as f64);
+    for e in window {
+        cum += e.demand;
+        speed = speed.max(density(cum, e.deadline_us));
     }
-    if let Some((d_us, w)) = candidate {
-        cum += w;
-        speed = speed.max(cum * 1000.0 / d_us.saturating_sub(now_us).max(1) as f64);
-    }
-    speed
+    (speed, speed.max(density(cum + cand_demand, cand_us)))
 }
 
 /// Sum of demands still in one shard's in-flight window — the "queue
 /// depth" a shard reports to [`RoutingPolicy::Feedback`].
 fn pending_demand(window: &InFlight) -> f64 {
-    window.iter().map(|&(_, w, _)| w).sum()
+    window.iter().map(|e| e.demand).sum()
+}
+
+/// The shard with the lowest `key` under `f64::total_cmp` (NaN sorts
+/// above +inf, so degenerate keys still give a deterministic pick);
+/// ties go to the first shard `shards` yields.
+fn lowest(shards: impl Iterator<Item = usize>, key: impl Fn(usize) -> f64) -> Option<usize> {
+    let mut best: Option<(usize, f64)> = None;
+    for s in shards {
+        let k = key(s);
+        if best.is_none_or(|(_, b)| k.total_cmp(&b) == Ordering::Less) {
+            best = Some((s, k));
+        }
+    }
+    best.map(|(s, _)| s)
 }
 
 /// One hedge dispatch: a second copy of a slow job sent to another
@@ -259,7 +288,45 @@ pub struct DispatchPlan {
     pub events: Vec<(SimTime, Event)>,
 }
 
-/// Mutable routing state shared by every arrival of the dispatch scan.
+/// A live copy's location `(shard, slot)`.
+type CopyLoc = (u32, u32);
+
+/// An empty copy slot.
+const NO_COPY: CopyLoc = (u32::MAX, u32::MAX);
+
+/// A queued retry or hedge fire, ordered by its `(instant µs, deadline
+/// µs, job id)` key alone. A job has at most one retry and one hedge
+/// pending, so with distinct job ids the key is unique and heap order
+/// is the key's total order.
+struct Keyed<T> {
+    key: (u64, u64, u32),
+    item: T,
+}
+
+impl<T> PartialEq for Keyed<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
+}
+
+impl<T> Eq for Keyed<T> {}
+
+impl<T> PartialOrd for Keyed<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<T> Ord for Keyed<T> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key.cmp(&other.key)
+    }
+}
+
+/// A min-heap of queued events.
+type Queue<T> = BinaryHeap<Reverse<Keyed<T>>>;
+
+/// Mutable routing state shared by every event of the dispatch scan.
 struct Router<'a> {
     routing: &'a RoutingPolicy,
     model: &'a dyn PowerModel,
@@ -268,10 +335,22 @@ struct Router<'a> {
     admission: &'a AdmissionPolicy,
     shards: usize,
     inflight: Vec<InFlight>,
+    /// `pending_demand` of each window, recomputed — in the same order,
+    /// so to the same bits — whenever that window changes.
+    pending: Vec<f64>,
     /// Per-shard routed-job stream (in routing order) and whether each
     /// entry is still alive (not stranded by a later crash).
     streams: Vec<Vec<Job>>,
     alive: Vec<Vec<bool>>,
+    /// The scan instant: the time of the event being handled.
+    now: SimTime,
+    /// Fault cursor: per shard, how many of the plan's windows have
+    /// opened by `now`.
+    opened: Vec<usize>,
+    /// Per shard, the fault active at `now`.
+    fault: Vec<Option<FaultKind>>,
+    /// Shards accepting work at `now` (not crashed), ascending.
+    eligible: Vec<usize>,
     /// Backpressure hysteresis: whether each shard is currently
     /// shedding (in-flight demand crossed the cap and has not yet
     /// drained to the resume level). All-false under every other
@@ -282,30 +361,73 @@ struct Router<'a> {
 }
 
 impl Router<'_> {
-    /// Retire expired in-flight entries everywhere, so counts and
-    /// probes see only live work. Windows are deadline-FIFO.
-    fn retire(&mut self, now_us: u64) {
-        for w in &mut self.inflight {
-            while w.front().is_some_and(|&(d, _, _)| d <= now_us) {
-                w.pop_front();
+    /// Move the scan to `now`: advance every shard's fault cursor,
+    /// retire expired in-flight entries (windows are deadline-FIFO), and
+    /// rebuild the eligible set. The cursors only move forward, which is
+    /// sound because the scan's event times never decrease.
+    fn advance(&mut self, now: SimTime) {
+        debug_assert!(now >= self.now, "dispatch scan went back in time");
+        self.now = now;
+        let now_us = now.as_micros();
+        let plan = self.plan;
+        self.eligible.clear();
+        for s in 0..self.shards {
+            let windows = plan.windows(s);
+            let opened = &mut self.opened[s];
+            while windows.get(*opened).is_some_and(|w| w.start <= now) {
+                *opened += 1;
+            }
+            // Windows are sorted and disjoint: only the last one opened
+            // can still be open.
+            self.fault[s] = opened
+                .checked_sub(1)
+                .map(|i| windows[i])
+                .filter(|w| now < w.end)
+                .map(|w| w.kind);
+            debug_assert_eq!(
+                self.capacity(s).to_bits(),
+                plan.capacity_fraction(s, now).to_bits(),
+                "fault cursor disagrees with the plan"
+            );
+            if self.fault[s] != Some(FaultKind::Crash) {
+                self.eligible.push(s);
+            }
+            let window = &mut self.inflight[s];
+            let live = window.len();
+            while window.front().is_some_and(|e| e.deadline_us <= now_us) {
+                window.pop_front();
+            }
+            if window.len() != live {
+                self.refresh_pending(s);
             }
         }
     }
 
-    /// Shards accepting work at `now` (not inside a crash window).
-    fn eligible_at(&self, now: SimTime) -> Vec<usize> {
-        (0..self.shards)
-            .filter(|&s| !self.plan.is_crashed(s, now))
-            .collect()
+    /// Fraction of `shard`'s capacity available at `now` (0 when
+    /// crashed).
+    fn capacity(&self, shard: usize) -> f64 {
+        self.fault[shard].map_or(1.0, |k| k.capacity_fraction())
+    }
+
+    /// Pending in-flight demand of `shard` (the cached window sum).
+    fn depth(&self, shard: usize) -> f64 {
+        debug_assert_eq!(
+            self.pending[shard].to_bits(),
+            pending_demand(&self.inflight[shard]).to_bits(),
+            "stale cached window sum"
+        );
+        self.pending[shard]
+    }
+
+    fn refresh_pending(&mut self, shard: usize) {
+        self.pending[shard] = pending_demand(&self.inflight[shard]);
     }
 
     /// Overload-admission verdict for one *original* arrival (retries
-    /// and hedge copies always bypass admission). Call after
-    /// [`Router::retire`] so windows reflect only live work. Updates
-    /// the backpressure hysteresis state as a side effect.
-    fn admits(&mut self, job: &Job, eligible: &[usize]) -> bool {
-        let now = job.release;
-        let now_us = now.as_micros();
+    /// and hedge copies always bypass admission), at the scan instant.
+    /// Updates the backpressure hysteresis state as a side effect.
+    fn admits(&mut self, job: &Job) -> bool {
+        let now_us = self.now.as_micros();
         match *self.admission {
             AdmissionPolicy::AcceptAll => true,
             AdmissionPolicy::SlackFloor {
@@ -319,28 +441,34 @@ impl Router<'_> {
                     return true;
                 }
                 let cand = (job.deadline.as_micros(), job.demand);
-                let mut best = 0.0f64;
-                for &s in eligible {
+                for &s in &self.eligible {
                     // Required speed to clear this shard's window plus
                     // the candidate; the shard can deliver at most its
                     // (fault-degraded) capacity, so the achievable
                     // completed fraction caps at eff / required.
-                    let s_req = probe_speed(&self.inflight[s], now_us, Some(cand));
-                    let eff = capacity_ghz * self.plan.capacity_fraction(s, now);
+                    let (_, s_req) = probe_speeds(&self.inflight[s], now_us, cand);
+                    let eff = capacity_ghz * self.capacity(s);
                     let frac = if s_req > 0.0 {
                         (eff / s_req).clamp(0.0, 1.0)
                     } else {
                         1.0
                     };
                     let q = self.quality.job_quality(job, frac * job.demand);
-                    best = best.max(q / q_max);
+                    // The verdict is whether the best shard's ratio
+                    // clears the floor, so the first one that does
+                    // settles it.
+                    if q / q_max >= floor {
+                        return true;
+                    }
                 }
-                best >= floor
+                // The best ratio starts at 0 and NaN ratios never
+                // raise it.
+                0.0 >= floor
             }
             AdmissionPolicy::Backpressure { cap, resume } => {
                 debug_assert!(resume <= cap, "hysteresis band inverted");
                 for s in 0..self.shards {
-                    let depth = pending_demand(&self.inflight[s]);
+                    let depth = self.depth(s);
                     if self.shedding[s] {
                         if depth <= resume {
                             self.shedding[s] = false;
@@ -349,29 +477,24 @@ impl Router<'_> {
                         self.shedding[s] = true;
                     }
                 }
-                !eligible.iter().all(|&s| self.shedding[s])
+                !self.eligible.iter().all(|&s| self.shedding[s])
             }
         }
     }
 
-    /// Route one arrival (original or retry) at its release instant.
-    /// Returns the chosen shard, or `None` when every shard is crashed.
-    fn admit(&mut self, job: Job) -> Option<usize> {
-        let now = job.release;
-        let now_us = now.as_micros();
-        self.retire(now_us);
-        let eligible = self.eligible_at(now);
-        if eligible.is_empty() {
-            return None;
-        }
+    /// Route one arrival (original or retry, at input position `pos`)
+    /// at the scan instant, which [`Router::advance`] must have moved
+    /// to its release. Returns the chosen shard and the copy's slot
+    /// there, or `None` when every shard is crashed.
+    fn route(&mut self, job: Job, pos: u32) -> Option<(usize, u32)> {
+        let &first = self.eligible.first()?;
+        let now_us = self.now.as_micros();
+        let eligible = self.eligible.iter().copied();
         let shard = match self.routing {
             RoutingPolicy::RoundRobin => {
                 // First eligible shard at or after the cursor,
                 // cyclically; with no faults this is the plain cursor.
-                let s = (0..self.shards)
-                    .map(|k| (self.rr + k) % self.shards)
-                    .find(|s| !self.plan.is_crashed(*s, now))
-                    .expect("eligible set is non-empty");
+                let s = eligible.clone().find(|&s| s >= self.rr).unwrap_or(first);
                 self.rr = (s + 1) % self.shards;
                 s
             }
@@ -381,69 +504,54 @@ impl Router<'_> {
                     .as_mut()
                     .expect("random routing carries an rng")
                     .gen();
-                eligible[((u * eligible.len() as f64) as usize).min(eligible.len() - 1)]
+                let n = self.eligible.len();
+                self.eligible[((u * n as f64) as usize).min(n - 1)]
             }
-            RoutingPolicy::Jsq => {
-                // Strict `<` keeps the lowest index on ties.
-                let mut best = eligible[0];
-                for &s in &eligible[1..] {
-                    if self.inflight[s].len() < self.inflight[best].len() {
-                        best = s;
-                    }
-                }
-                best
-            }
+            // `min_by_key` keeps the first (lowest-index) minimum.
+            RoutingPolicy::Jsq => eligible
+                .min_by_key(|&s| self.inflight[s].len())
+                .expect("eligible set is non-empty"),
             RoutingPolicy::LeastEnergy => {
                 let cand = (job.deadline.as_micros(), job.demand);
-                let delta = |s: usize| {
-                    let w = &self.inflight[s];
-                    let before = self.model.dynamic_power(probe_speed(w, now_us, None));
-                    let after = self.model.dynamic_power(probe_speed(w, now_us, Some(cand)));
-                    after - before
-                };
                 // total_cmp gives a total order (NaN sorts above +inf),
                 // so a degenerate power model still yields the
                 // documented lowest-index tie-break deterministically.
-                let mut best = eligible[0];
-                let mut best_delta = delta(best);
-                for &s in &eligible[1..] {
-                    let d = delta(s);
-                    if d.total_cmp(&best_delta) == Ordering::Less {
-                        best_delta = d;
-                        best = s;
-                    }
-                }
-                best
+                lowest(eligible, |s| {
+                    let (before, after) = probe_speeds(&self.inflight[s], now_us, cand);
+                    self.model.dynamic_power(after) - self.model.dynamic_power(before)
+                })
+                .expect("eligible set is non-empty")
             }
-            RoutingPolicy::Feedback => {
-                // Queue depth ÷ available capacity: a shard at half
-                // capacity looks twice as deep. Crashed shards are
-                // already excluded from `eligible`.
-                let score = |s: usize| {
-                    pending_demand(&self.inflight[s]) / self.plan.capacity_fraction(s, now)
-                };
-                let mut best = eligible[0];
-                let mut best_score = score(best);
-                for &s in &eligible[1..] {
-                    let sc = score(s);
-                    if sc.total_cmp(&best_score) == Ordering::Less {
-                        best_score = sc;
-                        best = s;
-                    }
-                }
-                best
-            }
+            // Queue depth ÷ available capacity: a shard at half capacity
+            // looks twice as deep. Crashed shards are not eligible.
+            RoutingPolicy::Feedback => lowest(eligible, |s| self.depth(s) / self.capacity(s))
+                .expect("eligible set is non-empty"),
         };
+        Some((shard, self.place(shard, job, pos)))
+    }
+
+    /// Append a copy of the job at input position `pos` to `shard`'s
+    /// stream and window, returning its slot. The window insert keeps
+    /// deadline order, equal deadlines in arrival order; for an
+    /// agreeable stream with no retries it is a push at the back.
+    fn place(&mut self, shard: usize, job: Job, pos: u32) -> u32 {
         let slot = self.streams[shard].len() as u32;
         self.streams[shard].push(job);
         self.alive[shard].push(true);
-        let d_us = job.deadline.as_micros();
+        let deadline_us = job.deadline.as_micros();
         let w = &mut self.inflight[shard];
-        // Deadline-sorted insert; equal deadlines keep arrival order.
-        // For an agreeable stream with no retries this is the back.
-        let pos = w.partition_point(|&(d, _, _)| d <= d_us);
-        w.insert(pos, (d_us, job.demand, slot));
-        Some(shard)
+        let at = w.partition_point(|e| e.deadline_us <= deadline_us);
+        w.insert(
+            at,
+            InFlightJob {
+                deadline_us,
+                demand: job.demand,
+                slot,
+                pos,
+            },
+        );
+        self.refresh_pending(shard);
+        slot
     }
 }
 
@@ -507,6 +615,16 @@ pub fn dispatch_with_faults(
 ///
 /// Conservation: `routed(shard streams) + dropped + rejected =
 /// arrivals + duels`.
+///
+/// Each event costs O(shards + window) with no per-job allocation (see
+/// DESIGN.md §11, "Dispatch data layout"): per-job state lives in
+/// dense arrays indexed by the job's position in `jobs`, retries and
+/// hedge fires wait in heaps keyed by `(instant, deadline, id)` — so
+/// job ids must be distinct — and fault state comes from a per-shard
+/// cursor over the plan's windows. The cursor is sound because event
+/// times never decrease: arrivals are release-sorted, a retry
+/// re-releases at or after the crash that stranded it, and a hedge
+/// fires strictly after its release.
 #[allow(clippy::too_many_arguments)]
 pub fn dispatch_protected(
     jobs: &JobSet,
@@ -520,6 +638,11 @@ pub fn dispatch_protected(
 ) -> DispatchPlan {
     assert!(shards > 0, "a cluster needs at least one shard");
     assert_eq!(plan.shards(), shards, "fault plan must cover every shard");
+    let arrivals = jobs.jobs();
+    assert!(
+        u32::try_from(arrivals.len()).is_ok(),
+        "job positions must fit in u32"
+    );
     let retry_policy = &overload.retry;
     let hedging = !overload.hedge.is_disabled();
     let screened = !matches!(overload.admission, AdmissionPolicy::AcceptAll);
@@ -531,8 +654,15 @@ pub fn dispatch_protected(
         admission: &overload.admission,
         shards,
         inflight: vec![InFlight::new(); shards],
+        // The empty sum's own bits (not a literal 0.0): scores compare
+        // by `total_cmp`, which tells -0.0 from +0.0.
+        pending: vec![pending_demand(&InFlight::new()); shards],
         streams: vec![Vec::new(); shards],
         alive: vec![Vec::new(); shards],
+        now: SimTime::ZERO,
+        opened: vec![0; shards],
+        fault: vec![None; shards],
+        eligible: Vec::with_capacity(shards),
         shedding: vec![false; shards],
         rr: 0,
         rng: match routing {
@@ -541,7 +671,6 @@ pub fn dispatch_protected(
         },
     };
 
-    let stored: Vec<Job> = jobs.iter().copied().collect();
     let crash_events: Vec<(SimTime, usize)> = plan
         .crash_starts()
         .into_iter()
@@ -549,22 +678,23 @@ pub fn dispatch_protected(
         .collect();
     let mut crash_idx = 0usize;
     let mut next_orig = 0usize;
-    // Retries keyed by (release, deadline, id), valued with the job's
-    // attempt number: BTreeMap order is the deterministic re-release
-    // order.
-    let mut retries: BTreeMap<(u64, u64, u32), (Job, u32)> = BTreeMap::new();
-    // Strand count per original job id (the retry budget's meter).
-    let mut attempts: BTreeMap<u32, u32> = BTreeMap::new();
-    // Scheduled hedge fires keyed by (fire, deadline, id), valued with
-    // the job and its primary copy's location.
-    let mut hedges_pending: BTreeMap<(u64, u64, u32), (Job, usize, u32)> = BTreeMap::new();
-    // Live copy locations per job id — maintained only while hedging
-    // (the invariant "at most one alive copy per (id, shard)" holds
-    // because hedge targets always differ from the primary shard and
-    // retries fire only when no copy is alive).
-    let mut copies: BTreeMap<u32, Vec<(usize, u32)>> = BTreeMap::new();
+    // Retry re-releases `(job, attempt, position)` and hedge fires
+    // `(job, primary shard, primary slot, position)`.
+    let mut retries: Queue<(Job, u32, u32)> = BinaryHeap::new();
+    let mut hedges_pending: Queue<(Job, usize, u32, u32)> = BinaryHeap::new();
+    // Per-job state by input position: the strand count (the retry
+    // budget's meter), and — only while hedging — the live copies. A
+    // job has at most two (primary and hedge): hedge targets always
+    // differ from the primary's shard, and a retry fires only once no
+    // copy is alive.
+    let mut attempts: Vec<u32> = vec![0; arrivals.len()];
+    let mut copies: Vec<[CopyLoc; 2]> = if hedging {
+        vec![[NO_COPY; 2]; arrivals.len()]
+    } else {
+        Vec::new()
+    };
 
-    let mut assignment: Vec<u32> = Vec::with_capacity(stored.len());
+    let mut assignment: Vec<u32> = Vec::with_capacity(arrivals.len());
     let mut dropped: Vec<(SimTime, Job)> = Vec::new();
     let mut rejected: Vec<(SimTime, Job)> = Vec::new();
     let mut redispatches: Vec<(SimTime, JobId, u32)> = Vec::new();
@@ -580,15 +710,13 @@ pub fn dispatch_protected(
     }
     loop {
         let t_crash = crash_events.get(crash_idx).map(|&(t, _)| t);
-        let t_orig = stored.get(next_orig).map(|j| j.release);
+        let t_orig = arrivals.get(next_orig).map(|j| j.release);
         let t_retry = retries
-            .keys()
-            .next()
-            .map(|&(r, _, _)| SimTime::from_micros(r));
+            .peek()
+            .map(|Reverse(q)| SimTime::from_micros(q.key.0));
         let t_hedge = hedges_pending
-            .keys()
-            .next()
-            .map(|&(h, _, _)| SimTime::from_micros(h));
+            .peek()
+            .map(|Reverse(q)| SimTime::from_micros(q.key.0));
         if t_crash.is_none() && t_orig.is_none() && t_retry.is_none() && t_hedge.is_none() {
             break;
         }
@@ -616,82 +744,88 @@ pub fn dispatch_protected(
                 let w = &mut router.inflight[shard];
                 // Jobs whose deadlines already passed completed before
                 // the crash; the rest are stranded.
-                while w.front().is_some_and(|&(d, _, _)| d <= c_us) {
+                while w.front().is_some_and(|e| e.deadline_us <= c_us) {
                     w.pop_front();
                 }
-                for (_, _, slot) in w.drain(..) {
-                    let job = router.streams[shard][slot as usize];
-                    router.alive[shard][slot as usize] = false;
+                for e in w.drain(..) {
+                    let job = router.streams[shard][e.slot as usize];
+                    router.alive[shard][e.slot as usize] = false;
                     redispatches.push((c, job.id, shard as u32));
+                    let pos = e.pos as usize;
                     if hedging {
-                        if let Some(locs) = copies.get_mut(&job.id.0) {
-                            locs.retain(|&(s, sl)| !(s == shard && sl == slot));
-                            if !locs.is_empty() {
-                                // The twin copy survives: cancel this
-                                // strand silently — no retry, no drop.
-                                continue;
+                        let locs = &mut copies[pos];
+                        for loc in locs.iter_mut() {
+                            if *loc == (shard as u32, e.slot) {
+                                *loc = NO_COPY;
                             }
                         }
+                        if locs.iter().any(|&loc| loc != NO_COPY) {
+                            // The twin copy survives: cancel this
+                            // strand silently — no retry, no drop.
+                            continue;
+                        }
                     }
-                    let attempt = attempts.entry(job.id.0).or_insert(0);
-                    *attempt += 1;
-                    if *attempt > retry_policy.max_attempts {
+                    attempts[pos] += 1;
+                    let attempt = attempts[pos];
+                    if attempt > retry_policy.max_attempts {
                         // Retry budget exhausted: give up cleanly.
                         dropped.push((c, job));
                         continue;
                     }
-                    let delay = retry_policy.delay_for(*attempt, plan.retry_delay(), job.id.0);
+                    let delay = retry_policy.delay_for(attempt, plan.retry_delay(), job.id.0);
                     let new_release = c + delay;
                     if new_release >= job.deadline || new_release > end {
                         dropped.push((c, job));
                     } else {
-                        retries.insert(
-                            (new_release.as_micros(), job.deadline.as_micros(), job.id.0),
-                            (
+                        retries.push(Reverse(Keyed {
+                            key: (new_release.as_micros(), job.deadline.as_micros(), job.id.0),
+                            item: (
                                 Job {
                                     release: new_release,
                                     ..job
                                 },
-                                *attempt,
+                                attempt,
+                                e.pos,
                             ),
-                        );
+                        }));
                     }
                 }
+                router.refresh_pending(shard);
             }
             Step::Orig => {
-                let job = stored[next_orig];
+                let job = arrivals[next_orig];
+                let pos = next_orig as u32;
                 next_orig += 1;
-                if screened {
-                    router.retire(job.release.as_micros());
-                    let eligible = router.eligible_at(job.release);
-                    if !eligible.is_empty() && !router.admits(&job, &eligible) {
-                        assignment.push(u32::MAX);
-                        events.push((
-                            job.release,
-                            Event::AdmissionReject {
-                                job: job.id,
-                                policy: overload.admission.label(),
-                            },
-                        ));
-                        rejected.push((job.release, job));
-                        continue;
-                    }
+                router.advance(job.release);
+                if screened && !router.eligible.is_empty() && !router.admits(&job) {
+                    assignment.push(u32::MAX);
+                    events.push((
+                        job.release,
+                        Event::AdmissionReject {
+                            job: job.id,
+                            policy: overload.admission.label(),
+                        },
+                    ));
+                    rejected.push((job.release, job));
+                    continue;
                 }
-                match router.admit(job) {
-                    Some(s) => {
+                match router.route(job, pos) {
+                    Some((s, slot)) => {
                         assignment.push(s as u32);
                         if hedging {
-                            let slot = (router.streams[s].len() - 1) as u32;
-                            copies.insert(job.id.0, vec![(s, slot)]);
-                            if let HedgePolicy::SlackFraction { fraction } = overload.hedge {
-                                let r_us = job.release.as_micros();
-                                let d_us = job.deadline.as_micros();
-                                let h_us = r_us + ((d_us - r_us) as f64 * fraction) as u64;
-                                // Only hedge when the fire instant lies
-                                // strictly inside the job's window and
-                                // before the horizon.
-                                if h_us > r_us && h_us < d_us && SimTime::from_micros(h_us) < end {
-                                    hedges_pending.insert((h_us, d_us, job.id.0), (job, s, slot));
+                            copies[pos as usize] = [(s as u32, slot), NO_COPY];
+                            // Only hedge when the fire instant lies
+                            // strictly inside the job's window and
+                            // before the horizon.
+                            let d_us = job.deadline.as_micros();
+                            if let Some(h_us) =
+                                overload.hedge.fire_at_us(job.release.as_micros(), d_us)
+                            {
+                                if SimTime::from_micros(h_us) < end {
+                                    hedges_pending.push(Reverse(Keyed {
+                                        key: (h_us, d_us, job.id.0),
+                                        item: (job, s, slot, pos),
+                                    }));
                                 }
                             }
                         }
@@ -703,9 +837,13 @@ pub fn dispatch_protected(
                 }
             }
             Step::Retry => {
-                let (_, (job, attempt)) = retries.pop_first().expect("retry queue is non-empty");
-                match router.admit(job) {
-                    Some(s) => {
+                let Reverse(Keyed {
+                    item: (job, attempt, pos),
+                    ..
+                }) = retries.pop().expect("retry queue is non-empty");
+                router.advance(job.release);
+                match router.route(job, pos) {
+                    Some((s, slot)) => {
                         retried += 1;
                         events.push((
                             job.release,
@@ -715,55 +853,41 @@ pub fn dispatch_protected(
                             },
                         ));
                         if hedging {
-                            let slot = (router.streams[s].len() - 1) as u32;
-                            copies.insert(job.id.0, vec![(s, slot)]);
+                            copies[pos as usize] = [(s as u32, slot), NO_COPY];
                         }
                     }
                     None => dropped.push((job.release, job)),
                 }
             }
             Step::Hedge => {
-                let ((h_us, _, _), (job, p_shard, p_slot)) = hedges_pending
-                    .pop_first()
-                    .expect("hedge queue is non-empty");
+                let Reverse(Keyed {
+                    key: (h_us, _, _),
+                    item: (job, p_shard, p_slot, pos),
+                }) = hedges_pending.pop().expect("hedge queue is non-empty");
                 if !router.alive[p_shard][p_slot as usize] {
                     // The primary was stranded before the hedge fired;
                     // the retry path owns the job now.
                     continue;
                 }
                 let at = SimTime::from_micros(h_us);
-                router.retire(h_us);
+                router.advance(at);
                 // Next-best healthy shard, excluding the primary's, by
-                // feedback score (pending demand ÷ capacity fraction);
-                // the ascending scan with a strict compare keeps the
+                // feedback score (pending demand ÷ capacity fraction),
                 // lowest index on ties.
-                let mut target: Option<(usize, f64)> = None;
-                for s in 0..shards {
-                    if s == p_shard || plan.is_crashed(s, at) {
-                        continue;
-                    }
-                    let score = pending_demand(&router.inflight[s]) / plan.capacity_fraction(s, at);
-                    let better = match target {
-                        Some((_, best)) => score.total_cmp(&best) == Ordering::Less,
-                        None => true,
-                    };
-                    if better {
-                        target = Some((s, score));
-                    }
-                }
-                let Some((to_shard, _)) = target else {
+                let target = lowest(
+                    router.eligible.iter().copied().filter(|&s| s != p_shard),
+                    |s| router.depth(s) / router.capacity(s),
+                );
+                let Some(to_shard) = target else {
                     // No healthy twin shard: skip this hedge.
                     continue;
                 };
-                let copy = Job { release: at, ..job };
-                let slot = router.streams[to_shard].len() as u32;
-                router.streams[to_shard].push(copy);
-                router.alive[to_shard].push(true);
-                let d_us = copy.deadline.as_micros();
-                let w = &mut router.inflight[to_shard];
-                let pos = w.partition_point(|&(d, _, _)| d <= d_us);
-                w.insert(pos, (d_us, copy.demand, slot));
-                copies.entry(job.id.0).or_default().push((to_shard, slot));
+                let slot = router.place(to_shard, Job { release: at, ..job }, pos);
+                let free = copies[pos as usize]
+                    .iter_mut()
+                    .find(|loc| **loc == NO_COPY)
+                    .expect("a job has at most two live copies");
+                *free = (to_shard as u32, slot);
                 events.push((
                     at,
                     Event::Hedge {
@@ -809,7 +933,7 @@ pub fn dispatch_protected(
             JobSet::new_unchecked(survivors)
         })
         .collect();
-    debug_assert_eq!(
+    assert_eq!(
         shard_jobs.iter().map(JobSet::len).sum::<usize>() + dropped.len() + rejected.len(),
         jobs.len() + duels,
         "every arrival routed exactly once, rejected, dropped, or duelling"
@@ -1240,14 +1364,19 @@ impl ClusterEngine {
         for &(t, job, from) in &dispatch.redispatches {
             redispatched[from as usize].push((t, job));
         }
-        // Ids of hedge duels: both copies run, so the merge must
-        // harvest their per-shard outcomes and settle first-wins.
-        let duel_ids: BTreeSet<u32> = dispatch
-            .hedges
-            .iter()
-            .filter(|h| h.duel)
-            .map(|h| h.job.id.0)
-            .collect();
+        // Hedge duels: both copies run, so the merge must harvest their
+        // per-shard outcomes and settle first-wins. Each shard gets its
+        // duelling copies as an id-sorted `(id, duel slot)` list.
+        let mut duel_slots: Vec<Vec<(u32, u32)>> = vec![Vec::new(); self.shards];
+        let mut duels = 0u32;
+        for h in dispatch.hedges.iter().filter(|h| h.duel) {
+            duel_slots[h.from as usize].push((h.job.id.0, 2 * duels));
+            duel_slots[h.to as usize].push((h.job.id.0, 2 * duels + 1));
+            duels += 1;
+        }
+        for slots in &mut duel_slots {
+            slots.sort_unstable();
+        }
 
         let runs: Vec<(ShardRun, O, Vec<DuelOutcome>)> = (0..self.shards)
             .into_par_iter()
@@ -1268,7 +1397,7 @@ impl ClusterEngine {
                     &shard_jobs[i],
                     &self.fault,
                     &redispatched[i],
-                    &duel_ids,
+                    &duel_slots[i],
                     &make_policy,
                     self.meter.is_some(),
                     &mut obs,
@@ -1301,16 +1430,16 @@ impl ClusterEngine {
 
         let mut shards = Vec::with_capacity(self.shards);
         let mut observers = Vec::with_capacity(self.shards);
-        let mut duel_outcomes: Vec<BTreeMap<u32, (f64, f64)>> = Vec::with_capacity(self.shards);
+        // Duel `k`'s primary and hedge outcomes `(processed, quality)`
+        // land in slots `2k` and `2k + 1`; `None` marks a copy that
+        // never settled.
+        let mut settled: Vec<Option<(f64, f64)>> = vec![None; 2 * duels as usize];
         for (run, obs, outcomes) in runs {
             shards.push(run);
             observers.push(obs);
-            duel_outcomes.push(
-                outcomes
-                    .into_iter()
-                    .map(|(id, w, q)| (id, (w, q)))
-                    .collect(),
-            );
+            for (slot, w, q) in outcomes {
+                settled[slot as usize] = Some((w, q));
+            }
         }
 
         // Merge in shard order, seeded from shard 0's report so a
@@ -1332,13 +1461,9 @@ impl ClusterEngine {
         // happened. Quality comparison uses `total_cmp`, ties go to the
         // primary, so the settlement is deterministic.
         let mut hedges_won = 0u64;
-        for h in &dispatch.hedges {
-            if !h.duel {
-                continue;
-            }
-            let primary = duel_outcomes[h.from as usize].get(&h.job.id.0);
-            let hedge = duel_outcomes[h.to as usize].get(&h.job.id.0);
-            let (Some(&(pw, pq)), Some(&(hw, hq))) = (primary, hedge) else {
+        let duelled = dispatch.hedges.iter().filter(|h| h.duel);
+        for (h, outcomes) in duelled.zip(settled.chunks_exact(2)) {
+            let &[Some((pw, pq)), Some((hw, hq))] = outcomes else {
                 continue;
             };
             let hedge_wins = hq.total_cmp(&pq) == Ordering::Greater;
@@ -1409,10 +1534,11 @@ impl ClusterEngine {
 /// boundary (drain-on-reconfigure: the shard settles in-flight work
 /// when its capacity state changes). With no fault windows this is one
 /// healthy epoch over `[0, end)` — bitwise the fault-free path.
-/// `hedged` lists the job ids duelling across shards: their
-/// `(id, processed, quality)` outcomes are harvested from the per-epoch
-/// detailed stats so the cluster merge can settle first-wins. With an
-/// empty set (every default-path run) nothing is harvested —
+/// `duels` lists this shard's duelling copies as id-sorted
+/// `(id, duel slot)` pairs: their `(slot, processed, quality)` outcomes
+/// are harvested from the per-epoch detailed stats so the cluster merge
+/// can settle first-wins. With an empty list (every default-path run)
+/// nothing is harvested —
 /// [`Simulator::run_observed`] is itself a thin wrapper over the
 /// detailed run, so requesting stats changes no simulation arithmetic.
 #[allow(clippy::too_many_arguments)]
@@ -1422,7 +1548,7 @@ fn run_shard_epochs<O, F>(
     jobs: &JobSet,
     plan: &FaultPlan,
     redispatched: &[(SimTime, JobId)],
-    hedged: &BTreeSet<u32>,
+    duels: &[(u32, u32)],
     make_policy: &F,
     metered: bool,
     obs: &mut O,
@@ -1432,12 +1558,14 @@ where
     F: Fn(usize) -> Box<dyn SchedulingPolicy> + Sync + Send,
 {
     let epochs = plan.epochs(shard, cfg.end);
-    let all: Vec<Job> = jobs.iter().copied().collect();
+    let all = jobs.jobs();
     let mut cursor = 0usize;
     let mut redisp = redispatched.iter().peekable();
     let mut merged: Option<SimReport> = None;
     let mut full_trace = SimTrace::default();
     let mut duel_outcomes: Vec<DuelOutcome> = Vec::new();
+    // Where the last outcome's id sat in `duels`.
+    let mut near = 0;
 
     for (k, ep) in epochs.iter().enumerate() {
         let is_final = k + 1 == epochs.len();
@@ -1471,7 +1599,7 @@ where
             // Routing never targets a crashed shard and the dispatch
             // pass stranded everything caught by the crash, so a crash
             // epoch holds no simulatable jobs.
-            debug_assert!(
+            assert!(
                 slice.iter().all(|j| j.release >= cfg.end),
                 "job released inside a crash epoch"
             );
@@ -1536,10 +1664,14 @@ where
             };
             let (rep, trace, stats) =
                 Simulator::run_detailed_observed(&scfg, policy.as_mut(), &local_set, &mut off);
-            if !hedged.is_empty() {
+            if !duels.is_empty() {
                 for o in stats.outcomes() {
-                    if hedged.contains(&o.id.0) {
-                        duel_outcomes.push((o.id.0, o.processed, o.quality));
+                    match search_near(duels, o.id.0, near) {
+                        Ok(i) => {
+                            duel_outcomes.push((duels[i].1, o.processed, o.quality));
+                            near = i;
+                        }
+                        Err(i) => near = i,
                     }
                 }
             }
@@ -1580,6 +1712,31 @@ where
     // Epoch horizons are local; the shard's report spans the full run.
     report.sim_seconds = cfg.end.as_secs_f64();
     (report, full_trace, duel_outcomes)
+}
+
+/// [`slice::binary_search`] for `id` in the id-sorted `duels`, but
+/// galloping outward from index `near`. Copies settle in roughly
+/// deadline order, which on a release-ordered stream is roughly id
+/// order, so a search from the previous outcome's index is short.
+fn search_near(duels: &[(u32, u32)], id: u32, near: usize) -> Result<usize, usize> {
+    // Bracket the first index whose id is ≥ `id` in `[lo, hi]`.
+    let (mut lo, mut hi) = (near.min(duels.len()), near.min(duels.len()));
+    let mut step = 1;
+    while lo > 0 && duels[lo - 1].0 >= id {
+        hi = lo - 1;
+        lo = lo.saturating_sub(step);
+        step *= 2;
+    }
+    while hi < duels.len() && duels[hi].0 < id {
+        lo = hi + 1;
+        hi = (hi + step).min(duels.len());
+        step *= 2;
+    }
+    let i = lo + duels[lo..hi].partition_point(|d| d.0 < id);
+    match duels.get(i) {
+        Some(d) if d.0 == id => Ok(i),
+        _ => Err(i),
+    }
 }
 
 /// Meter one shard's executed schedule: replay the recorded trace as a
@@ -1925,17 +2082,28 @@ mod tests {
         }
     }
 
+    /// A window of `(deadline_us, demand)` entries.
+    fn window(entries: &[(u64, f64)]) -> InFlight {
+        entries
+            .iter()
+            .zip(0..)
+            .map(|(&(deadline_us, demand), i)| InFlightJob {
+                deadline_us,
+                demand,
+                slot: i,
+                pos: i,
+            })
+            .collect()
+    }
+
     #[test]
     fn probe_speed_matches_hand_computation() {
-        let mut w = InFlight::new();
         // 100 units due in 100 ms, 50 more due in 200 ms (cum 150).
-        w.push_back((100_000, 100.0, 0));
-        w.push_back((200_000, 50.0, 1));
-        let s = probe_speed(&w, 0, None);
+        let w = window(&[(100_000, 100.0), (200_000, 50.0)]);
+        let (s, s2) = probe_speeds(&w, 0, (200_000, 150.0));
         // max(100/100ms, 150/200ms) = max(1.0, 0.75) GHz.
         assert!((s - 1.0).abs() < 1e-12, "{s}");
-        let s2 = probe_speed(&w, 0, Some((200_000, 150.0)));
-        // cum 300 over 200 ms = 1.5 GHz.
+        // With the candidate: cum 300 over 200 ms = 1.5 GHz.
         assert!((s2 - 1.5).abs() < 1e-12, "{s2}");
     }
 
@@ -1944,16 +2112,66 @@ mod tests {
         // A window entry due exactly "now" used to underflow
         // `d_us - now_us` (debug panic, release wraparound); the clamp
         // prices it over the 1 µs floor instead.
-        let mut w = InFlight::new();
-        w.push_back((1_000, 100.0, 0));
-        let s = probe_speed(&w, 1_000, None);
+        let w = window(&[(1_000, 100.0)]);
+        let (s, _) = probe_speeds(&w, 1_000, (2_000, 0.0));
         assert!(s.is_finite());
         assert!((s - 100_000.0).abs() < 1e-6, "{s}");
         // A candidate whose deadline is already past must not divide by
         // zero or wrap around either.
-        let s2 = probe_speed(&w, 2_000, Some((1_500, 50.0)));
+        let (_, s2) = probe_speeds(&w, 2_000, (1_500, 50.0));
         assert!(s2.is_finite());
         assert!(s2 > 0.0);
+    }
+
+    #[test]
+    fn search_near_agrees_with_binary_search_from_any_start() {
+        let duels: Vec<(u32, u32)> = (0..50).map(|i| (3 * i + 1, i)).collect();
+        for near in 0..duels.len() + 3 {
+            for id in 0..160 {
+                assert_eq!(
+                    search_near(&duels, id, near),
+                    duels.binary_search_by_key(&id, |&(d, _)| d),
+                    "id {id} from {near}"
+                );
+            }
+        }
+        assert_eq!(search_near(&[], 5, 0), Err(0));
+    }
+
+    #[test]
+    fn invalid_hedge_fractions_never_hedge() {
+        // Out-of-range fractions used to reach an unchecked add (a
+        // debug-build overflow panic for huge values); they now turn
+        // hedging off and route the stream as usual.
+        let jobs = stream(10, 5, 100.0);
+        for fraction in [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            1.0,
+            -0.5,
+            1e30,
+        ] {
+            let d = dispatch_protected(
+                &jobs,
+                2,
+                &RoutingPolicy::RoundRobin,
+                &PolynomialPower::PAPER_SIM,
+                &ExpQuality::PAPER_DEFAULT,
+                &FaultPlan::none(2),
+                &OverloadPolicy {
+                    hedge: HedgePolicy::SlackFraction { fraction },
+                    ..OverloadPolicy::default()
+                },
+                SimTime::from_secs(1),
+            );
+            assert!(d.hedges.is_empty(), "fraction {fraction}");
+            assert_eq!(
+                d.shard_jobs.iter().map(JobSet::len).sum::<usize>(),
+                jobs.len()
+            );
+        }
     }
 
     #[test]

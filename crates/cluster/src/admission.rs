@@ -21,7 +21,7 @@
 //! stream, the fault plan, and seeds fixed *before* the run — never of
 //! wall-clock time, thread scheduling, or simulation results. Jitter is
 //! drawn from a per-`(job, attempt)` stream derived with
-//! [`split_seed`](crate::dispatch::split_seed), so one job's jitter
+//! [`split_seed`], so one job's jitter
 //! cannot perturb another's. [`OverloadPolicy::default`] — accept all,
 //! unlimited flat-delay retries, no hedging — degenerates *by
 //! construction* to the PR 9 dispatch path: the same branches run with

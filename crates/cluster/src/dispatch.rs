@@ -3,8 +3,8 @@
 //! The paper evaluates DES on a single 16-core machine; a service with
 //! "heavy traffic from millions of users" runs many such machines behind
 //! a dispatcher. This module scales the *simulation itself* across
-//! machines: [`route`] splits a single release-ordered arrival stream
-//! over `N` shards under a pluggable [`RoutingPolicy`], and
+//! machines: [`dispatch_protected`] splits a single release-ordered
+//! arrival stream over `N` shards under a pluggable [`RoutingPolicy`], and
 //! [`ClusterEngine`] runs one independent per-shard simulation (the
 //! unmodified `qes-sim` engine with its own policy instance) per shard,
 //! fanning the shards out on the rayon thread pool and merging the
@@ -33,10 +33,11 @@
 //! # Determinism contract
 //!
 //! * **Routing is a sequential pre-pass.** Shard assignment — and all
-//!   fault handling: stranding, retry re-release, dropping — is computed
-//!   by one in-order scan of the merged (arrivals ∪ retries ∪ crash
-//!   instants) event stream before any simulation starts, so it cannot
-//!   depend on thread scheduling.
+//!   fault and overload handling: stranding, retry re-release,
+//!   dropping, admission, hedging — is computed by one in-order scan of
+//!   a single event heap (arrivals, crash instants, retries, hedge
+//!   fires) before any simulation starts, so it cannot depend on thread
+//!   scheduling.
 //! * **Lane count is unobservable.** Per-shard simulations are pure
 //!   functions of (shard job set, fault epochs, policy, machine config);
 //!   the rayon shim's `collect()` returns them in shard order, so a run
@@ -100,7 +101,7 @@ type DuelOutcome = (u32, f64, f64);
 use qes_core::job::{Job, JobId, JobSet};
 use qes_core::obs::{Event, NoopObserver, Observer, OutageKind};
 use qes_core::power::PowerModel;
-use qes_core::quality::{ExpQuality, QualityFunction};
+use qes_core::quality::QualityFunction;
 use qes_core::time::SimTime;
 use qes_core::MetricsRegistry;
 use qes_multicore::SchedulingPolicy;
@@ -111,7 +112,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 
-use crate::admission::{AdmissionPolicy, HedgePolicy, OverloadPolicy, RetryPolicy};
+use crate::admission::{AdmissionPolicy, OverloadPolicy};
 use crate::fault::{effective_cores, FaultKind, FaultPlan};
 use crate::meter::PowerMeter;
 
@@ -228,7 +229,8 @@ fn lowest(shards: impl Iterator<Item = usize>, key: impl Fn(usize) -> f64) -> Op
 }
 
 /// One hedge dispatch: a second copy of a slow job sent to another
-/// shard ([`dispatch_protected`] with [`HedgePolicy::SlackFraction`]).
+/// shard ([`dispatch_protected`] with
+/// [`HedgePolicy::SlackFraction`](crate::admission::HedgePolicy::SlackFraction)).
 #[derive(Clone, Copy, Debug)]
 pub struct HedgeRecord {
     /// The instant the hedge copy was dispatched.
@@ -249,8 +251,7 @@ pub struct HedgeRecord {
     pub duel: bool,
 }
 
-/// The outcome of the fault-aware dispatch pre-pass
-/// ([`dispatch_with_faults`] / [`dispatch_protected`]).
+/// The outcome of the dispatch pre-pass ([`dispatch_protected`]).
 #[derive(Clone, Debug)]
 pub struct DispatchPlan {
     /// Final per-shard job streams: original arrivals plus surviving
@@ -282,10 +283,6 @@ pub struct DispatchPlan {
     pub retried: u64,
     /// Hedge dispatches, in fire order.
     pub hedges: Vec<HedgeRecord>,
-    /// Dispatcher-level observability events (admission rejects, retry
-    /// re-releases, hedge dispatches) in scan order — timestamps are
-    /// non-decreasing, ready to replay into an [`Observer`].
-    pub events: Vec<(SimTime, Event)>,
 }
 
 /// A live copy's location `(shard, slot)`.
@@ -294,37 +291,76 @@ type CopyLoc = (u32, u32);
 /// An empty copy slot.
 const NO_COPY: CopyLoc = (u32::MAX, u32::MAX);
 
-/// A queued retry or hedge fire, ordered by its `(instant µs, deadline
-/// µs, job id)` key alone. A job has at most one retry and one hedge
-/// pending, so with distinct job ids the key is unique and heap order
-/// is the key's total order.
-struct Keyed<T> {
-    key: (u64, u64, u32),
-    item: T,
+/// What one queued event of the dispatch scan does. Jobs are named by
+/// their position in the input stream, whose entry supplies every field
+/// but a retry's release.
+#[derive(Clone, Copy)]
+enum ScanEvent {
+    /// The plan's next crash start, on this shard.
+    Crash { shard: usize },
+    /// The next original arrival.
+    Arrival { pos: u32 },
+    /// A stranded job's re-release, on its `attempt`-th strand.
+    Retry { pos: u32, attempt: u32 },
+    /// A hedge fire for the job whose primary copy sits in `slot` on
+    /// `shard`.
+    Hedge { pos: u32, shard: usize, slot: u32 },
 }
 
-impl<T> PartialEq for Keyed<T> {
+/// A queued scan event, ordered by its `(t_us, class, deadline_us, id)`
+/// key alone, where the class gives the tie order at one instant:
+/// crash 0 < arrival 1 < retry 2 < hedge 3. The heap holds at most one
+/// crash and one arrival (their cursors refill it on pop) and at most
+/// one retry and one hedge per job, so with distinct job ids the key is
+/// unique and heap order is the key's total order.
+struct Queued {
+    key: (u64, u8, u64, u32),
+    event: ScanEvent,
+}
+
+impl Queued {
+    /// `event` at `t`, tie-broken by `job`'s deadline and id.
+    fn new(t: SimTime, event: ScanEvent, job: &Job) -> Self {
+        let class = match event {
+            ScanEvent::Crash { .. } => 0,
+            ScanEvent::Arrival { .. } => 1,
+            ScanEvent::Retry { .. } => 2,
+            ScanEvent::Hedge { .. } => 3,
+        };
+        Queued {
+            key: (t.as_micros(), class, job.deadline.as_micros(), job.id.0),
+            event,
+        }
+    }
+
+    /// A crash of `shard` at `t`.
+    fn crash((t, shard): (SimTime, usize)) -> Self {
+        Queued {
+            key: (t.as_micros(), 0, 0, 0),
+            event: ScanEvent::Crash { shard },
+        }
+    }
+}
+
+impl PartialEq for Queued {
     fn eq(&self, other: &Self) -> bool {
         self.key == other.key
     }
 }
 
-impl<T> Eq for Keyed<T> {}
+impl Eq for Queued {}
 
-impl<T> PartialOrd for Keyed<T> {
+impl PartialOrd for Queued {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<T> Ord for Keyed<T> {
+impl Ord for Queued {
     fn cmp(&self, other: &Self) -> Ordering {
         self.key.cmp(&other.key)
     }
 }
-
-/// A min-heap of queued events.
-type Queue<T> = BinaryHeap<Reverse<Keyed<T>>>;
 
 /// Mutable routing state shared by every event of the dispatch scan.
 struct Router<'a> {
@@ -556,43 +592,18 @@ impl Router<'_> {
 }
 
 /// Assign every job of the release-sorted stream to a shard, under a
-/// fault plan, with stranded-job failover.
+/// fault plan and an overload-protection policy.
 ///
-/// This is [`dispatch_protected`] under the default [`OverloadPolicy`]
-/// — accept everything, retry forever at the plan's fixed delay, never
-/// hedge — which degenerates to the PR 9 fault-failover pre-pass by
-/// construction: `rejected` and `hedges` stay empty and every retry
-/// re-release lands at exactly `crash + retry_delay`. The quality
-/// function is never consulted under [`AdmissionPolicy::AcceptAll`].
-/// Conservation: `routed(shard streams) + dropped = arrivals`.
-pub fn dispatch_with_faults(
-    jobs: &JobSet,
-    shards: usize,
-    routing: &RoutingPolicy,
-    model: &dyn PowerModel,
-    plan: &FaultPlan,
-    end: SimTime,
-) -> DispatchPlan {
-    dispatch_protected(
-        jobs,
-        shards,
-        routing,
-        model,
-        &ExpQuality::PAPER_DEFAULT,
-        plan,
-        &OverloadPolicy::default(),
-        end,
-    )
-}
-
-/// Assign every job of the release-sorted stream to a shard, under a
-/// fault plan *and* an overload-protection policy.
+/// A deterministic sequential pre-pass over one event heap holding
+/// original arrivals, crash instants, retry re-releases and hedge fire
+/// instants (ties resolve crash → arrival → retry → hedge):
 ///
-/// A deterministic sequential pre-pass over the merged event stream of
-/// original arrivals, retry re-releases, crash instants, and hedge fire
-/// instants (ties resolve crash → arrival → retry → hedge). On top of
-/// the fault-failover semantics of [`dispatch_with_faults`]:
-///
+/// * **Routing and failover**: each arrival goes to an eligible
+///   (not crashed) shard under `routing`, and is dropped when every
+///   shard is crashed. A crash strands the copies still in the shard's
+///   in-flight window and re-releases each to a survivor after a retry
+///   delay, keeping its original deadline; a re-release at or past the
+///   deadline, or past the horizon `end`, is dropped instead.
 /// * **Admission** (`overload.admission`): each *original* arrival is
 ///   screened before routing; a rejected job gets assignment
 ///   `u32::MAX` and lands in `rejected` (never `dropped` — the two
@@ -601,8 +612,8 @@ pub fn dispatch_with_faults(
 /// * **Retry budget** (`overload.retry`): a stranded copy's attempt
 ///   counter increments per strand; past `max_attempts` it gives up
 ///   into `dropped`. Otherwise it re-releases after
-///   [`RetryPolicy::delay_for`] (exponential backoff, seeded jitter),
-///   keeping its original deadline.
+///   [`RetryPolicy::delay_for`](crate::admission::RetryPolicy::delay_for)
+///   (exponential backoff, seeded jitter).
 /// * **Hedging** (`overload.hedge`): when an original is routed and
 ///   the slack-fraction instant lands strictly inside `(release,
 ///   deadline)` and before the horizon, a hedge copy fires at that
@@ -613,18 +624,22 @@ pub fn dispatch_with_faults(
 ///   dropped); a hedge pair with both copies alive at the end is a
 ///   *duel* the report merge settles first-wins.
 ///
+/// Under [`FaultPlan::none`] and the default [`OverloadPolicy`] —
+/// accept everything, retry forever at the plan's fixed delay, never
+/// hedge — this is the plain fault-free routing pass, and the quality
+/// function is never consulted under [`AdmissionPolicy::AcceptAll`].
 /// Conservation: `routed(shard streams) + dropped + rejected =
 /// arrivals + duels`.
 ///
 /// Each event costs O(shards + window) with no per-job allocation (see
 /// DESIGN.md §11, "Dispatch data layout"): per-job state lives in
-/// dense arrays indexed by the job's position in `jobs`, retries and
-/// hedge fires wait in heaps keyed by `(instant, deadline, id)` — so
-/// job ids must be distinct — and fault state comes from a per-shard
-/// cursor over the plan's windows. The cursor is sound because event
-/// times never decrease: arrivals are release-sorted, a retry
-/// re-releases at or after the crash that stranded it, and a hedge
-/// fires strictly after its release.
+/// dense arrays indexed by the job's position in `jobs`, the heap is
+/// keyed by `(instant, class, deadline, id)` — so job ids must be
+/// distinct — and fault state comes from a per-shard cursor over the
+/// plan's windows. The cursor is sound because event times never
+/// decrease: arrivals are release-sorted, a retry re-releases at or
+/// after the crash that stranded it, and a hedge fires strictly after
+/// its release.
 #[allow(clippy::too_many_arguments)]
 pub fn dispatch_protected(
     jobs: &JobSet,
@@ -635,6 +650,35 @@ pub fn dispatch_protected(
     plan: &FaultPlan,
     overload: &OverloadPolicy,
     end: SimTime,
+) -> DispatchPlan {
+    dispatch_observed(
+        jobs,
+        shards,
+        routing,
+        model,
+        quality,
+        plan,
+        overload,
+        end,
+        &mut NoopObserver,
+    )
+}
+
+/// [`dispatch_protected`] recording the dispatcher's admission rejects,
+/// retry re-releases and hedge dispatches into `obs` as the scan makes
+/// them (non-decreasing timestamps). Like every observer, `obs` is
+/// passive: the plan is bitwise-identical with a [`NoopObserver`].
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn dispatch_observed<D: Observer>(
+    jobs: &JobSet,
+    shards: usize,
+    routing: &RoutingPolicy,
+    model: &dyn PowerModel,
+    quality: &dyn QualityFunction,
+    plan: &FaultPlan,
+    overload: &OverloadPolicy,
+    end: SimTime,
+    obs: &mut D,
 ) -> DispatchPlan {
     assert!(shards > 0, "a cluster needs at least one shard");
     assert_eq!(plan.shards(), shards, "fault plan must cover every shard");
@@ -671,17 +715,20 @@ pub fn dispatch_protected(
         },
     };
 
-    let crash_events: Vec<(SimTime, usize)> = plan
-        .crash_starts()
-        .into_iter()
-        .filter(|&(t, _)| t < end)
-        .collect();
-    let mut crash_idx = 0usize;
-    let mut next_orig = 0usize;
-    // Retry re-releases `(job, attempt, position)` and hedge fires
-    // `(job, primary shard, primary slot, position)`.
-    let mut retries: Queue<(Job, u32, u32)> = BinaryHeap::new();
-    let mut hedges_pending: Queue<(Job, usize, u32, u32)> = BinaryHeap::new();
+    // The arrival at input position `pos`, if any.
+    let arrival = |pos: usize| {
+        arrivals.get(pos).map(|j| {
+            Reverse(Queued::new(
+                j.release,
+                ScanEvent::Arrival { pos: pos as u32 },
+                j,
+            ))
+        })
+    };
+    let mut crashes = plan.crash_starts().into_iter().filter(|&(t, _)| t < end);
+    let mut queue: BinaryHeap<Reverse<Queued>> = BinaryHeap::new();
+    queue.extend(arrival(0));
+    queue.extend(crashes.next().map(Queued::crash).map(Reverse));
     // Per-job state by input position: the strand count (the retry
     // budget's meter), and — only while hedging — the live copies. A
     // job has at most two (primary and hedge): hedge targets always
@@ -700,57 +747,23 @@ pub fn dispatch_protected(
     let mut redispatches: Vec<(SimTime, JobId, u32)> = Vec::new();
     let mut retried = 0u64;
     let mut hedges: Vec<HedgeRecord> = Vec::new();
-    let mut events: Vec<(SimTime, Event)> = Vec::new();
 
-    enum Step {
-        Crash,
-        Orig,
-        Retry,
-        Hedge,
-    }
-    loop {
-        let t_crash = crash_events.get(crash_idx).map(|&(t, _)| t);
-        let t_orig = arrivals.get(next_orig).map(|j| j.release);
-        let t_retry = retries
-            .peek()
-            .map(|Reverse(q)| SimTime::from_micros(q.key.0));
-        let t_hedge = hedges_pending
-            .peek()
-            .map(|Reverse(q)| SimTime::from_micros(q.key.0));
-        if t_crash.is_none() && t_orig.is_none() && t_retry.is_none() && t_hedge.is_none() {
-            break;
-        }
-        let tc = t_crash.unwrap_or(SimTime::MAX);
-        let to = t_orig.unwrap_or(SimTime::MAX);
-        let tr = t_retry.unwrap_or(SimTime::MAX);
-        let th = t_hedge.unwrap_or(SimTime::MAX);
-        // Tie order crash → arrival → retry → hedge; the `is_some`
-        // guards keep an exhausted stream's MAX sentinel from winning
-        // a MAX-vs-MAX tie.
-        let step = if t_crash.is_some() && tc <= to && tc <= tr && tc <= th {
-            Step::Crash
-        } else if t_orig.is_some() && to <= tr && to <= th {
-            Step::Orig
-        } else if t_retry.is_some() && tr <= th {
-            Step::Retry
-        } else {
-            Step::Hedge
-        };
-        match step {
-            Step::Crash => {
-                let (c, shard) = crash_events[crash_idx];
-                crash_idx += 1;
-                let c_us = c.as_micros();
+    while let Some(Reverse(Queued { key, event })) = queue.pop() {
+        let t = SimTime::from_micros(key.0);
+        match event {
+            ScanEvent::Crash { shard } => {
+                queue.extend(crashes.next().map(Queued::crash).map(Reverse));
+                let t_us = t.as_micros();
                 let w = &mut router.inflight[shard];
                 // Jobs whose deadlines already passed completed before
                 // the crash; the rest are stranded.
-                while w.front().is_some_and(|e| e.deadline_us <= c_us) {
+                while w.front().is_some_and(|e| e.deadline_us <= t_us) {
                     w.pop_front();
                 }
                 for e in w.drain(..) {
                     let job = router.streams[shard][e.slot as usize];
                     router.alive[shard][e.slot as usize] = false;
-                    redispatches.push((c, job.id, shard as u32));
+                    redispatches.push((t, job.id, shard as u32));
                     let pos = e.pos as usize;
                     if hedging {
                         let locs = &mut copies[pos];
@@ -769,44 +782,42 @@ pub fn dispatch_protected(
                     let attempt = attempts[pos];
                     if attempt > retry_policy.max_attempts {
                         // Retry budget exhausted: give up cleanly.
-                        dropped.push((c, job));
+                        dropped.push((t, job));
                         continue;
                     }
                     let delay = retry_policy.delay_for(attempt, plan.retry_delay(), job.id.0);
-                    let new_release = c + delay;
+                    // Saturates at `SimTime::MAX`, which is never before
+                    // a deadline, so the job is dropped rather than
+                    // wrapped into the past.
+                    let new_release = t + delay;
                     if new_release >= job.deadline || new_release > end {
-                        dropped.push((c, job));
+                        dropped.push((t, job));
                     } else {
-                        retries.push(Reverse(Keyed {
-                            key: (new_release.as_micros(), job.deadline.as_micros(), job.id.0),
-                            item: (
-                                Job {
-                                    release: new_release,
-                                    ..job
-                                },
-                                attempt,
-                                e.pos,
-                            ),
-                        }));
+                        let retry = ScanEvent::Retry {
+                            pos: e.pos,
+                            attempt,
+                        };
+                        queue.push(Reverse(Queued::new(new_release, retry, &job)));
                     }
                 }
                 router.refresh_pending(shard);
             }
-            Step::Orig => {
-                let job = arrivals[next_orig];
-                let pos = next_orig as u32;
-                next_orig += 1;
-                router.advance(job.release);
+            ScanEvent::Arrival { pos } => {
+                queue.extend(arrival(pos as usize + 1));
+                let job = arrivals[pos as usize];
+                router.advance(t);
                 if screened && !router.eligible.is_empty() && !router.admits(&job) {
                     assignment.push(u32::MAX);
-                    events.push((
-                        job.release,
-                        Event::AdmissionReject {
-                            job: job.id,
-                            policy: overload.admission.label(),
-                        },
-                    ));
-                    rejected.push((job.release, job));
+                    if D::ENABLED {
+                        obs.record(
+                            t,
+                            Event::AdmissionReject {
+                                job: job.id,
+                                policy: overload.admission.label(),
+                            },
+                        );
+                    }
+                    rejected.push((t, job));
                     continue;
                 }
                 match router.route(job, pos) {
@@ -817,60 +828,64 @@ pub fn dispatch_protected(
                             // Only hedge when the fire instant lies
                             // strictly inside the job's window and
                             // before the horizon.
-                            let d_us = job.deadline.as_micros();
-                            if let Some(h_us) =
-                                overload.hedge.fire_at_us(job.release.as_micros(), d_us)
-                            {
-                                if SimTime::from_micros(h_us) < end {
-                                    hedges_pending.push(Reverse(Keyed {
-                                        key: (h_us, d_us, job.id.0),
-                                        item: (job, s, slot, pos),
-                                    }));
-                                }
+                            let fire = overload
+                                .hedge
+                                .fire_at_us(t.as_micros(), job.deadline.as_micros())
+                                .map(SimTime::from_micros)
+                                .filter(|&h| h < end);
+                            if let Some(h) = fire {
+                                let hedge = ScanEvent::Hedge {
+                                    pos,
+                                    shard: s,
+                                    slot,
+                                };
+                                queue.push(Reverse(Queued::new(h, hedge, &job)));
                             }
                         }
                     }
                     None => {
                         assignment.push(u32::MAX);
-                        dropped.push((job.release, job));
+                        dropped.push((t, job));
                     }
                 }
             }
-            Step::Retry => {
-                let Reverse(Keyed {
-                    item: (job, attempt, pos),
-                    ..
-                }) = retries.pop().expect("retry queue is non-empty");
-                router.advance(job.release);
+            ScanEvent::Retry { pos, attempt } => {
+                let job = Job {
+                    release: t,
+                    ..arrivals[pos as usize]
+                };
+                router.advance(t);
                 match router.route(job, pos) {
                     Some((s, slot)) => {
                         retried += 1;
-                        events.push((
-                            job.release,
-                            Event::Retry {
-                                job: job.id,
-                                attempt,
-                            },
-                        ));
+                        if D::ENABLED {
+                            obs.record(
+                                t,
+                                Event::Retry {
+                                    job: job.id,
+                                    attempt,
+                                },
+                            );
+                        }
                         if hedging {
                             copies[pos as usize] = [(s as u32, slot), NO_COPY];
                         }
                     }
-                    None => dropped.push((job.release, job)),
+                    None => dropped.push((t, job)),
                 }
             }
-            Step::Hedge => {
-                let Reverse(Keyed {
-                    key: (h_us, _, _),
-                    item: (job, p_shard, p_slot, pos),
-                }) = hedges_pending.pop().expect("hedge queue is non-empty");
+            ScanEvent::Hedge {
+                pos,
+                shard: p_shard,
+                slot: p_slot,
+            } => {
                 if !router.alive[p_shard][p_slot as usize] {
                     // The primary was stranded before the hedge fired;
                     // the retry path owns the job now.
                     continue;
                 }
-                let at = SimTime::from_micros(h_us);
-                router.advance(at);
+                let job = arrivals[pos as usize];
+                router.advance(t);
                 // Next-best healthy shard, excluding the primary's, by
                 // feedback score (pending demand ÷ capacity fraction),
                 // lowest index on ties.
@@ -882,21 +897,23 @@ pub fn dispatch_protected(
                     // No healthy twin shard: skip this hedge.
                     continue;
                 };
-                let slot = router.place(to_shard, Job { release: at, ..job }, pos);
+                let slot = router.place(to_shard, Job { release: t, ..job }, pos);
                 let free = copies[pos as usize]
                     .iter_mut()
                     .find(|loc| **loc == NO_COPY)
                     .expect("a job has at most two live copies");
                 *free = (to_shard as u32, slot);
-                events.push((
-                    at,
-                    Event::Hedge {
-                        job: job.id,
-                        to: to_shard as u32,
-                    },
-                ));
+                if D::ENABLED {
+                    obs.record(
+                        t,
+                        Event::Hedge {
+                            job: job.id,
+                            to: to_shard as u32,
+                        },
+                    );
+                }
                 hedges.push(HedgeRecord {
-                    at,
+                    at: t,
                     job,
                     from: p_shard as u32,
                     to: to_shard as u32,
@@ -947,42 +964,7 @@ pub fn dispatch_protected(
         redispatches,
         retried,
         hedges,
-        events,
     }
-}
-
-/// Assign every job of the release-sorted stream to a shard (the
-/// fault-free path).
-///
-/// Returns one shard index per job, in the job set's stored
-/// `(release, deadline, id)` order. This is a deterministic sequential
-/// pre-pass: the same stream and routing policy always produce the same
-/// assignment, independent of thread count. `model` prices the
-/// [`RoutingPolicy::LeastEnergy`] probe and is ignored by the other
-/// policies.
-pub fn route(
-    jobs: &JobSet,
-    shards: usize,
-    routing: &RoutingPolicy,
-    model: &dyn PowerModel,
-) -> Vec<u32> {
-    let plan = FaultPlan::none(shards);
-    dispatch_with_faults(jobs, shards, routing, model, &plan, SimTime::MAX).assignment
-}
-
-/// Split a job set into per-shard job sets according to a [`route`]
-/// assignment. Jobs keep their global ids; each shard's subset of an
-/// agreeable stream is agreeable, and re-validation preserves the
-/// relative order (a subsequence of a sorted sequence is sorted).
-pub fn split_jobs(jobs: &JobSet, assignment: &[u32], shards: usize) -> Vec<JobSet> {
-    assert_eq!(jobs.len(), assignment.len(), "one shard per job");
-    let mut per: Vec<Vec<Job>> = vec![Vec::new(); shards];
-    for (job, &s) in jobs.iter().zip(assignment) {
-        per[s as usize].push(*job);
-    }
-    per.into_iter()
-        .map(|v| JobSet::new(v).expect("subset of an agreeable stream is agreeable"))
-        .collect()
 }
 
 /// One shard's outcome inside a [`ClusterReport`].
@@ -1025,7 +1007,7 @@ pub struct ClusterReport {
     /// [`AdmissionPolicy::AcceptAll`].
     pub jobs_rejected: u64,
     /// Hedge copies dispatched by the overload policy. Zero under
-    /// [`HedgePolicy::Disabled`].
+    /// [`HedgePolicy::Disabled`](crate::admission::HedgePolicy::Disabled).
     pub jobs_hedged: u64,
     /// Hedge duels the *hedge copy* won (strictly better quality than
     /// the primary; ties go to the primary).
@@ -1238,29 +1220,12 @@ impl ClusterEngine {
         self
     }
 
-    /// Builder: full overload-protection policy (admission + retry
-    /// budget + hedging). The default policy is bitwise-identical to
-    /// running without one.
+    /// Builder: overload-protection policy (admission + retry budget +
+    /// hedging); set one mechanism with `OverloadPolicy { admission,
+    /// ..OverloadPolicy::default() }`. The default policy is
+    /// bitwise-identical to running without one.
     pub fn with_overload(mut self, overload: OverloadPolicy) -> Self {
         self.overload = overload;
-        self
-    }
-
-    /// Builder: admission policy only (retry/hedge settings untouched).
-    pub fn with_admission(mut self, admission: AdmissionPolicy) -> Self {
-        self.overload.admission = admission;
-        self
-    }
-
-    /// Builder: retry-budget policy only.
-    pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.overload.retry = retry;
-        self
-    }
-
-    /// Builder: hedging policy only.
-    pub fn with_hedging(mut self, hedge: HedgePolicy) -> Self {
-        self.overload.hedge = hedge;
         self
     }
 
@@ -1324,11 +1289,11 @@ impl ClusterEngine {
     }
 
     /// [`ClusterEngine::run_observed`] plus a *dispatcher-level*
-    /// observer: the pre-pass's admission rejects, retry re-releases,
-    /// and hedge dispatches are replayed into `dispatch_obs` (in scan
-    /// order, non-decreasing timestamps) before the shards run. Like
-    /// every observer, it is passive — the report is bitwise-identical
-    /// with a [`NoopObserver`].
+    /// observer: the pre-pass records its admission rejects, retry
+    /// re-releases, and hedge dispatches into `dispatch_obs` as it makes
+    /// them (scan order, non-decreasing timestamps), before the shards
+    /// run. Like every observer, it is passive — the report is
+    /// bitwise-identical with a [`NoopObserver`].
     pub fn run_observed_with_dispatch<O, F, M, D>(
         &self,
         cfg: &SimConfig<'_>,
@@ -1343,7 +1308,7 @@ impl ClusterEngine {
         M: Fn(usize) -> O + Sync + Send,
         D: Observer,
     {
-        let dispatch = dispatch_protected(
+        let dispatch = dispatch_observed(
             jobs,
             self.shards,
             &self.routing,
@@ -1352,12 +1317,8 @@ impl ClusterEngine {
             &self.fault,
             &self.overload,
             cfg.end,
+            dispatch_obs,
         );
-        if D::ENABLED {
-            for &(t, e) in &dispatch.events {
-                dispatch_obs.record(t, e);
-            }
-        }
         let shard_jobs = &dispatch.shard_jobs;
         // Group stranding records by crashed shard for event emission.
         let mut redispatched: Vec<Vec<(SimTime, JobId)>> = vec![Vec::new(); self.shards];
@@ -1788,9 +1749,34 @@ fn measured_shard_energy<O: Observer>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::admission::{HedgePolicy, RetryPolicy};
     use crate::fault::FaultWindow;
+    use qes_core::obs::TraceObserver;
     use qes_core::power::PolynomialPower;
+    use qes_core::quality::ExpQuality;
     use qes_core::time::SimDuration;
+
+    /// The unprotected pre-pass: [`dispatch_protected`] under the
+    /// default [`OverloadPolicy`].
+    fn dispatch(
+        jobs: &JobSet,
+        shards: usize,
+        routing: &RoutingPolicy,
+        model: &dyn PowerModel,
+        plan: &FaultPlan,
+        end: SimTime,
+    ) -> DispatchPlan {
+        dispatch_protected(
+            jobs,
+            shards,
+            routing,
+            model,
+            &ExpQuality::PAPER_DEFAULT,
+            plan,
+            &OverloadPolicy::default(),
+            end,
+        )
+    }
 
     fn stream(n: usize, gap_ms: u64, demand: f64) -> JobSet {
         let jobs: Vec<Job> = (0..n)
@@ -1803,21 +1789,6 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_cycles_and_conserves() {
-        let jobs = stream(10, 1, 100.0);
-        let a = route(
-            &jobs,
-            3,
-            &RoutingPolicy::RoundRobin,
-            &PolynomialPower::PAPER_SIM,
-        );
-        assert_eq!(a, vec![0, 1, 2, 0, 1, 2, 0, 1, 2, 0]);
-        let split = split_jobs(&jobs, &a, 3);
-        assert_eq!(split.iter().map(JobSet::len).sum::<usize>(), 10);
-        assert_eq!(split[0].len(), 4);
-    }
-
-    #[test]
     fn jsq_prefers_the_emptier_shard_and_breaks_ties_low() {
         // Two simultaneous arrivals: both shards empty -> shard 0 wins the
         // tie; the second sees shard 0 loaded and goes to shard 1.
@@ -1827,7 +1798,15 @@ mod tests {
             Job::new(2, SimTime::from_millis(1), SimTime::from_millis(151), 100.0).unwrap(),
         ])
         .unwrap();
-        let a = route(&jobs, 2, &RoutingPolicy::Jsq, &PolynomialPower::PAPER_SIM);
+        let a = dispatch(
+            &jobs,
+            2,
+            &RoutingPolicy::Jsq,
+            &PolynomialPower::PAPER_SIM,
+            &FaultPlan::none(2),
+            SimTime::MAX,
+        )
+        .assignment;
         // Third arrival: both shards hold one in-flight job; tie -> 0.
         assert_eq!(a, vec![0, 1, 0]);
     }
@@ -1847,7 +1826,15 @@ mod tests {
             .unwrap(),
         ])
         .unwrap();
-        let a = route(&jobs, 2, &RoutingPolicy::Jsq, &PolynomialPower::PAPER_SIM);
+        let a = dispatch(
+            &jobs,
+            2,
+            &RoutingPolicy::Jsq,
+            &PolynomialPower::PAPER_SIM,
+            &FaultPlan::none(2),
+            SimTime::MAX,
+        )
+        .assignment;
         assert_eq!(a, vec![0, 0]);
     }
 
@@ -1860,12 +1847,15 @@ mod tests {
             Job::new(1, SimTime::ZERO, SimTime::from_millis(150), 300.0).unwrap(),
         ])
         .unwrap();
-        let a = route(
+        let a = dispatch(
             &jobs,
             2,
             &RoutingPolicy::LeastEnergy,
             &PolynomialPower::PAPER_SIM,
-        );
+            &FaultPlan::none(2),
+            SimTime::MAX,
+        )
+        .assignment;
         assert_eq!(a, vec![0, 1]);
     }
 
@@ -1880,12 +1870,15 @@ mod tests {
                 .collect(),
         )
         .unwrap();
-        let a = route(
+        let a = dispatch(
             &jobs,
             3,
             &RoutingPolicy::LeastEnergy,
             &PolynomialPower::PAPER_SIM,
-        );
+            &FaultPlan::none(3),
+            SimTime::MAX,
+        )
+        .assignment;
         assert_eq!(a, vec![0, 1, 2, 0, 1]);
     }
 
@@ -1906,10 +1899,29 @@ mod tests {
             }
         }
         let jobs = stream(20, 1, 100.0);
-        let a = route(&jobs, 4, &RoutingPolicy::LeastEnergy, &NanPower);
+        let a = dispatch(
+            &jobs,
+            4,
+            &RoutingPolicy::LeastEnergy,
+            &NanPower,
+            &FaultPlan::none(4),
+            SimTime::MAX,
+        )
+        .assignment;
         assert_eq!(a.len(), jobs.len());
         assert!(a.iter().all(|&s| s < 4));
-        assert_eq!(a, route(&jobs, 4, &RoutingPolicy::LeastEnergy, &NanPower));
+        assert_eq!(
+            a,
+            dispatch(
+                &jobs,
+                4,
+                &RoutingPolicy::LeastEnergy,
+                &NanPower,
+                &FaultPlan::none(4),
+                SimTime::MAX
+            )
+            .assignment
+        );
         // NaN sorts above every finite delta under total_cmp, so every
         // decision is the all-tie lowest-index pick: shard 0.
         assert!(a.iter().all(|&s| s == 0));
@@ -1919,16 +1931,35 @@ mod tests {
     fn random_routing_is_deterministic_per_seed_and_in_range() {
         let jobs = stream(50, 2, 150.0);
         let r = RoutingPolicy::Random { seed: 9 };
-        let a = route(&jobs, 4, &r, &PolynomialPower::PAPER_SIM);
-        let b = route(&jobs, 4, &r, &PolynomialPower::PAPER_SIM);
+        let a = dispatch(
+            &jobs,
+            4,
+            &r,
+            &PolynomialPower::PAPER_SIM,
+            &FaultPlan::none(4),
+            SimTime::MAX,
+        )
+        .assignment;
+        let b = dispatch(
+            &jobs,
+            4,
+            &r,
+            &PolynomialPower::PAPER_SIM,
+            &FaultPlan::none(4),
+            SimTime::MAX,
+        )
+        .assignment;
         assert_eq!(a, b);
         assert!(a.iter().all(|&s| s < 4));
-        let c = route(
+        let c = dispatch(
             &jobs,
             4,
             &RoutingPolicy::Random { seed: 10 },
             &PolynomialPower::PAPER_SIM,
-        );
+            &FaultPlan::none(4),
+            SimTime::MAX,
+        )
+        .assignment;
         assert_ne!(a, c, "different seed should reshuffle some assignment");
     }
 
@@ -1942,12 +1973,15 @@ mod tests {
             Job::new(2, SimTime::from_millis(1), SimTime::from_millis(151), 100.0).unwrap(),
         ])
         .unwrap();
-        let a = route(
+        let a = dispatch(
             &jobs,
             2,
             &RoutingPolicy::Feedback,
             &PolynomialPower::PAPER_SIM,
-        );
+            &FaultPlan::none(2),
+            SimTime::MAX,
+        )
+        .assignment;
         // Shard 0 carries 300 units, shard 1 only 100: the third job
         // joins shard 1 even though the job counts tie.
         assert_eq!(a, vec![0, 1, 1]);
@@ -1975,7 +2009,7 @@ mod tests {
                     kind: FaultKind::Brownout { loss: 0.6 },
                 },
             );
-        let d = dispatch_with_faults(
+        let d = dispatch(
             &jobs,
             3,
             &RoutingPolicy::Feedback,
@@ -2012,7 +2046,7 @@ mod tests {
                 },
             )
             .with_retry_delay(SimDuration::from_millis(10));
-        let d = dispatch_with_faults(
+        let d = dispatch(
             &jobs,
             2,
             &RoutingPolicy::RoundRobin,
@@ -2055,7 +2089,7 @@ mod tests {
                 kind: FaultKind::Crash,
             },
         );
-        let d = dispatch_with_faults(
+        let d = dispatch(
             &jobs,
             1,
             &RoutingPolicy::RoundRobin,
@@ -2260,53 +2294,6 @@ mod tests {
     }
 
     #[test]
-    fn default_overload_policy_is_bitwise_the_faulted_dispatch() {
-        // dispatch_protected under OverloadPolicy::default() must be
-        // the exact dispatch_with_faults pre-pass: same streams, same
-        // assignment, no rejects, no hedges.
-        let jobs = stream(20, 10, 120.0);
-        let horizon = SimTime::from_secs(1);
-        let plan = FaultPlan::none(3).with_window(
-            1,
-            FaultWindow {
-                start: SimTime::from_millis(60),
-                end: SimTime::from_millis(300),
-                kind: FaultKind::Crash,
-            },
-        );
-        let a = dispatch_with_faults(
-            &jobs,
-            3,
-            &RoutingPolicy::Feedback,
-            &PolynomialPower::PAPER_SIM,
-            &plan,
-            horizon,
-        );
-        let b = dispatch_protected(
-            &jobs,
-            3,
-            &RoutingPolicy::Feedback,
-            &PolynomialPower::PAPER_SIM,
-            &ExpQuality::PAPER_DEFAULT,
-            &plan,
-            &OverloadPolicy::default(),
-            horizon,
-        );
-        assert_eq!(a.assignment, b.assignment);
-        assert_eq!(a.retried, b.retried);
-        assert_eq!(a.dropped.len(), b.dropped.len());
-        assert!(b.rejected.is_empty());
-        assert!(b.hedges.is_empty());
-        for (sa, sb) in a.shard_jobs.iter().zip(&b.shard_jobs) {
-            assert_eq!(sa.len(), sb.len());
-            for (ja, jb) in sa.iter().zip(sb.iter()) {
-                assert_eq!(ja.id, jb.id);
-                assert_eq!(ja.release, jb.release);
-            }
-        }
-    }
-
-    #[test]
     fn slack_floor_rejects_hopeless_arrivals_only() {
         // One 1 GHz shard. The first job fits comfortably (needs
         // ~0.67 GHz); stacking a 4000-unit job behind it would need
@@ -2324,7 +2311,8 @@ mod tests {
             },
             ..OverloadPolicy::default()
         };
-        let d = dispatch_protected(
+        let mut obs = TraceObserver::new();
+        let d = dispatch_observed(
             &jobs,
             1,
             &RoutingPolicy::RoundRobin,
@@ -2333,6 +2321,7 @@ mod tests {
             &FaultPlan::none(1),
             &overload,
             SimTime::from_secs(1),
+            &mut obs,
         );
         assert_eq!(d.assignment, vec![0, u32::MAX]);
         assert_eq!(d.rejected.len(), 1);
@@ -2340,7 +2329,7 @@ mod tests {
         assert!(d.dropped.is_empty(), "rejection is not a drop");
         // The reject surfaced as a dispatcher event.
         assert!(matches!(
-            d.events.as_slice(),
+            obs.events().as_slice(),
             [(_, Event::AdmissionReject { job: JobId(1), .. })]
         ));
     }

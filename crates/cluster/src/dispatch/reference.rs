@@ -4,10 +4,13 @@
 //! Every query here re-derives its answer from scratch — fault state by
 //! binary search in the [`FaultPlan`], eligible shards into a fresh
 //! `Vec`, window sums and probes by full rescans, per-job state in
-//! `BTreeMap`s keyed by job id — so it is slow and obviously correct. The
-//! property test below requires the optimized dispatcher to produce the
-//! identical [`DispatchPlan`] (floats compared by bits) over random fault
-//! plans × admission × retry × hedge × routing × small streams.
+//! `BTreeMap`s keyed by job id, events merged from four streams by
+//! explicit comparisons and collected into a `Vec` — so it is slow and
+//! obviously correct. The property test below requires the optimized
+//! dispatcher to produce the identical [`DispatchPlan`] (floats compared
+//! by bits), and to record the identical dispatcher event sequence into
+//! an observer, over random fault plans × admission × retry × hedge ×
+//! routing × small streams.
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, VecDeque};
@@ -200,8 +203,9 @@ impl Router<'_> {
     }
 }
 
-/// The reference scan: same contract and signature as
-/// [`dispatch_protected`](super::dispatch_protected).
+/// The reference scan: same contract and arguments as
+/// [`dispatch_protected`](super::dispatch_protected), plus the
+/// dispatcher events (admission rejects, retries, hedges) in scan order.
 #[allow(clippy::too_many_arguments)]
 pub(super) fn dispatch_reference(
     jobs: &JobSet,
@@ -212,7 +216,7 @@ pub(super) fn dispatch_reference(
     plan: &FaultPlan,
     overload: &OverloadPolicy,
     end: SimTime,
-) -> DispatchPlan {
+) -> (DispatchPlan, Vec<(SimTime, Event)>) {
     let retry_policy = &overload.retry;
     let hedging = !overload.hedge.is_disabled();
     let screened = !matches!(overload.admission, AdmissionPolicy::AcceptAll);
@@ -467,7 +471,7 @@ pub(super) fn dispatch_reference(
         })
         .collect();
 
-    DispatchPlan {
+    let plan = DispatchPlan {
         shard_jobs,
         assignment,
         dropped,
@@ -475,8 +479,8 @@ pub(super) fn dispatch_reference(
         redispatches,
         retried,
         hedges,
-        events,
-    }
+    };
+    (plan, events)
 }
 
 #[cfg(test)]
@@ -485,6 +489,7 @@ mod tests {
 
     use proptest::prelude::*;
     use proptest::TestRunner;
+    use qes_core::obs::TraceObserver;
     use qes_core::power::PolynomialPower;
     use qes_core::quality::ExpQuality;
     use qes_core::time::SimDuration;
@@ -493,7 +498,7 @@ mod tests {
 
     use super::*;
     use crate::admission::{HedgePolicy, RetryPolicy};
-    use crate::dispatch::dispatch_protected;
+    use crate::dispatch::{dispatch_observed, dispatch_protected};
     use crate::fault::{FaultKind, FaultWindow};
 
     const CASES: u32 = 400;
@@ -664,7 +669,8 @@ mod tests {
         )
     }
 
-    /// Every [`DispatchPlan`] field in bit-exact comparable form.
+    /// Every [`DispatchPlan`] field in bit-exact comparable form, plus
+    /// the dispatcher events.
     #[derive(Debug, PartialEq)]
     struct Fingerprint {
         shard_jobs: Vec<Vec<JobBits>>,
@@ -677,7 +683,7 @@ mod tests {
         events: Vec<(SimTime, Event)>,
     }
 
-    fn fingerprint(plan: &DispatchPlan) -> Fingerprint {
+    fn fingerprint(plan: &DispatchPlan, events: &[(SimTime, Event)]) -> Fingerprint {
         // Destructured so that a new field is a compile error here.
         let DispatchPlan {
             shard_jobs,
@@ -687,7 +693,6 @@ mod tests {
             redispatches,
             retried,
             hedges,
-            events,
         } = plan;
         let timed = |v: &[(SimTime, Job)]| -> Vec<(SimTime, JobBits)> {
             v.iter().map(|(t, j)| (*t, bits(j))).collect()
@@ -717,28 +722,42 @@ mod tests {
                     (at, bits(&job), from, to, primary_slot, hedge_slot, duel)
                 })
                 .collect(),
-            events: events.clone(),
+            events: events.to_vec(),
         }
     }
 
-    type Dispatch = fn(
-        &JobSet,
-        usize,
-        &RoutingPolicy,
-        &dyn PowerModel,
-        &dyn QualityFunction,
-        &FaultPlan,
-        &OverloadPolicy,
-        SimTime,
-    ) -> DispatchPlan;
+    /// A dispatcher's plan and its dispatcher events.
+    type Dispatched = (DispatchPlan, Vec<(SimTime, Event)>);
 
-    fn run(dispatch: Dispatch, c: &Scenario) -> DispatchPlan {
-        dispatch(
+    /// The dense scan, its events recorded into a trace observer. The
+    /// observer must be passive: the plan is also checked against the
+    /// unobserved [`dispatch_protected`].
+    fn dense(c: &Scenario, quality: &dyn QualityFunction) -> Dispatched {
+        let model = &PolynomialPower::PAPER_SIM;
+        let mut obs = TraceObserver::new();
+        let (jobs, routing, plan, overload) = (&c.jobs, &c.routing, &c.plan, &c.overload);
+        let observed = dispatch_observed(
+            jobs, c.shards, routing, model, quality, plan, overload, c.end, &mut obs,
+        );
+        assert_eq!(obs.dropped(), 0, "the trace ring overflowed");
+        let events = obs.events();
+        let plain = dispatch_protected(
+            jobs, c.shards, routing, model, quality, plan, overload, c.end,
+        );
+        assert!(
+            fingerprint(&plain, &[]) == fingerprint(&observed, &[]),
+            "observing the scan changed its plan"
+        );
+        (observed, events)
+    }
+
+    fn reference(c: &Scenario, quality: &dyn QualityFunction) -> Dispatched {
+        dispatch_reference(
             &c.jobs,
             c.shards,
             &c.routing,
             &PolynomialPower::PAPER_SIM,
-            &ExpQuality::PAPER_DEFAULT,
+            quality,
             &c.plan,
             &c.overload,
             c.end,
@@ -750,8 +769,10 @@ mod tests {
 
         #[test]
         fn dense_dispatch_matches_the_reference_scan(case in AnyScenario) {
-            let fast = fingerprint(&run(dispatch_protected, &case));
-            let slow = fingerprint(&run(dispatch_reference, &case));
+            let (plan, events) = dense(&case, &ExpQuality::PAPER_DEFAULT);
+            let fast = fingerprint(&plan, &events);
+            let (plan, events) = reference(&case, &ExpQuality::PAPER_DEFAULT);
+            let slow = fingerprint(&plan, &events);
             prop_assert_eq!(fast, slow, "plans differ for {:?}\ndense: {:?}\nreference: {:?}", case, fast, slow);
         }
     }
@@ -766,9 +787,9 @@ mod tests {
         );
         let (mut rejected, mut dropped, mut retried, mut duels, mut absorbed) = (0, 0, 0, 0, 0);
         for case in 0..runner.cases() {
-            let plan = run(
-                dispatch_protected,
+            let (plan, _) = dense(
                 &AnyScenario.generate(&mut runner.rng_for_case(case)),
+                &ExpQuality::PAPER_DEFAULT,
             );
             rejected += plan.rejected.len();
             dropped += plan.dropped.len();
@@ -805,28 +826,24 @@ mod tests {
                 .collect(),
         );
         for (floor, rejected) in [(0.0, 0), (0.5, 6)] {
-            let overload = OverloadPolicy {
-                admission: AdmissionPolicy::SlackFloor {
-                    floor,
-                    capacity_ghz: 4.0,
+            let case = Scenario {
+                jobs: jobs.clone(),
+                shards: 2,
+                routing: RoutingPolicy::Feedback,
+                plan: FaultPlan::none(2),
+                overload: OverloadPolicy {
+                    admission: AdmissionPolicy::SlackFloor {
+                        floor,
+                        capacity_ghz: 4.0,
+                    },
+                    ..OverloadPolicy::default()
                 },
-                ..OverloadPolicy::default()
+                end: SimTime::from_secs(1),
             };
-            let run = |dispatch: Dispatch| {
-                dispatch(
-                    &jobs,
-                    2,
-                    &RoutingPolicy::Feedback,
-                    &PolynomialPower::PAPER_SIM,
-                    &NanQuality,
-                    &FaultPlan::none(2),
-                    &overload,
-                    SimTime::from_secs(1),
-                )
-            };
-            let fast = run(dispatch_protected);
-            assert_eq!(fast.rejected.len(), rejected, "floor {floor}");
-            assert!(fingerprint(&fast) == fingerprint(&run(dispatch_reference)));
+            let (plan, events) = dense(&case, &NanQuality);
+            assert_eq!(plan.rejected.len(), rejected, "floor {floor}");
+            let (ref_plan, ref_events) = reference(&case, &NanQuality);
+            assert!(fingerprint(&plan, &events) == fingerprint(&ref_plan, &ref_events));
         }
     }
 
@@ -861,14 +878,21 @@ mod tests {
                 },
                 end,
             };
-            let fast = run(dispatch_protected, &case);
+            let (plan, events) = dense(&case, &ExpQuality::PAPER_DEFAULT);
             assert!(
-                !fast.rejected.is_empty() && fast.retried > 0 && !fast.hedges.is_empty(),
+                !plan.rejected.is_empty() && plan.retried > 0 && !plan.hedges.is_empty(),
                 "{:?}: every mechanism should fire",
                 case.routing
             );
+            assert_eq!(
+                events.len() as u64,
+                plan.rejected.len() as u64 + plan.retried + plan.hedges.len() as u64,
+                "{:?}: one event per reject, retry and hedge",
+                case.routing
+            );
+            let (ref_plan, ref_events) = reference(&case, &ExpQuality::PAPER_DEFAULT);
             assert!(
-                fingerprint(&fast) == fingerprint(&run(dispatch_reference, &case)),
+                fingerprint(&plan, &events) == fingerprint(&ref_plan, &ref_events),
                 "{:?}: dense and reference plans differ",
                 case.routing
             );

@@ -9,7 +9,7 @@
 //! * [`FaultKind::Crash`] — total outage: the shard accepts no work
 //!   while the window is open, and jobs routed there earlier whose
 //!   deadlines are still ahead are stranded and re-dispatched (see
-//!   `dispatch::dispatch_with_faults`);
+//!   [`dispatch_protected`](crate::dispatch_protected));
 //! * [`FaultKind::Brownout`] — partial outage: the shard keeps
 //!   accepting work but runs with a fraction of its cores and power
 //!   budget removed.

@@ -8,6 +8,7 @@
 
 use rayon::prelude::*;
 
+use qes_core::obs::NoopObserver;
 use qes_core::quality::ExpQuality;
 use qes_core::time::{SimDuration, SimTime};
 use qes_sim::engine::{SimConfig, Simulator};
@@ -45,7 +46,12 @@ pub fn run(opt: &FigOptions) -> Vec<FigureReport> {
                 overhead: SimDuration::ZERO,
             };
             let mut policy = k.build(&cfg.power);
-            let (_, _, stats) = Simulator::run_detailed(&sim_cfg, policy.as_mut(), &jobs);
+            let (_, _, stats) = Simulator::run_detailed_observed(
+                &sim_cfg,
+                policy.as_mut(),
+                &jobs,
+                &mut NoopObserver,
+            );
             // One sort answers all five quantiles (the per-quantile
             // getters would re-sort the outcomes on every call).
             let qs: Vec<f64> = stats

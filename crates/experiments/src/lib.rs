@@ -11,7 +11,7 @@
 //!   demands, 1800 s horizon) with builder-style overrides;
 //! * [`PolicyKind`] — every scheduler variant evaluated in the paper;
 //! * [`run_policy`] — one simulation run, seeded and deterministic;
-//! * [`sweep`] — rayon-parallel ⟨policy, arrival-rate⟩ sweeps.
+//! * [`sweep`](mod@sweep) — rayon-parallel ⟨policy, arrival-rate⟩ sweeps.
 //!
 //! | Module | Reproduces |
 //! |--------|------------|

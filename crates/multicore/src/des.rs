@@ -61,10 +61,10 @@ pub enum PowerSharing {
 
 /// How DES recomputes per-core schedules across invocations.
 ///
-/// All modes are **bit-identical by construction** (asserted by the
+/// Both modes are **bit-identical by construction** (asserted by the
 /// differential suite, `tests/differential.rs`): they share the same
 /// closed-form power probe and the same plan-construction functions, and
-/// the caching modes only skip a recomputation when its inputs —
+/// the caching mode only skips a recomputation when its inputs —
 /// invocation instant, live job set with sunk-work frontier, and grant —
 /// are exactly the inputs the cached result was computed from, so the
 /// recomputation is a pure function that would return the cached value.
@@ -73,25 +73,15 @@ pub enum RecomputeMode {
     /// Rebuild every core's plan from scratch on every invocation — the
     /// reference the differential suite compares against.
     Full,
-    /// Reuse a core's cached `CoreSchedule` when unchanged (keyed by a
-    /// canonical job-set signature rebuilt per invocation), and re-level
-    /// water-filling only when the request vector changes.
-    Incremental,
-    /// `Incremental`, plus a per-core deadline-sorted ready index with
-    /// resumable prefix demand sums: the power probe reads the stored
-    /// prefix sums instead of re-sorting, cache cleanliness is a dirty
-    /// flag maintained by the index diff instead of a signature compare,
-    /// and the budget-bounded step feeds the index straight into a
-    /// per-core warm [`QeSolver`] (no per-invocation materialization).
+    /// Keep a per-core deadline-sorted ready index with resumable prefix
+    /// demand sums: the power probe reads the stored prefix sums instead
+    /// of re-sorting, a core's cached plan is reused while the index's
+    /// dirty flag is clear at the same instant under the same grant,
+    /// water-filling re-levels only when the request vector changes, and
+    /// the budget-bounded step feeds the index straight into a per-core
+    /// warm [`QeSolver`] (no per-invocation materialization).
     #[default]
     IncrementalQe,
-}
-
-impl RecomputeMode {
-    /// Whether this mode caches plans and water-filling grants.
-    fn caches(self) -> bool {
-        !matches!(self, RecomputeMode::Full)
-    }
 }
 
 /// What produced a cached plan: the step-2 early exit (budget-free
@@ -105,30 +95,11 @@ enum PlanKey {
     Granted(u64),
 }
 
-/// Canonical job-set signature entry: `(id, demand bits, processed bits,
-/// deadline µs)`.
-type Sig = (u32, u64, u64, u64);
-
-/// Per-core cache for [`RecomputeMode::Incremental`].
-#[derive(Clone, Debug, Default)]
-struct CoreMemo {
-    /// Canonical (id-sorted) signature of the live job set the plan was
-    /// computed from: `(id, demand bits, processed bits, deadline µs)`.
-    /// Bitwise `processed` makes any sunk-work advance invalidate.
-    sig: Vec<Sig>,
-    /// Invocation instant of the cached computation, in µs. Plans are
-    /// time-dependent (YDS stretches to the deadlines as seen from
-    /// `now`), so reuse requires the same instant — which happens
-    /// whenever several triggers coincide at one event time.
-    now_us: u64,
-    /// What produced `plan`; `None` means nothing cached.
-    key: Option<PlanKey>,
-    plan: CoreSchedule,
-}
-
-/// Per-core ready index for [`RecomputeMode::IncrementalQe`]: the live
-/// job set in canonical (deadline, id) order with left-to-right prefix
-/// sums of remaining demand, updated by suffix diff each invocation.
+/// Per-core ready index and plan cache for
+/// [`RecomputeMode::IncrementalQe`]: the live job set in canonical
+/// (deadline, id) order with left-to-right prefix sums of remaining
+/// demand, updated by suffix diff each invocation, plus the last plan
+/// computed from it.
 ///
 /// The prefix sums resume from the first diverging position, which is
 /// bit-identical to re-summing from the left — so everything derived
@@ -137,14 +108,21 @@ struct CoreMemo {
 #[derive(Clone, Debug, Default)]
 struct CoreQe {
     /// Live jobs, (deadline, id)-sorted — exactly the materialized list
-    /// the other recompute modes hand to Online-QE.
+    /// [`RecomputeMode::Full`] hands to Online-QE.
     jobs: Vec<ReadyJob>,
     /// `cum[i]` = Σ remaining demand of `jobs[..=i]`, summed left to
     /// right.
     cum: Vec<f64>,
-    /// Set when the index changed since the core's memo was last stored;
-    /// replaces the signature compare of [`RecomputeMode::Incremental`].
+    /// Set when the index changed since the cached plan was stored.
     dirty: bool,
+    /// Invocation instant of the cached plan, in µs. Plans are
+    /// time-dependent (YDS stretches to the deadlines as seen from
+    /// `now`), so reuse requires the same instant — which happens
+    /// whenever several triggers coincide at one event time.
+    now_us: u64,
+    /// What produced `plan`; `None` means nothing cached.
+    key: Option<PlanKey>,
+    plan: CoreSchedule,
     /// Warm Online-QE solver (scratch reuse only — bitwise inert).
     solver: QeSolver,
 }
@@ -179,6 +157,21 @@ impl CoreQe {
             self.cum.push(acc);
         }
     }
+
+    /// The cached plan, if it was computed at `now_us` under `key` from
+    /// the index as it stands.
+    fn cached(&self, now_us: u64, key: PlanKey) -> Option<&CoreSchedule> {
+        (!self.dirty && self.now_us == now_us && self.key == Some(key)).then_some(&self.plan)
+    }
+
+    /// Cache `plan`, computed at `now_us` under `key` from the current
+    /// index.
+    fn store(&mut self, now_us: u64, key: PlanKey, plan: CoreSchedule) {
+        self.now_us = now_us;
+        self.key = Some(key);
+        self.plan = plan;
+        self.dirty = false;
+    }
 }
 
 /// Always-on observability counters for [`DesPolicy`]: plain integer
@@ -197,7 +190,7 @@ struct DesStats {
     budget_bound: u64,
     /// Cores resolved by the keep-plan rule.
     keeps: u64,
-    /// Cores whose plan was reused from the per-core memo.
+    /// Cores whose plan was reused from the per-core cache.
     cache_hits: u64,
     /// Cores whose plan was recomputed (free or granted).
     cache_misses: u64,
@@ -208,7 +201,7 @@ struct DesStats {
     /// Jobs the §V-D discard loop abandoned.
     discards: u64,
     /// Water-filling peel/level passes run outside the cache
-    /// ([`RecomputeMode::Full`] only; cached modes count in
+    /// ([`RecomputeMode::Full`] only; the caching mode counts in
     /// [`WaterFillingCache`]).
     wf_levelings: u64,
     /// Peeling rounds across those passes.
@@ -226,7 +219,6 @@ pub struct DesPolicy {
     power_sharing: PowerSharing,
     mode: OnlineMode,
     recompute: RecomputeMode,
-    memo: Vec<CoreMemo>,
     wf_cache: WaterFillingCache,
     /// Per core: every plan installed since the core's last
     /// budget-bounded (or discrete) recomputation came from the step-2
@@ -234,10 +226,11 @@ pub struct DesPolicy {
     /// identically by every [`RecomputeMode`]), not a cache: it licenses
     /// the keep-plan rule in `on_trigger`.
     free_streak: Vec<bool>,
-    /// Per-core ready indexes ([`RecomputeMode::IncrementalQe`] only).
+    /// Per-core ready indexes and plan caches
+    /// ([`RecomputeMode::IncrementalQe`] only).
     core_qe: Vec<CoreQe>,
-    /// Shared warm solver for the non-indexed recompute modes and the
-    /// discrete ladder path. Purely an allocation amortizer.
+    /// Shared warm solver for [`RecomputeMode::Full`] and the discrete
+    /// ladder path. Purely an allocation amortizer.
     qe_scratch: QeSolver,
     /// Sort buffer for [`CoreQe::update`].
     sort_scratch: Vec<ReadyJob>,
@@ -262,7 +255,6 @@ impl DesPolicy {
             power_sharing: PowerSharing::WaterFilling,
             mode: OnlineMode::Eager,
             recompute: RecomputeMode::default(),
-            memo: Vec::new(),
             wf_cache: WaterFillingCache::new(),
             free_streak: Vec::new(),
             core_qe: Vec::new(),
@@ -317,13 +309,13 @@ impl DesPolicy {
         self.arch
     }
 
-    /// Step 3: distribute the budget per the configured policy. In
-    /// incremental mode water-filling re-levels only when the request
-    /// vector or budget changed since the previous invocation.
+    /// Step 3: distribute the budget per the configured policy. In the
+    /// caching mode water-filling re-levels only when the request vector
+    /// or budget changed since the previous invocation.
     fn distribute_power(&mut self, requests: &[f64], budget: f64, m: usize) -> Vec<f64> {
         match self.power_sharing {
             PowerSharing::WaterFilling => {
-                if self.recompute.caches() {
+                if self.recompute == RecomputeMode::IncrementalQe {
                     self.wf_cache.grants(requests, budget).to_vec()
                 } else {
                     let (grants, rounds) = water_filling_with_rounds(requests, budget);
@@ -374,25 +366,6 @@ impl DesPolicy {
         view.model.dynamic_power(speed)
     }
 
-    /// Canonical (id-sorted) signature of a core's live job set — the
-    /// incremental cache key. Order-independent: the engine's per-core
-    /// lists are reordered by `swap_remove`, which must not look like a
-    /// state change.
-    fn signature(live: impl Iterator<Item = ReadyJob>) -> Vec<(u32, u64, u64, u64)> {
-        let mut sig: Vec<(u32, u64, u64, u64)> = live
-            .map(|r| {
-                (
-                    r.job.id.0,
-                    r.job.demand.to_bits(),
-                    r.processed.to_bits(),
-                    r.job.deadline.as_micros(),
-                )
-            })
-            .collect();
-        sig.sort_unstable();
-        sig
-    }
-
     /// The step-2 early-exit schedule for one core: unconstrained
     /// Energy-OPT over the live jobs re-released at `now` with their
     /// remaining demands (the sunk work needs no future power).
@@ -432,7 +405,6 @@ impl SchedulingPolicy for DesPolicy {
         }
         match self.recompute {
             RecomputeMode::Full => n.push_str("/full-recompute"),
-            RecomputeMode::Incremental => n.push_str("/incremental"),
             RecomputeMode::IncrementalQe => {}
         }
         n
@@ -512,21 +484,17 @@ impl SchedulingPolicy for DesPolicy {
                 ambient = vec![s_shared; m];
             }
             ArchKind::CDvfs => {
-                let inc = self.recompute.caches();
-                let iqe = self.recompute == RecomputeMode::IncrementalQe;
-                if self.memo.len() != m {
-                    self.memo = vec![CoreMemo::default(); m];
-                }
+                let cached = self.recompute == RecomputeMode::IncrementalQe;
                 if self.free_streak.len() != m {
                     self.free_streak = vec![false; m];
                 }
-                if iqe {
+                if cached {
                     if self.core_qe.len() != m {
                         self.core_qe = std::iter::repeat_with(CoreQe::default).take(m).collect();
                     }
                     // Refresh every core's ready index up front: the
-                    // probe, the cleanliness check, and the solves below
-                    // all read it.
+                    // probe, the cache check, and the solves below all
+                    // read it.
                     for c in 0..m {
                         self.core_qe[c].update(live_iter(c), &mut self.sort_scratch);
                     }
@@ -535,7 +503,7 @@ impl SchedulingPolicy for DesPolicy {
                 // Requests depend on `now`, so they are recomputed every
                 // invocation — but via the closed form, not a YDS solve,
                 // and off the stored prefix sums when the index is on.
-                let requests: Vec<f64> = if iqe {
+                let requests: Vec<f64> = if cached {
                     (0..m)
                         .map(|c| Self::probe_from_index(view, &self.core_qe[c]))
                         .collect()
@@ -545,14 +513,13 @@ impl SchedulingPolicy for DesPolicy {
                         .collect()
                 };
                 let total: f64 = requests.iter().sum();
-                // Canonical signatures, built lazily: cores resolved by
-                // the keep rule or the empty check never pay for one.
-                // `IncrementalQe` replaces them with the index dirty flag.
-                let mut sigs: Vec<Option<Vec<Sig>>> = vec![None; m];
-                // A cached plan is reusable only if it was computed at
-                // this same instant from this same live set (bitwise);
-                // the grant side of the key is checked per branch below.
-                let clean = |memo: &CoreMemo, sig: &[Sig]| memo.now_us == now_us && memo.sig == sig;
+                let empty = |qe: &[CoreQe], c: usize| {
+                    if cached {
+                        qe[c].jobs.is_empty()
+                    } else {
+                        live_iter(c).next().is_none()
+                    }
+                };
                 // Hoisted out of the match: `distribute_power` needs
                 // `&mut self` (WF cache), which cannot overlap the borrow
                 // of `self.discrete` below. Only the budget-bound paths
@@ -567,8 +534,8 @@ impl SchedulingPolicy for DesPolicy {
                         // Step 2 early exit: the unconstrained schedules
                         // already fit the budget and complete every job.
                         self.stats.free_exits += 1;
-                        for c in 0..m {
-                            // Keep rule — shared by every recompute mode,
+                        for (c, dealt) in extra.iter().enumerate() {
+                            // Keep rule — shared by both recompute modes,
                             // so it is part of the decision procedure,
                             // not a cache: a core that received no new
                             // work and is still executing a budget-free
@@ -578,63 +545,42 @@ impl SchedulingPolicy for DesPolicy {
                             // reproduces the tail of the running plan),
                             // so a recompute could only re-derive what is
                             // already installed.
-                            if self.free_streak[c] && extra[c].is_empty() && view.cores[c].busy {
+                            if self.free_streak[c] && dealt.is_empty() && view.cores[c].busy {
                                 self.stats.keeps += 1;
                                 plans.push(None);
                                 continue;
                             }
                             self.free_streak[c] = true;
-                            let empty = if iqe {
-                                self.core_qe[c].jobs.is_empty()
-                            } else {
-                                live_iter(c).next().is_none()
-                            };
-                            if empty {
+                            if empty(&self.core_qe, c) {
                                 // No live work: Energy-OPT over nothing.
                                 plans.push(Some(CoreSchedule::default()));
-                                if inc {
-                                    self.memo[c] = CoreMemo {
-                                        sig: Vec::new(),
+                                if cached {
+                                    self.core_qe[c].store(
                                         now_us,
-                                        key: Some(PlanKey::Free),
-                                        plan: CoreSchedule::default(),
-                                    };
-                                    if iqe {
-                                        self.core_qe[c].dirty = false;
-                                    }
+                                        PlanKey::Free,
+                                        CoreSchedule::default(),
+                                    );
                                 }
                                 continue;
                             }
-                            let reusable = if iqe {
-                                !self.core_qe[c].dirty && self.memo[c].now_us == now_us
+                            let hit = if cached {
+                                self.core_qe[c].cached(now_us, PlanKey::Free)
                             } else {
-                                let sig =
-                                    sigs[c].get_or_insert_with(|| Self::signature(live_iter(c)));
-                                clean(&self.memo[c], sig)
+                                None
                             };
-                            if inc && self.memo[c].key == Some(PlanKey::Free) && reusable {
+                            if let Some(plan) = hit {
                                 self.stats.cache_hits += 1;
-                                plans.push(Some(self.memo[c].plan.clone()));
+                                plans.push(Some(plan.clone()));
                                 continue;
                             }
                             self.stats.cache_misses += 1;
                             self.stats.free_solves += 1;
-                            let plan = if iqe {
-                                Self::free_schedule(view, &self.core_qe[c].jobs)
+                            if cached {
+                                let plan = Self::free_schedule(view, &self.core_qe[c].jobs);
+                                plans.push(Some(plan.clone()));
+                                self.core_qe[c].store(now_us, PlanKey::Free, plan);
                             } else {
-                                Self::free_schedule(view, &materialize(c))
-                            };
-                            plans.push(Some(plan.clone()));
-                            if inc {
-                                self.memo[c] = CoreMemo {
-                                    sig: sigs[c].take().unwrap_or_default(),
-                                    now_us,
-                                    key: Some(PlanKey::Free),
-                                    plan,
-                                };
-                                if iqe {
-                                    self.core_qe[c].dirty = false;
-                                }
+                                plans.push(Some(Self::free_schedule(view, &materialize(c))));
                             }
                         }
                     }
@@ -645,53 +591,33 @@ impl SchedulingPolicy for DesPolicy {
                         self.stats.budget_bound += 1;
                         for (c, &grant) in grants.iter().enumerate() {
                             self.free_streak[c] = false;
-                            let empty = if iqe {
-                                self.core_qe[c].jobs.is_empty()
-                            } else {
-                                live_iter(c).next().is_none()
-                            };
-                            if empty || grant <= 0.0 {
+                            let key = PlanKey::Granted(grant.to_bits());
+                            if empty(&self.core_qe, c) || grant <= 0.0 {
                                 // Nothing live, or a zero grant (s* = 0):
                                 // Online-QE returns an empty plan and no
                                 // discards without looking at the jobs.
                                 plans.push(Some(CoreSchedule::default()));
-                                if inc {
-                                    let sig = if iqe {
-                                        self.core_qe[c].dirty = false;
-                                        Vec::new()
-                                    } else {
-                                        sigs[c]
-                                            .get_or_insert_with(|| Self::signature(live_iter(c)))
-                                            .clone()
-                                    };
-                                    self.memo[c] = CoreMemo {
-                                        sig,
-                                        now_us,
-                                        key: Some(PlanKey::Granted(grant.to_bits())),
-                                        plan: CoreSchedule::default(),
-                                    };
+                                if cached {
+                                    self.core_qe[c].store(now_us, key, CoreSchedule::default());
                                 }
                                 continue;
                             }
-                            let key = PlanKey::Granted(grant.to_bits());
-                            let reusable = if iqe {
-                                !self.core_qe[c].dirty && self.memo[c].now_us == now_us
+                            let hit = if cached {
+                                self.core_qe[c].cached(now_us, key)
                             } else {
-                                let sig =
-                                    sigs[c].get_or_insert_with(|| Self::signature(live_iter(c)));
-                                clean(&self.memo[c], sig)
+                                None
                             };
-                            if inc && self.memo[c].key == Some(key) && reusable {
+                            if let Some(plan) = hit {
                                 // A reused plan had no discards: any
                                 // discard would have been settled by the
                                 // engine, changing the live set.
                                 self.stats.cache_hits += 1;
-                                plans.push(Some(self.memo[c].plan.clone()));
+                                plans.push(Some(plan.clone()));
                                 continue;
                             }
                             self.stats.cache_misses += 1;
                             self.stats.qe_solves += 1;
-                            let out = if iqe {
+                            let out = if cached {
                                 let CoreQe { jobs, solver, .. } = &mut self.core_qe[c];
                                 solver.solve(now, jobs, view.model, grant, self.mode)
                             } else {
@@ -705,16 +631,8 @@ impl SchedulingPolicy for DesPolicy {
                             };
                             discarded.extend(out.discarded);
                             plans.push(Some(out.schedule.clone()));
-                            if inc {
-                                self.memo[c] = CoreMemo {
-                                    sig: sigs[c].take().unwrap_or_default(),
-                                    now_us,
-                                    key: Some(key),
-                                    plan: out.schedule,
-                                };
-                                if iqe {
-                                    self.core_qe[c].dirty = false;
-                                }
+                            if cached {
+                                self.core_qe[c].store(now_us, key, out.schedule);
                             }
                         }
                     }
@@ -722,7 +640,7 @@ impl SchedulingPolicy for DesPolicy {
                         // §V-F: always rectify the WF grants to discrete
                         // speeds, then Online-QE under the rectified power
                         // with slice speeds snapped onto the ladder. The
-                        // per-core memo does not apply to the ladder path
+                        // per-core cache does not apply to the ladder path
                         // (plans are recomputed in full).
                         self.free_streak.fill(false);
                         let speeds = rectify_speeds(&grants, set, view.model, view.budget);
@@ -1076,12 +994,6 @@ mod tests {
             DesPolicy::new().with_recompute(RecomputeMode::Full).name(),
             "DES/C-DVFS/full-recompute"
         );
-        assert_eq!(
-            DesPolicy::new()
-                .with_recompute(RecomputeMode::Incremental)
-                .name(),
-            "DES/C-DVFS/incremental"
-        );
         // The default is IncrementalQe, which carries no suffix.
         assert_eq!(
             DesPolicy::new()
@@ -1150,33 +1062,31 @@ mod tests {
     /// budget)`.
     type Step = (u64, Vec<ReadyJob>, Vec<Vec<ReadyJob>>, f64);
 
-    /// Drive a Full policy and each caching mode through the same trigger
+    /// Drive a Full policy and the caching mode through the same trigger
     /// sequence and require bitwise-equal decisions at every step.
     fn assert_differential_equal(steps: &[Step]) {
-        for mode in [RecomputeMode::Incremental, RecomputeMode::IncrementalQe] {
-            let mut full = DesPolicy::new().with_recompute(RecomputeMode::Full);
-            let mut inc = DesPolicy::new().with_recompute(mode);
-            for (i, (now_ms, queue, core_jobs, budget)) in steps.iter().enumerate() {
-                let cores: Vec<CoreView<'_>> = core_jobs
-                    .iter()
-                    .map(|j| CoreView {
-                        jobs: j,
-                        busy: false,
-                    })
-                    .collect();
-                let v = view(ms(*now_ms), queue, &cores, *budget);
-                let df = full.on_trigger(&v);
-                let di = inc.on_trigger(&v);
-                assert_eq!(df.assignments, di.assignments, "{mode:?} step {i}");
-                assert_eq!(df.discarded, di.discarded, "{mode:?} step {i}");
-                assert_eq!(df.plans.len(), di.plans.len(), "{mode:?} step {i}");
-                for (c, (pf, pi)) in df.plans.iter().zip(&di.plans).enumerate() {
-                    let sf = pf.as_ref().map(|p| p.slices());
-                    let si = pi.as_ref().map(|p| p.slices());
-                    assert_eq!(sf, si, "{mode:?} step {i} core {c} plans diverge");
-                }
-                assert_eq!(df.ambient_speeds, di.ambient_speeds, "{mode:?} step {i}");
+        let mut full = DesPolicy::new().with_recompute(RecomputeMode::Full);
+        let mut inc = DesPolicy::new().with_recompute(RecomputeMode::IncrementalQe);
+        for (i, (now_ms, queue, core_jobs, budget)) in steps.iter().enumerate() {
+            let cores: Vec<CoreView<'_>> = core_jobs
+                .iter()
+                .map(|j| CoreView {
+                    jobs: j,
+                    busy: false,
+                })
+                .collect();
+            let v = view(ms(*now_ms), queue, &cores, *budget);
+            let df = full.on_trigger(&v);
+            let di = inc.on_trigger(&v);
+            assert_eq!(df.assignments, di.assignments, "step {i}");
+            assert_eq!(df.discarded, di.discarded, "step {i}");
+            assert_eq!(df.plans.len(), di.plans.len(), "step {i}");
+            for (c, (pf, pi)) in df.plans.iter().zip(&di.plans).enumerate() {
+                let sf = pf.as_ref().map(|p| p.slices());
+                let si = pi.as_ref().map(|p| p.slices());
+                assert_eq!(sf, si, "step {i} core {c} plans diverge");
             }
+            assert_eq!(df.ambient_speeds, di.ambient_speeds, "step {i}");
         }
     }
 
@@ -1240,9 +1150,9 @@ mod tests {
     #[test]
     fn incremental_plan_survives_job_list_reordering() {
         // The engine's `swap_remove` permutes per-core job lists without
-        // changing the set; the signature (and so the plan) must not
+        // changing the set; the ready index (and so the plan) must not
         // care. `busy: false` keeps the keep-plan rule out of the way so
-        // the memo path itself is exercised.
+        // the cache path itself is exercised.
         let a = rj(0, 0, 150, 60.0);
         let b = rj(1, 0, 180, 45.0);
         let c = rj(2, 0, 210, 30.0);
@@ -1275,11 +1185,7 @@ mod tests {
         // new work, re-triggering must keep the installed plan (`None`)
         // rather than recompute — in both recompute modes, since the
         // keep rule is part of the decision procedure.
-        for mode in [
-            RecomputeMode::Full,
-            RecomputeMode::Incremental,
-            RecomputeMode::IncrementalQe,
-        ] {
+        for mode in [RecomputeMode::Full, RecomputeMode::IncrementalQe] {
             let jobs = vec![rj(0, 0, 150, 60.0), rj(1, 0, 180, 45.0)];
             let mut p = DesPolicy::new().with_recompute(mode);
             let cores = vec![CoreView {

@@ -7,7 +7,8 @@
 //!   assignable idle events instead of on every plan end;
 //! * **incremental recomputation** ([`crate::RecomputeMode`]) — per-core
 //!   plans and water-filling grants are reused when their inputs are
-//!   bitwise unchanged.
+//!   bitwise unchanged, with a per-core ready index whose dirty flag is
+//!   the cache key.
 //!
 //! This module enumerates the {trigger} × {recompute} matrix so the same
 //! workload can be pushed through every combination and the results
@@ -15,9 +16,8 @@
 //! at the workspace root (the runner needs the `qes-sim` engine, which
 //! this crate must not depend on):
 //!
-//! * `Incremental` and `IncrementalQe` are **bit-identical** to `Full`
-//!   in ⟨quality, energy⟩ (and every other report field) under *both*
-//!   trigger modes;
+//! * `IncrementalQe` is **bit-identical** to `Full` in ⟨quality,
+//!   energy⟩ (and every other report field) under *both* trigger modes;
 //! * `Grouped` stays within the paper's 1 % quality tolerance of
 //!   `PerEvent` while invoking the policy far less often.
 
@@ -62,16 +62,12 @@ pub struct DifferentialConfig {
 }
 
 impl DifferentialConfig {
-    /// All six {per-event, grouped} × {full, incremental, incremental-qe}
+    /// All four {per-event, grouped} × {full, incremental-qe}
     /// combinations.
-    pub const MATRIX: [DifferentialConfig; 6] = [
+    pub const MATRIX: [DifferentialConfig; 4] = [
         DifferentialConfig {
             trigger: TriggerMode::PerEvent,
             recompute: RecomputeMode::Full,
-        },
-        DifferentialConfig {
-            trigger: TriggerMode::PerEvent,
-            recompute: RecomputeMode::Incremental,
         },
         DifferentialConfig {
             trigger: TriggerMode::PerEvent,
@@ -80,10 +76,6 @@ impl DifferentialConfig {
         DifferentialConfig {
             trigger: TriggerMode::Grouped,
             recompute: RecomputeMode::Full,
-        },
-        DifferentialConfig {
-            trigger: TriggerMode::Grouped,
-            recompute: RecomputeMode::Incremental,
         },
         DifferentialConfig {
             trigger: TriggerMode::Grouped,
@@ -98,11 +90,10 @@ impl DifferentialConfig {
             .with_recompute(self.recompute)
     }
 
-    /// Stable label, e.g. `grouped/incremental`.
+    /// Stable label, e.g. `grouped/incremental-qe`.
     pub fn label(&self) -> String {
         let r = match self.recompute {
             RecomputeMode::Full => "full",
-            RecomputeMode::Incremental => "incremental",
             RecomputeMode::IncrementalQe => "incremental-qe",
         };
         format!("{}/{}", self.trigger.label(), r)
@@ -120,14 +111,14 @@ mod tests {
             .iter()
             .map(|c| c.label())
             .collect();
-        assert_eq!(labels.len(), 6);
+        assert_eq!(labels.len(), 4);
         for (i, a) in labels.iter().enumerate() {
             for b in &labels[i + 1..] {
                 assert_ne!(a, b);
             }
         }
         assert!(labels.contains(&"per-event/full".to_string()));
-        assert!(labels.contains(&"grouped/incremental".to_string()));
+        assert!(labels.contains(&"grouped/full".to_string()));
         assert!(labels.contains(&"per-event/incremental-qe".to_string()));
         assert!(labels.contains(&"grouped/incremental-qe".to_string()));
     }

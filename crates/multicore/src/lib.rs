@@ -15,7 +15,7 @@
 //!   distribution (§IV-B): ready jobs are dealt to cores round-robin, and
 //!   the dealing position *persists across invocations* so distribution
 //!   stays balanced in the long run.
-//! * [`water_filling`] — **WF** (Water-Filling) power distribution
+//! * [`water_filling`](mod@water_filling) — **WF** (Water-Filling) power distribution
 //!   (§IV-C): cores requesting less than the equal share get exactly what
 //!   they ask; the surplus is equally shared among the rest.
 //! * [`DesPolicy`] — the four-step invocation of §IV-D, parameterized by

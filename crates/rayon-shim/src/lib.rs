@@ -36,7 +36,7 @@ pub use pool::{current_num_threads, join, with_threads};
 
 /// A parallel iterator over an eagerly materialized sequence: the base
 /// items plus a composed per-`(index, item)` transform, executed by
-/// [`pool::run_batch`] when a consumer (`collect`, `for_each`) runs.
+/// the pool's batch runner when a consumer (`collect`, `for_each`) runs.
 pub struct ParIter<T, F> {
     items: Vec<T>,
     f: F,

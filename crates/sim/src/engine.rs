@@ -81,16 +81,8 @@ impl Simulator {
         (report, trace)
     }
 
-    /// [`Simulator::run`] plus per-job outcomes and per-core utilization.
-    pub fn run_detailed(
-        cfg: &SimConfig<'_>,
-        policy: &mut dyn SchedulingPolicy,
-        jobs: &JobSet,
-    ) -> (SimReport, SimTrace, DetailedStats) {
-        Self::run_detailed_observed(cfg, policy, jobs, &mut NoopObserver)
-    }
-
-    /// [`Simulator::run_detailed`] with an [`Observer`].
+    /// [`Simulator::run_observed`] plus per-job outcomes and per-core
+    /// utilization (pass [`NoopObserver`] for an unobserved run).
     pub fn run_detailed_observed<O: Observer>(
         cfg: &SimConfig<'_>,
         policy: &mut dyn SchedulingPolicy,
@@ -129,9 +121,10 @@ const ARRIVAL_PRIO: u8 = 1;
 /// work regardless of job size.
 const REL_EPS: f64 = 1e-4;
 
-/// Whether `processed` volume satisfies `demand` under [`REL_EPS`].
+/// Whether `processed` volume satisfies `demand` within the engine's
+/// relative tolerance (`REL_EPS`, 1e-4).
 ///
-/// Public so downstream consumers of [`JobOutcome`](crate::JobOutcome)
+/// Public so downstream consumers of [`JobOutcome`]
 /// records (e.g. the cluster front end's hedging merge) can classify an
 /// outcome exactly as `settle` did, instead of re-deriving the tolerance.
 pub fn demand_met(processed: f64, demand: f64) -> bool {

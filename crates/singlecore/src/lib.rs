@@ -4,22 +4,22 @@
 //!
 //! Implements the four single-core algorithms of the paper:
 //!
-//! * [`energy_opt`] — **Energy-OPT**, the YDS algorithm (Yao, Demers,
+//! * [`energy_opt`](mod@energy_opt) — **Energy-OPT**, the YDS algorithm (Yao, Demers,
 //!   Shenker '95): minimum-energy DVFS schedule that satisfies every job,
 //!   assuming no power budget. Works by repeatedly extracting the
 //!   *critical interval* (the interval of maximum intensity) and running
 //!   its jobs EDF at the interval's average speed.
-//! * [`quality_opt`] — **Quality-OPT**, the Tians algorithm (He, Elnikety,
+//! * [`quality_opt`](mod@quality_opt) — **Quality-OPT**, the Tians algorithm (He, Elnikety,
 //!   Sun, ICDCS '11): maximum-quality schedule on a *fixed-speed* core
 //!   where jobs may be partially evaluated. Works by repeatedly extracting
 //!   the *busiest deprived interval* (minimum d-mean) and giving every
 //!   deprived job in it the same processed volume (the d-mean), exploiting
 //!   the concavity of the quality function.
-//! * [`qe_opt`] — **QE-OPT**, the paper's offline optimal for the
+//! * [`qe_opt`](mod@qe_opt) — **QE-OPT**, the paper's offline optimal for the
 //!   lexicographic ⟨quality, energy⟩ metric under a power budget:
 //!   Quality-OPT at the maximum budget speed decides volumes, then
 //!   Energy-OPT on the trimmed demands decides speeds.
-//! * [`online_qe`] — **Online-QE**, the myopic-optimal online algorithm:
+//! * [`online_qe`](mod@online_qe) — **Online-QE**, the myopic-optimal online algorithm:
 //!   QE-OPT over the currently ready jobs, with release times rewound to
 //!   account for work already performed.
 //!

@@ -37,10 +37,10 @@
 //!   surviving shards (`jobs_retried`).
 
 use qes::cluster::{
-    dispatch_with_faults, route, split_seed, AdmissionPolicy, ClusterEngine, FaultKind, FaultPlan,
-    FaultWindow, HedgePolicy, OverloadPolicy, PowerMeter, RetryPolicy, RoutingPolicy,
+    dispatch_protected, split_seed, AdmissionPolicy, ClusterEngine, DispatchPlan, FaultKind,
+    FaultPlan, FaultWindow, HedgePolicy, OverloadPolicy, PowerMeter, RetryPolicy, RoutingPolicy,
 };
-use qes::core::{Event, ExpQuality, Job, JobSet, PolynomialPower, SimDuration, SimTime};
+use qes::core::{Event, ExpQuality, Job, JobId, JobSet, PolynomialPower, SimDuration, SimTime};
 use qes::multicore::differential::{DifferentialConfig, TriggerMode};
 use qes::multicore::{DesPolicy, RecomputeMode};
 use qes::sim::{SimConfig, SimReport, Simulator};
@@ -70,6 +70,22 @@ fn workload() -> (JobSet, u64) {
         .generate(7)
         .unwrap();
     (jobs, 10)
+}
+
+/// The dispatch pre-pass with no overload protection: the default
+/// [`OverloadPolicy`] (the quality function is then never consulted).
+fn dispatch(
+    jobs: &JobSet,
+    shards: usize,
+    routing: &RoutingPolicy,
+    plan: &FaultPlan,
+    end: SimTime,
+) -> DispatchPlan {
+    let quality = ExpQuality::new(0.003);
+    let overload = OverloadPolicy::default();
+    dispatch_protected(
+        jobs, shards, routing, &MODEL, &quality, plan, &overload, end,
+    )
 }
 
 fn diurnal_workload() -> (JobSet, u64) {
@@ -135,7 +151,14 @@ fn one_shard_cluster_is_bitwise_identical_to_plain_engine() {
 fn round_robin_over_identical_shards_conserves_jobs() {
     let (jobs, end) = workload();
     let shards = 4;
-    let assignment = route(&jobs, shards, &RoutingPolicy::RoundRobin, &MODEL);
+    let assignment = dispatch(
+        &jobs,
+        shards,
+        &RoutingPolicy::RoundRobin,
+        &FaultPlan::none(shards),
+        SimTime::MAX,
+    )
+    .assignment;
     // Every arrival routed exactly once, cyclically.
     assert_eq!(assignment.len(), jobs.len());
     for (k, &s) in assignment.iter().enumerate() {
@@ -216,19 +239,57 @@ fn jsq_tie_breaks_are_stable_under_job_id_permutation() {
     let b = tie_batches(|batch, slot| (batch * 5 + (4 - slot)) as u32);
     assert_eq!(a.len(), b.len());
     for shards in [2usize, 3, 4] {
-        let ra = route(&a, shards, &RoutingPolicy::Jsq, &MODEL);
-        let rb = route(&b, shards, &RoutingPolicy::Jsq, &MODEL);
+        let ra = dispatch(
+            &a,
+            shards,
+            &RoutingPolicy::Jsq,
+            &FaultPlan::none(shards),
+            SimTime::MAX,
+        )
+        .assignment;
+        let rb = dispatch(
+            &b,
+            shards,
+            &RoutingPolicy::Jsq,
+            &FaultPlan::none(shards),
+            SimTime::MAX,
+        )
+        .assignment;
         assert_eq!(
             ra, rb,
             "JSQ decision stream changed under id relabeling ({shards} shards)"
         );
         // Determinism: repeated calls agree.
-        assert_eq!(ra, route(&a, shards, &RoutingPolicy::Jsq, &MODEL));
+        assert_eq!(
+            ra,
+            dispatch(
+                &a,
+                shards,
+                &RoutingPolicy::Jsq,
+                &FaultPlan::none(shards),
+                SimTime::MAX
+            )
+            .assignment
+        );
     }
     // Round-robin is trivially id-blind too.
     assert_eq!(
-        route(&a, 4, &RoutingPolicy::RoundRobin, &MODEL),
-        route(&b, 4, &RoutingPolicy::RoundRobin, &MODEL)
+        dispatch(
+            &a,
+            4,
+            &RoutingPolicy::RoundRobin,
+            &FaultPlan::none(4),
+            SimTime::MAX
+        )
+        .assignment,
+        dispatch(
+            &b,
+            4,
+            &RoutingPolicy::RoundRobin,
+            &FaultPlan::none(4),
+            SimTime::MAX
+        )
+        .assignment
     );
 }
 
@@ -431,7 +492,7 @@ fn fault_dispatch_never_targets_a_crashed_shard() {
     let (jobs, _) = workload();
     let plan = crashy_plan();
     for routing in routing_matrix() {
-        let d = dispatch_with_faults(&jobs, 4, &routing, &MODEL, &plan, SimTime::from_secs(10));
+        let d = dispatch(&jobs, 4, &routing, &plan, SimTime::from_secs(10));
         let ctx = routing.label();
         for (job, &s) in jobs.iter().zip(&d.assignment) {
             if s == u32::MAX {
@@ -642,7 +703,10 @@ fn overload_hedging_settles_duels_first_wins_and_conserves() {
         .run(&cfg, &jobs, |_| Box::new(DesPolicy::new()));
     let hedged = ClusterEngine::new(4)
         .with_routing(RoutingPolicy::Jsq)
-        .with_hedging(HedgePolicy::SlackFraction { fraction: 0.25 })
+        .with_overload(OverloadPolicy {
+            hedge: HedgePolicy::SlackFraction { fraction: 0.25 },
+            ..OverloadPolicy::default()
+        })
         .run(&cfg, &jobs, |_| Box::new(DesPolicy::new()));
 
     assert!(hedged.jobs_hedged > 0, "no hedge fired on a loaded run");
@@ -674,9 +738,12 @@ fn overload_admission_rejection_is_a_class_distinct_from_drops() {
     let cfg = sim_cfg(&quality, end);
     let rep = ClusterEngine::new(4)
         .with_routing(RoutingPolicy::Feedback)
-        .with_admission(AdmissionPolicy::Backpressure {
-            cap: 300.0,
-            resume: 150.0,
+        .with_overload(OverloadPolicy {
+            admission: AdmissionPolicy::Backpressure {
+                cap: 300.0,
+                resume: 150.0,
+            },
+            ..OverloadPolicy::default()
         })
         .run(&cfg, &jobs, |_| Box::new(DesPolicy::new()));
     assert!(rep.jobs_rejected > 0, "backpressure never tripped");
@@ -703,9 +770,12 @@ fn overload_zero_arrival_run_has_nan_free_degraded_quality() {
     let jobs = JobSet::new(Vec::new()).unwrap();
     for engine in [
         ClusterEngine::new(3),
-        ClusterEngine::new(3).with_admission(AdmissionPolicy::Backpressure {
-            cap: 1.0,
-            resume: 0.5,
+        ClusterEngine::new(3).with_overload(OverloadPolicy {
+            admission: AdmissionPolicy::Backpressure {
+                cap: 1.0,
+                resume: 0.5,
+            },
+            ..OverloadPolicy::default()
         }),
     ] {
         let rep = engine.run(&cfg, &jobs, |_| Box::new(DesPolicy::new()));
@@ -749,11 +819,10 @@ fn overload_retry_on_crash_boundary_respects_tie_order() {
             },
         )
         .with_retry_delay(SimDuration::from_millis(5));
-    let d = dispatch_with_faults(
+    let d = dispatch(
         &jobs,
         2,
         &RoutingPolicy::RoundRobin,
-        &MODEL,
         &plan,
         SimTime::from_secs(1),
     );
@@ -807,11 +876,10 @@ fn overload_retry_exactly_on_horizon_is_kept_one_past_is_dropped() {
             .with_retry_delay(SimDuration::from_millis(10))
     };
     // Horizon exactly at the 50 ms re-release: kept.
-    let kept = dispatch_with_faults(
+    let kept = dispatch(
         &jobs,
         2,
         &RoutingPolicy::RoundRobin,
-        &MODEL,
         &mk_plan(),
         SimTime::from_millis(50),
     );
@@ -822,17 +890,76 @@ fn overload_retry_exactly_on_horizon_is_kept_one_past_is_dropped() {
         .any(|j| j.id.0 == 0 && j.release == SimTime::from_millis(50)));
     // Horizon one microsecond earlier: the same re-release overshoots
     // and the job is dropped instead.
-    let dropped = dispatch_with_faults(
+    let dropped = dispatch(
         &jobs,
         2,
         &RoutingPolicy::RoundRobin,
-        &MODEL,
         &mk_plan(),
         SimTime::from_millis(50) - SimDuration::from_micros(1),
     );
     assert_eq!(dropped.retried, 0);
     assert_eq!(dropped.dropped.len(), 1);
     assert_eq!(dropped.shard_jobs.iter().map(|s| s.len()).sum::<usize>(), 0);
+}
+
+#[test]
+fn overload_retry_release_saturating_at_simtime_max_is_dropped() {
+    // A crash a few microseconds before `SimTime::MAX`, with the horizon
+    // at `MAX` and every deadline at `MAX`: the stranded job's re-release
+    // `crash + delay` saturates to `MAX`, which is not before its
+    // deadline, so it is dropped — no panic, no wraparound into the
+    // past. Hedging adds a fire instant tying with the crash (the crash
+    // processes first and cancels it) and two with no healthy twin.
+    let before_max = |us: u64| SimTime::MAX - SimDuration::from_micros(us);
+    let jobs = JobSet::new(
+        [(0, 10), (1, 8), (2, 2)]
+            .into_iter()
+            .map(|(id, ahead)| Job::new(id, before_max(ahead), SimTime::MAX, 100.0).unwrap())
+            .collect(),
+    )
+    .unwrap();
+    let plan = FaultPlan::none(2)
+        .with_window(
+            0,
+            FaultWindow {
+                start: before_max(5),
+                end: SimTime::MAX,
+                kind: FaultKind::Crash,
+            },
+        )
+        .with_retry_delay(SimDuration::from_millis(10));
+    let quality = ExpQuality::new(0.003);
+    for hedge in [
+        HedgePolicy::Disabled,
+        HedgePolicy::SlackFraction { fraction: 0.5 },
+    ] {
+        let overload = OverloadPolicy {
+            hedge: hedge.clone(),
+            ..OverloadPolicy::default()
+        };
+        let d = dispatch_protected(
+            &jobs,
+            2,
+            &RoutingPolicy::RoundRobin,
+            &MODEL,
+            &quality,
+            &plan,
+            &overload,
+            SimTime::MAX,
+        );
+        // Job 0 lands on shard 0 and strands; job 2 arrives during the
+        // crash and fails over to shard 1.
+        assert_eq!(d.assignment, vec![0, 1, 1], "{hedge:?}");
+        assert_eq!(d.redispatches, vec![(before_max(5), JobId(0), 0)]);
+        assert_eq!(d.retried, 0, "{hedge:?}");
+        assert_eq!(d.dropped.len(), 1, "{hedge:?}");
+        assert_eq!(d.dropped[0], (before_max(5), jobs.jobs()[0]));
+        assert!(d.hedges.is_empty(), "{hedge:?}");
+        // Conservation: routed + dropped = arrivals.
+        let routed: usize = d.shard_jobs.iter().map(|s| s.len()).sum();
+        assert_eq!(routed + d.dropped.len(), jobs.len(), "{hedge:?}");
+        assert_eq!(d.shard_jobs[1].len(), 2, "{hedge:?}");
+    }
 }
 
 #[test]
@@ -865,11 +992,10 @@ fn overload_retry_tying_with_an_arrival_processes_the_arrival_first() {
             },
         )
         .with_retry_delay(SimDuration::from_millis(10));
-    let d = dispatch_with_faults(
+    let d = dispatch(
         &jobs,
         3,
         &RoutingPolicy::RoundRobin,
-        &MODEL,
         &plan,
         SimTime::from_secs(1),
     );
@@ -884,15 +1010,77 @@ fn overload_retry_tying_with_an_arrival_processes_the_arrival_first() {
 }
 
 #[test]
+fn overload_retry_tying_with_a_hedge_processes_the_retry_first() {
+    // Tie order retry → hedge, observed through feedback scores: at
+    // 50 ms job 0's retry (stranded by shard 0's 40-45 ms crash) and
+    // job 1's hedge fire simultaneously (job 0's own hedge, due then
+    // too, is cancelled with its stranded primary). Shards 0 and 2 are
+    // empty, so whichever goes first takes shard 0 and pushes the other
+    // to shard 2. The retry must go first.
+    let jobs = JobSet::new(vec![
+        Job::new(0, SimTime::ZERO, SimTime::from_millis(100), 100.0).unwrap(),
+        Job::new(1, SimTime::ZERO, SimTime::from_millis(100), 50.0).unwrap(),
+    ])
+    .unwrap();
+    let plan = FaultPlan::none(3)
+        .with_window(
+            0,
+            FaultWindow {
+                start: SimTime::from_millis(40),
+                end: SimTime::from_millis(45),
+                kind: FaultKind::Crash,
+            },
+        )
+        .with_retry_delay(SimDuration::from_millis(10));
+    let overload = OverloadPolicy {
+        hedge: HedgePolicy::SlackFraction { fraction: 0.5 },
+        ..OverloadPolicy::default()
+    };
+    let quality = ExpQuality::new(0.003);
+    let d = dispatch_protected(
+        &jobs,
+        3,
+        &RoutingPolicy::Feedback,
+        &MODEL,
+        &quality,
+        &plan,
+        &overload,
+        SimTime::from_secs(1),
+    );
+    let at = SimTime::from_millis(50);
+    assert_eq!(d.assignment, vec![0, 1]);
+    assert_eq!(d.retried, 1);
+    assert!(d.shard_jobs[0]
+        .iter()
+        .any(|j| j.id.0 == 0 && j.release == at));
+    assert_eq!(d.hedges.len(), 1);
+    assert_eq!((d.hedges[0].at, d.hedges[0].to), (at, 2));
+}
+
+#[test]
 fn least_energy_routing_conserves_and_differs_from_round_robin() {
     // Sanity on the power-aware route: still a partition of the stream,
     // and under bursty diurnal load it must actually exercise its probe
     // (different decisions than blind round-robin).
     let (jobs, _) = diurnal_workload();
     let shards = 4;
-    let le = route(&jobs, shards, &RoutingPolicy::LeastEnergy, &MODEL);
+    let le = dispatch(
+        &jobs,
+        shards,
+        &RoutingPolicy::LeastEnergy,
+        &FaultPlan::none(shards),
+        SimTime::MAX,
+    )
+    .assignment;
     assert_eq!(le.len(), jobs.len());
     assert!(le.iter().all(|&s| (s as usize) < shards));
-    let rr = route(&jobs, shards, &RoutingPolicy::RoundRobin, &MODEL);
+    let rr = dispatch(
+        &jobs,
+        shards,
+        &RoutingPolicy::RoundRobin,
+        &FaultPlan::none(shards),
+        SimTime::MAX,
+    )
+    .assignment;
     assert_ne!(le, rr, "least-energy degenerated to round-robin");
 }

@@ -2,15 +2,15 @@
 //! recomputation).
 //!
 //! The same workload is pushed through every cell of the
-//! {per-event, grouped} × {full-recompute, incremental, incremental-qe}
-//! matrix and the reports compared:
+//! {per-event, grouped} × {full-recompute, incremental-qe} matrix and
+//! the reports compared:
 //!
 //! * **Incremental ≡ Full, bitwise.** Plan/grant reuse is only allowed
-//!   when the inputs are bitwise identical, so every caching recompute
-//!   mode (including the index-backed `IncrementalQe` default) must
-//!   agree with `Full` on ⟨quality, energy⟩ *to the bit*, plus every
-//!   job counter and the invocation count — under both trigger modes
-//!   and with nonzero scheduling overhead.
+//!   when the inputs are bitwise identical, so the caching recompute
+//!   mode (the index-backed `IncrementalQe` default) must agree with
+//!   `Full` on ⟨quality, energy⟩ *to the bit*, plus every job counter
+//!   and the invocation count — under both trigger modes and with
+//!   nonzero scheduling overhead.
 //! * **Grouped ≈ Per-event.** Grouped scheduling trades recomputation
 //!   for staleness; the paper's claim (§IV-E) is that quality barely
 //!   moves. We assert normalized quality within 1 % while the policy is
@@ -120,10 +120,13 @@ fn incremental_is_bitwise_identical_to_full_recompute() {
                 end,
                 SimDuration::ZERO,
             );
-            for mode in [RecomputeMode::Incremental, RecomputeMode::IncrementalQe] {
-                let inc = run_cell(cell(trigger, mode), &jobs, end, SimDuration::ZERO);
-                assert_bitwise_equal(&full, &inc, &format!("{name}/{}/{mode:?}", trigger.label()));
-            }
+            let inc = run_cell(
+                cell(trigger, RecomputeMode::IncrementalQe),
+                &jobs,
+                end,
+                SimDuration::ZERO,
+            );
+            assert_bitwise_equal(&full, &inc, &format!("{name}/{}", trigger.label()));
         }
     }
 }
@@ -137,14 +140,13 @@ fn incremental_equivalence_survives_scheduling_overhead() {
     let overhead = SimDuration::from_micros(2_000);
     for trigger in [TriggerMode::PerEvent, TriggerMode::Grouped] {
         let full = run_cell(cell(trigger, RecomputeMode::Full), &jobs, end, overhead);
-        for mode in [RecomputeMode::Incremental, RecomputeMode::IncrementalQe] {
-            let inc = run_cell(cell(trigger, mode), &jobs, end, overhead);
-            assert_bitwise_equal(
-                &full,
-                &inc,
-                &format!("overhead/{}/{mode:?}", trigger.label()),
-            );
-        }
+        let inc = run_cell(
+            cell(trigger, RecomputeMode::IncrementalQe),
+            &jobs,
+            end,
+            overhead,
+        );
+        assert_bitwise_equal(&full, &inc, &format!("overhead/{}", trigger.label()));
     }
 }
 
@@ -155,13 +157,13 @@ fn grouped_triggers_hold_quality_within_one_percent_of_per_event() {
         ("overloaded", overloaded_workload()),
     ] {
         let pe = run_cell(
-            cell(TriggerMode::PerEvent, RecomputeMode::Incremental),
+            cell(TriggerMode::PerEvent, RecomputeMode::IncrementalQe),
             &jobs,
             end,
             SimDuration::ZERO,
         );
         let grp = run_cell(
-            cell(TriggerMode::Grouped, RecomputeMode::Incremental),
+            cell(TriggerMode::Grouped, RecomputeMode::IncrementalQe),
             &jobs,
             end,
             SimDuration::ZERO,
@@ -190,13 +192,13 @@ fn grouped_triggers_cut_invocations_substantially() {
     // bulk of them, not shave a few percent.
     let (jobs, end) = moderate_workload();
     let pe = run_cell(
-        cell(TriggerMode::PerEvent, RecomputeMode::Incremental),
+        cell(TriggerMode::PerEvent, RecomputeMode::IncrementalQe),
         &jobs,
         end,
         SimDuration::ZERO,
     );
     let grp = run_cell(
-        cell(TriggerMode::Grouped, RecomputeMode::Incremental),
+        cell(TriggerMode::Grouped, RecomputeMode::IncrementalQe),
         &jobs,
         end,
         SimDuration::ZERO,
@@ -211,8 +213,8 @@ fn grouped_triggers_cut_invocations_substantially() {
 
 #[test]
 fn matrix_labels_are_reported() {
-    // The six policies must be distinguishable in reports. Only the
-    // non-default recompute modes carry a suffix: `IncrementalQe` is the
+    // The recompute modes must be distinguishable in reports. Only the
+    // non-default `Full` carries a suffix: `IncrementalQe` is the
     // default, so its two cells report the bare policy name.
     let (jobs, end) = overloaded_workload();
     let mut names = Vec::new();
@@ -220,17 +222,13 @@ fn matrix_labels_are_reported() {
         let r = run_cell(c, &jobs, end, SimDuration::ZERO);
         names.push(r.policy);
     }
-    assert_eq!(names.len(), 6);
+    assert_eq!(names.len(), 4);
     assert!(names.iter().all(|n| n.starts_with("DES/C-DVFS")));
     assert_eq!(
         names
             .iter()
             .filter(|n| n.ends_with("/full-recompute"))
             .count(),
-        2
-    );
-    assert_eq!(
-        names.iter().filter(|n| n.ends_with("/incremental")).count(),
         2
     );
     assert_eq!(names.iter().filter(|n| *n == "DES/C-DVFS").count(), 2);

@@ -6,9 +6,12 @@
 //! tests pin that across policies and recompute modes, and check the
 //! exported artifacts (CSV trace, JSON metrics) are deterministic.
 
-use qes::cluster::{ClusterEngine, RoutingPolicy};
+use qes::cluster::{
+    AdmissionPolicy, ClusterEngine, FaultPlan, HedgePolicy, OverloadPolicy, RetryPolicy,
+    RoutingPolicy,
+};
 use qes::core::obs::{Event, Tee};
-use qes::core::{MetricsRegistry, TraceObserver};
+use qes::core::{MetricsRegistry, SimDuration, TraceObserver};
 use qes::experiments::{ExperimentConfig, PolicyKind};
 use qes::multicore::{DesPolicy, RecomputeMode, SchedulingPolicy};
 use qes::sim::{SimConfig, Simulator};
@@ -80,11 +83,7 @@ fn traced_run_is_bitwise_identical_across_recompute_modes() {
     let quality = qes::core::ExpQuality::new(cfg.quality_c);
     let scfg = sim_cfg(&cfg, &quality);
 
-    for mode in [
-        RecomputeMode::Full,
-        RecomputeMode::Incremental,
-        RecomputeMode::IncrementalQe,
-    ] {
+    for mode in [RecomputeMode::Full, RecomputeMode::IncrementalQe] {
         let mut p = DesPolicy::new().with_recompute(mode);
         let (plain, _) = Simulator::run(&scfg, &mut p, &jobs);
         let mut p = DesPolicy::new().with_recompute(mode);
@@ -352,4 +351,87 @@ fn per_shard_registries_reconcile_with_merged_cluster_report() {
         .map(|i| merged_reg.gauge(&format!("cluster.shard{i}.jobs")).unwrap())
         .sum();
     assert_eq!(shard_jobs as usize, rep.merged.jobs_total());
+}
+
+#[test]
+fn dispatch_observer_reconciles_with_protected_cluster_report() {
+    // A protected run with every dispatcher mechanism live: a seeded
+    // crash/brownout plan, slack-floor admission, budgeted retries and
+    // hedging. The dispatch-level observer sees one event per reject,
+    // retry and hedge, in scan order, and stays passive.
+    let (cfg, jobs) = cluster_fixture();
+    let quality = qes::core::ExpQuality::new(cfg.quality_c);
+    let scfg = sim_cfg(&cfg, &quality);
+    let engine = ClusterEngine::new(4)
+        .with_routing(RoutingPolicy::Feedback)
+        .with_fault_plan(FaultPlan::seeded(4, scfg.end, 3, 1.0, 0.4, 0.5))
+        .with_overload(OverloadPolicy {
+            admission: AdmissionPolicy::SlackFloor {
+                floor: 0.3,
+                capacity_ghz: 4.0,
+            },
+            retry: RetryPolicy::exponential(3, SimDuration::from_millis(5)),
+            hedge: HedgePolicy::SlackFraction { fraction: 0.5 },
+        });
+    let make_policy = |_: usize| Box::new(DesPolicy::new()) as Box<dyn SchedulingPolicy>;
+
+    let plain = engine.run(&scfg, &jobs, make_policy);
+    let mut obs = Tee(MetricsRegistry::new(), TraceObserver::new());
+    let (observed, _) = engine.run_observed_with_dispatch(
+        &scfg,
+        &jobs,
+        make_policy,
+        |_| qes::core::NoopObserver,
+        &mut obs,
+    );
+    let Tee(reg, trace) = obs;
+
+    assert!(
+        plain.jobs_rejected > 0 && plain.jobs_retried > 0 && plain.jobs_hedged > 0,
+        "every mechanism should fire: {} rejected, {} retried, {} hedged",
+        plain.jobs_rejected,
+        plain.jobs_retried,
+        plain.jobs_hedged
+    );
+    assert_eq!(
+        reg.counter("cluster.admission.rejected"),
+        plain.jobs_rejected
+    );
+    assert_eq!(reg.counter("cluster.retry"), plain.jobs_retried);
+    assert_eq!(reg.counter("cluster.hedge.dispatched"), plain.jobs_hedged);
+
+    assert_eq!(trace.dropped(), 0, "trace ring overflowed");
+    let events = trace.events();
+    assert_eq!(
+        events.len() as u64,
+        plain.jobs_rejected + plain.jobs_retried + plain.jobs_hedged
+    );
+    for pair in events.windows(2) {
+        assert!(pair[0].0 <= pair[1].0, "time went backwards at {pair:?}");
+    }
+
+    // Passive: the observed report is bitwise the plain one.
+    let (a, b) = (&plain, &observed);
+    assert_eq!(
+        a.merged.total_quality.to_bits(),
+        b.merged.total_quality.to_bits()
+    );
+    assert_eq!(
+        a.merged.energy_joules.to_bits(),
+        b.merged.energy_joules.to_bits()
+    );
+    assert_eq!(
+        a.merged.max_quality.to_bits(),
+        b.merged.max_quality.to_bits()
+    );
+    assert_eq!(a.merged.counters, b.merged.counters);
+    assert_eq!(
+        a.degraded_quality().to_bits(),
+        b.degraded_quality().to_bits()
+    );
+    assert_eq!(
+        (a.jobs_dropped, a.jobs_retried, a.jobs_rejected),
+        (b.jobs_dropped, b.jobs_retried, b.jobs_rejected)
+    );
+    assert_eq!((a.jobs_hedged, a.hedges_won), (b.jobs_hedged, b.hedges_won));
 }

@@ -93,19 +93,20 @@
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, VecDeque};
 
-/// One duelling copy's `(duel slot, processed, quality)` as observed on
-/// a shard, fed to the first-wins duel settlement in the merge: duel
-/// `k`'s primary copy reports into slot `2k`, its hedge copy `2k + 1`.
-type DuelOutcome = (u32, f64, f64);
+/// One duelling copy's `(duel slot, settle class, quality)` as the
+/// shard's engine settled it, fed to the first-wins duel settlement in
+/// the merge: duel `k`'s primary copy reports into slot `2k`, its hedge
+/// copy `2k + 1`.
+type DuelOutcome = (u32, SettleOutcome, f64);
 
 use qes_core::job::{Job, JobId, JobSet};
-use qes_core::obs::{Event, NoopObserver, Observer, OutageKind};
+use qes_core::obs::{Event, NoopObserver, Observer, OutageKind, SettleOutcome, Tee};
 use qes_core::power::PowerModel;
 use qes_core::quality::QualityFunction;
 use qes_core::time::SimTime;
 use qes_core::MetricsRegistry;
 use qes_multicore::SchedulingPolicy;
-use qes_sim::engine::{demand_met, SimConfig, Simulator};
+use qes_sim::engine::{SimConfig, Simulator};
 use qes_sim::report::{SimCounters, SimReport};
 use qes_sim::trace::{SimTrace, TraceSlice};
 use rand::rngs::StdRng;
@@ -1391,15 +1392,15 @@ impl ClusterEngine {
 
         let mut shards = Vec::with_capacity(self.shards);
         let mut observers = Vec::with_capacity(self.shards);
-        // Duel `k`'s primary and hedge outcomes `(processed, quality)`
-        // land in slots `2k` and `2k + 1`; `None` marks a copy that
-        // never settled.
-        let mut settled: Vec<Option<(f64, f64)>> = vec![None; 2 * duels as usize];
+        // Duel `k`'s primary and hedge outcomes `(class, quality)` land
+        // in slots `2k` and `2k + 1`; `None` marks a copy that never
+        // settled.
+        let mut settled: Vec<Option<(SettleOutcome, f64)>> = vec![None; 2 * duels as usize];
         for (run, obs, outcomes) in runs {
             shards.push(run);
             observers.push(obs);
-            for (slot, w, q) in outcomes {
-                settled[slot as usize] = Some((w, q));
+            for (slot, class, q) in outcomes {
+                settled[slot as usize] = Some((class, q));
             }
         }
 
@@ -1419,30 +1420,27 @@ impl ClusterEngine {
         // max-quality mass, and job-class count come back out of the
         // merged report; its energy (and the scheduler bookkeeping —
         // invocations, plans, discards) stays, because that work really
-        // happened. Quality comparison uses `total_cmp`, ties go to the
+        // happened. The loser's class is the one its engine settled it
+        // with. Quality comparison uses `total_cmp`, ties go to the
         // primary, so the settlement is deterministic.
         let mut hedges_won = 0u64;
         let duelled = dispatch.hedges.iter().filter(|h| h.duel);
         for (h, outcomes) in duelled.zip(settled.chunks_exact(2)) {
-            let &[Some((pw, pq)), Some((hw, hq))] = outcomes else {
+            let &[Some((pc, pq)), Some((hc, hq))] = outcomes else {
                 continue;
             };
             let hedge_wins = hq.total_cmp(&pq) == Ordering::Greater;
             if hedge_wins {
                 hedges_won += 1;
             }
-            let (lw, lq) = if hedge_wins { (pw, pq) } else { (hw, hq) };
+            let (lc, lq) = if hedge_wins { (pc, pq) } else { (hc, hq) };
             merged.total_quality -= lq;
             merged.max_quality -= cfg.quality.max_job_quality(&h.job);
             merged.counters.jobs_total -= 1;
-            // Re-derive the loser's settle class exactly as the engine
-            // classified it (same tolerance, same thresholds).
-            if demand_met(lw, h.job.demand) {
-                merged.counters.jobs_satisfied -= 1;
-            } else if lw > 1e-9 {
-                merged.counters.jobs_partial -= 1;
-            } else {
-                merged.counters.jobs_zero -= 1;
+            match lc {
+                SettleOutcome::Satisfied => merged.counters.jobs_satisfied -= 1,
+                SettleOutcome::Partial => merged.counters.jobs_partial -= 1,
+                SettleOutcome::Zero => merged.counters.jobs_zero -= 1,
             }
         }
 
@@ -1496,12 +1494,10 @@ impl ClusterEngine {
 /// when its capacity state changes). With no fault windows this is one
 /// healthy epoch over `[0, end)` — bitwise the fault-free path.
 /// `duels` lists this shard's duelling copies as id-sorted
-/// `(id, duel slot)` pairs: their `(slot, processed, quality)` outcomes
-/// are harvested from the per-epoch detailed stats so the cluster merge
-/// can settle first-wins. With an empty list (every default-path run)
-/// nothing is harvested —
-/// [`Simulator::run_observed`] is itself a thin wrapper over the
-/// detailed run, so requesting stats changes no simulation arithmetic.
+/// `(id, duel slot)` pairs: a [`DuelObserver`] teed beside the caller's
+/// observer reads their settle events, so the cluster merge can settle
+/// first-wins. Observers are passive, so it changes no simulation
+/// arithmetic; with an empty list it collects nothing.
 #[allow(clippy::too_many_arguments)]
 fn run_shard_epochs<O, F>(
     cfg: &SimConfig<'_>,
@@ -1524,9 +1520,11 @@ where
     let mut redisp = redispatched.iter().peekable();
     let mut merged: Option<SimReport> = None;
     let mut full_trace = SimTrace::default();
-    let mut duel_outcomes: Vec<DuelOutcome> = Vec::new();
-    // Where the last outcome's id sat in `duels`.
-    let mut near = 0;
+    let mut duel_obs = DuelObserver {
+        duels,
+        near: 0,
+        outcomes: Vec::new(),
+    };
 
     for (k, ep) in epochs.iter().enumerate() {
         let is_final = k + 1 == epochs.len();
@@ -1619,23 +1617,16 @@ where
                 overhead: cfg.overhead,
             };
             let mut policy = make_policy(shard);
-            let mut off = OffsetObserver {
-                inner: obs,
+            let off = OffsetObserver {
+                inner: &mut *obs,
                 base: ep.start,
             };
-            let (rep, trace, stats) =
-                Simulator::run_detailed_observed(&scfg, policy.as_mut(), &local_set, &mut off);
-            if !duels.is_empty() {
-                for o in stats.outcomes() {
-                    match search_near(duels, o.id.0, near) {
-                        Ok(i) => {
-                            duel_outcomes.push((duels[i].1, o.processed, o.quality));
-                            near = i;
-                        }
-                        Err(i) => near = i,
-                    }
-                }
-            }
+            let (rep, trace) = Simulator::run_observed(
+                &scfg,
+                policy.as_mut(),
+                &local_set,
+                &mut Tee(&mut duel_obs, off),
+            );
             for s in trace.slices() {
                 full_trace.push(TraceSlice {
                     start: ep.start + s.start.saturating_since(SimTime::ZERO),
@@ -1672,7 +1663,40 @@ where
     });
     // Epoch horizons are local; the shard's report spans the full run.
     report.sim_seconds = cfg.end.as_secs_f64();
-    (report, full_trace, duel_outcomes)
+    (report, full_trace, duel_obs.outcomes)
+}
+
+/// Collects the settle events of one shard's duelling copies as
+/// [`DuelOutcome`]s, across all of the shard's fault epochs.
+struct DuelObserver<'a> {
+    /// The shard's duelling copies as id-sorted `(id, duel slot)` pairs.
+    duels: &'a [(u32, u32)],
+    /// Where the last settled job's id sat in `duels`.
+    near: usize,
+    outcomes: Vec<DuelOutcome>,
+}
+
+impl Observer for DuelObserver<'_> {
+    const ENABLED: bool = true;
+
+    #[inline]
+    fn record(&mut self, _: SimTime, event: Event) {
+        if let Event::JobSettle {
+            job,
+            outcome,
+            quality,
+            ..
+        } = event
+        {
+            match search_near(self.duels, job.0, self.near) {
+                Ok(i) => {
+                    self.outcomes.push((self.duels[i].1, outcome, quality));
+                    self.near = i;
+                }
+                Err(i) => self.near = i,
+            }
+        }
+    }
 }
 
 /// [`slice::binary_search`] for `id` in the id-sorted `duels`, but

@@ -44,7 +44,6 @@ pub mod admission;
 pub mod dispatch;
 pub mod fault;
 pub mod meter;
-pub mod nodes;
 pub mod regression;
 pub mod replay;
 pub mod spec;
@@ -56,9 +55,6 @@ pub use dispatch::{
 };
 pub use fault::{effective_cores, Epoch, FaultKind, FaultPlan, FaultWindow};
 pub use meter::PowerMeter;
-pub use nodes::{
-    node_breakdown, node_breakdown_with_outages, node_of_core, NodeEnergy, NodeMeterArray,
-};
 pub use regression::{fit_power_model, FitReport};
 pub use replay::{exact_energy, measured_energy};
 pub use spec::ClusterSpec;

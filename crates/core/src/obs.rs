@@ -43,6 +43,9 @@
 //! | `admission_reject` | job id                        | admission policy  |
 //! | `retry`          | job id                          | attempt number    |
 //! | `hedge`          | job id                          | hedge target shard |
+//!
+//! A `settle` event also carries the job's processed volume and earned
+//! quality; in-process observers read them, the CSV row does not.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -181,12 +184,18 @@ pub enum Event {
         /// Core index.
         core: u32,
     },
-    /// A job reached its deadline (or the horizon) and was scored.
+    /// A job was scored: it completed, reached its deadline or the
+    /// horizon, or was discarded. This is the only channel per-job
+    /// outcomes leave the engine through.
     JobSettle {
         /// The job.
         job: JobId,
         /// How it scored.
         outcome: SettleOutcome,
+        /// Volume processed over the job's lifetime (not serialized).
+        processed: f64,
+        /// Quality earned (not serialized).
+        quality: f64,
     },
     /// The policy discarded a job before its deadline (§V-D).
     JobDiscard {
@@ -301,7 +310,7 @@ impl Event {
             }
             Event::PlanInstall { core, slices } => format!("{t},plan_install,{core},{slices}"),
             Event::PlanKeep { core } => format!("{t},plan_keep,{core},"),
-            Event::JobSettle { job, outcome } => {
+            Event::JobSettle { job, outcome, .. } => {
                 format!("{t},settle,{},{}", job.0, outcome.label())
             }
             Event::JobDiscard { job } => format!("{t},discard,{},", job.0),
@@ -816,6 +825,8 @@ mod tests {
             Event::JobSettle {
                 job: JobId(3),
                 outcome: SettleOutcome::Partial,
+                processed: 12.5,
+                quality: 0.25,
             }
             .to_csv_row(SimTime::from_micros(20)),
             Event::PowerSample {

@@ -29,7 +29,6 @@ use qes_multicore::{CoreView, SchedulingPolicy, SystemView};
 use qes_singlecore::online_qe::ReadyJob;
 
 use crate::report::SimReport;
-use crate::stats::{DetailedStats, JobOutcome};
 use crate::trace::{SimTrace, TraceSlice};
 
 /// Configuration of one simulation run.
@@ -70,25 +69,15 @@ impl Simulator {
 
     /// [`Simulator::run`] with an [`Observer`] receiving the event stream
     /// (`qes_core::obs`). Observers are passive: the run's outcome is
-    /// bitwise-identical with any observer, including none.
+    /// bitwise-identical with any observer, including none. Per-job
+    /// outcomes (class, processed volume, quality) leave the engine only
+    /// as [`JobSettle`](ObsEvent::JobSettle) events.
     pub fn run_observed<O: Observer>(
         cfg: &SimConfig<'_>,
         policy: &mut dyn SchedulingPolicy,
         jobs: &JobSet,
         obs: &mut O,
     ) -> (SimReport, SimTrace) {
-        let (report, trace, _) = Self::run_detailed_observed(cfg, policy, jobs, obs);
-        (report, trace)
-    }
-
-    /// [`Simulator::run_observed`] plus per-job outcomes and per-core
-    /// utilization (pass [`NoopObserver`] for an unobserved run).
-    pub fn run_detailed_observed<O: Observer>(
-        cfg: &SimConfig<'_>,
-        policy: &mut dyn SchedulingPolicy,
-        jobs: &JobSet,
-        obs: &mut O,
-    ) -> (SimReport, SimTrace, DetailedStats) {
         Engine::new(cfg, jobs, obs).run(policy)
     }
 }
@@ -123,11 +112,7 @@ const REL_EPS: f64 = 1e-4;
 
 /// Whether `processed` volume satisfies `demand` within the engine's
 /// relative tolerance (`REL_EPS`, 1e-4).
-///
-/// Public so downstream consumers of [`JobOutcome`]
-/// records (e.g. the cluster front end's hedging merge) can classify an
-/// outcome exactly as `settle` did, instead of re-deriving the tolerance.
-pub fn demand_met(processed: f64, demand: f64) -> bool {
+fn demand_met(processed: f64, demand: f64) -> bool {
     demand <= 1e-12 || processed >= demand * (1.0 - REL_EPS)
 }
 
@@ -171,7 +156,6 @@ struct Engine<'a, O: Observer> {
     loc: HashMap<JobId, Loc>,
     trace: SimTrace,
     report: SimReport,
-    stats: DetailedStats,
     /// Observability sink. Hooks are guarded by `O::ENABLED`, so with
     /// [`NoopObserver`] every hook (and the event construction feeding
     /// it) is statically dead code.
@@ -216,7 +200,6 @@ impl<'a, O: Observer> Engine<'a, O> {
                 sim_seconds: cfg.end.as_secs_f64(),
                 ..SimReport::default()
             },
-            stats: DetailedStats::new(cfg.num_cores, cfg.end),
             obs,
         }
     }
@@ -238,7 +221,7 @@ impl<'a, O: Observer> Engine<'a, O> {
             .map(|&i| self.all_jobs[i as usize].release)
     }
 
-    fn run(mut self, policy: &mut dyn SchedulingPolicy) -> (SimReport, SimTrace, DetailedStats) {
+    fn run(mut self, policy: &mut dyn SchedulingPolicy) -> (SimReport, SimTrace) {
         self.report.policy = policy.name();
         let trig = policy.triggers();
         if let Some(q) = trig.quantum {
@@ -399,7 +382,7 @@ impl<'a, O: Observer> Engine<'a, O> {
                 obs.record(final_t, ObsEvent::PolicyCounter { name, value });
             });
         }
-        (self.report, self.trace, self.stats)
+        (self.report, self.trace)
     }
 
     /// True if some core has no planned work left at the current instant.
@@ -447,17 +430,16 @@ impl<'a, O: Observer> Engine<'a, O> {
             SettleOutcome::Zero
         };
         if O::ENABLED {
-            self.obs
-                .record(self.now, ObsEvent::JobSettle { job: id, outcome });
+            self.obs.record(
+                self.now,
+                ObsEvent::JobSettle {
+                    job: id,
+                    outcome,
+                    processed: r.processed,
+                    quality,
+                },
+            );
         }
-        self.stats.record(JobOutcome {
-            id,
-            release: r.job.release,
-            settled: self.now,
-            processed: r.processed,
-            demand: r.job.demand,
-            quality,
-        });
     }
 
     /// Drop tombstoned queue slots, preserving arrival order, and refresh
@@ -505,7 +487,6 @@ impl<'a, O: Observer> Engine<'a, O> {
             let seg_end = front.end.min(t);
             let dur = seg_end.saturating_since(seg_start);
             if !dur.is_zero() {
-                self.stats.add_busy(c, dur.as_micros());
                 self.report.energy_joules += model.dynamic_energy(front.speed, dur.as_secs_f64());
                 let vol = rate_units_per_us(front.speed) * dur.as_micros() as f64;
                 // Slices for settled (e.g. discarded) jobs still burn

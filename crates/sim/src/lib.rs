@@ -22,16 +22,20 @@
 //! normalized total quality and total dynamic energy — plus per-job
 //! counters, and optionally a full execution [`trace`] for the §V-G
 //! real-system replay.
+//!
+//! [`Simulator`] has two entry points: [`Simulator::run`] and
+//! [`Simulator::run_observed`], which streams `qes_core::obs` events
+//! into an observer. Per-job outcomes (settle class, processed volume,
+//! quality) leave the engine only through the observer's `JobSettle`
+//! events; the engine keeps no per-job accumulator.
 
 pub mod engine;
 pub mod report;
-pub mod stats;
 pub mod trace;
 pub mod validate;
 
-pub use engine::{demand_met, SimConfig, Simulator};
+pub use engine::{SimConfig, Simulator};
 pub use qes_multicore::TriggerRequest as TriggerConfig;
 pub use report::{SimCounters, SimReport};
-pub use stats::{DetailedStats, JobOutcome};
 pub use trace::{SimTrace, TraceSlice};
 pub use validate::{validate_trace, TraceSummary};

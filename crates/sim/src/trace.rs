@@ -72,12 +72,14 @@ impl SimTrace {
         self.slices.iter().map(|s| s.volume()).sum()
     }
 
-    /// Busy seconds per core.
-    pub fn busy_seconds(&self, num_cores: usize) -> Vec<f64> {
-        let mut busy = vec![0.0; num_cores];
+    /// Busy microseconds per core (slices on cores `>= num_cores` are
+    /// ignored). Whole-µs integer sums, so the result does not depend on
+    /// slice order.
+    pub fn busy_micros(&self, num_cores: usize) -> Vec<u64> {
+        let mut busy = vec![0; num_cores];
         for s in &self.slices {
-            if s.core < num_cores {
-                busy[s.core] += s.end.saturating_since(s.start).as_secs_f64();
+            if let Some(b) = busy.get_mut(s.core) {
+                *b += s.end.saturating_since(s.start).as_micros();
             }
         }
         busy
@@ -115,9 +117,8 @@ mod tests {
         assert!((t.dynamic_energy(&m) - 22.5).abs() < 1e-9);
         // 2000 + 500 units.
         assert!((t.total_volume() - 2500.0).abs() < 1e-9);
-        let busy = t.busy_seconds(2);
-        assert!((busy[0] - 1.0).abs() < 1e-12);
-        assert!((busy[1] - 0.5).abs() < 1e-12);
+        assert_eq!(t.busy_micros(2), vec![1_000_000, 500_000]);
+        assert_eq!(t.busy_micros(1), vec![1_000_000]);
         assert_eq!(t.len(), 2);
         assert!(!t.is_empty());
     }

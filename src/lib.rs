@@ -57,7 +57,7 @@ pub mod prelude {
         offline_crr_qe_opt, water_filling, ArchKind, BaselineOrder, CrrDistributor, DesPolicy,
         JobSharing, PowerSharing,
     };
-    pub use qes_sim::{DetailedStats, SimReport, Simulator, TriggerConfig};
+    pub use qes_sim::{SimReport, Simulator, TriggerConfig};
     pub use qes_singlecore::{energy_opt, online_qe, qe_opt, quality_opt, OnlineMode};
     pub use qes_workload::{BoundedPareto, DiurnalRate, WebSearchWorkload};
 }

@@ -729,6 +729,20 @@ fn overload_hedging_settles_duels_first_wins_and_conserves() {
     assert!(rel < 1e-9, "max-quality mass drifted by {rel}");
     let dq = hedged.degraded_quality();
     assert!((0.0..=1.0).contains(&dq), "degraded quality {dq}");
+    // Exact values of the first-wins merge: each duel's loser leaves
+    // total quality, max-quality mass and the count of the class its
+    // engine settled it in.
+    assert_eq!(hedged.merged.total_quality.to_bits(), 0x408a4572a3d9f22b);
+    assert_eq!(hedged.merged.max_quality.to_bits(), 0x409073ed8b1fd959);
+    assert_eq!(
+        (
+            hedged.merged.jobs_satisfied(),
+            hedged.merged.jobs_partial(),
+            hedged.merged.jobs_zero()
+        ),
+        (834, 1526, 0)
+    );
+    assert_eq!((hedged.jobs_hedged, hedged.hedges_won), (2360, 590));
 }
 
 #[test]

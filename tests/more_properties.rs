@@ -159,7 +159,7 @@ proptest! {
         prop_assert!(rate < (base + amp) * 1.25, "rate {} vs peak {}", rate, base + amp);
     }
 
-    // ---- quantile degeneracy (satellite of the observability PR) ----
+    // ---- quantile degeneracy ----
 
     #[test]
     fn quantiles_of_degenerate_populations_are_bit_exact(
@@ -167,25 +167,13 @@ proptest! {
         copies in 1usize..12,
         p in 0.0f64..1.0,
     ) {
-        use qes::sim::{DetailedStats, JobOutcome};
+        use qes::experiments::figures::tail::quantiles;
         // A population of n identical samples: every quantile must return
         // the sample itself, bit-for-bit (no self-interpolation).
-        let mut s = DetailedStats::new(1, SimTime::from_secs(1));
-        for i in 0..copies {
-            s.record(JobOutcome {
-                id: qes::core::JobId(i as u32),
-                release: SimTime::ZERO,
-                settled: SimTime::from_millis(10),
-                processed: 50.0,
-                demand: 100.0,
-                quality: value,
-            });
+        let q = quantiles(vec![value; copies], &[0.0, p, 1.0]).unwrap();
+        for x in q {
+            prop_assert_eq!(x.to_bits(), value.to_bits());
         }
-        let q = s.quality_quantile(p).unwrap();
-        prop_assert_eq!(q.to_bits(), value.to_bits());
-        // And the multi-quantile path agrees with the single getter.
-        let many = s.quality_quantiles(&[0.0, p, 1.0]).unwrap();
-        prop_assert_eq!(many[1].to_bits(), q.to_bits());
     }
 
     #[test]
@@ -193,25 +181,19 @@ proptest! {
         qualities in proptest::collection::vec(-100.0f64..100.0, 1..20),
         ps in proptest::collection::vec(0.0f64..1.0, 1..8),
     ) {
-        use qes::sim::{DetailedStats, JobOutcome};
-        let mut s = DetailedStats::new(1, SimTime::from_secs(1));
-        for (i, &q) in qualities.iter().enumerate() {
-            // Duplicate every other sample to exercise equal-neighbour
-            // interpolation positions.
-            for _ in 0..(1 + i % 2) {
-                s.record(JobOutcome {
-                    id: qes::core::JobId(i as u32),
-                    release: SimTime::ZERO,
-                    settled: SimTime::from_millis(10),
-                    processed: 50.0,
-                    demand: 100.0,
-                    quality: q,
-                });
-            }
-        }
-        let many = s.quality_quantiles(&ps).unwrap();
+        use qes::experiments::figures::tail::quantiles;
+        // Duplicate every other sample to exercise equal-neighbour
+        // interpolation positions.
+        let values: Vec<f64> = qualities
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &q)| std::iter::repeat_n(q, 1 + i % 2))
+            .collect();
+        // One sort answering every quantile agrees with one call per
+        // quantile.
+        let many = quantiles(values.clone(), &ps).unwrap();
         for (i, &p) in ps.iter().enumerate() {
-            let one = s.quality_quantile(p).unwrap();
+            let one = quantiles(values.clone(), &[p]).unwrap()[0];
             prop_assert_eq!(many[i].to_bits(), one.to_bits(), "p = {}", p);
         }
     }

@@ -10,7 +10,7 @@ use qes::cluster::{
     AdmissionPolicy, ClusterEngine, FaultPlan, HedgePolicy, OverloadPolicy, RetryPolicy,
     RoutingPolicy,
 };
-use qes::core::obs::{Event, Tee};
+use qes::core::obs::{Event, Observer, SettleOutcome, Tee};
 use qes::core::{MetricsRegistry, SimDuration, TraceObserver};
 use qes::experiments::{ExperimentConfig, PolicyKind};
 use qes::multicore::{DesPolicy, RecomputeMode, SchedulingPolicy};
@@ -101,55 +101,114 @@ fn traced_run_is_bitwise_identical_across_recompute_modes() {
     }
 }
 
+/// Folds the engine's settle events the way the engine folds its
+/// report: quality summed in event order, one count per settle class.
+#[derive(Default)]
+struct SettleFold {
+    quality: f64,
+    satisfied: usize,
+    partial: usize,
+    zero: usize,
+    discards: usize,
+}
+
+impl Observer for SettleFold {
+    const ENABLED: bool = true;
+
+    fn record(&mut self, _: qes::core::SimTime, event: Event) {
+        match event {
+            Event::JobSettle {
+                outcome, quality, ..
+            } => {
+                self.quality += quality;
+                match outcome {
+                    SettleOutcome::Satisfied => self.satisfied += 1,
+                    SettleOutcome::Partial => self.partial += 1,
+                    SettleOutcome::Zero => self.zero += 1,
+                }
+            }
+            Event::JobDiscard { .. } => self.discards += 1,
+            _ => {}
+        }
+    }
+}
+
 #[test]
 fn registry_counters_reconcile_with_report() {
-    let cfg = ExperimentConfig::quick()
-        .with_sim_seconds(5.0)
-        .with_arrival_rate(160.0)
-        .with_cores(4)
-        .with_budget(80.0);
-    let jobs = cfg.workload().generate(5).unwrap();
-    let quality = qes::core::ExpQuality::new(cfg.quality_c);
-    let scfg = sim_cfg(&cfg, &quality);
+    // All-partial jobs, then all-or-nothing jobs: DES discards hopeless
+    // non-partial jobs, which settle through the same event.
+    for partial_fraction in [1.0, 0.0] {
+        let cfg = ExperimentConfig::quick()
+            .with_sim_seconds(5.0)
+            .with_arrival_rate(160.0)
+            .with_cores(4)
+            .with_budget(80.0)
+            .with_partial_fraction(partial_fraction);
+        let jobs = cfg.workload().generate(5).unwrap();
+        let quality = qes::core::ExpQuality::new(cfg.quality_c);
+        let scfg = sim_cfg(&cfg, &quality);
 
-    let mut p = DesPolicy::new();
-    let mut reg = MetricsRegistry::new();
-    let (report, _) = Simulator::run_observed(&scfg, &mut p, &jobs, &mut reg);
+        let mut p = DesPolicy::new();
+        let mut reg = MetricsRegistry::new();
+        let mut settles = SettleFold::default();
+        let (report, _) =
+            Simulator::run_observed(&scfg, &mut p, &jobs, &mut Tee(&mut reg, &mut settles));
 
-    // Engine-observer counters agree with the always-on report counters.
-    assert_eq!(reg.counter("engine.invocations"), report.invocations());
-    assert_eq!(
-        reg.counter("engine.invocations_kept"),
-        report.invocations_kept()
-    );
-    assert_eq!(
-        reg.counter("engine.plan.installed"),
-        report.counters.plans_installed
-    );
-    assert_eq!(reg.counter("engine.arrivals"), report.jobs_total() as u64);
-    assert_eq!(
-        reg.counter("engine.settle.satisfied"),
-        report.jobs_satisfied() as u64
-    );
-    assert_eq!(
-        reg.counter("engine.settle.partial") + reg.counter("engine.settle.zero"),
-        (report.jobs_partial() + report.jobs_zero()) as u64
-    );
-    // The DES policy drained its internal counters through the boundary.
-    assert!(reg.counter("des.triggers") > 0);
-    assert_eq!(
-        reg.counter("des.triggers"),
-        report.counters.wakeups(),
-        "every policy wakeup is a DES trigger"
-    );
-    // Merging the report gives one registry with both namespaces, and the
-    // JSON export is deterministic.
-    let mut merged = reg.clone();
-    report.export_metrics(&mut merged);
-    assert_eq!(merged.counter("sim.invocations"), report.invocations());
-    let mut again = reg.clone();
-    report.export_metrics(&mut again);
-    assert_eq!(merged.to_json(), again.to_json());
+        // Settle events carry exactly what the report accumulates.
+        assert_eq!(
+            settles.quality.to_bits(),
+            report.total_quality.to_bits(),
+            "partial fraction {partial_fraction}"
+        );
+        assert_eq!(
+            (settles.satisfied, settles.partial, settles.zero),
+            (
+                report.jobs_satisfied(),
+                report.jobs_partial(),
+                report.jobs_zero()
+            ),
+            "partial fraction {partial_fraction}"
+        );
+        assert_eq!(settles.discards, report.counters.jobs_discarded);
+        if partial_fraction == 0.0 {
+            assert!(settles.discards > 0, "no non-partial job was discarded");
+        }
+
+        // Engine-observer counters agree with the always-on report counters.
+        assert_eq!(reg.counter("engine.invocations"), report.invocations());
+        assert_eq!(
+            reg.counter("engine.invocations_kept"),
+            report.invocations_kept()
+        );
+        assert_eq!(
+            reg.counter("engine.plan.installed"),
+            report.counters.plans_installed
+        );
+        assert_eq!(reg.counter("engine.arrivals"), report.jobs_total() as u64);
+        assert_eq!(
+            reg.counter("engine.settle.satisfied"),
+            report.jobs_satisfied() as u64
+        );
+        assert_eq!(
+            reg.counter("engine.settle.partial") + reg.counter("engine.settle.zero"),
+            (report.jobs_partial() + report.jobs_zero()) as u64
+        );
+        // The DES policy drained its internal counters through the boundary.
+        assert!(reg.counter("des.triggers") > 0);
+        assert_eq!(
+            reg.counter("des.triggers"),
+            report.counters.wakeups(),
+            "every policy wakeup is a DES trigger"
+        );
+        // Merging the report gives one registry with both namespaces, and
+        // the JSON export is deterministic.
+        let mut merged = reg.clone();
+        report.export_metrics(&mut merged);
+        assert_eq!(merged.counter("sim.invocations"), report.invocations());
+        let mut again = reg.clone();
+        report.export_metrics(&mut again);
+        assert_eq!(merged.to_json(), again.to_json());
+    }
 }
 
 #[test]

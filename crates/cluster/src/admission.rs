@@ -195,11 +195,15 @@ pub enum HedgePolicy {
     #[default]
     Disabled,
     /// Dispatch a hedge copy once `fraction` of the job's
-    /// release-to-deadline slack has elapsed without the primary
-    /// settling, to the next-best healthy shard (lowest pending-demand
-    /// ÷ capacity score, excluding the primary's shard). First copy to
-    /// finish wins; the loser's work is charged to energy but not
-    /// quality.
+    /// release-to-deadline slack has elapsed, to the next-best healthy
+    /// shard (lowest pending-demand ÷ capacity score, excluding the
+    /// primary's shard). The dispatch pre-pass schedules every hedge
+    /// before any shard runs, so it cannot see whether the primary has
+    /// finished: the hedge fires at that fixed instant unless a crash
+    /// stranded the primary first or no healthy twin shard exists.
+    /// First-wins settlement happens in the report merge: the copy that
+    /// finishes first wins, and the loser's work is charged to energy
+    /// but not quality.
     SlackFraction {
         /// Elapsed-slack fraction in `(0, 1)` that triggers the hedge.
         fraction: f64,

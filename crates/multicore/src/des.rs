@@ -11,7 +11,12 @@
 //!    core's instantaneous power request `P_i(t)` (all jobs re-release at
 //!    `t`, so the YDS profile is non-increasing and `P_i(t)` is the peak).
 //!    If `Σ P_i(t) ≤ H`, these schedules already complete every job within
-//!    the budget — done.
+//!    the budget — done. The request is read in closed form (the maximum
+//!    prefix density), and a schedule is built only on this early exit:
+//!    with one common release, Energy-OPT is a sequence of critical
+//!    prefixes of the deadline-ordered jobs, which
+//!    [`energy_opt_common_release`] solves straight off the core's ready
+//!    index.
 //! 3. **Dynamic-power-distribution** — otherwise water-fill the budget
 //!    over the requests.
 //! 4. **Budget-bounded-independent-core-scheduling** — per core, run
@@ -24,7 +29,7 @@ use qes_core::job::JobId;
 use qes_core::job::{Job, JobSet};
 use qes_core::power::DiscreteSpeedSet;
 use qes_core::schedule::CoreSchedule;
-use qes_singlecore::energy_opt::energy_opt;
+use qes_singlecore::energy_opt::{energy_opt, energy_opt_common_release};
 use qes_singlecore::online_qe::{OnlineMode, QeSolver, ReadyJob};
 
 use crate::arch::{fixed_speed_plan, ArchKind};
@@ -77,9 +82,12 @@ pub enum RecomputeMode {
     /// demand sums: the power probe reads the stored prefix sums instead
     /// of re-sorting, a core's cached plan is reused while the index's
     /// dirty flag is clear at the same instant under the same grant,
-    /// water-filling re-levels only when the request vector changes, and
-    /// the budget-bounded step feeds the index straight into a per-core
-    /// warm [`QeSolver`] (no per-invocation materialization).
+    /// water-filling re-levels only when the request vector changes, the
+    /// budget-free step solves the index with the allocation-free
+    /// [`energy_opt_common_release`] (bit-identical to the general
+    /// [`energy_opt`] that `Full` runs), and the budget-bounded step
+    /// feeds the index straight into a per-core warm [`QeSolver`] (no
+    /// per-invocation materialization).
     #[default]
     IncrementalQe,
 }
@@ -380,6 +388,33 @@ impl DesPolicy {
             .collect();
         energy_opt(&JobSet::new_unchecked(jobs)).schedule
     }
+
+    /// [`Self::free_schedule`] solved straight off a core's ready index:
+    /// its jobs are already live and (deadline, id)-sorted, which is the
+    /// common-release fast path's input, so nothing is copied. The fast
+    /// path repeats the general solver's float operations, so the plan
+    /// is bit-identical; debug builds re-solve with the general
+    /// [`energy_opt`] and check.
+    fn free_schedule_from_index(view: &SystemView<'_>, cq: &CoreQe) -> CoreSchedule {
+        let plan = energy_opt_common_release(view.now, &cq.jobs, |r| {
+            (r.job.id, r.job.deadline, r.remaining())
+        });
+        #[cfg(debug_assertions)]
+        {
+            let bits = |p: &CoreSchedule| {
+                p.slices()
+                    .iter()
+                    .map(|s| (s.job, s.start, s.end, s.speed.to_bits()))
+                    .collect::<Vec<_>>()
+            };
+            debug_assert_eq!(
+                bits(&plan),
+                bits(&Self::free_schedule(view, &cq.jobs)),
+                "common-release Energy-OPT diverged from the general solver"
+            );
+        }
+        plan
+    }
 }
 
 impl Default for DesPolicy {
@@ -576,7 +611,7 @@ impl SchedulingPolicy for DesPolicy {
                             self.stats.cache_misses += 1;
                             self.stats.free_solves += 1;
                             if cached {
-                                let plan = Self::free_schedule(view, &self.core_qe[c].jobs);
+                                let plan = Self::free_schedule_from_index(view, &self.core_qe[c]);
                                 plans.push(Some(plan.clone()));
                                 self.core_qe[c].store(now_us, PlanKey::Free, plan);
                             } else {

@@ -16,10 +16,25 @@
 //! its average speed optimal; critical speeds are non-increasing across
 //! rounds (a property [`EnergyOptResult::round_speeds`] exposes and the
 //! tests verify).
+//!
+//! Two entry points share that algorithm:
+//!
+//! * [`energy_opt`] is the general solver for arbitrary releases (QE-OPT,
+//!   DES's `RecomputeMode::Full`). It is the reference oracle.
+//! * [`energy_opt_common_release`] is the allocation-free special case
+//!   for jobs that all release at one instant, which is what DES's
+//!   budget-free step and Online-QE's `Efficient` step solve on every
+//!   invocation. With one release every candidate interval starts at
+//!   the release, so each round is a critical *prefix* of the
+//!   deadline-ordered jobs and removing it is a pure shift. The fast
+//!   path repeats the general solver's float operations in the same
+//!   order, so its schedule is bit-identical (DESIGN.md §"The
+//!   incremental-invalidation contract"; pinned by a property test
+//!   below and, in debug builds, by a cross-check inside DES).
 
 use std::collections::BTreeSet;
 
-use qes_core::job::JobSet;
+use qes_core::job::{JobId, JobSet};
 use qes_core::schedule::{CoreSchedule, Slice};
 use qes_core::time::SimTime;
 
@@ -106,6 +121,77 @@ pub fn energy_opt(jobs: &JobSet) -> EnergyOptResult {
     }
 }
 
+/// Energy-OPT over jobs that all release at `now`, bit-identical to
+/// [`energy_opt`] on the same jobs but without building a [`JobSet`],
+/// virtual jobs or a virtual map.
+///
+/// `jobs` must be in (deadline, id) order with distinct ids, and `job`
+/// must map each entry to `(id, deadline, work)` with `work > 0` and
+/// `now < deadline < now + 2^52 µs` (about 142 years). The accessor lets
+/// callers pass their own job records (DES's ready index, Online-QE's
+/// trimmed list) without copying them.
+pub fn energy_opt_common_release<T>(
+    now: SimTime,
+    jobs: &[T],
+    job: impl Fn(&T) -> (JobId, SimTime, f64),
+) -> CoreSchedule {
+    let mut slices: Vec<Slice> = Vec::with_capacity(jobs.len());
+    // Real µs where the remaining virtual timeline starts: every round
+    // cuts `[0, b)` off the front, which leaves a pure shift.
+    let mut base = now.as_micros();
+    let mut first = 0;
+    while first < jobs.len() {
+        // Critical prefix. The work is summed afresh from the round's
+        // first job, as the general search sums its candidate's members,
+        // and `>=` keeps the last maximum: the general search scans
+        // deadlines in reverse with a strict `>`.
+        let (mut w, mut best) = (0.0, (first, 0u64, -1.0f64));
+        for i in first..jobs.len() {
+            let (_, d, wi) = job(&jobs[i]);
+            w += wi;
+            if jobs.get(i + 1).is_some_and(|n| job(n).1 == d) {
+                continue;
+            }
+            let dv = d.as_micros() - base;
+            debug_assert!(dv < 1 << 52, "deadline {d:?} too far after {now:?}");
+            let speed = w * 1000.0 / dv as f64;
+            if speed >= best.2 {
+                best = (i + 1, dv, speed);
+            }
+        }
+        let (last, cut, speed) = best;
+        // EDF-pack the group from virtual 0 with `edf_pack`'s float
+        // sequence. Every job is released, so nothing preempts, and
+        // below 2^52 µs one step leaves `edf_pack` at most 0.5 µs of a
+        // job, which it counts as finished: one step, one slice per job.
+        let us_per_unit = 1000.0 / speed;
+        let mut cur = 0.0f64;
+        for jj in &jobs[first..last] {
+            let (id, d, wi) = job(jj);
+            let dv = d.as_micros() - base;
+            let run_us = wi * us_per_unit;
+            let end = (cur + run_us).min(dv as f64);
+            debug_assert!(
+                cur + run_us - end <= 2.0,
+                "EDF pack drops volume at deadline: job {id:?}"
+            );
+            let (si, ei) = (cur.round() as u64, (end.round() as u64).min(dv));
+            if ei > si {
+                slices.push(Slice {
+                    job: id,
+                    start: SimTime::from_micros(base + si),
+                    end: SimTime::from_micros(base + ei),
+                    speed,
+                });
+            }
+            cur = end;
+        }
+        base += cut;
+        first = last;
+    }
+    CoreSchedule::new(slices)
+}
+
 /// Find the critical interval of `vjobs`: the candidate `[a, b)` (built
 /// from release/deadline endpoints) maximizing intensity. Returns
 /// `(a, b, speed_ghz)`.
@@ -143,7 +229,8 @@ fn critical_interval(vjobs: &[VJob]) -> (u64, u64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qes_core::job::{Job, JobId};
+    use proptest::prelude::*;
+    use qes_core::job::Job;
     use qes_core::power::{PolynomialPower, PowerModel};
     use qes_core::schedule::Schedule;
 
@@ -307,6 +394,84 @@ mod tests {
             if s.job == JobId(0) {
                 assert!(s.end <= ms(50) || s.start >= ms(100));
             }
+        }
+    }
+
+    /// Every slice's job, bounds and speed bits, for bitwise comparison.
+    fn bits(s: &CoreSchedule) -> Vec<(JobId, SimTime, SimTime, u64)> {
+        s.slices()
+            .iter()
+            .map(|s| (s.job, s.start, s.end, s.speed.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn common_release_handles_the_empty_set() {
+        let none: [Job; 0] = [];
+        let s = energy_opt_common_release(ms(5), &none, |j| (j.id, j.deadline, j.demand));
+        assert!(s.is_empty());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The common-release fast path is the general solver, bit for
+        /// bit, on the inputs DES and Online-QE hand it.
+        #[test]
+        fn prop_common_release_matches_general_solver(
+            raw in proptest::collection::vec(
+                // (deadline kind, deadline µs, work draw)
+                (0u8..5, 1u64..400_000, 0.0f64..1.0),
+                1..12,
+            ),
+            now_kind in 0u8..3,
+            now_draw in 0u64..1_000_000,
+            // Works at one common density `rho`, so the prefix densities
+            // tie up to float rounding.
+            equal_density in proptest::bool::ANY,
+            rho_draw in 0.0f64..1.0,
+        ) {
+            let now_us = match now_kind {
+                0 => 0,
+                1 => now_draw,
+                _ => (1u64 << 50) - now_draw,
+            };
+            let now = SimTime::from_micros(now_us);
+            // Deadlines as offsets from `now`: 1 µs of slack, a few
+            // whole ms (frequent duplicates), anything, the previous
+            // job's deadline again, or days away.
+            let mut offsets: Vec<u64> = Vec::with_capacity(raw.len());
+            for &(kind, d, _) in &raw {
+                let off = match (kind, offsets.last()) {
+                    (0, _) => 1,
+                    (1, _) => (d % 4 + 1) * 1000,
+                    (3, Some(&prev)) => prev,
+                    (4, _) => d << 20,
+                    _ => d,
+                };
+                offsets.push(off);
+            }
+            let mut order: Vec<(u64, u32)> =
+                offsets.iter().enumerate().map(|(i, &o)| (o, i as u32)).collect();
+            order.sort_unstable();
+            let rho = 10f64.powf(-3.0 + 6.0 * rho_draw);
+            let mut prev_off = 0;
+            let jobs: Vec<Job> = order
+                .iter()
+                .map(|&(off, id)| {
+                    let u = raw[id as usize].2;
+                    let w = if equal_density && off > prev_off {
+                        rho * (off - prev_off) as f64 / 1000.0
+                    } else {
+                        10f64.powf(-9.0 + 13.0 * u)
+                    };
+                    prev_off = off;
+                    Job::new(id, now, SimTime::from_micros(now_us + off), w).unwrap()
+                })
+                .collect();
+            let fast = energy_opt_common_release(now, &jobs, |j| (j.id, j.deadline, j.demand));
+            let general = energy_opt(&JobSet::new_unchecked(jobs.clone()));
+            prop_assert_eq!(bits(&fast), bits(&general.schedule));
         }
     }
 }

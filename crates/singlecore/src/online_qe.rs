@@ -29,12 +29,12 @@
 
 use std::collections::HashMap;
 
-use qes_core::job::{Job, JobId, JobSet};
+use qes_core::job::{Job, JobId};
 use qes_core::power::PowerModel;
 use qes_core::schedule::{CoreSchedule, Slice};
 use qes_core::time::SimTime;
 
-use crate::energy_opt::energy_opt;
+use crate::energy_opt::energy_opt_common_release;
 use crate::quality_opt::VolumeDecomposition;
 use crate::timeline::VJob;
 
@@ -301,14 +301,17 @@ impl QeSolver {
         self.trimmed.retain(|j| j.demand > 1e-9);
         let schedule = match mode {
             OnlineMode::Efficient => {
-                let e = energy_opt(&JobSet::new_unchecked(self.trimmed.clone()));
+                // `trimmed` is released at `now`, EDF-ordered and
+                // positive: exactly the common-release fast path's input.
+                let schedule =
+                    energy_opt_common_release(now, &self.trimmed, |j| (j.id, j.deadline, j.demand));
+                // The first slice runs at the first (fastest) round's speed.
+                let initial_speed = schedule.slices().first().map_or(0.0, |s| s.speed);
                 debug_assert!(
-                    e.initial_speed() <= s_max + 1e-3,
-                    "budget violated by Online-QE: {} > {}",
-                    e.initial_speed(),
-                    s_max
+                    initial_speed <= s_max + 1e-3,
+                    "budget violated by Online-QE: {initial_speed} > {s_max}"
                 );
-                e.schedule
+                schedule
             }
             OnlineMode::Eager => {
                 // Run the remainders back-to-back at `s_max` (EDF order —
@@ -434,6 +437,7 @@ pub fn myopic_volumes(now: SimTime, active: &[ReadyJob], s_max: f64) -> HashMap<
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use qes_core::job::JobSet;
     use qes_core::power::PolynomialPower;
     use qes_core::schedule::Schedule;
 

@@ -212,7 +212,7 @@ pub enum Event {
     /// A policy-internal counter, drained once at end of run via
     /// [`SchedulingPolicy::metrics`](../..//qes_multicore/policy/trait.SchedulingPolicy.html).
     PolicyCounter {
-        /// Stable counter name (e.g. `des.cache_hit`).
+        /// Stable counter name (e.g. `des.qe_solve`).
         name: &'static str,
         /// Monotonic value at end of run.
         value: u64,
@@ -767,7 +767,7 @@ mod tests {
         m.record(
             SimTime::from_millis(4),
             Event::PolicyCounter {
-                name: "des.cache_hit",
+                name: "des.qe_solve",
                 value: 7,
             },
         );
@@ -776,13 +776,13 @@ mod tests {
         assert_eq!(m.counter("engine.trigger.counter"), 1);
         assert_eq!(m.counter("engine.invocations"), 1);
         assert_eq!(m.counter("engine.invocations_kept"), 1);
-        assert_eq!(m.counter("des.cache_hit"), 7);
+        assert_eq!(m.counter("des.qe_solve"), 7);
         let h = m.histogram("engine.plan.slices").unwrap();
         assert_eq!(h.count, 1);
         assert_eq!(h.max, 4.0);
         let json = m.to_json();
         assert!(json.contains("\"engine.invocations\": 1"));
-        assert!(json.contains("\"des.cache_hit\": 7"));
+        assert!(json.contains("\"des.qe_solve\": 7"));
     }
 
     #[test]

@@ -20,13 +20,13 @@
 //! 3. **Dynamic-power-distribution** — otherwise water-fill the budget
 //!    over the requests.
 //! 4. **Budget-bounded-independent-core-scheduling** — per core, run
-//!    Online-QE under the granted power.
+//!    Online-QE under the granted power, again straight off the core's
+//!    ready index ([`QeSolver::solve_sorted`]).
 //!
 //! [`ArchKind`] selects the §V-A degradations (No-DVFS, S-DVFS), and an
 //! optional [`DiscreteSpeedSet`] enables the §V-F discrete-speed variant.
 
-use qes_core::job::JobId;
-use qes_core::job::{Job, JobSet};
+use qes_core::job::{Job, JobId, JobSet};
 use qes_core::power::DiscreteSpeedSet;
 use qes_core::schedule::CoreSchedule;
 use qes_singlecore::energy_opt::{energy_opt, energy_opt_common_release};
@@ -36,7 +36,7 @@ use crate::arch::{fixed_speed_plan, ArchKind};
 use crate::crr::CrrDistributor;
 use crate::discrete::{rectify_speeds, snap_plan_up};
 use crate::policy::{PolicyDecision, SchedulingPolicy, SystemView, TriggerRequest};
-use crate::water_filling::{water_filling_with_rounds, WaterFillingCache};
+use crate::water_filling::water_filling_with_rounds;
 
 /// How DES distributes ready jobs to cores (ablation knob; the paper's
 /// design is [`JobSharing::Crr`], §IV-B).
@@ -68,69 +68,45 @@ pub enum PowerSharing {
 ///
 /// Both modes are **bit-identical by construction** (asserted by the
 /// differential suite, `tests/differential.rs`): they share the same
-/// closed-form power probe and the same plan-construction functions, and
-/// the caching mode only skips a recomputation when its inputs —
-/// invocation instant, live job set with sunk-work frontier, and grant —
-/// are exactly the inputs the cached result was computed from, so the
-/// recomputation is a pure function that would return the cached value.
+/// closed-form power probe, the same water-filling and the same keep
+/// rule, and every plan is solved afresh on every invocation. They
+/// differ only in where the solvers read their input.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum RecomputeMode {
-    /// Rebuild every core's plan from scratch on every invocation — the
-    /// reference the differential suite compares against.
+    /// Materialize, filter and sort every core's job list on every
+    /// invocation and run the general solvers ([`energy_opt`],
+    /// [`QeSolver::solve`]) — the reference the differential suite
+    /// compares against.
     Full,
     /// Keep a per-core deadline-sorted ready index with resumable prefix
-    /// demand sums: the power probe reads the stored prefix sums instead
-    /// of re-sorting, a core's cached plan is reused while the index's
-    /// dirty flag is clear at the same instant under the same grant,
-    /// water-filling re-levels only when the request vector changes, the
-    /// budget-free step solves the index with the allocation-free
-    /// [`energy_opt_common_release`] (bit-identical to the general
-    /// [`energy_opt`] that `Full` runs), and the budget-bounded step
-    /// feeds the index straight into a per-core warm [`QeSolver`] (no
-    /// per-invocation materialization).
+    /// demand sums and solve straight off it: the power probe reads the
+    /// stored prefix sums instead of re-sorting, the budget-free step
+    /// runs the allocation-free [`energy_opt_common_release`]
+    /// (bit-identical to the general [`energy_opt`] that `Full` runs),
+    /// and the budget-bounded step runs [`QeSolver::solve_sorted`] on a
+    /// per-core warm solver (bit-identical to [`QeSolver::solve`]). No
+    /// plan is cached or reused; debug builds re-solve every fast-path
+    /// plan with the general solver and compare bits.
     #[default]
     IncrementalQe,
 }
 
-/// What produced a cached plan: the step-2 early exit (budget-free
-/// Energy-OPT) or a budget-bounded solve under an exact grant (bits).
-/// The branch is part of the cache key — two invocations at the same
-/// instant over the same job set still differ if the *system-wide*
-/// budget check flipped in between.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum PlanKey {
-    Free,
-    Granted(u64),
-}
-
-/// Per-core ready index and plan cache for
-/// [`RecomputeMode::IncrementalQe`]: the live job set in canonical
-/// (deadline, id) order with left-to-right prefix sums of remaining
-/// demand, updated by suffix diff each invocation, plus the last plan
-/// computed from it.
+/// Per-core ready index for [`RecomputeMode::IncrementalQe`]: the live
+/// job set in canonical (deadline, id) order with left-to-right prefix
+/// sums of remaining demand, updated by suffix diff each invocation.
 ///
 /// The prefix sums resume from the first diverging position, which is
 /// bit-identical to re-summing from the left — so everything derived
-/// from them (the power probe, the Online-QE solve) matches a
-/// from-scratch computation exactly.
+/// from them (the power probe, the budget-free and budget-bounded
+/// solves) matches a from-scratch computation exactly.
 #[derive(Clone, Debug, Default)]
 struct CoreQe {
     /// Live jobs, (deadline, id)-sorted — exactly the materialized list
-    /// [`RecomputeMode::Full`] hands to Online-QE.
+    /// [`RecomputeMode::Full`] hands to the solvers.
     jobs: Vec<ReadyJob>,
     /// `cum[i]` = Σ remaining demand of `jobs[..=i]`, summed left to
     /// right.
     cum: Vec<f64>,
-    /// Set when the index changed since the cached plan was stored.
-    dirty: bool,
-    /// Invocation instant of the cached plan, in µs. Plans are
-    /// time-dependent (YDS stretches to the deadlines as seen from
-    /// `now`), so reuse requires the same instant — which happens
-    /// whenever several triggers coincide at one event time.
-    now_us: u64,
-    /// What produced `plan`; `None` means nothing cached.
-    key: Option<PlanKey>,
-    plan: CoreSchedule,
     /// Warm Online-QE solver (scratch reuse only — bitwise inert).
     solver: QeSolver,
 }
@@ -155,7 +131,6 @@ impl CoreQe {
         if p == self.jobs.len() && p == scratch.len() {
             return;
         }
-        self.dirty = true;
         self.jobs.truncate(p);
         self.jobs.extend_from_slice(&scratch[p..]);
         self.cum.truncate(p);
@@ -164,21 +139,6 @@ impl CoreQe {
             acc += r.remaining();
             self.cum.push(acc);
         }
-    }
-
-    /// The cached plan, if it was computed at `now_us` under `key` from
-    /// the index as it stands.
-    fn cached(&self, now_us: u64, key: PlanKey) -> Option<&CoreSchedule> {
-        (!self.dirty && self.now_us == now_us && self.key == Some(key)).then_some(&self.plan)
-    }
-
-    /// Cache `plan`, computed at `now_us` under `key` from the current
-    /// index.
-    fn store(&mut self, now_us: u64, key: PlanKey, plan: CoreSchedule) {
-        self.now_us = now_us;
-        self.key = Some(key);
-        self.plan = plan;
-        self.dirty = false;
     }
 }
 
@@ -198,19 +158,13 @@ struct DesStats {
     budget_bound: u64,
     /// Cores resolved by the keep-plan rule.
     keeps: u64,
-    /// Cores whose plan was reused from the per-core cache.
-    cache_hits: u64,
-    /// Cores whose plan was recomputed (free or granted).
-    cache_misses: u64,
     /// Fresh budget-free Energy-OPT materializations.
     free_solves: u64,
     /// Fresh budget-bounded Online-QE solves.
     qe_solves: u64,
     /// Jobs the §V-D discard loop abandoned.
     discards: u64,
-    /// Water-filling peel/level passes run outside the cache
-    /// ([`RecomputeMode::Full`] only; the caching mode counts in
-    /// [`WaterFillingCache`]).
+    /// Water-filling peel/level passes.
     wf_levelings: u64,
     /// Peeling rounds across those passes.
     wf_rounds: u64,
@@ -227,21 +181,25 @@ pub struct DesPolicy {
     power_sharing: PowerSharing,
     mode: OnlineMode,
     recompute: RecomputeMode,
-    wf_cache: WaterFillingCache,
     /// Per core: every plan installed since the core's last
     /// budget-bounded (or discrete) recomputation came from the step-2
     /// early exit. Part of the *decision procedure* (maintained
     /// identically by every [`RecomputeMode`]), not a cache: it licenses
     /// the keep-plan rule in `on_trigger`.
     free_streak: Vec<bool>,
-    /// Per-core ready indexes and plan caches
-    /// ([`RecomputeMode::IncrementalQe`] only).
+    /// Per-core ready indexes ([`RecomputeMode::IncrementalQe`] only).
     core_qe: Vec<CoreQe>,
     /// Shared warm solver for [`RecomputeMode::Full`] and the discrete
     /// ladder path. Purely an allocation amortizer.
     qe_scratch: QeSolver,
     /// Sort buffer for [`CoreQe::update`].
     sort_scratch: Vec<ReadyJob>,
+    /// Step-2 power request per core, kept across invocations.
+    requests: Vec<f64>,
+    /// Step-3 grant per core, kept across invocations.
+    grants: Vec<f64>,
+    /// Water-filling's outstanding-request scratch.
+    wf_rest: Vec<f64>,
     /// Observability counters (see [`DesStats`]).
     stats: DesStats,
 }
@@ -263,11 +221,13 @@ impl DesPolicy {
             power_sharing: PowerSharing::WaterFilling,
             mode: OnlineMode::Eager,
             recompute: RecomputeMode::default(),
-            wf_cache: WaterFillingCache::new(),
             free_streak: Vec::new(),
             core_qe: Vec::new(),
             qe_scratch: QeSolver::default(),
             sort_scratch: Vec::new(),
+            requests: Vec::new(),
+            grants: Vec::new(),
+            wf_rest: Vec::new(),
             stats: DesStats::default(),
         }
     }
@@ -317,22 +277,25 @@ impl DesPolicy {
         self.arch
     }
 
-    /// Step 3: distribute the budget per the configured policy. In the
-    /// caching mode water-filling re-levels only when the request vector
-    /// or budget changed since the previous invocation.
-    fn distribute_power(&mut self, requests: &[f64], budget: f64, m: usize) -> Vec<f64> {
+    /// Step 3: distribute the budget over `self.requests` per the
+    /// configured policy, into `self.grants`.
+    fn distribute_power(&mut self, budget: f64) {
         match self.power_sharing {
             PowerSharing::WaterFilling => {
-                if self.recompute == RecomputeMode::IncrementalQe {
-                    self.wf_cache.grants(requests, budget).to_vec()
-                } else {
-                    let (grants, rounds) = water_filling_with_rounds(requests, budget);
-                    self.stats.wf_levelings += 1;
-                    self.stats.wf_rounds += rounds;
-                    grants
-                }
+                let rounds = water_filling_with_rounds(
+                    &self.requests,
+                    budget,
+                    &mut self.grants,
+                    &mut self.wf_rest,
+                );
+                self.stats.wf_levelings += 1;
+                self.stats.wf_rounds += rounds;
             }
-            PowerSharing::StaticEqual => vec![budget / m as f64; m],
+            PowerSharing::StaticEqual => {
+                let m = self.requests.len();
+                self.grants.clear();
+                self.grants.resize(m, budget / m as f64);
+            }
         }
     }
 
@@ -401,20 +364,59 @@ impl DesPolicy {
         });
         #[cfg(debug_assertions)]
         {
-            let bits = |p: &CoreSchedule| {
-                p.slices()
-                    .iter()
-                    .map(|s| (s.job, s.start, s.end, s.speed.to_bits()))
-                    .collect::<Vec<_>>()
-            };
             debug_assert_eq!(
-                bits(&plan),
-                bits(&Self::free_schedule(view, &cq.jobs)),
+                slice_bits(&plan),
+                slice_bits(&Self::free_schedule(view, &cq.jobs)),
                 "common-release Energy-OPT diverged from the general solver"
             );
         }
         plan
     }
+
+    /// Step 4 for one core solved straight off its ready index with
+    /// [`QeSolver::solve_sorted`]: the index is exactly the live, sorted
+    /// list [`QeSolver::solve`] would build, so the plan and discards are
+    /// bit-identical; debug builds re-solve with `solve` and check.
+    fn granted_schedule_from_index(
+        view: &SystemView<'_>,
+        cq: &mut CoreQe,
+        grant: f64,
+        mode: OnlineMode,
+    ) -> (CoreSchedule, Vec<JobId>) {
+        let CoreQe { jobs, solver, .. } = cq;
+        let (plan, discarded) = solver.solve_sorted(view.now, jobs, view.model, grant, mode);
+        #[cfg(debug_assertions)]
+        {
+            let reference = solver.solve(view.now, jobs, view.model, grant, mode);
+            debug_assert_eq!(
+                slice_bits(&plan),
+                slice_bits(&reference.schedule),
+                "sorted-index Online-QE diverged from the general solve"
+            );
+            debug_assert_eq!(
+                discarded, reference.discarded,
+                "sorted-index Online-QE discarded different jobs"
+            );
+        }
+        (plan, discarded)
+    }
+}
+
+/// Every slice's job, endpoints and speed bits: what the debug
+/// cross-checks compare.
+#[cfg(debug_assertions)]
+fn slice_bits(p: &CoreSchedule) -> Vec<(JobId, u64, u64, u64)> {
+    p.slices()
+        .iter()
+        .map(|s| {
+            (
+                s.job,
+                s.start.as_micros(),
+                s.end.as_micros(),
+                s.speed.to_bits(),
+            )
+        })
+        .collect()
 }
 
 impl Default for DesPolicy {
@@ -519,51 +521,46 @@ impl SchedulingPolicy for DesPolicy {
                 ambient = vec![s_shared; m];
             }
             ArchKind::CDvfs => {
-                let cached = self.recompute == RecomputeMode::IncrementalQe;
+                let indexed = self.recompute == RecomputeMode::IncrementalQe;
                 if self.free_streak.len() != m {
                     self.free_streak = vec![false; m];
                 }
-                if cached {
+                if indexed {
                     if self.core_qe.len() != m {
                         self.core_qe = std::iter::repeat_with(CoreQe::default).take(m).collect();
                     }
                     // Refresh every core's ready index up front: the
-                    // probe, the cache check, and the solves below all
-                    // read it.
+                    // probe and the solves below all read it.
                     for c in 0..m {
                         self.core_qe[c].update(live_iter(c), &mut self.sort_scratch);
                     }
                 }
-                let now_us = now.as_micros();
                 // Requests depend on `now`, so they are recomputed every
                 // invocation — but via the closed form, not a YDS solve,
                 // and off the stored prefix sums when the index is on.
-                let requests: Vec<f64> = if cached {
-                    (0..m)
-                        .map(|c| Self::probe_from_index(view, &self.core_qe[c]))
-                        .collect()
+                self.requests.clear();
+                if indexed {
+                    self.requests.extend(
+                        self.core_qe
+                            .iter()
+                            .map(|cq| Self::probe_from_index(view, cq)),
+                    );
                 } else {
-                    (0..m)
-                        .map(|c| Self::probe_request(view, live_iter(c)))
-                        .collect()
-                };
-                let total: f64 = requests.iter().sum();
+                    self.requests
+                        .extend((0..m).map(|c| Self::probe_request(view, live_iter(c))));
+                }
+                let total: f64 = self.requests.iter().sum();
                 let empty = |qe: &[CoreQe], c: usize| {
-                    if cached {
+                    if indexed {
                         qe[c].jobs.is_empty()
                     } else {
                         live_iter(c).next().is_none()
                     }
                 };
-                // Hoisted out of the match: `distribute_power` needs
-                // `&mut self` (WF cache), which cannot overlap the borrow
-                // of `self.discrete` below. Only the budget-bound paths
-                // use the grants.
-                let grants = if self.discrete.is_some() || total > view.budget {
-                    self.distribute_power(&requests, view.budget, m)
-                } else {
-                    Vec::new()
-                };
+                // Only the budget-bound paths read the grants.
+                if self.discrete.is_some() || total > view.budget {
+                    self.distribute_power(view.budget);
+                }
                 match &self.discrete {
                     None if total <= view.budget => {
                         // Step 2 early exit: the unconstrained schedules
@@ -589,34 +586,14 @@ impl SchedulingPolicy for DesPolicy {
                             if empty(&self.core_qe, c) {
                                 // No live work: Energy-OPT over nothing.
                                 plans.push(Some(CoreSchedule::default()));
-                                if cached {
-                                    self.core_qe[c].store(
-                                        now_us,
-                                        PlanKey::Free,
-                                        CoreSchedule::default(),
-                                    );
-                                }
                                 continue;
                             }
-                            let hit = if cached {
-                                self.core_qe[c].cached(now_us, PlanKey::Free)
-                            } else {
-                                None
-                            };
-                            if let Some(plan) = hit {
-                                self.stats.cache_hits += 1;
-                                plans.push(Some(plan.clone()));
-                                continue;
-                            }
-                            self.stats.cache_misses += 1;
                             self.stats.free_solves += 1;
-                            if cached {
-                                let plan = Self::free_schedule_from_index(view, &self.core_qe[c]);
-                                plans.push(Some(plan.clone()));
-                                self.core_qe[c].store(now_us, PlanKey::Free, plan);
+                            plans.push(Some(if indexed {
+                                Self::free_schedule_from_index(view, &self.core_qe[c])
                             } else {
-                                plans.push(Some(Self::free_schedule(view, &materialize(c))));
-                            }
+                                Self::free_schedule(view, &materialize(c))
+                            }));
                         }
                     }
                     None => {
@@ -624,61 +601,46 @@ impl SchedulingPolicy for DesPolicy {
                         // core. The budget binds here, so the grant is
                         // spent eagerly by default (see `OnlineMode`).
                         self.stats.budget_bound += 1;
-                        for (c, &grant) in grants.iter().enumerate() {
+                        for c in 0..m {
+                            let grant = self.grants[c];
                             self.free_streak[c] = false;
-                            let key = PlanKey::Granted(grant.to_bits());
                             if empty(&self.core_qe, c) || grant <= 0.0 {
                                 // Nothing live, or a zero grant (s* = 0):
                                 // Online-QE returns an empty plan and no
                                 // discards without looking at the jobs.
                                 plans.push(Some(CoreSchedule::default()));
-                                if cached {
-                                    self.core_qe[c].store(now_us, key, CoreSchedule::default());
-                                }
                                 continue;
                             }
-                            let hit = if cached {
-                                self.core_qe[c].cached(now_us, key)
-                            } else {
-                                None
-                            };
-                            if let Some(plan) = hit {
-                                // A reused plan had no discards: any
-                                // discard would have been settled by the
-                                // engine, changing the live set.
-                                self.stats.cache_hits += 1;
-                                plans.push(Some(plan.clone()));
-                                continue;
-                            }
-                            self.stats.cache_misses += 1;
                             self.stats.qe_solves += 1;
-                            let out = if cached {
-                                let CoreQe { jobs, solver, .. } = &mut self.core_qe[c];
-                                solver.solve(now, jobs, view.model, grant, self.mode)
+                            let (plan, disc) = if indexed {
+                                Self::granted_schedule_from_index(
+                                    view,
+                                    &mut self.core_qe[c],
+                                    grant,
+                                    self.mode,
+                                )
                             } else {
-                                self.qe_scratch.solve(
+                                let out = self.qe_scratch.solve(
                                     now,
                                     &materialize(c),
                                     view.model,
                                     grant,
                                     self.mode,
-                                )
+                                );
+                                (out.schedule, out.discarded)
                             };
-                            discarded.extend(out.discarded);
-                            plans.push(Some(out.schedule.clone()));
-                            if cached {
-                                self.core_qe[c].store(now_us, key, out.schedule);
-                            }
+                            discarded.extend(disc);
+                            plans.push(Some(plan));
                         }
                     }
                     Some(set) => {
                         // §V-F: always rectify the WF grants to discrete
                         // speeds, then Online-QE under the rectified power
                         // with slice speeds snapped onto the ladder. The
-                        // per-core cache does not apply to the ladder path
+                        // ready index does not apply to the ladder path
                         // (plans are recomputed in full).
                         self.free_streak.fill(false);
-                        let speeds = rectify_speeds(&grants, set, view.model, view.budget);
+                        let speeds = rectify_speeds(&self.grants, set, view.model, view.budget);
                         for (c, &cap) in speeds.iter().enumerate() {
                             self.stats.qe_solves += 1;
                             let grant = view.model.dynamic_power(cap);
@@ -713,19 +675,11 @@ impl SchedulingPolicy for DesPolicy {
         sink("des.free_exits", s.free_exits);
         sink("des.budget_bound", s.budget_bound);
         sink("des.keep_plan", s.keeps);
-        sink("des.cache_hit", s.cache_hits);
-        sink("des.cache_miss", s.cache_misses);
         sink("des.free_solve", s.free_solves);
         sink("des.qe_solve", s.qe_solves);
         sink("des.discards", s.discards);
-        // Water-filling work: cached modes level inside the cache, Full
-        // levels directly — merge both views into one pair of counters.
-        sink("des.wf_hits", self.wf_cache.hits());
-        sink(
-            "des.wf_levelings",
-            s.wf_levelings + self.wf_cache.levelings(),
-        );
-        sink("des.wf_rounds", s.wf_rounds + self.wf_cache.rounds());
+        sink("des.wf_levelings", s.wf_levelings);
+        sink("des.wf_rounds", s.wf_rounds);
     }
 }
 
@@ -1097,9 +1051,11 @@ mod tests {
     /// budget)`.
     type Step = (u64, Vec<ReadyJob>, Vec<Vec<ReadyJob>>, f64);
 
-    /// Drive a Full policy and the caching mode through the same trigger
+    /// Drive a Full policy and the indexed mode through the same trigger
     /// sequence and require bitwise-equal decisions at every step.
-    fn assert_differential_equal(steps: &[Step]) {
+    /// Returns the indexed mode's decisions.
+    fn assert_differential_equal(steps: &[Step]) -> Vec<PolicyDecision> {
+        let mut out = Vec::with_capacity(steps.len());
         let mut full = DesPolicy::new().with_recompute(RecomputeMode::Full);
         let mut inc = DesPolicy::new().with_recompute(RecomputeMode::IncrementalQe);
         for (i, (now_ms, queue, core_jobs, budget)) in steps.iter().enumerate() {
@@ -1122,18 +1078,21 @@ mod tests {
                 assert_eq!(sf, si, "step {i} core {c} plans diverge");
             }
             assert_eq!(df.ambient_speeds, di.ambient_speeds, "step {i}");
+            out.push(di);
         }
+        out
     }
 
     #[test]
-    fn incremental_reuses_bitwise_identical_plans() {
+    fn same_instant_retriggers_match_full_recompute() {
         let busy = |id, r, d, w, done| ReadyJob {
             job: Job::new(id, ms(r), ms(d), w).unwrap(),
             processed: done,
         };
-        // A same-instant re-trigger (the Tier-A reuse case), an advance
-        // where one core's state moved and the other's did not, and a
-        // budget squeeze that engages water-filling with a starved core.
+        // Same-instant re-triggers on both the budget-free and the
+        // budget-bound branch, an advance where one core's state moved
+        // and the other's did not, and a budget squeeze that engages
+        // water-filling with a starved core. Every step re-solves.
         let steps: Vec<Step> = vec![
             // t=0: deal two jobs across two cores (light: early exit).
             (
@@ -1142,7 +1101,7 @@ mod tests {
                 vec![vec![], vec![]],
                 40.0,
             ),
-            // t=0 again, same instant, jobs now on cores: reuse legal.
+            // t=0 again, same instant, jobs now on cores.
             (
                 0,
                 vec![],
@@ -1167,8 +1126,7 @@ mod tests {
                 ],
                 6.0,
             ),
-            // t=60 same instant re-trigger under WF: Tier-A reuse on the
-            // granted branch.
+            // t=60 same instant re-trigger under WF.
             (
                 60,
                 vec![],
@@ -1179,39 +1137,44 @@ mod tests {
                 6.0,
             ),
         ];
-        assert_differential_equal(&steps);
+        let d = assert_differential_equal(&steps);
+        // A re-trigger with nothing changed re-derives the same plans.
+        for (a, b) in [(0, 1), (3, 4)] {
+            let slices = |i: usize| -> Vec<_> {
+                d[i].plans
+                    .iter()
+                    .map(|p| p.as_ref().map(|p| p.slices()))
+                    .collect()
+            };
+            assert_eq!(slices(a), slices(b), "steps {a} and {b}");
+        }
     }
 
     #[test]
-    fn incremental_plan_survives_job_list_reordering() {
+    fn permuted_job_lists_match_full_recompute() {
         // The engine's `swap_remove` permutes per-core job lists without
-        // changing the set; the ready index (and so the plan) must not
+        // changing the set; neither the ready index nor the plan may
         // care. `busy: false` keeps the keep-plan rule out of the way so
-        // the cache path itself is exercised.
+        // every step solves, on the budget-free branch (40 W) and the
+        // budget-bound one (1 W against a 2.3 W request).
         let a = rj(0, 0, 150, 60.0);
         let b = rj(1, 0, 180, 45.0);
         let c = rj(2, 0, 210, 30.0);
-        let mut inc = DesPolicy::new();
-        let order1 = vec![a, b, c];
-        let cores1 = vec![CoreView {
-            jobs: &order1,
-            busy: false,
-        }];
-        let v1 = view(ms(10), &[], &cores1, 40.0);
-        let d1 = inc.on_trigger(&v1);
-        let order2 = vec![c, a, b];
-        let cores2 = vec![CoreView {
-            jobs: &order2,
-            busy: false,
-        }];
-        let v2 = view(ms(10), &[], &cores2, 40.0);
-        let d2 = inc.on_trigger(&v2);
-        assert!(d1.plans[0].is_some());
-        assert_eq!(
-            d1.plans[0].as_ref().map(|p| p.slices()),
-            d2.plans[0].as_ref().map(|p| p.slices()),
-            "reordering the job list must not invalidate or change the plan"
-        );
+        let steps: Vec<Step> = vec![
+            (10, vec![], vec![vec![a, b, c]], 40.0),
+            (10, vec![], vec![vec![c, a, b]], 40.0),
+            (10, vec![], vec![vec![b, c, a]], 1.0),
+            (10, vec![], vec![vec![a, c, b]], 1.0),
+        ];
+        let d = assert_differential_equal(&steps);
+        for (x, y) in [(0, 1), (2, 3)] {
+            assert!(d[x].plans[0].is_some());
+            assert_eq!(
+                d[x].plans[0].as_ref().map(|p| p.slices()),
+                d[y].plans[0].as_ref().map(|p| p.slices()),
+                "reordering the job list must not change the plan"
+            );
+        }
     }
 
     #[test]

@@ -5,10 +5,10 @@
 //! * **grouped triggers** (§IV-E) — the idle trigger is gated on waiting
 //!   work, so the policy runs on quantum ticks, counter hits, and
 //!   assignable idle events instead of on every plan end;
-//! * **incremental recomputation** ([`crate::RecomputeMode`]) — per-core
-//!   plans and water-filling grants are reused when their inputs are
-//!   bitwise unchanged, with a per-core ready index whose dirty flag is
-//!   the cache key.
+//! * **indexed recomputation** ([`crate::RecomputeMode`]) — every
+//!   per-core plan is solved straight off a per-core deadline-sorted
+//!   ready index, with fast solvers that repeat the general ones' float
+//!   operations.
 //!
 //! This module enumerates the {trigger} × {recompute} matrix so the same
 //! workload can be pushed through every combination and the results

@@ -47,4 +47,4 @@ pub use des::{DesPolicy, JobSharing, PowerSharing, RecomputeMode};
 pub use differential::{DifferentialConfig, TriggerMode};
 pub use offline::{offline_best_assignment, offline_crr_qe_opt, OfflineResult};
 pub use policy::{CoreView, PolicyDecision, SchedulingPolicy, SystemView, TriggerRequest};
-pub use water_filling::{water_filling, WaterFillingCache};
+pub use water_filling::water_filling;

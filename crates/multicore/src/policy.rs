@@ -176,7 +176,7 @@ pub trait SchedulingPolicy {
     /// end of an observed run and forwards each pair as a
     /// `PolicyCounter` event (`qes_core::obs`); unobserved runs never
     /// call it. Names should be stable, dot-separated, and prefixed with
-    /// the policy family (e.g. `des.cache_hit`). The default reports
+    /// the policy family (e.g. `des.qe_solve`). The default reports
     /// nothing.
     fn metrics(&self, _sink: &mut dyn FnMut(&'static str, u64)) {}
 }

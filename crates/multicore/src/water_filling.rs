@@ -24,116 +24,68 @@
 /// * any two cores whose requests exceed the final water level receive
 ///   the same grant (the level).
 pub fn water_filling(requests: &[f64], budget: f64) -> Vec<f64> {
-    water_filling_with_rounds(requests, budget).0
+    let (mut grant, mut rest) = (Vec::new(), Vec::new());
+    water_filling_with_rounds(requests, budget, &mut grant, &mut rest);
+    grant
 }
 
-/// [`water_filling`] that also reports how many peeling rounds the loop
-/// ran (0 when the inputs are degenerate or every request is satisfiable
-/// without peeling past round one). Observability hook: DES exports the
-/// accumulated round count as `des.wf_rounds`.
-pub fn water_filling_with_rounds(requests: &[f64], budget: f64) -> (Vec<f64>, u64) {
+/// [`water_filling`] into caller-owned buffers: `grant` receives the
+/// per-core grants and `rest` is scratch for the outstanding requests,
+/// so a caller that keeps both across calls allocates nothing. Returns
+/// how many peeling rounds the loop ran (0 when the inputs are
+/// degenerate). Observability hook: DES exports the accumulated round
+/// count as `des.wf_rounds`.
+///
+/// Each round scans the unsatisfied cores (`rest[i] > 1e-12`) in index
+/// order twice: once to count them and fold their minimum, once to fill
+/// them. A core's test reads its own `rest` before the fill touches it,
+/// so both passes see the same set.
+pub fn water_filling_with_rounds(
+    requests: &[f64],
+    budget: f64,
+    grant: &mut Vec<f64>,
+    rest: &mut Vec<f64>,
+) -> u64 {
     let m = requests.len();
-    let mut grant = vec![0.0; m];
+    grant.clear();
+    grant.resize(m, 0.0);
     if m == 0 || budget <= 0.0 {
-        return (grant, 0);
+        return 0;
     }
     let mut rounds = 0u64;
-    // Outstanding (not yet granted) request per unsatisfied core.
-    let mut rest: Vec<f64> = requests.iter().map(|&h| h.max(0.0)).collect();
+    // Outstanding (not yet granted) request per core.
+    rest.clear();
+    rest.extend(requests.iter().map(|&h| h.max(0.0)));
     let mut remaining = budget;
     loop {
-        let unsat: Vec<usize> = (0..m).filter(|&i| rest[i] > 1e-12).collect();
-        if unsat.is_empty() || remaining <= 1e-12 {
+        let mut unsat = 0usize;
+        let mut h_min = f64::INFINITY;
+        for &h in rest.iter().filter(|&&h| h > 1e-12) {
+            unsat += 1;
+            h_min = h_min.min(h);
+        }
+        if unsat == 0 || remaining <= 1e-12 {
             break;
         }
         rounds += 1;
-        let h_min = unsat.iter().map(|&i| rest[i]).fold(f64::INFINITY, f64::min);
-        let k = unsat.len() as f64;
-        if h_min * k >= remaining {
-            // Not enough water to reach the next container rim: level off.
-            let share = remaining / k;
-            for &i in &unsat {
-                grant[i] += share;
-                rest[i] -= share;
+        let k = unsat as f64;
+        // Not enough water to reach the next container rim: level off.
+        // Otherwise fill every unsatisfied container by h_min; the
+        // minimal ones are then satisfied.
+        let level_off = h_min * k >= remaining;
+        let fill = if level_off { remaining / k } else { h_min };
+        for (g, h) in grant.iter_mut().zip(rest.iter_mut()) {
+            if *h > 1e-12 {
+                *g += fill;
+                *h -= fill;
             }
-            break;
         }
-        // Fill every unsatisfied container by h_min; the minimal ones are
-        // now satisfied.
-        for &i in &unsat {
-            grant[i] += h_min;
-            rest[i] -= h_min;
+        if level_off {
+            break;
         }
         remaining -= h_min * k;
     }
-    (grant, rounds)
-}
-
-/// Incremental entry point to [`water_filling`]: caches the last solve
-/// and re-levels only when the request vector or budget changed
-/// (bitwise). DES invokes WF on every budget-bounded trigger; when
-/// several triggers coincide at one instant — or the system is in a
-/// steady state where no core's request moved — the grants are provably
-/// the previous ones and the peeling loop is skipped.
-#[derive(Clone, Debug, Default)]
-pub struct WaterFillingCache {
-    requests: Vec<f64>,
-    budget: f64,
-    grants: Vec<f64>,
-    valid: bool,
-    hits: u64,
-    levelings: u64,
-    rounds: u64,
-}
-
-impl WaterFillingCache {
-    /// An empty cache; the first [`WaterFillingCache::grants`] call
-    /// always solves.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Grants for `requests` under `budget` — bitwise identical to
-    /// `water_filling(requests, budget)`, reusing the previous solve
-    /// when both inputs match it exactly.
-    pub fn grants(&mut self, requests: &[f64], budget: f64) -> &[f64] {
-        let hit = self.valid
-            && self.budget.to_bits() == budget.to_bits()
-            && self.requests.len() == requests.len()
-            && self
-                .requests
-                .iter()
-                .zip(requests)
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-        if !hit {
-            let (grants, rounds) = water_filling_with_rounds(requests, budget);
-            self.grants = grants;
-            self.levelings += 1;
-            self.rounds += rounds;
-            self.requests.clear();
-            self.requests.extend_from_slice(requests);
-            self.budget = budget;
-            self.valid = true;
-        } else {
-            self.hits += 1;
-        }
-        &self.grants
-    }
-
-    /// How often a call was served from the cached solve.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// How often the peeling loop actually ran (cache misses).
-    pub fn levelings(&self) -> u64 {
-        self.levelings
-    }
-
-    /// Total peeling rounds across all levelings.
-    pub fn rounds(&self) -> u64 {
-        self.rounds
-    }
+    rounds
 }
 
 #[cfg(test)]
@@ -143,6 +95,43 @@ mod tests {
 
     fn total(v: &[f64]) -> f64 {
         v.iter().sum()
+    }
+
+    /// The peeling loop as it stood before it filled caller-owned
+    /// buffers: a fresh `unsat` index list per round. The oracle for
+    /// `prop_in_place_matches_per_round_unsat`.
+    fn per_round_unsat(requests: &[f64], budget: f64) -> (Vec<f64>, u64) {
+        let m = requests.len();
+        let mut grant = vec![0.0; m];
+        if m == 0 || budget <= 0.0 {
+            return (grant, 0);
+        }
+        let mut rounds = 0u64;
+        let mut rest: Vec<f64> = requests.iter().map(|&h| h.max(0.0)).collect();
+        let mut remaining = budget;
+        loop {
+            let unsat: Vec<usize> = (0..m).filter(|&i| rest[i] > 1e-12).collect();
+            if unsat.is_empty() || remaining <= 1e-12 {
+                break;
+            }
+            rounds += 1;
+            let h_min = unsat.iter().map(|&i| rest[i]).fold(f64::INFINITY, f64::min);
+            let k = unsat.len() as f64;
+            if h_min * k >= remaining {
+                let share = remaining / k;
+                for &i in &unsat {
+                    grant[i] += share;
+                    rest[i] -= share;
+                }
+                break;
+            }
+            for &i in &unsat {
+                grant[i] += h_min;
+                rest[i] -= h_min;
+            }
+            remaining -= h_min * k;
+        }
+        (grant, rounds)
     }
 
     #[test]
@@ -217,23 +206,10 @@ mod tests {
         assert!((g[2] - 8.0).abs() < 1e-9);
         assert!((g[3] - 16.0).abs() < 1e-9);
         // The peel/level structure above is exactly four loop rounds.
-        let (g2, rounds) = water_filling_with_rounds(&req, 30.0);
+        let (mut g2, mut rest) = (Vec::new(), Vec::new());
+        let rounds = water_filling_with_rounds(&req, 30.0, &mut g2, &mut rest);
         assert_eq!(g2, g);
         assert_eq!(rounds, 4);
-    }
-
-    #[test]
-    fn cache_counts_hits_and_rounds() {
-        let mut cache = WaterFillingCache::new();
-        let req = [2.0, 4.0, 8.0, 100.0];
-        cache.grants(&req, 30.0);
-        cache.grants(&req, 30.0);
-        cache.grants(&req, 30.0);
-        assert_eq!(cache.levelings(), 1);
-        assert_eq!(cache.hits(), 2);
-        assert_eq!(cache.rounds(), 4);
-        cache.grants(&req, 31.0);
-        assert_eq!(cache.levelings(), 2);
     }
 
     #[test]
@@ -271,34 +247,6 @@ mod tests {
             }
             prev = g;
         }
-    }
-
-    #[test]
-    fn cache_hits_are_bitwise_identical_and_invalidate_on_change() {
-        let mut cache = WaterFillingCache::new();
-        let req = [30.0, 40.0, 35.0, 10.0];
-        let direct = water_filling(&req, 70.0);
-        let first = cache.grants(&req, 70.0).to_vec();
-        assert_eq!(
-            first.iter().map(|g| g.to_bits()).collect::<Vec<_>>(),
-            direct.iter().map(|g| g.to_bits()).collect::<Vec<_>>()
-        );
-        // Hit: same inputs, same (cached) output.
-        let second = cache.grants(&req, 70.0).to_vec();
-        assert_eq!(first, second);
-        // Budget change invalidates…
-        let wider = cache.grants(&req, 200.0).to_vec();
-        assert_eq!(
-            wider.iter().map(|g| g.to_bits()).collect::<Vec<_>>(),
-            water_filling(&req, 200.0)
-                .iter()
-                .map(|g| g.to_bits())
-                .collect::<Vec<_>>()
-        );
-        // …and so does any request change, including length.
-        let req2 = [30.0, 40.0, 35.0];
-        let shorter = cache.grants(&req2, 200.0).to_vec();
-        assert_eq!(shorter.len(), 3);
     }
 
     proptest! {
@@ -344,31 +292,58 @@ mod tests {
                 prop_assert!(b + 1e-9 >= *s, "grant shrank: {} -> {}", s, b);
             }
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
 
         #[test]
-        fn prop_incremental_matches_full(
-            reqs in proptest::collection::vec(
-                proptest::collection::vec(0.0f64..120.0, 0..8),
-                1..6,
-            ),
-            budget in 0.0f64..400.0,
-            repeat in proptest::bool::ANY,
+        fn prop_in_place_matches_per_round_unsat(
+            m_pick in 0usize..5,
+            m_any in 3usize..16,
+            // (request kind, draw) per core
+            raw in proptest::collection::vec((0u8..6, 0.0f64..1.0), 16..17),
+            all_equal in proptest::bool::ANY,
+            budget_kind in 0u8..5,
+            budget_draw in 0.0f64..1.0,
+            // Stale lengths and values in the reused buffers.
+            stale in 0usize..20,
         ) {
-            // Feed a sequence of request vectors (optionally re-playing
-            // each one to force cache hits) and require every answer to
-            // be bitwise equal to the direct solve.
-            let mut cache = WaterFillingCache::new();
-            for req in &reqs {
-                let n = if repeat { 3 } else { 1 };
-                for _ in 0..n {
-                    let cached = cache.grants(req, budget).to_vec();
-                    let direct = water_filling(req, budget);
-                    prop_assert_eq!(cached.len(), direct.len());
-                    for (ca, d) in cached.iter().zip(&direct) {
-                        prop_assert_eq!(ca.to_bits(), d.to_bits());
-                    }
+            let m = [0, 1, 2, 16, m_any][m_pick];
+            let mut req: Vec<f64> = raw[..m]
+                .iter()
+                .map(|&(kind, u)| match kind {
+                    0 => 0.0,
+                    1 => -50.0 * u,
+                    // Straddling the 1e-12 satisfaction threshold.
+                    2 => 1e-12 * (0.5 + u),
+                    _ => 120.0 * u,
+                })
+                .collect();
+            if all_equal {
+                if let Some(&first) = req.first() {
+                    req.fill(first);
                 }
             }
+            let want: f64 = req.iter().map(|&h| h.max(0.0)).sum();
+            let budget = match budget_kind {
+                0 => -10.0 * budget_draw,
+                1 => want * (1.0 + budget_draw),
+                2 => want * budget_draw,
+                // Leaves a remainder near the 1e-12 threshold.
+                3 => want - 1e-12 * (2.0 * budget_draw),
+                _ => 500.0 * budget_draw,
+            };
+            let (old, old_rounds) = per_round_unsat(&req, budget);
+            let mut grant = vec![f64::NAN; stale];
+            let mut rest = vec![-1.0; stale / 2];
+            let rounds = water_filling_with_rounds(&req, budget, &mut grant, &mut rest);
+            prop_assert_eq!(rounds, old_rounds);
+            prop_assert_eq!(
+                grant.iter().map(|g| g.to_bits()).collect::<Vec<_>>(),
+                old.iter().map(|g| g.to_bits()).collect::<Vec<_>>()
+            );
         }
+
     }
 }

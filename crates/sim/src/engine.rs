@@ -4,7 +4,10 @@
 //!
 //! The engine tracks every live job's location in a `JobId → Loc` index,
 //! so settling, assignment and completion checks are O(1) instead of
-//! scans over the queue and every core. Queue removals tombstone in
+//! scans over the queue and every core. Settling removes the job's
+//! entry, so the index holds only the in-flight window (tens of jobs),
+//! never the whole trace; an id with no entry is not live, and events or
+//! decisions naming it are no-ops. Queue removals tombstone in
 //! place (the queue compacts lazily before each policy invocation,
 //! preserving arrival order), core removals `swap_remove` and re-index
 //! the displaced job. Arrivals are not pre-pushed onto the event heap:
@@ -116,7 +119,7 @@ fn demand_met(processed: f64, demand: f64) -> bool {
     demand <= 1e-12 || processed >= demand * (1.0 - REL_EPS)
 }
 
-/// Where a tracked job currently lives.
+/// Where a live job currently lives.
 #[derive(Clone, Copy, Debug)]
 enum Loc {
     /// Waiting in the ready queue at this slot (may be tombstoned only
@@ -124,8 +127,6 @@ enum Loc {
     Queue(u32),
     /// Assigned to `core`, at `idx` in its job list.
     Core { core: u32, idx: u32 },
-    /// Quality already settled; the job is gone from live structures.
-    Settled,
 }
 
 struct CoreState {
@@ -138,7 +139,8 @@ struct CoreState {
 
 struct Engine<'a, O: Observer> {
     cfg: &'a SimConfig<'a>,
-    all_jobs: Vec<Job>,
+    /// The caller's jobs, borrowed: a run keeps no copy of the trace.
+    all_jobs: &'a [Job],
     /// Indices into `all_jobs` with `release <= end`, sorted by
     /// `(release, index)`; consumed through `next_arrival`.
     arrival_order: Vec<u32>,
@@ -152,7 +154,7 @@ struct Engine<'a, O: Observer> {
     queue_dead: Vec<bool>,
     queue_holes: usize,
     cores: Vec<CoreState>,
-    /// O(1) location of every job that has arrived.
+    /// O(1) location of every live job (arrived, not yet settled).
     loc: HashMap<JobId, Loc>,
     trace: SimTrace,
     report: SimReport,
@@ -163,8 +165,8 @@ struct Engine<'a, O: Observer> {
 }
 
 impl<'a, O: Observer> Engine<'a, O> {
-    fn new(cfg: &'a SimConfig<'a>, jobs: &JobSet, obs: &'a mut O) -> Self {
-        let all_jobs: Vec<Job> = jobs.iter().copied().collect();
+    fn new(cfg: &'a SimConfig<'a>, jobs: &'a JobSet, obs: &'a mut O) -> Self {
+        let all_jobs = jobs.jobs();
         // Arrivals beyond the horizon are ignored. (Their deadlines may
         // still fall past the cutoff: the engine drains in-flight jobs so
         // late arrivals are not unfairly truncated — windows extend at
@@ -173,7 +175,6 @@ impl<'a, O: Observer> Engine<'a, O> {
             .filter(|&i| all_jobs[i as usize].release <= cfg.end)
             .collect();
         arrival_order.sort_by_key(|&i| (all_jobs[i as usize].release, i));
-        let expected_jobs = arrival_order.len();
         Engine {
             cfg,
             all_jobs,
@@ -194,7 +195,7 @@ impl<'a, O: Observer> Engine<'a, O> {
                     advanced_to: SimTime::ZERO,
                 })
                 .collect(),
-            loc: HashMap::with_capacity(expected_jobs),
+            loc: HashMap::new(),
             trace: SimTrace::default(),
             report: SimReport {
                 sim_seconds: cfg.end.as_secs_f64(),
@@ -299,16 +300,15 @@ impl<'a, O: Observer> Engine<'a, O> {
                 self.obs.record(t, ObsEvent::Dequeue { kind: dk });
             }
             match kind {
-                EventKind::Deadline(id) => match self.loc.get(&id) {
-                    Some(&Loc::Core { core, .. }) => {
+                EventKind::Deadline(id) => {
+                    if let Some(&Loc::Core { core, .. }) = self.loc.get(&id) {
                         self.advance_core(core as usize, t);
-                        // The job may have completed (and settled) during
-                        // the advance; `settle` re-checks its location.
-                        self.settle(id);
                     }
-                    Some(&Loc::Queue(_)) => self.settle(id),
-                    _ => {}
-                },
+                    // The job may have completed (and settled) during the
+                    // advance, or settled earlier; `settle` re-checks its
+                    // location.
+                    self.settle(id);
+                }
                 EventKind::PlanEnd { core, version } => {
                     let core = core as usize;
                     if self.cores[core].version == version {
@@ -394,18 +394,19 @@ impl<'a, O: Observer> Engine<'a, O> {
             .any(|c| c.plan.back().is_none_or(|s| s.end <= self.now))
     }
 
-    /// Record a job's final quality and drop it from the live structures.
-    /// No-op for unknown or already-settled ids (e.g. double discard).
-    fn settle(&mut self, id: JobId) {
-        let r = match self.loc.get(&id) {
-            Some(&Loc::Queue(qi)) => {
+    /// Record a job's final quality and drop it from the live structures
+    /// and the location index. Returns whether `id` was live; unknown or
+    /// already-settled ids (e.g. a double discard) are a no-op.
+    fn settle(&mut self, id: JobId) -> bool {
+        let r = match self.loc.remove(&id) {
+            Some(Loc::Queue(qi)) => {
                 let qi = qi as usize;
                 debug_assert!(!self.queue_dead[qi], "live queue slot for {id:?}");
                 self.queue_dead[qi] = true;
                 self.queue_holes += 1;
                 self.queue[qi]
             }
-            Some(&Loc::Core { core, idx }) => {
+            Some(Loc::Core { core, idx }) => {
                 let jobs = &mut self.cores[core as usize].jobs;
                 let r = jobs.swap_remove(idx as usize);
                 // Re-index the job the swap displaced into `idx`.
@@ -414,9 +415,8 @@ impl<'a, O: Observer> Engine<'a, O> {
                 }
                 r
             }
-            _ => return,
+            None => return false,
         };
-        self.loc.insert(id, Loc::Settled);
         let quality = self.cfg.quality.job_quality(&r.job, r.processed);
         self.report.total_quality += quality;
         let outcome = if demand_met(r.processed, r.job.demand) {
@@ -440,6 +440,7 @@ impl<'a, O: Observer> Engine<'a, O> {
                 },
             );
         }
+        true
     }
 
     /// Drop tombstoned queue slots, preserving arrival order, and refresh
@@ -538,6 +539,13 @@ impl<'a, O: Observer> Engine<'a, O> {
             self.advance_core(c, now);
         }
         self.compact_queue();
+        // The index holds exactly the live jobs: one entry per queue slot
+        // (compacted just above) and per core job.
+        debug_assert_eq!(
+            self.loc.len(),
+            self.queue.len() + self.cores.iter().map(|c| c.jobs.len()).sum::<usize>(),
+            "location index out of step with the live queue and cores"
+        );
         let decision = {
             // Views borrow each core's job list directly — building the
             // snapshot allocates one Vec of fat pointers, not a copy of
@@ -615,9 +623,10 @@ impl<'a, O: Observer> Engine<'a, O> {
         }
 
         // Abandon discarded jobs (settled with whatever volume they have).
+        // Only live ids count: a discard naming a job that never arrived
+        // or has already settled changes nothing.
         for id in decision.discarded {
-            if !matches!(self.loc.get(&id), Some(Loc::Settled)) {
-                self.settle(id);
+            if self.settle(id) {
                 self.report.counters.jobs_discarded += 1;
                 if O::ENABLED {
                     self.obs.record(now, ObsEvent::JobDiscard { job: id });
@@ -1127,6 +1136,56 @@ mod tests {
             snoop.seen.contains(&vec![1, 2, 3]),
             "expected an in-order view of the survivors, saw {:?}",
             snoop.seen
+        );
+    }
+
+    #[test]
+    fn discards_of_non_live_ids_are_not_counted() {
+        // Never assigns; from 100 ms on it discards an id that never
+        // arrived and job 0, which its 50 ms deadline already settled.
+        // Neither is live, so neither may count as a discard, emit a
+        // `JobDiscard` event or touch the settle counters.
+        struct Phantom {
+            discard: bool,
+        }
+        impl SchedulingPolicy for Phantom {
+            fn name(&self) -> String {
+                "phantom".into()
+            }
+            fn triggers(&self) -> TriggerRequest {
+                TriggerRequest {
+                    quantum: None,
+                    counter: None,
+                    on_idle: false,
+                    idle_requires_work: false,
+                    on_arrival: true,
+                }
+            }
+            fn on_trigger(&mut self, v: &SystemView<'_>) -> PolicyDecision {
+                let mut d = PolicyDecision::keep_all(v.num_cores());
+                if self.discard && v.now >= ms(100) {
+                    d.discarded = vec![JobId(999), JobId(0)];
+                }
+                d
+            }
+        }
+        let jobs = JobSet::new(vec![job(0, 0, 50, 10.0), job(1, 100, 200, 10.0)]).unwrap();
+        let c = cfg(500, 1, 20.0);
+        let (quiet, _) = Simulator::run(&c, &mut Phantom { discard: false }, &jobs);
+        let mut reg = qes_core::MetricsRegistry::new();
+        let (report, _) =
+            Simulator::run_observed(&c, &mut Phantom { discard: true }, &jobs, &mut reg);
+        assert_eq!(report.counters.jobs_discarded, 0);
+        assert_eq!(reg.counter("engine.discard"), 0);
+        let settles = |r: &SimReport| {
+            let k = &r.counters;
+            (k.jobs_total, k.jobs_satisfied, k.jobs_partial, k.jobs_zero)
+        };
+        assert_eq!(settles(&report), settles(&quiet));
+        assert_eq!(report.jobs_zero(), 2);
+        assert_eq!(
+            report.total_quality.to_bits(),
+            quiet.total_quality.to_bits()
         );
     }
 

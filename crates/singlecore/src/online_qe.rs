@@ -141,7 +141,15 @@ pub fn online_qe_with_mode(
 /// shared instance for its full-recompute reference modes.
 #[derive(Clone, Debug, Default)]
 pub struct QeSolver {
+    /// [`QeSolver::solve`]'s live, canonically ordered copy of its input.
     active: Vec<ReadyJob>,
+    scratch: QeScratch,
+}
+
+/// Scratch for the solve body, kept apart from `active` so the body can
+/// read either `active` or a caller's slice.
+#[derive(Clone, Debug, Default)]
+struct QeScratch {
     alive: Vec<bool>,
     /// Rewound (possibly negative) f64 µs release per active job; fixed
     /// for the whole invocation since `now`, `processed`, and `s_max`
@@ -187,11 +195,70 @@ impl QeSolver {
         // Canonical order. The caller's slice order is arbitrary (the
         // engine's per-core lists are permuted by `swap_remove`), and the
         // float summations downstream are order-sensitive; sorting makes
-        // the outcome a function of the job *set* — the invariant DES's
-        // incremental cache keys on (and `prop_order_insensitive` checks).
+        // the outcome a function of the job *set* (`prop_order_insensitive`
+        // checks this).
         self.active
             .sort_unstable_by_key(|r| (r.job.deadline, r.job.id));
-        let n = self.active.len();
+        let (schedule, discarded) = self.scratch.plan(now, &self.active, s_max, mode);
+        // Planned totals: sunk work plus what the schedule will run.
+        for s in schedule.slices() {
+            if let Some(t) = planned_total.iter_mut().find(|(id, _)| *id == s.job) {
+                t.1 += s.volume();
+            }
+        }
+        OnlineQeOutcome {
+            schedule,
+            planned_total,
+            discarded,
+            max_speed: s_max,
+        }
+    }
+
+    /// [`QeSolver::solve`] for input that is already live (deadline after
+    /// `now`, remaining demand above 1e-9) and strictly (deadline,
+    /// id)-sorted — the list `solve` builds before planning, so the
+    /// schedule and the discarded ids are bit-identical to its. The slice
+    /// is read in place, and no planned totals are built. Debug builds
+    /// check the precondition.
+    pub fn solve_sorted(
+        &mut self,
+        now: SimTime,
+        jobs: &[ReadyJob],
+        model: &dyn PowerModel,
+        budget: f64,
+        mode: OnlineMode,
+    ) -> (CoreSchedule, Vec<JobId>) {
+        debug_assert!(
+            jobs.iter()
+                .all(|r| r.job.deadline > now && r.remaining() > 1e-9),
+            "solve_sorted input holds a job that is not live"
+        );
+        debug_assert!(
+            jobs.windows(2)
+                .all(|w| (w[0].job.deadline, w[0].job.id) < (w[1].job.deadline, w[1].job.id)),
+            "solve_sorted input is not strictly (deadline, id)-sorted"
+        );
+        let s_max = model.speed_for_dynamic_power(budget);
+        if s_max <= 0.0 {
+            return (CoreSchedule::default(), Vec::new());
+        }
+        self.scratch.plan(now, jobs, s_max, mode)
+    }
+}
+
+impl QeScratch {
+    /// The solve body over `active` — live, (deadline, id)-sorted jobs —
+    /// at speed cap `s_max > 0`: the myopic volumes, the §V-D discard
+    /// loop, then the realization `mode` asks for. Returns the schedule
+    /// and the discarded ids.
+    fn plan(
+        &mut self,
+        now: SimTime,
+        active: &[ReadyJob],
+        s_max: f64,
+        mode: OnlineMode,
+    ) -> (CoreSchedule, Vec<JobId>) {
+        let n = active.len();
         let mut discarded = Vec::new();
 
         let us_per_unit = 1000.0 / s_max;
@@ -200,11 +267,8 @@ impl QeSolver {
         self.alive.clear();
         self.alive.resize(n, true);
         self.adj.clear();
-        self.adj.extend(
-            self.active
-                .iter()
-                .map(|r| now_f - r.processed * us_per_unit),
-        );
+        self.adj
+            .extend(active.iter().map(|r| now_f - r.processed * us_per_unit));
         self.vols.clear();
         self.vols.resize(n, 0.0);
 
@@ -212,8 +276,8 @@ impl QeSolver {
             // Step 1: the myopic volumes, then the §V-D discard loop for
             // non-partial jobs. Snapshots are recorded only when a
             // discard can actually happen.
-            let record = self.active.iter().any(|r| !r.job.partial);
-            let mut shift_us = rewound_vjobs(&self.active, &self.alive, &self.adj, &mut self.vjobs);
+            let record = active.iter().any(|r| !r.job.partial);
+            let mut shift_us = rewound_vjobs(active, &self.alive, &self.adj, &mut self.vjobs);
             self.decomp
                 .solve(&self.vjobs, units_per_us, record, &mut self.vols);
             loop {
@@ -221,8 +285,7 @@ impl QeSolver {
                 // round (the one with the largest shortfall), then
                 // recompute: discarding frees capacity that may rescue
                 // the others.
-                let worst = self
-                    .active
+                let worst = active
                     .iter()
                     .enumerate()
                     .filter(|&(i, r)| {
@@ -231,7 +294,7 @@ impl QeSolver {
                     .map(|(i, r)| (i, r.job.demand - self.vols[i]))
                     .max_by(|a, b| a.1.total_cmp(&b.1));
                 let Some((x, _)) = worst else { break };
-                discarded.push(self.active[x].job.id);
+                discarded.push(active[x].job.id);
                 self.alive[x] = false;
                 self.vols[x] = 0.0;
                 // Removing a job can change the rewind shift (if it held
@@ -247,7 +310,7 @@ impl QeSolver {
                     self.decomp
                         .resume_without(x as u32, &self.alive, units_per_us, &mut self.vols);
                 } else {
-                    shift_us = rewound_vjobs(&self.active, &self.alive, &self.adj, &mut self.vjobs);
+                    shift_us = rewound_vjobs(active, &self.alive, &self.adj, &mut self.vjobs);
                     self.decomp
                         .solve(&self.vjobs, units_per_us, true, &mut self.vols);
                 }
@@ -257,7 +320,7 @@ impl QeSolver {
                     // from-scratch solve over the surviving jobs.
                     let mut ref_vjobs = Vec::new();
                     let mut ref_vols = vec![0.0; n];
-                    rewound_vjobs(&self.active, &self.alive, &self.adj, &mut ref_vjobs);
+                    rewound_vjobs(active, &self.alive, &self.adj, &mut ref_vjobs);
                     let mut ref_decomp = VolumeDecomposition::default();
                     ref_decomp.solve(&ref_vjobs, units_per_us, false, &mut ref_vols);
                     for (i, (v, rv)) in self.vols.iter().zip(&ref_vols).enumerate() {
@@ -277,11 +340,10 @@ impl QeSolver {
         // `active` is (deadline, id)-sorted and the filter preserves
         // order, so `trimmed` is already in EDF order.
         self.trimmed.clear();
-        for i in 0..n {
+        for (i, r) in active.iter().enumerate() {
             if !self.alive[i] {
                 continue;
             }
-            let r = &self.active[i];
             let future = self.vols[i] - r.processed;
             if future > 1e-9 {
                 self.trimmed.push(Job {
@@ -358,18 +420,7 @@ impl QeSolver {
                 schedule
             }
         };
-        // Planned totals: sunk work plus what the schedule will run.
-        for s in schedule.slices() {
-            if let Some(t) = planned_total.iter_mut().find(|(id, _)| *id == s.job) {
-                t.1 += s.volume();
-            }
-        }
-        OnlineQeOutcome {
-            schedule,
-            planned_total,
-            discarded,
-            max_speed: s_max,
-        }
+        (schedule, discarded)
     }
 }
 
@@ -440,6 +491,7 @@ mod tests {
     use qes_core::job::JobSet;
     use qes_core::power::PolynomialPower;
     use qes_core::schedule::Schedule;
+    use qes_core::time::SimDuration;
 
     const MODEL: PolynomialPower = PolynomialPower::PAPER_SIM;
 
@@ -639,6 +691,122 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn prop_sorted_entry_matches_solve() {
+        // `solve_sorted` over the live, (deadline, id)-sorted jobs must
+        // give `solve`'s schedule and discards bit for bit, whatever
+        // state the warm solver carries over from earlier cases. `solve`
+        // gets the same set shuffled and padded with expired and
+        // finished jobs, which its filter drops.
+        let runner = proptest::TestRunner::new(
+            ProptestConfig::with_cases(512),
+            "prop_sorted_entry_matches_solve",
+        );
+        let jobs_strategy = proptest::collection::vec(
+            // (deadline kind, deadline µs, demand draw, processed kind,
+            // processed fraction, partial)
+            (
+                0u8..5,
+                1u64..300_000,
+                0.0f64..1.0,
+                0u8..3,
+                0.0f64..0.999,
+                proptest::bool::ANY,
+            ),
+            1..9,
+        );
+        let case_strategy = (
+            0u64..1_000_000,
+            0u8..4,
+            0.0f64..1.0,
+            proptest::bool::ANY,
+            1u64..u64::MAX,
+        );
+        let bits = |p: &CoreSchedule| -> Vec<(JobId, SimTime, SimTime, u64)> {
+            p.slices()
+                .iter()
+                .map(|s| (s.job, s.start, s.end, s.speed.to_bits()))
+                .collect()
+        };
+        let mut warm = QeSolver::default();
+        let mut discard_rounds = 0;
+        for case in 0..runner.cases() {
+            let mut rng = runner.rng_for_case(case);
+            let raw = jobs_strategy.generate(&mut rng);
+            let (now_draw, budget_kind, budget_draw, all_rigid, seed) =
+                case_strategy.generate(&mut rng);
+            let now = SimTime::from_micros(50_000 + now_draw);
+            let mut ready: Vec<ReadyJob> = Vec::with_capacity(raw.len() + 2);
+            let mut prev_off = 1;
+            for (i, &(d_kind, d_us, w_draw, p_kind, frac, partial)) in raw.iter().enumerate() {
+                // Deadlines 1 µs out, on whole ms (ties), anywhere, or
+                // equal to the previous job's.
+                let off = match d_kind {
+                    0 => 1,
+                    1 => (d_us % 5 + 1) * 1000,
+                    2 => prev_off,
+                    _ => d_us,
+                };
+                prev_off = off;
+                let demand = 0.01 + 400.0 * w_draw;
+                let mut job = Job::new(
+                    i as u32,
+                    SimTime::ZERO,
+                    now + SimDuration::from_micros(off),
+                    demand,
+                )
+                .unwrap();
+                job.partial = partial && !all_rigid;
+                // Sunk work rewinds the release before `now`.
+                let processed = if p_kind == 0 { 0.0 } else { demand * frac };
+                ready.push(ReadyJob { job, processed });
+            }
+            let n = ready.len() as u32;
+            // Not live: expired at `now`, and finished.
+            ready.push(ReadyJob::fresh(
+                Job::new(n, SimTime::ZERO, now, 5.0).unwrap(),
+            ));
+            let done =
+                Job::new(n + 1, SimTime::ZERO, now + SimDuration::from_millis(9), 5.0).unwrap();
+            ready.push(ReadyJob {
+                job: done,
+                processed: 5.0,
+            });
+            let budget = match budget_kind {
+                // A positive grant whose `s_max` rounds to 0.
+                0 => f64::from_bits(1),
+                1 => 1e-4 + budget_draw,
+                2 => 0.5 + 40.0 * budget_draw,
+                _ => 40.0 + 400.0 * budget_draw,
+            };
+            let mut sorted: Vec<ReadyJob> = ready
+                .iter()
+                .filter(|r| r.job.deadline > now && r.remaining() > 1e-9)
+                .copied()
+                .collect();
+            sorted.sort_unstable_by_key(|r| (r.job.deadline, r.job.id));
+            for mode in [OnlineMode::Eager, OnlineMode::Efficient] {
+                let reference = QeSolver::default().solve(
+                    now,
+                    &shuffled(ready.clone(), seed),
+                    &MODEL,
+                    budget,
+                    mode,
+                );
+                let (schedule, discarded) = warm.solve_sorted(now, &sorted, &MODEL, budget, mode);
+                assert_eq!(
+                    bits(&schedule),
+                    bits(&reference.schedule),
+                    "case {case} {mode:?}: schedules diverge"
+                );
+                assert_eq!(discarded, reference.discarded, "case {case} {mode:?}");
+                discard_rounds += discarded.len();
+            }
+        }
+        // The generator must reach the §V-D discard loop.
+        assert!(discard_rounds > 100, "{discard_rounds} discards");
     }
 
     #[test]

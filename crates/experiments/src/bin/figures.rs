@@ -7,6 +7,10 @@
 //! Prints each figure as an ASCII table and writes a CSV per panel. By
 //! default runs the quick profile (30 s horizon); `--full` switches to
 //! the paper's 1800 s horizon and fine rate grid (use `--release`!).
+//!
+//! Exits 2 on a usage error. A failed CSV write does not stop the run,
+//! but the run then exits 1, so a caller diffing two output directories
+//! never compares two empty ones.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -88,6 +92,7 @@ fn main() -> ExitCode {
         return usage();
     };
 
+    let mut write_failed = false;
     for id in selected {
         let t0 = Instant::now();
         let reports: Vec<FigureReport> = match id {
@@ -117,11 +122,18 @@ fn main() -> ExitCode {
             print!("{}", r.to_table());
             match r.write_csv(&out) {
                 Ok(p) => println!("  csv: {}", p.display()),
-                Err(e) => eprintln!("  csv write failed: {e}"),
+                Err(e) => {
+                    eprintln!("  csv write failed: {e}");
+                    write_failed = true;
+                }
             }
             println!();
         }
         eprintln!("[{id} done in {:.1?}]", t0.elapsed());
     }
-    ExitCode::SUCCESS
+    if write_failed {
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
+    }
 }

@@ -5,7 +5,10 @@
 //! schedules. These tests pit it against brute-force volume allocations
 //! and against plausible heuristic schedules on small instances.
 
-use qes::core::{ExpQuality, Job, JobSet, PolynomialPower, PowerModel, QualityFunction, SimTime};
+use qes::core::{
+    ExpQuality, Job, JobSet, PolynomialPower, PowerModel, QualityFunction, Schedule, SimDuration,
+    SimTime,
+};
 use qes::singlecore::{energy_opt, qe_opt, quality_opt};
 
 const MODEL: PolynomialPower = PolynomialPower::PAPER_SIM;
@@ -207,5 +210,51 @@ fn lexicographic_metric_ranks_qe_opt_first_among_contenders() {
             score_qe.dominates_or_ties(&score_alt),
             "QE-OPT {score_qe} loses to fixed {s:.2} GHz {score_alt}"
         );
+    }
+}
+
+/// A deterministic agreeable set of `n` jobs with staggered releases:
+/// job `i` arrives at `7i` ms with a 150 ms window and a demand in
+/// [130, 1000) units, so consecutive windows overlap about 20 deep.
+fn staggered(n: usize) -> JobSet {
+    let jobs = (0..n)
+        .map(|i| {
+            let release = ms(7 * i as u64);
+            let demand = 130.0 + ((97 * i) % 870) as f64;
+            Job::new(
+                i as u32,
+                release,
+                release + SimDuration::from_millis(150),
+                demand,
+            )
+            .unwrap()
+        })
+        .collect();
+    JobSet::new(jobs).unwrap()
+}
+
+#[test]
+fn solvers_stay_feasible_on_large_staggered_sets() {
+    // The property tests cap at 8–10 jobs; this drives the offline
+    // solvers over long chains of overlapping windows, with the
+    // tolerances `tests/property_tests.rs` uses.
+    for n in [16, 64, 128] {
+        let jobs = staggered(n);
+        let r = energy_opt::energy_opt(&jobs);
+        Schedule::single(r.schedule)
+            .validate_with_tolerance(&jobs, &MODEL, f64::INFINITY, 0.25, 1e-6)
+            .unwrap_or_else(|e| panic!("energy_opt n={n}: {e}"));
+        for speed in [0.5, 1.0, 2.0, 4.0] {
+            let r = quality_opt::quality_opt(&jobs, speed);
+            Schedule::single(r.schedule)
+                .validate_with_tolerance(&jobs, &MODEL, f64::INFINITY, 0.25, 1e-6)
+                .unwrap_or_else(|e| panic!("quality_opt n={n} speed={speed}: {e}"));
+        }
+        for budget in [5.0, 20.0, 60.0] {
+            let r = qe_opt::qe_opt(&jobs, &MODEL, budget);
+            Schedule::single(r.schedule)
+                .validate_with_tolerance(&jobs, &MODEL, budget, 0.25, 1e-3)
+                .unwrap_or_else(|e| panic!("qe_opt n={n} budget={budget}: {e}"));
+        }
     }
 }

@@ -10,9 +10,9 @@
 //! an associated `const`, the branch — and the event construction feeding
 //! it — is dead code for [`NoopObserver`] and is removed entirely by the
 //! optimizer: an unobserved run compiles to the same hot loop as before the
-//! observability layer existed (the bench suite pins this with a
-//! `des/100k_jobs/8_cores/traced-off` row, required to stay within 2 % of
-//! the plain row).
+//! observability layer existed. The repo benchmark (`benchmark/`) times
+//! its workloads untraced, and with `--trace 1` reports the cost of
+//! tracing as `trace.overhead_frac` (1 − untraced ÷ traced wall).
 //!
 //! Observers are **passive**: they must not influence the simulation. The
 //! engine never reads observer state, so a traced run is bitwise-identical
@@ -355,7 +355,8 @@ pub trait Observer {
 ///
 /// With `ENABLED = false` every `if O::ENABLED { obs.record(..) }` hook is
 /// statically dead and the optimizer removes it — the compile-out
-/// guarantee the bench suite pins.
+/// guarantee the repo benchmark's untraced runs rely on (its traced runs
+/// report the difference as `trace.overhead_frac`).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NoopObserver;
 

@@ -25,11 +25,19 @@
 //!
 //! [`ArchKind`] selects the §V-A degradations (No-DVFS, S-DVFS), and an
 //! optional [`DiscreteSpeedSet`] enables the §V-F discrete-speed variant.
+//! Every variant reads the same per-core ready index, refreshed at the
+//! top of each invocation; the general solvers ([`energy_opt`],
+//! [`QeSolver::solve`]) are the oracles debug builds re-run against it
+//! on every invocation.
 
-use qes_core::job::{Job, JobId, JobSet};
+use qes_core::job::JobId;
+#[cfg(debug_assertions)]
+use qes_core::job::{Job, JobSet};
 use qes_core::power::DiscreteSpeedSet;
 use qes_core::schedule::CoreSchedule;
-use qes_singlecore::energy_opt::{energy_opt, energy_opt_common_release};
+#[cfg(debug_assertions)]
+use qes_singlecore::energy_opt::energy_opt;
+use qes_singlecore::energy_opt::energy_opt_common_release;
 use qes_singlecore::online_qe::{OnlineMode, QeSolver, ReadyJob};
 
 use crate::arch::{fixed_speed_plan, ArchKind};
@@ -64,45 +72,22 @@ pub enum PowerSharing {
     StaticEqual,
 }
 
-/// How DES recomputes per-core schedules across invocations.
-///
-/// Both modes are **bit-identical by construction** (asserted by the
-/// differential suite, `tests/differential.rs`): they share the same
-/// closed-form power probe, the same water-filling and the same keep
-/// rule, and every plan is solved afresh on every invocation. They
-/// differ only in where the solvers read their input.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum RecomputeMode {
-    /// Materialize, filter and sort every core's job list on every
-    /// invocation and run the general solvers ([`energy_opt`],
-    /// [`QeSolver::solve`]) — the reference the differential suite
-    /// compares against.
-    Full,
-    /// Keep a per-core deadline-sorted ready index with resumable prefix
-    /// demand sums and solve straight off it: the power probe reads the
-    /// stored prefix sums instead of re-sorting, the budget-free step
-    /// runs the allocation-free [`energy_opt_common_release`]
-    /// (bit-identical to the general [`energy_opt`] that `Full` runs),
-    /// and the budget-bounded step runs [`QeSolver::solve_sorted`] on a
-    /// per-core warm solver (bit-identical to [`QeSolver::solve`]). No
-    /// plan is cached or reused; debug builds re-solve every fast-path
-    /// plan with the general solver and compare bits.
-    #[default]
-    IncrementalQe,
-}
-
-/// Per-core ready index for [`RecomputeMode::IncrementalQe`]: the live
-/// job set in canonical (deadline, id) order with left-to-right prefix
-/// sums of remaining demand, updated by suffix diff each invocation.
+/// Per-core ready index: the live job set in canonical (deadline, id)
+/// order with left-to-right prefix sums of remaining demand, updated by
+/// suffix diff each invocation. It is DES's only per-core input, for
+/// every architecture: the power probe, the budget-free and
+/// budget-bounded solves and the fixed-speed plans all read it.
 ///
 /// The prefix sums resume from the first diverging position, which is
 /// bit-identical to re-summing from the left — so everything derived
-/// from them (the power probe, the budget-free and budget-bounded
-/// solves) matches a from-scratch computation exactly.
+/// from them matches a from-scratch computation exactly. Debug builds
+/// check the index against a freshly sorted live set, and the probe
+/// against the sorting reference `DesPolicy::probe_request`, on every
+/// invocation.
 #[derive(Clone, Debug, Default)]
 struct CoreQe {
-    /// Live jobs, (deadline, id)-sorted — exactly the materialized list
-    /// [`RecomputeMode::Full`] hands to the solvers.
+    /// Live jobs, (deadline, id)-sorted — the order Online-QE itself
+    /// canonicalizes to, so every plan is a function of the job set.
     jobs: Vec<ReadyJob>,
     /// `cum[i]` = Σ remaining demand of `jobs[..=i]`, summed left to
     /// right.
@@ -119,10 +104,7 @@ impl CoreQe {
         scratch.extend(live);
         scratch.sort_unstable_by_key(|r| (r.job.deadline, r.job.id));
         let same = |a: &ReadyJob, b: &ReadyJob| {
-            a.job.id == b.job.id
-                && a.job.deadline == b.job.deadline
-                && a.job.demand.to_bits() == b.job.demand.to_bits()
-                && a.processed.to_bits() == b.processed.to_bits()
+            a.job == b.job && a.processed.to_bits() == b.processed.to_bits()
         };
         let mut p = 0;
         while p < self.jobs.len() && p < scratch.len() && same(&self.jobs[p], &scratch[p]) {
@@ -180,18 +162,13 @@ pub struct DesPolicy {
     job_sharing: JobSharing,
     power_sharing: PowerSharing,
     mode: OnlineMode,
-    recompute: RecomputeMode,
     /// Per core: every plan installed since the core's last
     /// budget-bounded (or discrete) recomputation came from the step-2
-    /// early exit. Part of the *decision procedure* (maintained
-    /// identically by every [`RecomputeMode`]), not a cache: it licenses
-    /// the keep-plan rule in `on_trigger`.
+    /// early exit. Part of the *decision procedure*, not a cache: it
+    /// licenses the keep-plan rule in `on_trigger`.
     free_streak: Vec<bool>,
-    /// Per-core ready indexes ([`RecomputeMode::IncrementalQe`] only).
+    /// Per-core ready indexes, refreshed at the top of every invocation.
     core_qe: Vec<CoreQe>,
-    /// Shared warm solver for [`RecomputeMode::Full`] and the discrete
-    /// ladder path. Purely an allocation amortizer.
-    qe_scratch: QeSolver,
     /// Sort buffer for [`CoreQe::update`].
     sort_scratch: Vec<ReadyJob>,
     /// Step-2 power request per core, kept across invocations.
@@ -220,10 +197,8 @@ impl DesPolicy {
             job_sharing: JobSharing::Crr,
             power_sharing: PowerSharing::WaterFilling,
             mode: OnlineMode::Eager,
-            recompute: RecomputeMode::default(),
             free_streak: Vec::new(),
             core_qe: Vec::new(),
-            qe_scratch: QeSolver::default(),
             sort_scratch: Vec::new(),
             requests: Vec::new(),
             grants: Vec::new(),
@@ -265,13 +240,6 @@ impl DesPolicy {
         self
     }
 
-    /// Choose the recomputation strategy (default:
-    /// [`RecomputeMode::IncrementalQe`]).
-    pub fn with_recompute(mut self, r: RecomputeMode) -> Self {
-        self.recompute = r;
-        self
-    }
-
     /// The architecture this instance runs on.
     pub fn arch(&self) -> ArchKind {
         self.arch
@@ -304,8 +272,11 @@ impl DesPolicy {
     /// initial (peak) speed — the probe value `P_i(t)` — is the maximum
     /// prefix density over deadline-ordered jobs. This replaces a full
     /// Energy-OPT solve per core per invocation; the schedule itself is
-    /// only materialized on the early-exit branch. Shared verbatim by
-    /// both [`RecomputeMode`]s so their requests agree bit-for-bit.
+    /// only materialized on the early-exit branch. DES reads the same
+    /// quantity off its ready index ([`Self::probe_from_index`]); this
+    /// sorting form is the reference that debug builds and tests check
+    /// it against.
+    #[cfg(any(test, debug_assertions))]
     fn probe_request(view: &SystemView<'_>, live: impl Iterator<Item = ReadyJob>) -> f64 {
         let now_us = view.now.as_micros();
         // The id tiebreak makes the summation order — and so the float
@@ -323,7 +294,7 @@ impl DesPolicy {
         view.model.dynamic_power(speed)
     }
 
-    /// [`Self::probe_request`] read off a core's ready index: the jobs
+    /// `probe_request` read off a core's ready index: the jobs
     /// are already (deadline, id)-sorted and `cum` holds exactly the
     /// left-to-right prefix sums the probe would compute, so the result
     /// is bit-identical — only the sort and the summation are skipped.
@@ -339,44 +310,41 @@ impl DesPolicy {
 
     /// The step-2 early-exit schedule for one core: unconstrained
     /// Energy-OPT over the live jobs re-released at `now` with their
-    /// remaining demands (the sunk work needs no future power).
-    fn free_schedule(view: &SystemView<'_>, ready: &[ReadyJob]) -> CoreSchedule {
-        let jobs: Vec<Job> = ready
-            .iter()
-            .map(|r| Job {
-                release: view.now,
-                demand: r.remaining(),
-                ..r.job
-            })
-            .collect();
-        energy_opt(&JobSet::new_unchecked(jobs)).schedule
-    }
-
-    /// [`Self::free_schedule`] solved straight off a core's ready index:
-    /// its jobs are already live and (deadline, id)-sorted, which is the
-    /// common-release fast path's input, so nothing is copied. The fast
-    /// path repeats the general solver's float operations, so the plan
-    /// is bit-identical; debug builds re-solve with the general
-    /// [`energy_opt`] and check.
+    /// remaining demands (the sunk work needs no future power), solved
+    /// straight off the core's ready index. Its jobs are already live and
+    /// (deadline, id)-sorted, which is the common-release fast path's
+    /// input, so nothing is copied. The fast path repeats the general
+    /// solver's float operations, so the plan is bit-identical; debug
+    /// builds re-solve with the general [`energy_opt`] and check.
     fn free_schedule_from_index(view: &SystemView<'_>, cq: &CoreQe) -> CoreSchedule {
         let plan = energy_opt_common_release(view.now, &cq.jobs, |r| {
             (r.job.id, r.job.deadline, r.remaining())
         });
         #[cfg(debug_assertions)]
         {
+            let jobs: Vec<Job> = cq
+                .jobs
+                .iter()
+                .map(|r| Job {
+                    release: view.now,
+                    demand: r.remaining(),
+                    ..r.job
+                })
+                .collect();
             debug_assert_eq!(
                 slice_bits(&plan),
-                slice_bits(&Self::free_schedule(view, &cq.jobs)),
+                slice_bits(&energy_opt(&JobSet::new_unchecked(jobs)).schedule),
                 "common-release Energy-OPT diverged from the general solver"
             );
         }
         plan
     }
 
-    /// Step 4 for one core solved straight off its ready index with
-    /// [`QeSolver::solve_sorted`]: the index is exactly the live, sorted
-    /// list [`QeSolver::solve`] would build, so the plan and discards are
-    /// bit-identical; debug builds re-solve with `solve` and check.
+    /// Step 4 (and the §V-F ladder's solve) for one core, straight off
+    /// its ready index with [`QeSolver::solve_sorted`]: the index is
+    /// exactly the live, sorted list [`QeSolver::solve`] would build, so
+    /// the plan and discards are bit-identical; debug builds re-solve
+    /// with `solve` and check.
     fn granted_schedule_from_index(
         view: &SystemView<'_>,
         cq: &mut CoreQe,
@@ -403,8 +371,8 @@ impl DesPolicy {
 }
 
 /// Every slice's job, endpoints and speed bits: what the debug
-/// cross-checks compare.
-#[cfg(debug_assertions)]
+/// cross-checks and the warm-vs-cold index tests compare.
+#[cfg(any(test, debug_assertions))]
 fn slice_bits(p: &CoreSchedule) -> Vec<(JobId, u64, u64, u64)> {
     p.slices()
         .iter()
@@ -440,10 +408,6 @@ impl SchedulingPolicy for DesPolicy {
         if self.mode == OnlineMode::Efficient {
             n.push_str("/efficient");
         }
-        match self.recompute {
-            RecomputeMode::Full => n.push_str("/full-recompute"),
-            RecomputeMode::IncrementalQe => {}
-        }
         n
     }
 
@@ -468,9 +432,8 @@ impl SchedulingPolicy for DesPolicy {
         }
         let dealt = self.crr.assign(live_queue.len(), m);
         let mut assignments = Vec::with_capacity(live_queue.len());
-        // Newly dealt jobs, kept apart from the *borrowed* core views: a
-        // core that receives no new work and needs no recomputation never
-        // copies its job list.
+        // Newly dealt jobs, kept apart from the *borrowed* core views;
+        // the keep rule below also reads which cores received any.
         let mut extra: Vec<Vec<ReadyJob>> = vec![Vec::new(); m];
         for (r, &core) in live_queue.iter().zip(&dealt) {
             assignments.push((r.job.id, core));
@@ -479,84 +442,74 @@ impl SchedulingPolicy for DesPolicy {
         self.stats.jobs_dealt += assignments.len() as u64;
         // One core's live set (current jobs + newly dealt), borrowed.
         let live_iter = |c: usize| view.cores[c].live_jobs(now).chain(extra[c].iter().copied());
-        // The same set materialized in canonical (deadline, id) order for
-        // plan construction — the order Online-QE itself canonicalizes
-        // to, so every computed plan is a function of the job set alone.
-        let materialize = |c: usize| -> Vec<ReadyJob> {
-            let mut v: Vec<ReadyJob> = live_iter(c).collect();
-            v.sort_unstable_by_key(|r| (r.job.deadline, r.job.id));
-            v
-        };
+        // Refresh every core's ready index up front: every architecture's
+        // probe and plans below read it.
+        if self.core_qe.len() != m {
+            self.core_qe = std::iter::repeat_with(CoreQe::default).take(m).collect();
+        }
+        for (c, cq) in self.core_qe.iter_mut().enumerate() {
+            cq.update(live_iter(c), &mut self.sort_scratch);
+        }
+        #[cfg(debug_assertions)]
+        for (c, cq) in self.core_qe.iter().enumerate() {
+            let mut live: Vec<ReadyJob> = live_iter(c).collect();
+            live.sort_unstable_by_key(|r| (r.job.deadline, r.job.id));
+            let key = |r: &ReadyJob| (r.job, r.processed.to_bits());
+            debug_assert_eq!(
+                cq.jobs.iter().map(key).collect::<Vec<_>>(),
+                live.iter().map(key).collect::<Vec<_>>(),
+                "core {c}: ready index diverged from the sorted live set"
+            );
+            debug_assert_eq!(
+                Self::probe_from_index(view, cq).to_bits(),
+                Self::probe_request(view, live_iter(c)).to_bits(),
+                "core {c}: indexed probe diverged from the sorting probe"
+            );
+        }
 
         let mut plans: Vec<Option<CoreSchedule>> = Vec::with_capacity(m);
         let mut discarded: Vec<JobId> = Vec::new();
         let mut ambient = vec![0.0; m];
 
         match self.arch {
-            ArchKind::NoDvfs => {
-                // Fixed speed funded by the static equal share; cores
-                // cannot scale down, so they draw it even when idle.
-                let s_fix = view.model.speed_for_dynamic_power(view.budget / m as f64);
-                for c in 0..m {
-                    let (plan, disc) = fixed_speed_plan(now, &materialize(c), s_fix);
+            ArchKind::NoDvfs | ArchKind::SDvfs => {
+                // No-DVFS: a fixed speed funded by the static equal share.
+                // S-DVFS: one shared clock at the maximum request, clamped
+                // by the equal share (WF over identical requests).
+                let share = view.budget / m as f64;
+                let power = match self.arch {
+                    ArchKind::SDvfs => self
+                        .core_qe
+                        .iter()
+                        .map(|cq| Self::probe_from_index(view, cq))
+                        .fold(0.0, f64::max)
+                        .min(share),
+                    _ => share,
+                };
+                let speed = view.model.speed_for_dynamic_power(power);
+                for cq in &self.core_qe {
+                    let (plan, disc) = fixed_speed_plan(now, &cq.jobs, speed);
                     plans.push(Some(plan));
                     discarded.extend(disc);
                 }
-                ambient = vec![s_fix; m];
-            }
-            ArchKind::SDvfs => {
-                // One shared clock: the maximum request, clamped by the
-                // equal share (WF over identical requests).
-                let h_max = (0..m)
-                    .map(|c| Self::probe_request(view, live_iter(c)))
-                    .fold(0.0, f64::max);
-                let shared = h_max.min(view.budget / m as f64);
-                let s_shared = view.model.speed_for_dynamic_power(shared);
-                for c in 0..m {
-                    let (plan, disc) = fixed_speed_plan(now, &materialize(c), s_shared);
-                    plans.push(Some(plan));
-                    discarded.extend(disc);
-                }
-                // Idle cores stay locked to the shared clock.
-                ambient = vec![s_shared; m];
+                // Neither can scale an idle core down: it draws the
+                // fixed or shared clock too.
+                ambient = vec![speed; m];
             }
             ArchKind::CDvfs => {
-                let indexed = self.recompute == RecomputeMode::IncrementalQe;
                 if self.free_streak.len() != m {
                     self.free_streak = vec![false; m];
                 }
-                if indexed {
-                    if self.core_qe.len() != m {
-                        self.core_qe = std::iter::repeat_with(CoreQe::default).take(m).collect();
-                    }
-                    // Refresh every core's ready index up front: the
-                    // probe and the solves below all read it.
-                    for c in 0..m {
-                        self.core_qe[c].update(live_iter(c), &mut self.sort_scratch);
-                    }
-                }
                 // Requests depend on `now`, so they are recomputed every
-                // invocation — but via the closed form, not a YDS solve,
-                // and off the stored prefix sums when the index is on.
+                // invocation — but via the closed form off the stored
+                // prefix sums, not a YDS solve.
                 self.requests.clear();
-                if indexed {
-                    self.requests.extend(
-                        self.core_qe
-                            .iter()
-                            .map(|cq| Self::probe_from_index(view, cq)),
-                    );
-                } else {
-                    self.requests
-                        .extend((0..m).map(|c| Self::probe_request(view, live_iter(c))));
-                }
+                self.requests.extend(
+                    self.core_qe
+                        .iter()
+                        .map(|cq| Self::probe_from_index(view, cq)),
+                );
                 let total: f64 = self.requests.iter().sum();
-                let empty = |qe: &[CoreQe], c: usize| {
-                    if indexed {
-                        qe[c].jobs.is_empty()
-                    } else {
-                        live_iter(c).next().is_none()
-                    }
-                };
                 // Only the budget-bound paths read the grants.
                 if self.discrete.is_some() || total > view.budget {
                     self.distribute_power(view.budget);
@@ -567,8 +520,7 @@ impl SchedulingPolicy for DesPolicy {
                         // already fit the budget and complete every job.
                         self.stats.free_exits += 1;
                         for (c, dealt) in extra.iter().enumerate() {
-                            // Keep rule — shared by both recompute modes,
-                            // so it is part of the decision procedure,
+                            // Keep rule — part of the decision procedure,
                             // not a cache: a core that received no new
                             // work and is still executing a budget-free
                             // plan keeps it. Energy-OPT is
@@ -583,17 +535,14 @@ impl SchedulingPolicy for DesPolicy {
                                 continue;
                             }
                             self.free_streak[c] = true;
-                            if empty(&self.core_qe, c) {
+                            if self.core_qe[c].jobs.is_empty() {
                                 // No live work: Energy-OPT over nothing.
                                 plans.push(Some(CoreSchedule::default()));
                                 continue;
                             }
                             self.stats.free_solves += 1;
-                            plans.push(Some(if indexed {
-                                Self::free_schedule_from_index(view, &self.core_qe[c])
-                            } else {
-                                Self::free_schedule(view, &materialize(c))
-                            }));
+                            plans
+                                .push(Some(Self::free_schedule_from_index(view, &self.core_qe[c])));
                         }
                     }
                     None => {
@@ -601,10 +550,10 @@ impl SchedulingPolicy for DesPolicy {
                         // core. The budget binds here, so the grant is
                         // spent eagerly by default (see `OnlineMode`).
                         self.stats.budget_bound += 1;
-                        for c in 0..m {
+                        for (c, cq) in self.core_qe.iter_mut().enumerate() {
                             let grant = self.grants[c];
                             self.free_streak[c] = false;
-                            if empty(&self.core_qe, c) || grant <= 0.0 {
+                            if cq.jobs.is_empty() || grant <= 0.0 {
                                 // Nothing live, or a zero grant (s* = 0):
                                 // Online-QE returns an empty plan and no
                                 // discards without looking at the jobs.
@@ -612,23 +561,8 @@ impl SchedulingPolicy for DesPolicy {
                                 continue;
                             }
                             self.stats.qe_solves += 1;
-                            let (plan, disc) = if indexed {
-                                Self::granted_schedule_from_index(
-                                    view,
-                                    &mut self.core_qe[c],
-                                    grant,
-                                    self.mode,
-                                )
-                            } else {
-                                let out = self.qe_scratch.solve(
-                                    now,
-                                    &materialize(c),
-                                    view.model,
-                                    grant,
-                                    self.mode,
-                                );
-                                (out.schedule, out.discarded)
-                            };
+                            let (plan, disc) =
+                                Self::granted_schedule_from_index(view, cq, grant, self.mode);
                             discarded.extend(disc);
                             plans.push(Some(plan));
                         }
@@ -636,23 +570,17 @@ impl SchedulingPolicy for DesPolicy {
                     Some(set) => {
                         // §V-F: always rectify the WF grants to discrete
                         // speeds, then Online-QE under the rectified power
-                        // with slice speeds snapped onto the ladder. The
-                        // ready index does not apply to the ladder path
-                        // (plans are recomputed in full).
+                        // with slice speeds snapped onto the ladder. Every
+                        // core is solved, empty or not.
                         self.free_streak.fill(false);
                         let speeds = rectify_speeds(&self.grants, set, view.model, view.budget);
-                        for (c, &cap) in speeds.iter().enumerate() {
+                        for (cq, &cap) in self.core_qe.iter_mut().zip(&speeds) {
                             self.stats.qe_solves += 1;
                             let grant = view.model.dynamic_power(cap);
-                            let out = self.qe_scratch.solve(
-                                now,
-                                &materialize(c),
-                                view.model,
-                                grant,
-                                self.mode,
-                            );
-                            discarded.extend(out.discarded);
-                            plans.push(Some(snap_plan_up(&out.schedule, set)));
+                            let (plan, disc) =
+                                Self::granted_schedule_from_index(view, cq, grant, self.mode);
+                            discarded.extend(disc);
+                            plans.push(Some(snap_plan_up(&plan, set)));
                         }
                     }
                 }
@@ -687,8 +615,12 @@ impl SchedulingPolicy for DesPolicy {
 mod tests {
     use super::*;
     use crate::policy::CoreView;
+    use qes_core::job::{Job, JobSet};
     use qes_core::power::{PolynomialPower, PowerModel};
     use qes_core::time::SimTime;
+    use qes_singlecore::energy_opt::energy_opt;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     const MODEL: PolynomialPower = PolynomialPower::PAPER_SIM;
 
@@ -979,17 +911,6 @@ mod tests {
         assert_eq!(DesPolicy::on_arch(ArchKind::NoDvfs).name(), "DES/No-DVFS");
         let set = crate::discrete::default_ladder(&MODEL);
         assert_eq!(DesPolicy::with_discrete(set).name(), "DES/C-DVFS/discrete");
-        assert_eq!(
-            DesPolicy::new().with_recompute(RecomputeMode::Full).name(),
-            "DES/C-DVFS/full-recompute"
-        );
-        // The default is IncrementalQe, which carries no suffix.
-        assert_eq!(
-            DesPolicy::new()
-                .with_recompute(RecomputeMode::IncrementalQe)
-                .name(),
-            "DES/C-DVFS"
-        );
     }
 
     #[test]
@@ -997,7 +918,6 @@ mod tests {
         // The probe request must equal the power at the YDS initial speed
         // of the re-released job set — the quantity `budget_free_probe`
         // used to extract from a full Energy-OPT solve.
-        use qes_singlecore::energy_opt::energy_opt;
         let now = ms(40);
         let cases: Vec<Vec<ReadyJob>> = vec![
             vec![],
@@ -1047,44 +967,60 @@ mod tests {
         }
     }
 
-    /// One differential step: `(now ms, waiting queue, per-core jobs,
-    /// budget)`.
+    /// Run `des` on `v`, and a clone of it whose ready indexes were
+    /// dropped on the same view, and require bitwise-equal decisions:
+    /// assignments, plan slices, discards and ambient speeds. The warm
+    /// index is resumed by suffix diff; the cold one is rebuilt from
+    /// nothing. Returns the warm policy's decision.
+    fn decide_against_cold_index(
+        des: &mut DesPolicy,
+        v: &SystemView<'_>,
+        ctx: &str,
+    ) -> PolicyDecision {
+        let mut cold = des.clone();
+        cold.core_qe.clear();
+        let dw = des.on_trigger(v);
+        let dc = cold.on_trigger(v);
+        assert_eq!(dw.assignments, dc.assignments, "{ctx}: assignments");
+        let plans = |d: &PolicyDecision| -> Vec<_> {
+            d.plans.iter().map(|p| p.as_ref().map(slice_bits)).collect()
+        };
+        assert_eq!(plans(&dw), plans(&dc), "{ctx}: plans");
+        assert_eq!(dw.discarded, dc.discarded, "{ctx}: discards");
+        let ambient = |d: &PolicyDecision| -> Vec<u64> {
+            d.ambient_speeds.iter().map(|s| s.to_bits()).collect()
+        };
+        assert_eq!(ambient(&dw), ambient(&dc), "{ctx}: ambient speeds");
+        dw
+    }
+
+    /// One scripted step: `(now ms, waiting queue, per-core jobs,
+    /// budget)`, with every core idle.
     type Step = (u64, Vec<ReadyJob>, Vec<Vec<ReadyJob>>, f64);
 
-    /// Drive a Full policy and the indexed mode through the same trigger
-    /// sequence and require bitwise-equal decisions at every step.
-    /// Returns the indexed mode's decisions.
-    fn assert_differential_equal(steps: &[Step]) -> Vec<PolicyDecision> {
-        let mut out = Vec::with_capacity(steps.len());
-        let mut full = DesPolicy::new().with_recompute(RecomputeMode::Full);
-        let mut inc = DesPolicy::new().with_recompute(RecomputeMode::IncrementalQe);
-        for (i, (now_ms, queue, core_jobs, budget)) in steps.iter().enumerate() {
-            let cores: Vec<CoreView<'_>> = core_jobs
-                .iter()
-                .map(|j| CoreView {
-                    jobs: j,
-                    busy: false,
-                })
-                .collect();
-            let v = view(ms(*now_ms), queue, &cores, *budget);
-            let df = full.on_trigger(&v);
-            let di = inc.on_trigger(&v);
-            assert_eq!(df.assignments, di.assignments, "step {i}");
-            assert_eq!(df.discarded, di.discarded, "step {i}");
-            assert_eq!(df.plans.len(), di.plans.len(), "step {i}");
-            for (c, (pf, pi)) in df.plans.iter().zip(&di.plans).enumerate() {
-                let sf = pf.as_ref().map(|p| p.slices());
-                let si = pi.as_ref().map(|p| p.slices());
-                assert_eq!(sf, si, "step {i} core {c} plans diverge");
-            }
-            assert_eq!(df.ambient_speeds, di.ambient_speeds, "step {i}");
-            out.push(di);
-        }
-        out
+    /// Drive C-DVFS DES through `steps`, checking every decision against
+    /// a cold index. Returns the decisions.
+    fn run_against_cold_index(steps: &[Step]) -> Vec<PolicyDecision> {
+        let mut des = DesPolicy::new();
+        steps
+            .iter()
+            .enumerate()
+            .map(|(i, (now_ms, queue, core_jobs, budget))| {
+                let cores: Vec<CoreView<'_>> = core_jobs
+                    .iter()
+                    .map(|j| CoreView {
+                        jobs: j,
+                        busy: false,
+                    })
+                    .collect();
+                let v = view(ms(*now_ms), queue, &cores, *budget);
+                decide_against_cold_index(&mut des, &v, &format!("step {i}"))
+            })
+            .collect()
     }
 
     #[test]
-    fn same_instant_retriggers_match_full_recompute() {
+    fn same_instant_retriggers_match_a_cold_index() {
         let busy = |id, r, d, w, done| ReadyJob {
             job: Job::new(id, ms(r), ms(d), w).unwrap(),
             processed: done,
@@ -1137,7 +1073,7 @@ mod tests {
                 6.0,
             ),
         ];
-        let d = assert_differential_equal(&steps);
+        let d = run_against_cold_index(&steps);
         // A re-trigger with nothing changed re-derives the same plans.
         for (a, b) in [(0, 1), (3, 4)] {
             let slices = |i: usize| -> Vec<_> {
@@ -1151,7 +1087,7 @@ mod tests {
     }
 
     #[test]
-    fn permuted_job_lists_match_full_recompute() {
+    fn permuted_job_lists_match_a_cold_index() {
         // The engine's `swap_remove` permutes per-core job lists without
         // changing the set; neither the ready index nor the plan may
         // care. `busy: false` keeps the keep-plan rule out of the way so
@@ -1166,7 +1102,7 @@ mod tests {
             (10, vec![], vec![vec![b, c, a]], 1.0),
             (10, vec![], vec![vec![a, c, b]], 1.0),
         ];
-        let d = assert_differential_equal(&steps);
+        let d = run_against_cold_index(&steps);
         for (x, y) in [(0, 1), (2, 3)] {
             assert!(d[x].plans[0].is_some());
             assert_eq!(
@@ -1177,39 +1113,152 @@ mod tests {
         }
     }
 
+    /// Uniform draw from `0..n`.
+    fn below(rng: &mut StdRng, n: u64) -> u64 {
+        rng.gen::<u64>() % n
+    }
+
+    /// One random trigger sequence on `m` cores: waiting jobs arrive,
+    /// dealt jobs join their core's list, sunk work grows (sometimes to
+    /// completion), lists are permuted and cores flip between busy and
+    /// idle. Times repeat (same-instant re-triggers) or advance by as
+    /// little as 1 µs, deadlines can sit 1 µs after `now`, some jobs are
+    /// non-partial, and budgets range from zero to ample. Every decision
+    /// is checked against a cold index.
+    fn drive_random_sequence(des: &mut DesPolicy, rng: &mut StdRng, ctx: &str) {
+        let m = 1 + below(rng, 4) as usize;
+        let mut core_jobs: Vec<Vec<ReadyJob>> = vec![Vec::new(); m];
+        let mut now_us = below(rng, 1_000_000);
+        let mut next_id = 0u32;
+        for step in 0..12 {
+            if step > 0 && !rng.gen_bool(0.3) {
+                now_us += 1 + below(rng, 60_000);
+            }
+            let now = SimTime::from_micros(now_us);
+            let mut queue = Vec::new();
+            for _ in 0..below(rng, 4) {
+                let window = match below(rng, 4) {
+                    0 => 1,
+                    _ => 1 + below(rng, 300_000),
+                };
+                let demand = match below(rng, 10) {
+                    0 => 0.0,
+                    _ => 0.5 + 300.0 * rng.gen::<f64>(),
+                };
+                let job = Job::with_partial(
+                    next_id,
+                    now,
+                    SimTime::from_micros(now_us + window),
+                    demand,
+                    rng.gen_bool(0.7),
+                )
+                .unwrap();
+                next_id += 1;
+                let processed = if rng.gen_bool(0.2) {
+                    demand * rng.gen::<f64>()
+                } else {
+                    0.0
+                };
+                queue.push(ReadyJob { job, processed });
+            }
+            let budget = match below(rng, 4) {
+                0 => 0.0,
+                1 => 5.0 * rng.gen::<f64>(),
+                2 => 5.0 + 60.0 * rng.gen::<f64>(),
+                _ => 1_000.0,
+            };
+            let busy: Vec<bool> = (0..m).map(|_| rng.gen_bool(0.5)).collect();
+            let cores: Vec<CoreView<'_>> = core_jobs
+                .iter()
+                .zip(&busy)
+                .map(|(jobs, &busy)| CoreView { jobs, busy })
+                .collect();
+            let v = view(now, &queue, &cores, budget);
+            let d = decide_against_cold_index(des, &v, &format!("{ctx} step {step}"));
+
+            // Dealt jobs join their cores; discarded ones leave.
+            for &(id, c) in &d.assignments {
+                let r = queue.iter().find(|r| r.job.id == id).unwrap();
+                core_jobs[c].push(*r);
+            }
+            for jobs in &mut core_jobs {
+                jobs.retain(|r| !d.discarded.contains(&r.job.id));
+                // Expired and finished jobs usually settle; some linger
+                // so the live filter stays exercised.
+                jobs.retain(|r| {
+                    (r.job.deadline > now && r.remaining() > 1e-9) || rng.gen_bool(0.2)
+                });
+                for r in jobs.iter_mut() {
+                    match below(rng, 4) {
+                        0 => r.processed = r.job.demand,
+                        1 => r.processed += r.remaining() * rng.gen::<f64>(),
+                        _ => {}
+                    }
+                }
+                // Fisher–Yates, like the engine's `swap_remove` churn.
+                for i in (1..jobs.len()).rev() {
+                    jobs.swap(i, below(rng, i as u64 + 1) as usize);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn warm_index_matches_a_cold_index_for_every_variant() {
+        let variants = [
+            DesPolicy::new(),
+            DesPolicy::new().with_mode(OnlineMode::Efficient),
+            DesPolicy::on_arch(ArchKind::SDvfs),
+            DesPolicy::on_arch(ArchKind::NoDvfs),
+            DesPolicy::with_discrete(crate::discrete::default_ladder(&MODEL)),
+            DesPolicy::new().with_job_sharing(JobSharing::RestartRr),
+            DesPolicy::new().with_power_sharing(PowerSharing::StaticEqual),
+        ];
+        let mut totals = DesStats::default();
+        for case in 0..256u64 {
+            for base in &variants {
+                let mut des = base.clone();
+                let mut rng = StdRng::seed_from_u64(case);
+                let ctx = format!("case {case} {}", des.name());
+                drive_random_sequence(&mut des, &mut rng, &ctx);
+                let s = &des.stats;
+                totals.free_solves += s.free_solves;
+                totals.keeps += s.keeps;
+                totals.qe_solves += s.qe_solves;
+                totals.discards += s.discards;
+            }
+        }
+        // The sequences reach every branch the index feeds.
+        assert!(totals.free_solves > 0, "no budget-free solve");
+        assert!(totals.keeps > 0, "no kept plan");
+        assert!(totals.qe_solves > 0, "no budget-bound solve");
+        assert!(totals.discards > 0, "no discard");
+    }
+
     #[test]
     fn busy_core_on_free_streak_keeps_its_plan() {
         // Once a core is executing a budget-free plan and receives no
         // new work, re-triggering must keep the installed plan (`None`)
-        // rather than recompute — in both recompute modes, since the
-        // keep rule is part of the decision procedure.
-        for mode in [RecomputeMode::Full, RecomputeMode::IncrementalQe] {
-            let jobs = vec![rj(0, 0, 150, 60.0), rj(1, 0, 180, 45.0)];
-            let mut p = DesPolicy::new().with_recompute(mode);
-            let cores = vec![CoreView {
-                jobs: &jobs,
-                busy: true,
-            }];
-            let v1 = view(ms(10), &[], &cores, 40.0);
-            let d1 = p.on_trigger(&v1);
-            assert!(d1.plans[0].is_some(), "{mode:?}: first plan installed");
-            let v2 = view(ms(20), &[], &cores, 40.0);
-            let d2 = p.on_trigger(&v2);
-            assert!(
-                d2.plans[0].is_none(),
-                "{mode:?}: clean busy core must keep its plan"
-            );
-            // An idle core (plan ran out) must recompute even on a streak.
-            let idle = vec![CoreView {
-                jobs: &jobs,
-                busy: false,
-            }];
-            let v3 = view(ms(30), &[], &idle, 40.0);
-            let d3 = p.on_trigger(&v3);
-            assert!(
-                d3.plans[0].is_some(),
-                "{mode:?}: idle core must get a fresh plan"
-            );
-        }
+        // rather than recompute.
+        let jobs = vec![rj(0, 0, 150, 60.0), rj(1, 0, 180, 45.0)];
+        let mut p = DesPolicy::new();
+        let cores = vec![CoreView {
+            jobs: &jobs,
+            busy: true,
+        }];
+        let v1 = view(ms(10), &[], &cores, 40.0);
+        let d1 = p.on_trigger(&v1);
+        assert!(d1.plans[0].is_some(), "first plan installed");
+        let v2 = view(ms(20), &[], &cores, 40.0);
+        let d2 = p.on_trigger(&v2);
+        assert!(d2.plans[0].is_none(), "clean busy core must keep its plan");
+        // An idle core (plan ran out) must recompute even on a streak.
+        let idle = vec![CoreView {
+            jobs: &jobs,
+            busy: false,
+        }];
+        let v3 = view(ms(30), &[], &idle, 40.0);
+        let d3 = p.on_trigger(&v3);
+        assert!(d3.plans[0].is_some(), "idle core must get a fresh plan");
     }
 }

@@ -34,7 +34,6 @@ pub mod arch;
 pub mod baselines;
 pub mod crr;
 pub mod des;
-pub mod differential;
 pub mod discrete;
 pub mod offline;
 pub mod policy;
@@ -43,8 +42,7 @@ pub mod water_filling;
 pub use arch::ArchKind;
 pub use baselines::{BaselineOrder, BaselinePolicy};
 pub use crr::CrrDistributor;
-pub use des::{DesPolicy, JobSharing, PowerSharing, RecomputeMode};
-pub use differential::{DifferentialConfig, TriggerMode};
+pub use des::{DesPolicy, JobSharing, PowerSharing};
 pub use offline::{offline_best_assignment, offline_crr_qe_opt, OfflineResult};
 pub use policy::{CoreView, PolicyDecision, SchedulingPolicy, SystemView, TriggerRequest};
 pub use water_filling::water_filling;

@@ -19,8 +19,9 @@
 //!
 //! Two entry points share that algorithm:
 //!
-//! * [`energy_opt`] is the general solver for arbitrary releases (QE-OPT,
-//!   DES's `RecomputeMode::Full`). It is the reference oracle.
+//! * [`energy_opt`] is the general solver for arbitrary releases
+//!   (QE-OPT). It is the reference oracle: debug builds of DES re-solve
+//!   every budget-free plan with it.
 //! * [`energy_opt_common_release`] is the allocation-free special case
 //!   for jobs that all release at one instant, which is what DES's
 //!   budget-free step and Online-QE's `Efficient` step solve on every
@@ -28,9 +29,9 @@
 //!   the release, so each round is a critical *prefix* of the
 //!   deadline-ordered jobs and removing it is a pure shift. The fast
 //!   path repeats the general solver's float operations in the same
-//!   order, so its schedule is bit-identical (DESIGN.md §"The
-//!   incremental-invalidation contract"; pinned by a property test
-//!   below and, in debug builds, by a cross-check inside DES).
+//!   order, so its schedule is bit-identical (DESIGN.md §"The one-index
+//!   contract"; pinned by a property test below and, in debug builds, by
+//!   a cross-check inside DES).
 
 use std::collections::BTreeSet;
 

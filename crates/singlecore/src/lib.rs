@@ -39,8 +39,6 @@ pub mod quality_opt;
 pub(crate) mod timeline;
 
 pub use energy_opt::{energy_opt, EnergyOptResult};
-pub use online_qe::{
-    myopic_volumes, online_qe, online_qe_with_mode, OnlineMode, OnlineQeOutcome, QeSolver, ReadyJob,
-};
+pub use online_qe::{myopic_volumes, online_qe, OnlineMode, OnlineQeOutcome, QeSolver, ReadyJob};
 pub use qe_opt::{qe_opt, QeOptResult};
 pub use quality_opt::{quality_opt, QualityOptResult};

@@ -106,29 +106,15 @@ pub enum OnlineMode {
     Eager,
 }
 
-/// Run one Online-QE invocation at time `now` over `ready` jobs with
-/// dynamic power budget `budget` (W), in [`OnlineMode::Efficient`] mode.
-///
-/// Jobs whose deadline is not after `now`, or that are already complete,
-/// are ignored (their `planned_total` reports the sunk volume).
+/// [`QeSolver::solve`] on a fresh solver in [`OnlineMode::Efficient`]
+/// mode.
 pub fn online_qe(
     now: SimTime,
     ready: &[ReadyJob],
     model: &dyn PowerModel,
     budget: f64,
 ) -> OnlineQeOutcome {
-    online_qe_with_mode(now, ready, model, budget, OnlineMode::Efficient)
-}
-
-/// [`online_qe`] with an explicit realization mode.
-pub fn online_qe_with_mode(
-    now: SimTime,
-    ready: &[ReadyJob],
-    model: &dyn PowerModel,
-    budget: f64,
-    mode: OnlineMode,
-) -> OnlineQeOutcome {
-    QeSolver::default().solve(now, ready, model, budget, mode)
+    QeSolver::default().solve(now, ready, model, budget, OnlineMode::Efficient)
 }
 
 /// Reusable Online-QE solver state: scratch buffers plus the most recent
@@ -137,8 +123,8 @@ pub fn online_qe_with_mode(
 /// Every solve is bitwise independent of prior solves — the buffers only
 /// amortize allocations — so callers may share one solver across cores,
 /// invocations, and [`crate::online_qe::OnlineMode`]s without affecting
-/// results. DES keeps one per core (warm across invocations) plus one
-/// shared instance for its full-recompute reference modes.
+/// results. DES keeps one per core, warm across invocations, and solves
+/// off its ready index with [`QeSolver::solve_sorted`].
 #[derive(Clone, Debug, Default)]
 pub struct QeSolver {
     /// [`QeSolver::solve`]'s live, canonically ordered copy of its input.
@@ -162,7 +148,13 @@ struct QeScratch {
 }
 
 impl QeSolver {
-    /// Run one Online-QE invocation. See [`online_qe_with_mode`].
+    /// Run one Online-QE invocation at time `now` over `ready` jobs, in
+    /// any order, with dynamic power budget `budget` (W) and realization
+    /// `mode`.
+    ///
+    /// Jobs whose deadline is not after `now`, or that are already
+    /// complete, are ignored (their `planned_total` reports the sunk
+    /// volume).
     pub fn solve(
         &mut self,
         now: SimTime,
@@ -678,8 +670,9 @@ mod tests {
                 })
                 .collect();
             let mode = if eager { OnlineMode::Eager } else { OnlineMode::Efficient };
-            let a = online_qe_with_mode(now, &ready, &MODEL, budget, mode);
-            let b = online_qe_with_mode(now, &shuffled(ready.clone(), seed), &MODEL, budget, mode);
+            let mut solver = QeSolver::default();
+            let a = solver.solve(now, &ready, &MODEL, budget, mode);
+            let b = solver.solve(now, &shuffled(ready.clone(), seed), &MODEL, budget, mode);
             prop_assert_eq!(a.schedule.slices(), b.schedule.slices());
             prop_assert_eq!(a.discarded, b.discarded);
             prop_assert_eq!(a.max_speed.to_bits(), b.max_speed.to_bits());

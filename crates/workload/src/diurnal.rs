@@ -54,10 +54,11 @@ impl DiurnalWorkload {
         }
     }
 
-    /// The "millions of users" cluster-bench profile: mean rate `base`
-    /// with a ±50 % swing every 15 minutes, so a 1M-job trace (minutes
-    /// to an hour of simulated time at cluster rates) spans several
-    /// under-/over-loaded cycles.
+    /// The "millions of users" profile, which the repo benchmark's
+    /// `cluster_protected` workload runs: mean rate `base` with a ±50 %
+    /// swing every 15 minutes, so a 1M-job trace (minutes to an hour of
+    /// simulated time at cluster rates) spans several under-/over-loaded
+    /// cycles.
     pub fn millions_of_users(base: f64) -> Self {
         DiurnalWorkload::new(base, 0.5 * base, 900.0)
     }

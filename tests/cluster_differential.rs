@@ -5,8 +5,8 @@
 //! * **1 shard ≡ the plain engine, bitwise.** A 1-shard cluster routes
 //!   every job to shard 0 and merges a single report, so ⟨quality,
 //!   energy⟩ and every counter must match a direct `Simulator::run` to
-//!   the bit — across the {per-event, grouped} × {Full, IncrementalQe}
-//!   differential matrix.
+//!   the bit — under both the per-event and the grouped (§IV-E)
+//!   trigger discipline.
 //! * **Conservation.** Routing is a partition: every arrival lands on
 //!   exactly one shard and per-shard counts sum to the workload.
 //! * **Lane count is unobservable.** Shard fan-out on 1 lane vs 4 lanes
@@ -41,8 +41,7 @@ use qes::cluster::{
     FaultPlan, FaultWindow, HedgePolicy, OverloadPolicy, PowerMeter, RetryPolicy, RoutingPolicy,
 };
 use qes::core::{Event, ExpQuality, Job, JobId, JobSet, PolynomialPower, SimDuration, SimTime};
-use qes::multicore::differential::{DifferentialConfig, TriggerMode};
-use qes::multicore::{DesPolicy, RecomputeMode};
+use qes::multicore::{DesPolicy, TriggerRequest};
 use qes::sim::{SimConfig, SimReport, Simulator};
 use qes::workload::{DiurnalWorkload, WebSearchWorkload};
 use rand::rngs::StdRng;
@@ -120,16 +119,12 @@ fn one_shard_cluster_is_bitwise_identical_to_plain_engine() {
     let (jobs, end) = workload();
     let quality = ExpQuality::new(0.003);
     let cfg = sim_cfg(&quality, end);
-    let cells = [
-        (TriggerMode::PerEvent, RecomputeMode::Full),
-        (TriggerMode::PerEvent, RecomputeMode::IncrementalQe),
-        (TriggerMode::Grouped, RecomputeMode::Full),
-        (TriggerMode::Grouped, RecomputeMode::IncrementalQe),
-    ];
-    for (trigger, recompute) in cells {
-        let cell = DifferentialConfig { trigger, recompute };
-        let mut plain_policy = cell.policy();
-        let (plain, _) = Simulator::run(&cfg, &mut plain_policy, &jobs);
+    for (label, triggers) in [
+        ("per-event", TriggerRequest::per_event()),
+        ("grouped", TriggerRequest::paper_default()),
+    ] {
+        let policy = move || DesPolicy::new().with_triggers(triggers);
+        let (plain, _) = Simulator::run(&cfg, &mut policy(), &jobs);
 
         for routing in [
             RoutingPolicy::RoundRobin,
@@ -138,8 +133,8 @@ fn one_shard_cluster_is_bitwise_identical_to_plain_engine() {
             RoutingPolicy::Random { seed: 5 },
         ] {
             let engine = ClusterEngine::new(1).with_routing(routing.clone());
-            let rep = engine.run(&cfg, &jobs, move |_| Box::new(cell.policy()));
-            let ctx = format!("{}/{}", cell.label(), routing.label());
+            let rep = engine.run(&cfg, &jobs, move |_| Box::new(policy()));
+            let ctx = format!("{label}/{}", routing.label());
             assert_reports_bitwise(&plain, &rep.merged, &ctx);
             assert_eq!(rep.shards.len(), 1, "{ctx}");
             assert_reports_bitwise(&plain, &rep.shards[0].report, &ctx);

@@ -1,25 +1,28 @@
-//! Differential test layer for the PR-3 DES rework (§IV-E + incremental
-//! recomputation).
+//! Per-event vs grouped triggering (§IV-E), and the runs that exercise
+//! DES's debug cross-checks.
 //!
-//! The same workload is pushed through every cell of the
-//! {per-event, grouped} × {full-recompute, incremental-qe} matrix and
-//! the reports compared:
+//! The same workload is pushed through DES under both
+//! [`TriggerRequest`]s — per-event (Immediate Scheduling) and grouped
+//! (the paper's default) — and two contracts are checked:
 //!
-//! * **Incremental ≡ Full, bitwise.** Plan/grant reuse is only allowed
-//!   when the inputs are bitwise identical, so the caching recompute
-//!   mode (the index-backed `IncrementalQe` default) must agree with
-//!   `Full` on ⟨quality, energy⟩ *to the bit*, plus every job counter
-//!   and the invocation count — under both trigger modes and with
-//!   nonzero scheduling overhead.
 //! * **Grouped ≈ Per-event.** Grouped scheduling trades recomputation
 //!   for staleness; the paper's claim (§IV-E) is that quality barely
 //!   moves. We assert normalized quality within 1 % while the policy is
 //!   invoked strictly fewer times.
+//! * **DES cross-checks hold.** Debug builds of DES check, on every
+//!   invocation, that its per-core ready index equals the sorted live
+//!   set, that the indexed power probe equals the sorting one, and that
+//!   every fast-path plan equals the general solver's (`energy_opt`,
+//!   `QeSolver::solve`), bit for bit. The `des_cross_checks_hold_*`
+//!   tests drive moderate, overloaded and overhead-shifted runs under
+//!   both trigger disciplines so those checks see every branch; run
+//!   them with `cargo test --profile ci --test differential`. Every
+//!   build checks that each run reached both the budget-free and the
+//!   budget-bound branch.
 
 use qes::core::JobSet;
 use qes::core::{ExpQuality, PolynomialPower, SimDuration, SimTime};
-use qes::multicore::differential::{DifferentialConfig, TriggerMode};
-use qes::multicore::RecomputeMode;
+use qes::multicore::{DesPolicy, SchedulingPolicy, TriggerRequest};
 use qes::sim::{SimConfig, SimReport, Simulator};
 use qes::workload::WebSearchWorkload;
 
@@ -29,12 +32,12 @@ use qes::workload::WebSearchWorkload;
 const CORES: usize = 16;
 const BUDGET: f64 = 320.0;
 
-fn run_cell(
-    cell: DifferentialConfig,
+fn run_des(
+    triggers: TriggerRequest,
     jobs: &JobSet,
     end_s: u64,
     overhead: SimDuration,
-) -> SimReport {
+) -> (SimReport, DesPolicy) {
     let model = PolynomialPower::PAPER_SIM;
     let quality = ExpQuality::new(0.003);
     let cfg = SimConfig {
@@ -46,9 +49,9 @@ fn run_cell(
         record_trace: false,
         overhead,
     };
-    let mut policy = cell.policy();
+    let mut policy = DesPolicy::new().with_triggers(triggers);
     let (report, _) = Simulator::run(&cfg, &mut policy, jobs);
-    report
+    (report, policy)
 }
 
 /// Moderate load: the budget mostly suffices, so invocations bounce
@@ -62,7 +65,7 @@ fn moderate_workload() -> (JobSet, u64) {
 }
 
 /// Overload: the budget binds, WF grants squeeze every core, and
-/// Online-QE discards jobs.
+/// Online-QE cuts jobs short.
 fn overloaded_workload() -> (JobSet, u64) {
     let jobs = WebSearchWorkload::new(300.0)
         .with_horizon(SimTime::from_secs(6))
@@ -71,40 +74,37 @@ fn overloaded_workload() -> (JobSet, u64) {
     (jobs, 8)
 }
 
-fn assert_bitwise_equal(full: &SimReport, inc: &SimReport, ctx: &str) {
-    assert_eq!(
-        full.total_quality.to_bits(),
-        inc.total_quality.to_bits(),
-        "{ctx}: quality diverged: full {} vs incremental {}",
-        full.total_quality,
-        inc.total_quality
-    );
-    assert_eq!(
-        full.energy_joules.to_bits(),
-        inc.energy_joules.to_bits(),
-        "{ctx}: energy diverged: full {} vs incremental {}",
-        full.energy_joules,
-        inc.energy_joules
-    );
-    assert_eq!(
-        full.max_quality.to_bits(),
-        inc.max_quality.to_bits(),
-        "{ctx}"
-    );
-    assert_eq!(full.jobs_total(), inc.jobs_total(), "{ctx}");
-    assert_eq!(full.jobs_satisfied(), inc.jobs_satisfied(), "{ctx}");
-    assert_eq!(full.jobs_partial(), inc.jobs_partial(), "{ctx}");
-    assert_eq!(full.jobs_zero(), inc.jobs_zero(), "{ctx}");
-    assert_eq!(full.jobs_discarded(), inc.jobs_discarded(), "{ctx}");
-    assert_eq!(full.invocations(), inc.invocations(), "{ctx}");
+/// Both §IV-E disciplines, labelled for assertion messages.
+fn trigger_modes() -> [(&'static str, TriggerRequest); 2] {
+    [
+        ("per-event", TriggerRequest::per_event()),
+        ("grouped", TriggerRequest::paper_default()),
+    ]
 }
 
-fn cell(trigger: TriggerMode, recompute: RecomputeMode) -> DifferentialConfig {
-    DifferentialConfig { trigger, recompute }
+/// Run DES under `triggers` — every invocation passing the debug
+/// cross-checks when they are compiled in — and require that the run
+/// reached both branches those checks guard: a budget-free solve and a
+/// budget-bound Online-QE solve.
+fn run_checked(
+    name: &str,
+    triggers: TriggerRequest,
+    jobs: &JobSet,
+    end: u64,
+    overhead: SimDuration,
+) {
+    let (_, policy) = run_des(triggers, jobs, end, overhead);
+    let mut counters = Vec::new();
+    policy.metrics(&mut |key, value| counters.push((key, value)));
+    let count = |key: &str| counters.iter().find(|&&(k, _)| k == key).map(|&(_, v)| v);
+    println!("{name}: {counters:?}");
+    for key in ["des.free_solve", "des.qe_solve"] {
+        assert!(count(key) > Some(0), "{name}: {key} never happened");
+    }
 }
 
 #[test]
-fn incremental_is_bitwise_identical_to_full_recompute() {
+fn des_cross_checks_hold_on_moderate_and_overloaded_runs() {
     for (name, (jobs, end)) in [
         ("moderate", moderate_workload()),
         ("overloaded", overloaded_workload()),
@@ -113,40 +113,27 @@ fn incremental_is_bitwise_identical_to_full_recompute() {
             jobs.len() >= 400,
             "{name}: workload too small to exercise paths"
         );
-        for trigger in [TriggerMode::PerEvent, TriggerMode::Grouped] {
-            let full = run_cell(
-                cell(trigger, RecomputeMode::Full),
+        for (label, triggers) in trigger_modes() {
+            run_checked(
+                &format!("{name}/{label}"),
+                triggers,
                 &jobs,
                 end,
                 SimDuration::ZERO,
             );
-            let inc = run_cell(
-                cell(trigger, RecomputeMode::IncrementalQe),
-                &jobs,
-                end,
-                SimDuration::ZERO,
-            );
-            assert_bitwise_equal(&full, &inc, &format!("{name}/{}", trigger.label()));
         }
     }
 }
 
 #[test]
-fn incremental_equivalence_survives_scheduling_overhead() {
+fn des_cross_checks_hold_under_scheduling_overhead() {
     // Nonzero overhead delays plan installation, shifting every
     // subsequent trigger instant — a different event interleaving that
-    // the memo keys must still track exactly.
+    // the ready index must still track exactly.
     let (jobs, end) = overloaded_workload();
     let overhead = SimDuration::from_micros(2_000);
-    for trigger in [TriggerMode::PerEvent, TriggerMode::Grouped] {
-        let full = run_cell(cell(trigger, RecomputeMode::Full), &jobs, end, overhead);
-        let inc = run_cell(
-            cell(trigger, RecomputeMode::IncrementalQe),
-            &jobs,
-            end,
-            overhead,
-        );
-        assert_bitwise_equal(&full, &inc, &format!("overhead/{}", trigger.label()));
+    for (label, triggers) in trigger_modes() {
+        run_checked(&format!("overhead/{label}"), triggers, &jobs, end, overhead);
     }
 }
 
@@ -156,14 +143,9 @@ fn grouped_triggers_hold_quality_within_one_percent_of_per_event() {
         ("moderate", moderate_workload()),
         ("overloaded", overloaded_workload()),
     ] {
-        let pe = run_cell(
-            cell(TriggerMode::PerEvent, RecomputeMode::IncrementalQe),
-            &jobs,
-            end,
-            SimDuration::ZERO,
-        );
-        let grp = run_cell(
-            cell(TriggerMode::Grouped, RecomputeMode::IncrementalQe),
+        let (pe, _) = run_des(TriggerRequest::per_event(), &jobs, end, SimDuration::ZERO);
+        let (grp, _) = run_des(
+            TriggerRequest::paper_default(),
             &jobs,
             end,
             SimDuration::ZERO,
@@ -191,14 +173,9 @@ fn grouped_triggers_cut_invocations_substantially() {
     // triggers with nothing to assign. Grouping should eliminate the
     // bulk of them, not shave a few percent.
     let (jobs, end) = moderate_workload();
-    let pe = run_cell(
-        cell(TriggerMode::PerEvent, RecomputeMode::IncrementalQe),
-        &jobs,
-        end,
-        SimDuration::ZERO,
-    );
-    let grp = run_cell(
-        cell(TriggerMode::Grouped, RecomputeMode::IncrementalQe),
+    let (pe, _) = run_des(TriggerRequest::per_event(), &jobs, end, SimDuration::ZERO);
+    let (grp, _) = run_des(
+        TriggerRequest::paper_default(),
         &jobs,
         end,
         SimDuration::ZERO,
@@ -209,27 +186,4 @@ fn grouped_triggers_cut_invocations_substantially() {
         grp.invocations(),
         pe.invocations()
     );
-}
-
-#[test]
-fn matrix_labels_are_reported() {
-    // The recompute modes must be distinguishable in reports. Only the
-    // non-default `Full` carries a suffix: `IncrementalQe` is the
-    // default, so its two cells report the bare policy name.
-    let (jobs, end) = overloaded_workload();
-    let mut names = Vec::new();
-    for c in DifferentialConfig::MATRIX {
-        let r = run_cell(c, &jobs, end, SimDuration::ZERO);
-        names.push(r.policy);
-    }
-    assert_eq!(names.len(), 4);
-    assert!(names.iter().all(|n| n.starts_with("DES/C-DVFS")));
-    assert_eq!(
-        names
-            .iter()
-            .filter(|n| n.ends_with("/full-recompute"))
-            .count(),
-        2
-    );
-    assert_eq!(names.iter().filter(|n| *n == "DES/C-DVFS").count(), 2);
 }

@@ -3,7 +3,7 @@
 //! A run with any observer attached — trace ring buffer, metrics
 //! registry, or both via `Tee` — must be *bitwise identical* to the
 //! untraced run on ⟨quality, energy⟩ and every integer counter. These
-//! tests pin that across policies and recompute modes, and check the
+//! tests pin that across policies and under overload, and check the
 //! exported artifacts (CSV trace, JSON metrics) are deterministic.
 
 use qes::cluster::{
@@ -13,7 +13,7 @@ use qes::cluster::{
 use qes::core::obs::{Event, Observer, SettleOutcome, Tee};
 use qes::core::{MetricsRegistry, SimDuration, TraceObserver};
 use qes::experiments::{ExperimentConfig, PolicyKind};
-use qes::multicore::{DesPolicy, RecomputeMode, SchedulingPolicy};
+use qes::multicore::{DesPolicy, SchedulingPolicy};
 use qes::sim::{SimConfig, Simulator};
 
 fn sim_cfg<'a>(cfg: &'a ExperimentConfig, quality: &'a qes::core::ExpQuality) -> SimConfig<'a> {
@@ -73,7 +73,7 @@ fn traced_run_is_bitwise_identical_to_untraced_across_policies() {
 }
 
 #[test]
-fn traced_run_is_bitwise_identical_across_recompute_modes() {
+fn traced_overloaded_run_is_bitwise_identical_to_untraced() {
     let cfg = ExperimentConfig::quick()
         .with_sim_seconds(4.0)
         .with_arrival_rate(240.0) // overloaded: discards + WF squeezing
@@ -83,22 +83,18 @@ fn traced_run_is_bitwise_identical_across_recompute_modes() {
     let quality = qes::core::ExpQuality::new(cfg.quality_c);
     let scfg = sim_cfg(&cfg, &quality);
 
-    for mode in [RecomputeMode::Full, RecomputeMode::IncrementalQe] {
-        let mut p = DesPolicy::new().with_recompute(mode);
-        let (plain, _) = Simulator::run(&scfg, &mut p, &jobs);
-        let mut p = DesPolicy::new().with_recompute(mode);
-        let mut obs = TraceObserver::new();
-        let (traced, _) = Simulator::run_observed(&scfg, &mut p, &jobs, &mut obs);
-        assert_eq!(
-            plain.total_quality.to_bits(),
-            traced.total_quality.to_bits()
-        );
-        assert_eq!(
-            plain.energy_joules.to_bits(),
-            traced.energy_joules.to_bits()
-        );
-        assert_eq!(plain.counters, traced.counters, "{mode:?}");
-    }
+    let (plain, _) = Simulator::run(&scfg, &mut DesPolicy::new(), &jobs);
+    let mut obs = TraceObserver::new();
+    let (traced, _) = Simulator::run_observed(&scfg, &mut DesPolicy::new(), &jobs, &mut obs);
+    assert_eq!(
+        plain.total_quality.to_bits(),
+        traced.total_quality.to_bits()
+    );
+    assert_eq!(
+        plain.energy_joules.to_bits(),
+        traced.energy_joules.to_bits()
+    );
+    assert_eq!(plain.counters, traced.counters);
 }
 
 /// Folds the engine's settle events the way the engine folds its

@@ -9,7 +9,7 @@ use qes::core::{
     ExpQuality, Job, JobSet, PolynomialPower, PowerModel, QualityFunction, Schedule, SimTime,
 };
 use qes::multicore::water_filling;
-use qes::singlecore::online_qe::{OnlineMode, ReadyJob};
+use qes::singlecore::online_qe::{OnlineMode, QeSolver, ReadyJob};
 use qes::singlecore::{energy_opt, online_qe, qe_opt, quality_opt};
 
 const MODEL: PolynomialPower = PolynomialPower::PAPER_SIM;
@@ -183,8 +183,8 @@ proptest! {
         if let Some(first) = ready.iter_mut().find(|r| r.job.release <= now && r.job.deadline > now) {
             first.processed = first.job.demand * progress_frac;
         }
-        let eager = online_qe::online_qe_with_mode(now, &ready, &MODEL, budget, OnlineMode::Eager);
-        let eff = online_qe::online_qe_with_mode(now, &ready, &MODEL, budget, OnlineMode::Efficient);
+        let eager = QeSolver::default().solve(now, &ready, &MODEL, budget, OnlineMode::Eager);
+        let eff = QeSolver::default().solve(now, &ready, &MODEL, budget, OnlineMode::Efficient);
         prop_assert!(eager.discarded.is_empty() && eff.discarded.is_empty());
         let ve = eager.schedule.volumes();
         let vf = eff.schedule.volumes();

@@ -5,7 +5,7 @@
 use qes::cluster::{ClusterEngine, ClusterReport, RoutingPolicy};
 use qes::core::{ExpQuality, PolynomialPower, SimDuration, SimTime};
 use qes::experiments::{run_policy_traced, ExperimentConfig, PolicyKind};
-use qes::multicore::{DesPolicy, RecomputeMode, SchedulingPolicy};
+use qes::multicore::{DesPolicy, SchedulingPolicy};
 use qes::sim::{validate_trace, SimConfig, Simulator};
 
 const ALL_POLICIES: [PolicyKind; 10] = [
@@ -142,55 +142,6 @@ fn golden_websearch_trace_regression() {
         ),
         GOLDEN_COUNTS,
         "job outcome counters drifted"
-    );
-}
-
-#[test]
-fn golden_websearch_incremental_qe_bitwise_equals_full() {
-    // Pin the budget-bounded incremental Online-QE path (the default
-    // recompute mode) bitwise against a full recompute on the golden
-    // overloaded trace: same ⟨quality, energy⟩ bits, same counters, same
-    // invocation count. The trace drives ~150 invocations with WF
-    // squeezing and 159 discards, so the resumable discard loop and the
-    // per-core ready index are both exercised hard.
-    let csv = include_str!("data/golden_websearch.csv");
-    let jobs = qes::workload::from_csv(csv).expect("golden trace parses");
-
-    let model = PolynomialPower::PAPER_SIM;
-    let quality = ExpQuality::new(0.003);
-    let cfg = SimConfig {
-        num_cores: 8,
-        budget: 160.0,
-        model: &model,
-        quality: &quality,
-        end: SimTime::from_secs(5),
-        record_trace: false,
-        overhead: SimDuration::ZERO,
-    };
-    let run = |mode: RecomputeMode| {
-        let mut policy = DesPolicy::new().with_recompute(mode);
-        Simulator::run(&cfg, &mut policy, &jobs).0
-    };
-    let full = run(RecomputeMode::Full);
-    let iqe = run(RecomputeMode::IncrementalQe);
-    assert_eq!(full.total_quality.to_bits(), iqe.total_quality.to_bits());
-    assert_eq!(full.max_quality.to_bits(), iqe.max_quality.to_bits());
-    assert_eq!(full.energy_joules.to_bits(), iqe.energy_joules.to_bits());
-    assert_eq!(
-        (
-            full.jobs_satisfied(),
-            full.jobs_partial(),
-            full.jobs_zero(),
-            full.jobs_discarded(),
-            full.invocations()
-        ),
-        (
-            iqe.jobs_satisfied(),
-            iqe.jobs_partial(),
-            iqe.jobs_zero(),
-            iqe.jobs_discarded(),
-            iqe.invocations()
-        )
     );
 }
 

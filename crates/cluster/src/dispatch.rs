@@ -116,6 +116,7 @@ use rayon::prelude::*;
 use crate::admission::{AdmissionPolicy, OverloadPolicy};
 use crate::fault::{effective_cores, FaultKind, FaultPlan};
 use crate::meter::PowerMeter;
+use crate::replay::trace_power_sampler;
 
 #[cfg(test)]
 mod reference;
@@ -1740,34 +1741,8 @@ fn measured_shard_energy<O: Observer>(
     shard: u32,
     obs: &mut O,
 ) -> f64 {
-    let mut per_core: Vec<Vec<(SimTime, SimTime, f64)>> = vec![Vec::new(); num_cores];
-    for s in trace.slices() {
-        if s.core < per_core.len() {
-            per_core[s.core].push((s.start, s.end, s.speed));
-        }
-    }
-    for v in &mut per_core {
-        v.sort_by_key(|&(start, _, _)| start);
-    }
-    let speed_at = |slices: &[(SimTime, SimTime, f64)], t: SimTime| -> f64 {
-        let idx = slices.partition_point(|&(_, e, _)| e <= t);
-        match slices.get(idx) {
-            Some(&(s, _, sp)) if s <= t => sp,
-            _ => 0.0,
-        }
-    };
-    meter.measure_window_observed(
-        shard,
-        SimTime::ZERO,
-        end,
-        |t| {
-            per_core
-                .iter()
-                .map(|slices| model.dynamic_power(speed_at(slices, t)))
-                .sum()
-        },
-        obs,
-    )
+    let power_at = trace_power_sampler(trace, num_cores, |s| model.dynamic_power(s));
+    meter.measure_window_observed(shard, SimTime::ZERO, end, power_at, obs)
 }
 
 #[cfg(test)]

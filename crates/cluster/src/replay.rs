@@ -71,8 +71,21 @@ pub fn measured_energy_window(
     end: SimTime,
     meter: &PowerMeter,
 ) -> f64 {
-    // Pre-index slices per core, sorted by start, for O(log n) sampling.
-    let mut per_core: Vec<Vec<(SimTime, SimTime, f64)>> = vec![Vec::new(); cluster.total_cores()];
+    let power_at = trace_power_sampler(trace, cluster.total_cores(), |s| cluster.core_power(s));
+    meter.measure_window(start, end, power_at)
+}
+
+/// Total power at an instant of executing `trace` on `num_cores` cores:
+/// each core's slice speed at `t` (0 when it has none) priced through
+/// `core_power`, summed in core order. Slices are pre-indexed per core by
+/// start, so each sample costs O(log n) per core; slices on a core past
+/// `num_cores` are ignored.
+pub(crate) fn trace_power_sampler(
+    trace: &SimTrace,
+    num_cores: usize,
+    core_power: impl Fn(f64) -> f64,
+) -> impl Fn(SimTime) -> f64 {
+    let mut per_core: Vec<Vec<(SimTime, SimTime, f64)>> = vec![Vec::new(); num_cores];
     for s in trace.slices() {
         if s.core < per_core.len() {
             per_core[s.core].push((s.start, s.end, s.speed));
@@ -81,19 +94,19 @@ pub fn measured_energy_window(
     for v in &mut per_core {
         v.sort_by_key(|&(start, _, _)| start);
     }
-    let speed_at = |slices: &[(SimTime, SimTime, f64)], t: SimTime| -> f64 {
-        let idx = slices.partition_point(|&(_, e, _)| e <= t);
-        match slices.get(idx) {
-            Some(&(s, _, sp)) if s <= t => sp,
-            _ => 0.0,
-        }
-    };
-    meter.measure_window(start, end, |t| {
+    move |t| {
         per_core
             .iter()
-            .map(|slices| cluster.core_power(speed_at(slices, t)))
+            .map(|slices| {
+                let idx = slices.partition_point(|&(_, e, _)| e <= t);
+                let speed = match slices.get(idx) {
+                    Some(&(s, _, sp)) if s <= t => sp,
+                    _ => 0.0,
+                };
+                core_power(speed)
+            })
             .sum()
-    })
+    }
 }
 
 #[cfg(test)]

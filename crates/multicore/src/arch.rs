@@ -14,16 +14,10 @@
 //! * **C-DVFS** — per-core DVFS, the architecture DES is designed for:
 //!   the full C-RR + WF + Online-QE pipeline.
 //!
-//! This module also hosts [`fixed_speed_plan`], the fixed-speed analogue
-//! of Online-QE used by the first two architectures: the myopic
-//! Quality-OPT step (with release rewinding for sunk work) followed by an
-//! EDF packing of the remaining volumes at the fixed speed — the
-//! Energy-OPT step is "ignored" exactly as §V-A prescribes.
-
-use qes_core::job::JobId;
-use qes_core::schedule::{CoreSchedule, Slice};
-use qes_core::time::SimTime;
-use qes_singlecore::online_qe::{myopic_volumes, ReadyJob};
+//! The first two skip the Energy-OPT step exactly as §V-A prescribes: DES
+//! runs Online-QE on every core at the fixed (or shared) power in
+//! [`OnlineMode::Eager`](qes_singlecore::OnlineMode::Eager), which packs
+//! the myopic Quality-OPT volumes EDF at that speed.
 
 /// Which DVFS capability the simulated processor offers (§V-A).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -53,167 +47,14 @@ impl std::fmt::Display for ArchKind {
     }
 }
 
-/// Myopic fixed-speed plan for one core: Quality-OPT volumes (sunk work
-/// rewound) packed EDF at `speed` from `now`. Returns the plan and the
-/// non-partial jobs discarded because they cannot finish (§V-D).
-pub fn fixed_speed_plan(
-    now: SimTime,
-    ready: &[ReadyJob],
-    speed: f64,
-) -> (CoreSchedule, Vec<JobId>) {
-    let mut discarded = Vec::new();
-    if speed <= 0.0 {
-        return (CoreSchedule::default(), discarded);
-    }
-    let mut active: Vec<ReadyJob> = ready
-        .iter()
-        .filter(|r| r.job.deadline > now && r.remaining() > 1e-9)
-        .copied()
-        .collect();
-
-    // §V-D discard loop: drop the worst unfinishable non-partial job and
-    // recompute until stable.
-    let volumes = loop {
-        if active.is_empty() {
-            return (CoreSchedule::default(), discarded);
-        }
-        let volumes = myopic_volumes(now, &active, speed);
-        let worst = active
-            .iter()
-            .filter_map(|r| {
-                let p = volumes.get(&r.job.id).copied().unwrap_or(0.0);
-                let shortfall = r.job.demand - p;
-                (!r.job.partial && shortfall > 1e-6).then_some((r.job.id, shortfall))
-            })
-            .max_by(|a, b| a.1.total_cmp(&b.1));
-        match worst {
-            Some((id, _)) => {
-                discarded.push(id);
-                active.retain(|r| r.job.id != id);
-            }
-            None => break volumes,
-        }
-    };
-
-    // EDF-pack the remaining (future) volumes at the fixed speed. All jobs
-    // are ready now, so deadline order alone decides the sequence.
-    active.sort_by_key(|a| (a.job.deadline, a.job.id));
-    let us_per_unit = 1000.0 / speed;
-    let mut slices = Vec::with_capacity(active.len());
-    let mut cur = now.as_micros() as f64;
-    for r in &active {
-        let total = volumes.get(&r.job.id).copied().unwrap_or(0.0);
-        let future = total - r.processed;
-        if future <= 1e-9 {
-            continue;
-        }
-        let start = cur;
-        let end = start + future * us_per_unit;
-        cur = end;
-        let si = SimTime::from_micros(start.round() as u64);
-        // Clamp at the deadline: the myopic volumes are feasible, so the
-        // clamp only absorbs sub-µs rounding.
-        let ei = SimTime::from_micros((end.round() as u64).min(r.job.deadline.as_micros()));
-        if ei > si {
-            slices.push(Slice {
-                job: r.job.id,
-                start: si,
-                end: ei,
-                speed,
-            });
-        }
-    }
-    (CoreSchedule::new(slices), discarded)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qes_core::job::Job;
-
-    fn ms(x: u64) -> SimTime {
-        SimTime::from_millis(x)
-    }
-
-    fn rj(id: u32, r: u64, d: u64, w: f64, done: f64) -> ReadyJob {
-        ReadyJob {
-            job: Job::new(id, ms(r), ms(d), w).unwrap(),
-            processed: done,
-        }
-    }
 
     #[test]
     fn arch_names() {
         assert_eq!(ArchKind::NoDvfs.name(), "No-DVFS");
         assert_eq!(ArchKind::SDvfs.to_string(), "S-DVFS");
         assert_eq!(ArchKind::CDvfs.name(), "C-DVFS");
-    }
-
-    #[test]
-    fn fixed_speed_plan_underload_completes_all() {
-        let ready = vec![rj(0, 0, 150, 50.0, 0.0), rj(1, 0, 160, 60.0, 0.0)];
-        let (plan, disc) = fixed_speed_plan(ms(0), &ready, 1.0);
-        assert!(disc.is_empty());
-        let vols = plan.volumes();
-        assert!((vols[&JobId(0)] - 50.0).abs() < 0.05);
-        assert!((vols[&JobId(1)] - 60.0).abs() < 0.05);
-        // Sequential at constant speed: no overlap, EDF order.
-        let s = plan.slices();
-        assert!(s[0].end <= s[1].start);
-        assert_eq!(s[0].job, JobId(0));
-    }
-
-    #[test]
-    fn fixed_speed_plan_overload_equalizes() {
-        // 100 ms window, 1 GHz → 100 units for two 200-unit jobs.
-        let ready = vec![rj(0, 0, 100, 200.0, 0.0), rj(1, 0, 100, 200.0, 0.0)];
-        let (plan, _) = fixed_speed_plan(ms(0), &ready, 1.0);
-        let vols = plan.volumes();
-        assert!((vols[&JobId(0)] - 50.0).abs() < 1.0);
-        assert!((vols[&JobId(1)] - 50.0).abs() < 1.0);
-    }
-
-    #[test]
-    fn fixed_speed_plan_counts_sunk_work() {
-        let ready = vec![rj(0, 0, 100, 200.0, 80.0), rj(1, 0, 100, 200.0, 0.0)];
-        let (plan, _) = fixed_speed_plan(ms(0), &ready, 1.0);
-        let vols = plan.volumes();
-        // Equalized totals 90/90: future work 10 vs 90.
-        assert!((vols.get(&JobId(0)).copied().unwrap_or(0.0) - 10.0).abs() < 1.5);
-        assert!((vols.get(&JobId(1)).copied().unwrap_or(0.0) - 90.0).abs() < 1.5);
-    }
-
-    #[test]
-    fn fixed_speed_plan_discards_unfinishable_non_partial() {
-        let mut a = rj(0, 0, 100, 80.0, 0.0);
-        let mut b = rj(1, 0, 100, 80.0, 0.0);
-        a.job.partial = false;
-        b.job.partial = false;
-        let (plan, disc) = fixed_speed_plan(ms(0), &[a, b], 1.0);
-        assert_eq!(disc.len(), 1);
-        let vols = plan.volumes();
-        assert_eq!(vols.len(), 1);
-        let (_, v) = vols.iter().next().unwrap();
-        assert!((v - 80.0).abs() < 0.05);
-    }
-
-    #[test]
-    fn zero_speed_plans_nothing() {
-        let ready = vec![rj(0, 0, 100, 50.0, 0.0)];
-        let (plan, disc) = fixed_speed_plan(ms(0), &ready, 0.0);
-        assert!(plan.is_empty());
-        assert!(disc.is_empty());
-    }
-
-    #[test]
-    fn slices_start_at_or_after_now() {
-        let now = ms(40);
-        let ready = vec![rj(0, 0, 150, 100.0, 20.0), rj(1, 30, 180, 100.0, 0.0)];
-        let (plan, _) = fixed_speed_plan(now, &ready, 2.0);
-        for s in plan.slices() {
-            assert!(s.start >= now);
-            assert!(s.end <= ms(180));
-            assert!((s.speed - 2.0).abs() < 1e-12);
-        }
     }
 }

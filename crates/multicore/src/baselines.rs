@@ -16,7 +16,7 @@
 
 use qes_core::schedule::{CoreSchedule, Slice};
 use qes_core::speed_for_volume;
-use qes_core::time::SimTime;
+use qes_core::time::{SimDuration, SimTime};
 use qes_singlecore::online_qe::ReadyJob;
 
 use crate::policy::{PolicyDecision, SchedulingPolicy, SystemView, TriggerRequest};
@@ -100,7 +100,9 @@ fn run_slice(now: SimTime, r: &ReadyJob, speed: f64) -> Option<Slice> {
         return None;
     }
     let us = r.remaining() * 1000.0 / speed;
-    let end = SimTime::from_micros(now.as_micros() + us.round() as u64).min(r.job.deadline);
+    // A tiny speed makes `us` huge: the cast saturates, and so does the
+    // add, so the slice then runs to the deadline.
+    let end = (now + SimDuration::from_micros(us.round() as u64)).min(r.job.deadline);
     (end > now).then_some(Slice {
         job: r.job.id,
         start: now,
@@ -289,6 +291,19 @@ mod tests {
         let s = &plan.slices()[0];
         assert!((s.speed - 0.5).abs() < 1e-9);
         assert_eq!(s.end, ms(200)); // finishes exactly at the deadline
+    }
+
+    #[test]
+    fn tiny_speed_runs_to_the_deadline_without_overflow() {
+        // A vanishing budget funds a speed so low that the job's run time
+        // exceeds the µs range: the slice must still be [now, deadline).
+        let mut p = BaselinePolicy::new(BaselineOrder::Fcfs);
+        let queue = vec![rj(0, 0, 150, 50.0)];
+        let cores = vec![CoreView::default()];
+        let d = p.on_trigger(&view(ms(10), &queue, &cores, 1e-300));
+        let s = d.plans[0].as_ref().unwrap().slices();
+        assert_eq!(s.len(), 1);
+        assert_eq!((s[0].start, s[0].end), (ms(10), ms(150)));
     }
 
     #[test]

@@ -25,10 +25,14 @@
 //!
 //! [`ArchKind`] selects the §V-A degradations (No-DVFS, S-DVFS), and an
 //! optional [`DiscreteSpeedSet`] enables the §V-F discrete-speed variant.
-//! Every variant reads the same per-core ready index, refreshed at the
-//! top of each invocation; the general solvers ([`energy_opt`],
-//! [`QeSolver::solve`]) are the oracles debug builds re-run against it
-//! on every invocation.
+//! The variants differ only in the per-core grants: the equal share
+//! (No-DVFS), the shared clock (S-DVFS), water-filling, or water-filling
+//! rectified onto the ladder (§V-F). One loop then runs step 4 on every
+//! core off its ready index, refreshed at the top of each invocation —
+//! eagerly on the fixed-speed architectures, which skip Energy-OPT, and
+//! snapped onto the ladder under §V-F. The general solvers
+//! ([`energy_opt`], [`QeSolver::solve`]) are the oracles debug builds
+//! re-run against the index on every invocation.
 
 use qes_core::job::JobId;
 #[cfg(debug_assertions)]
@@ -40,7 +44,7 @@ use qes_singlecore::energy_opt::energy_opt;
 use qes_singlecore::energy_opt::energy_opt_common_release;
 use qes_singlecore::online_qe::{OnlineMode, QeSolver, ReadyJob};
 
-use crate::arch::{fixed_speed_plan, ArchKind};
+use crate::arch::ArchKind;
 use crate::crr::CrrDistributor;
 use crate::discrete::{rectify_speeds, snap_plan_up};
 use crate::policy::{PolicyDecision, SchedulingPolicy, SystemView, TriggerRequest};
@@ -75,8 +79,8 @@ pub enum PowerSharing {
 /// Per-core ready index: the live job set in canonical (deadline, id)
 /// order with left-to-right prefix sums of remaining demand, updated by
 /// suffix diff each invocation. It is DES's only per-core input, for
-/// every architecture: the power probe, the budget-free and
-/// budget-bounded solves and the fixed-speed plans all read it.
+/// every architecture: the power probe, the budget-free solve and the
+/// granted Online-QE solves all read it.
 ///
 /// The prefix sums resume from the first diverging position, which is
 /// bit-identical to re-summing from the left — so everything derived
@@ -142,7 +146,8 @@ struct DesStats {
     keeps: u64,
     /// Fresh budget-free Energy-OPT materializations.
     free_solves: u64,
-    /// Fresh budget-bounded Online-QE solves.
+    /// Online-QE solves under a grant, on any architecture (cores with
+    /// no live job or a zero grant are not solved).
     qe_solves: u64,
     /// Jobs the §V-D discard loop abandoned.
     discards: u64,
@@ -173,7 +178,9 @@ pub struct DesPolicy {
     sort_scratch: Vec<ReadyJob>,
     /// Step-2 power request per core, kept across invocations.
     requests: Vec<f64>,
-    /// Step-3 grant per core, kept across invocations.
+    /// Step-4 grant per core: the fixed share, the shared clock's power,
+    /// water-filling's grant or its ladder rectification. Kept across
+    /// invocations.
     grants: Vec<f64>,
     /// Water-filling's outstanding-request scratch.
     wf_rest: Vec<f64>,
@@ -234,7 +241,8 @@ impl DesPolicy {
     }
 
     /// Ablation: how the budget-bounded step realizes its volumes
-    /// (default: eager — see `OnlineMode`).
+    /// (default: eager — see `OnlineMode`). No-DVFS and S-DVFS always
+    /// run eagerly: they have no Energy-OPT step to stretch with.
     pub fn with_mode(mut self, mode: OnlineMode) -> Self {
         self.mode = mode;
         self
@@ -340,7 +348,7 @@ impl DesPolicy {
         plan
     }
 
-    /// Step 4 (and the §V-F ladder's solve) for one core, straight off
+    /// Step 4 for one core under any architecture's grant, straight off
     /// its ready index with [`QeSolver::solve_sorted`]: the index is
     /// exactly the live, sorted list [`QeSolver::solve`] would build, so
     /// the plan and discards are bit-identical; debug builds re-solve
@@ -466,16 +474,22 @@ impl SchedulingPolicy for DesPolicy {
                 "core {c}: indexed probe diverged from the sorting probe"
             );
         }
+        if self.free_streak.len() != m {
+            self.free_streak = vec![false; m];
+        }
 
-        let mut plans: Vec<Option<CoreSchedule>> = Vec::with_capacity(m);
-        let mut discarded: Vec<JobId> = Vec::new();
+        let mut mode = self.mode;
+        let mut ladder = None;
         let mut ambient = vec![0.0; m];
-
+        // Each architecture chooses the per-core grants; one loop below
+        // then plans every core under its grant.
         match self.arch {
             ArchKind::NoDvfs | ArchKind::SDvfs => {
                 // No-DVFS: a fixed speed funded by the static equal share.
                 // S-DVFS: one shared clock at the maximum request, clamped
-                // by the equal share (WF over identical requests).
+                // by the equal share (WF over identical requests). Both
+                // skip the Energy-OPT step (§V-A): Online-QE's volumes are
+                // packed EDF at the fixed speed, which is the eager mode.
                 let share = view.budget / m as f64;
                 let power = match self.arch {
                     ArchKind::SDvfs => self
@@ -486,20 +500,14 @@ impl SchedulingPolicy for DesPolicy {
                         .min(share),
                     _ => share,
                 };
-                let speed = view.model.speed_for_dynamic_power(power);
-                for cq in &self.core_qe {
-                    let (plan, disc) = fixed_speed_plan(now, &cq.jobs, speed);
-                    plans.push(Some(plan));
-                    discarded.extend(disc);
-                }
+                self.grants.clear();
+                self.grants.resize(m, power);
+                mode = OnlineMode::Eager;
                 // Neither can scale an idle core down: it draws the
                 // fixed or shared clock too.
-                ambient = vec![speed; m];
+                ambient.fill(view.model.speed_for_dynamic_power(power));
             }
             ArchKind::CDvfs => {
-                if self.free_streak.len() != m {
-                    self.free_streak = vec![false; m];
-                }
                 // Requests depend on `now`, so they are recomputed every
                 // invocation — but via the closed form off the stored
                 // prefix sums, not a YDS solve.
@@ -510,81 +518,78 @@ impl SchedulingPolicy for DesPolicy {
                         .map(|cq| Self::probe_from_index(view, cq)),
                 );
                 let total: f64 = self.requests.iter().sum();
-                // Only the budget-bound paths read the grants.
-                if self.discrete.is_some() || total > view.budget {
-                    self.distribute_power(view.budget);
+                if self.discrete.is_none() && total <= view.budget {
+                    // Step 2 early exit: the unconstrained schedules
+                    // already fit the budget and complete every job.
+                    self.stats.free_exits += 1;
+                    let mut plans = Vec::with_capacity(m);
+                    for (c, dealt) in extra.iter().enumerate() {
+                        // Keep rule — part of the decision procedure, not
+                        // a cache: a core that received no new work and
+                        // is still executing a budget-free plan keeps it.
+                        // Energy-OPT is time-consistent along its own
+                        // execution (re-solving over the remaining
+                        // demands reproduces the tail of the running
+                        // plan), so a recompute could only re-derive what
+                        // is already installed.
+                        if self.free_streak[c] && dealt.is_empty() && view.cores[c].busy {
+                            self.stats.keeps += 1;
+                            plans.push(None);
+                            continue;
+                        }
+                        self.free_streak[c] = true;
+                        if self.core_qe[c].jobs.is_empty() {
+                            // No live work: Energy-OPT over nothing.
+                            plans.push(Some(CoreSchedule::default()));
+                            continue;
+                        }
+                        self.stats.free_solves += 1;
+                        plans.push(Some(Self::free_schedule_from_index(view, &self.core_qe[c])));
+                    }
+                    return PolicyDecision {
+                        assignments,
+                        plans,
+                        discarded: Vec::new(),
+                        ambient_speeds: ambient,
+                    };
                 }
+                // Step 3. The budget binds here, so the grant is spent
+                // eagerly by default (see `OnlineMode`).
+                self.distribute_power(view.budget);
                 match &self.discrete {
-                    None if total <= view.budget => {
-                        // Step 2 early exit: the unconstrained schedules
-                        // already fit the budget and complete every job.
-                        self.stats.free_exits += 1;
-                        for (c, dealt) in extra.iter().enumerate() {
-                            // Keep rule — part of the decision procedure,
-                            // not a cache: a core that received no new
-                            // work and is still executing a budget-free
-                            // plan keeps it. Energy-OPT is
-                            // time-consistent along its own execution
-                            // (re-solving over the remaining demands
-                            // reproduces the tail of the running plan),
-                            // so a recompute could only re-derive what is
-                            // already installed.
-                            if self.free_streak[c] && dealt.is_empty() && view.cores[c].busy {
-                                self.stats.keeps += 1;
-                                plans.push(None);
-                                continue;
-                            }
-                            self.free_streak[c] = true;
-                            if self.core_qe[c].jobs.is_empty() {
-                                // No live work: Energy-OPT over nothing.
-                                plans.push(Some(CoreSchedule::default()));
-                                continue;
-                            }
-                            self.stats.free_solves += 1;
-                            plans
-                                .push(Some(Self::free_schedule_from_index(view, &self.core_qe[c])));
-                        }
-                    }
-                    None => {
-                        // Steps 3–4: distribute power, then Online-QE per
-                        // core. The budget binds here, so the grant is
-                        // spent eagerly by default (see `OnlineMode`).
-                        self.stats.budget_bound += 1;
-                        for (c, cq) in self.core_qe.iter_mut().enumerate() {
-                            let grant = self.grants[c];
-                            self.free_streak[c] = false;
-                            if cq.jobs.is_empty() || grant <= 0.0 {
-                                // Nothing live, or a zero grant (s* = 0):
-                                // Online-QE returns an empty plan and no
-                                // discards without looking at the jobs.
-                                plans.push(Some(CoreSchedule::default()));
-                                continue;
-                            }
-                            self.stats.qe_solves += 1;
-                            let (plan, disc) =
-                                Self::granted_schedule_from_index(view, cq, grant, self.mode);
-                            discarded.extend(disc);
-                            plans.push(Some(plan));
-                        }
-                    }
+                    None => self.stats.budget_bound += 1,
                     Some(set) => {
                         // §V-F: always rectify the WF grants to discrete
-                        // speeds, then Online-QE under the rectified power
-                        // with slice speeds snapped onto the ladder. Every
-                        // core is solved, empty or not.
-                        self.free_streak.fill(false);
+                        // speeds; the plans are snapped onto the ladder.
                         let speeds = rectify_speeds(&self.grants, set, view.model, view.budget);
-                        for (cq, &cap) in self.core_qe.iter_mut().zip(&speeds) {
-                            self.stats.qe_solves += 1;
-                            let grant = view.model.dynamic_power(cap);
-                            let (plan, disc) =
-                                Self::granted_schedule_from_index(view, cq, grant, self.mode);
-                            discarded.extend(disc);
-                            plans.push(Some(snap_plan_up(&plan, set)));
-                        }
+                        self.grants.clear();
+                        self.grants
+                            .extend(speeds.iter().map(|&cap| view.model.dynamic_power(cap)));
+                        ladder = Some(set);
                     }
                 }
             }
+        }
+
+        // Step 4: Online-QE per core under its grant.
+        let mut plans = Vec::with_capacity(m);
+        let mut discarded = Vec::new();
+        self.free_streak.fill(false);
+        for (cq, &grant) in self.core_qe.iter_mut().zip(&self.grants) {
+            if cq.jobs.is_empty() || grant <= 0.0 {
+                // Nothing live, or a zero grant (s* = 0): Online-QE
+                // returns an empty plan and no discards without looking
+                // at the jobs.
+                plans.push(Some(CoreSchedule::default()));
+                continue;
+            }
+            self.stats.qe_solves += 1;
+            let (plan, disc) = Self::granted_schedule_from_index(view, cq, grant, mode);
+            discarded.extend(disc);
+            plans.push(Some(match ladder {
+                Some(set) => snap_plan_up(&plan, set),
+                None => plan,
+            }));
         }
 
         self.stats.discards += discarded.len() as u64;
@@ -778,6 +783,93 @@ mod tests {
         let d = des.on_trigger(&view(ms(0), &queue, &cores, 40.0));
         let plan = d.plans[0].as_ref().unwrap();
         assert!((plan.speed_plan().max_speed() - 2.0).abs() < 1e-6);
+    }
+
+    /// One No-DVFS invocation on a single core holding `jobs`, funded to
+    /// run at `speed`: the core's plan and the discards.
+    fn no_dvfs_plan(now: SimTime, jobs: &[ReadyJob], speed: f64) -> (CoreSchedule, Vec<JobId>) {
+        // Every mode realizes a fixed-speed plan eagerly.
+        let mut des = DesPolicy::on_arch(ArchKind::NoDvfs).with_mode(OnlineMode::Efficient);
+        let cores = [CoreView { jobs, busy: false }];
+        let d = des.on_trigger(&view(now, &[], &cores, MODEL.dynamic_power(speed)));
+        let plan = d.plans.into_iter().next().unwrap().unwrap();
+        (plan, d.discarded)
+    }
+
+    fn rj_done(id: u32, r: u64, d: u64, w: f64, done: f64) -> ReadyJob {
+        ReadyJob {
+            processed: done,
+            ..rj(id, r, d, w)
+        }
+    }
+
+    #[test]
+    fn fixed_speed_underload_completes_all() {
+        let ready = vec![rj(0, 0, 150, 50.0), rj(1, 0, 160, 60.0)];
+        let (plan, disc) = no_dvfs_plan(ms(0), &ready, 1.0);
+        assert!(disc.is_empty());
+        let vols = plan.volumes();
+        assert!((vols[&JobId(0)] - 50.0).abs() < 0.05);
+        assert!((vols[&JobId(1)] - 60.0).abs() < 0.05);
+        // Sequential at constant speed: no overlap, EDF order.
+        let s = plan.slices();
+        assert!(s[0].end <= s[1].start);
+        assert_eq!(s[0].job, JobId(0));
+    }
+
+    #[test]
+    fn fixed_speed_overload_equalizes() {
+        // 100 ms window, 1 GHz → 100 units for two 200-unit jobs.
+        let ready = vec![rj(0, 0, 100, 200.0), rj(1, 0, 100, 200.0)];
+        let (plan, _) = no_dvfs_plan(ms(0), &ready, 1.0);
+        let vols = plan.volumes();
+        assert!((vols[&JobId(0)] - 50.0).abs() < 1.0);
+        assert!((vols[&JobId(1)] - 50.0).abs() < 1.0);
+    }
+
+    #[test]
+    fn fixed_speed_counts_sunk_work() {
+        let ready = vec![rj_done(0, 0, 100, 200.0, 80.0), rj(1, 0, 100, 200.0)];
+        let (plan, _) = no_dvfs_plan(ms(0), &ready, 1.0);
+        let vols = plan.volumes();
+        // Equalized totals 90/90: future work 10 vs 90.
+        assert!((vols.get(&JobId(0)).copied().unwrap_or(0.0) - 10.0).abs() < 1.5);
+        assert!((vols.get(&JobId(1)).copied().unwrap_or(0.0) - 90.0).abs() < 1.5);
+    }
+
+    #[test]
+    fn fixed_speed_discards_unfinishable_non_partial() {
+        let mut a = rj(0, 0, 100, 80.0);
+        let mut b = rj(1, 0, 100, 80.0);
+        a.job.partial = false;
+        b.job.partial = false;
+        let (plan, disc) = no_dvfs_plan(ms(0), &[a, b], 1.0);
+        assert_eq!(disc.len(), 1);
+        let vols = plan.volumes();
+        assert_eq!(vols.len(), 1);
+        let (_, v) = vols.iter().next().unwrap();
+        assert!((v - 80.0).abs() < 0.05);
+    }
+
+    #[test]
+    fn fixed_zero_speed_plans_nothing() {
+        let ready = vec![rj(0, 0, 100, 50.0)];
+        let (plan, disc) = no_dvfs_plan(ms(0), &ready, 0.0);
+        assert!(plan.is_empty());
+        assert!(disc.is_empty());
+    }
+
+    #[test]
+    fn fixed_speed_slices_stay_inside_now_and_deadline() {
+        let now = ms(40);
+        let ready = vec![rj_done(0, 0, 150, 100.0, 20.0), rj(1, 30, 180, 100.0)];
+        let (plan, _) = no_dvfs_plan(now, &ready, 2.0);
+        assert!(!plan.is_empty());
+        for s in plan.slices() {
+            assert!(s.start >= now);
+            assert!(s.end <= ms(180));
+            assert!((s.speed - 2.0).abs() < 1e-12);
+        }
     }
 
     #[test]

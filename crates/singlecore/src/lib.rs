@@ -21,7 +21,10 @@
 //!   Energy-OPT on the trimmed demands decides speeds.
 //! * [`online_qe`](mod@online_qe) — **Online-QE**, the myopic-optimal online algorithm:
 //!   QE-OPT over the currently ready jobs, with release times rewound to
-//!   account for work already performed.
+//!   account for work already performed. [`QeSolver`] is the one
+//!   Online-QE planner DES runs on every core of every architecture: its
+//!   [`OnlineMode::Eager`] realization at a fixed speed is also the
+//!   Quality-OPT-then-EDF step of the No-DVFS and S-DVFS models (§V-A).
 //!
 //! All algorithms require *agreeable deadlines* (later release ⇒ no earlier
 //! deadline, §II-A), which [`qes_core::JobSet`] guarantees.
@@ -39,6 +42,6 @@ pub mod quality_opt;
 pub(crate) mod timeline;
 
 pub use energy_opt::{energy_opt, EnergyOptResult};
-pub use online_qe::{myopic_volumes, online_qe, OnlineMode, OnlineQeOutcome, QeSolver, ReadyJob};
+pub use online_qe::{online_qe, OnlineMode, OnlineQeOutcome, QeSolver, ReadyJob};
 pub use qe_opt::{qe_opt, QeOptResult};
 pub use quality_opt::{quality_opt, QualityOptResult};

@@ -27,8 +27,6 @@
 //! Each invocation may use a different power budget — required when DES's
 //! water-filling hands each core a new power share (§IV-C).
 
-use std::collections::HashMap;
-
 use qes_core::job::{Job, JobId};
 use qes_core::power::PowerModel;
 use qes_core::schedule::{CoreSchedule, Slice};
@@ -102,7 +100,9 @@ pub enum OnlineMode {
     /// energy saving the lexicographic metric does not want; DES uses
     /// this mode whenever water-filling is engaged, which reproduces the
     /// paper's measured behaviour (C-DVFS quality ≥ S-DVFS at all loads,
-    /// equal energy under overload — Fig. 3).
+    /// equal energy under overload — Fig. 3). At a fixed speed this is
+    /// the whole No-DVFS / S-DVFS step (§V-A): Quality-OPT volumes packed
+    /// EDF, with no Energy-OPT stretching.
     Eager,
 }
 
@@ -448,32 +448,6 @@ fn rewound_vjobs(active: &[ReadyJob], alive: &[bool], adj: &[f64], out: &mut Vec
         });
     }
     shift_us
-}
-
-/// Step 1 of Online-QE: Quality-OPT at `s_max` over the ready jobs with
-/// rewound releases; returns planned *total* volumes (sunk + future).
-///
-/// Public because the No-DVFS / S-DVFS architecture models (§V-A) reuse
-/// exactly this quality step at a fixed speed, skipping the Energy-OPT
-/// step.
-pub fn myopic_volumes(now: SimTime, active: &[ReadyJob], s_max: f64) -> HashMap<JobId, f64> {
-    let us_per_unit = 1000.0 / s_max;
-    let now_f = now.as_micros() as f64;
-    let adj: Vec<f64> = active
-        .iter()
-        .map(|r| now_f - r.processed * us_per_unit)
-        .collect();
-    let alive = vec![true; active.len()];
-    let mut vjobs = Vec::new();
-    rewound_vjobs(active, &alive, &adj, &mut vjobs);
-    let mut vols = vec![0.0; active.len()];
-    let mut decomp = VolumeDecomposition::default();
-    decomp.solve(&vjobs, s_max / 1000.0, false, &mut vols);
-    active
-        .iter()
-        .zip(&vols)
-        .map(|(r, &v)| (r.job.id, v))
-        .collect()
 }
 
 #[cfg(test)]
@@ -822,7 +796,17 @@ mod tests {
             mk(0, 150_000, 200.0, 1.25025),
             mk(1, 160_000, 100.0, 0.5001),
         ];
-        let got = myopic_volumes(now, &active, s_max);
+        // Step 1 as `QeScratch::plan` runs it: rewind, then Quality-OPT.
+        let us_per_unit = 1000.0 / s_max;
+        let now_f = now.as_micros() as f64;
+        let adj: Vec<f64> = active
+            .iter()
+            .map(|r| now_f - r.processed * us_per_unit)
+            .collect();
+        let mut vjobs = Vec::new();
+        rewound_vjobs(&active, &[true, true], &adj, &mut vjobs);
+        let mut got = vec![0.0; active.len()];
+        VolumeDecomposition::default().solve(&vjobs, s_max / 1000.0, false, &mut got);
 
         // Hand-shifted instance: S = ⌈250.25⌉ = 251 µs applied to both
         // endpoints, releases rounded after the shift.
@@ -842,9 +826,9 @@ mod tests {
         )
         .unwrap();
         let qo = crate::quality_opt::quality_opt(&hand, s_max);
-        for r in &active {
+        for (r, v) in active.iter().zip(&got) {
             assert_eq!(
-                got[&r.job.id].to_bits(),
+                v.to_bits(),
                 qo.volume(r.job.id).to_bits(),
                 "{:?}: rewound volumes diverged from the hand-shifted instance",
                 r.job.id

@@ -3,37 +3,32 @@
 //!
 //! The paper's services are *best-effort*: under sustained overload the
 //! right move is to degrade gracefully, not to blow every deadline at
-//! once. PR 9's front end accepts every arrival unconditionally and
-//! re-releases stranded jobs after one fixed delay forever; this module
-//! adds the three classic overload-protection mechanisms as pure data
-//! consumed by the dispatch pre-pass (`dispatch::dispatch_protected`):
+//! once. Without protection the front end accepts every arrival
+//! unconditionally and re-releases stranded jobs after one fixed delay
+//! forever; this module adds the three classic overload-protection
+//! mechanisms as pure data consumed by the dispatch pre-pass
+//! (`dispatch::dispatch_protected`):
 //!
 //! * [`AdmissionPolicy`] — turn hopeless work away at the door, before
 //!   it costs routing state or shard capacity;
 //! * [`RetryPolicy`] — bound how often and how eagerly a stranded job
-//!   is re-released (max attempts, exponential backoff, seeded jitter);
+//!   is re-released (max attempts, exponential backoff);
 //! * [`HedgePolicy`] — tail tolerance: dispatch a second copy of a
 //!   slow job to another shard, first copy to finish wins.
 //!
 //! # Determinism contract
 //!
 //! Every decision these policies make is a function of the arrival
-//! stream, the fault plan, and seeds fixed *before* the run — never of
-//! wall-clock time, thread scheduling, or simulation results. Jitter is
-//! drawn from a per-`(job, attempt)` stream derived with
-//! [`split_seed`], so one job's jitter
-//! cannot perturb another's. [`OverloadPolicy::default`] — accept all,
-//! unlimited flat-delay retries, no hedging — degenerates *by
-//! construction* to the PR 9 dispatch path: the same branches run with
-//! the same arithmetic, and reports are bitwise identical
+//! stream and the fault plan fixed *before* the run — never of
+//! wall-clock time, thread scheduling, or simulation results.
+//! [`OverloadPolicy::default`] — accept all, unlimited flat-delay
+//! retries, no hedging — is bitwise the unprotected path by
+//! construction: the same branches run with the same arithmetic as a
+//! front end that only routes and fails over
 //! (`tests/cluster_differential.rs` pins this across the routing ×
 //! fault matrix).
 
 use qes_core::time::SimDuration;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-use crate::dispatch::split_seed;
 
 /// Decides, per *original* arrival (never retries or hedge copies),
 /// whether the cluster accepts the job at all. Rejected jobs are
@@ -91,99 +86,68 @@ impl AdmissionPolicy {
 
 /// Retry budget and backoff schedule for stranded jobs.
 ///
-/// Attempt `k` (1-based: the first re-release is attempt 1) of job `j`
-/// is delayed by
+/// Attempt `k` (1-based: the first re-release is attempt 1) is delayed
+/// by
 ///
 /// ```text
-/// delay(k) = min(base · backoff^(k-1), max_delay) · (1 + jitter · u_{j,k})
+/// delay(k) = min(base · backoff^(k-1), max_delay)
 /// ```
 ///
-/// where `u_{j,k} ∈ [0, 1)` is drawn from the seeded per-(job, attempt)
-/// stream. With `backoff == 1` and `jitter == 0` (the default) the
-/// computation short-circuits to `base` *exactly* — no float round
-/// trip — so the default policy reproduces PR 9's fixed-delay
-/// arithmetic bit for bit. Once a job has used `max_attempts`
-/// re-releases (or its delayed release lands past its deadline or the
-/// horizon), it gives up cleanly into `jobs_dropped`.
+/// With `backoff == 1` (the default) the computation short-circuits to
+/// `base` *exactly* — no float round trip — so the default policy is
+/// the flat-delay failover of a front end without protection, bit for
+/// bit. Once a job has used `max_attempts` re-releases (or its delayed
+/// release lands past its deadline or the horizon), it gives up cleanly
+/// into `jobs_dropped`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RetryPolicy {
-    /// Maximum re-releases per job (`u32::MAX` = unlimited, the PR 9
-    /// behaviour).
+    /// Maximum re-releases per job (`u32::MAX` = unlimited, the
+    /// default).
     pub max_attempts: u32,
-    /// First-attempt delay; `None` uses the fault plan's
-    /// `retry_delay()` (the PR 9 knob).
-    pub base_delay: Option<SimDuration>,
+    /// First-attempt delay (models detection + re-submission latency).
+    pub base_delay: SimDuration,
     /// Multiplicative backoff per attempt (`1.0` = flat).
     pub backoff: f64,
-    /// Upper clamp on the un-jittered delay.
+    /// Upper clamp on the delay.
     pub max_delay: SimDuration,
-    /// Jitter fraction in `[0, 1)`: attempt delays stretch by up to
-    /// `jitter × delay`, decorrelating retry storms deterministically.
-    pub jitter: f64,
-    /// Base seed of the jitter streams (split per job and attempt).
-    pub seed: u64,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy {
             max_attempts: u32::MAX,
-            base_delay: None,
+            base_delay: Self::DEFAULT_RETRY_DELAY,
             backoff: 1.0,
             max_delay: SimDuration::from_secs(3600),
-            jitter: 0.0,
-            seed: 0,
         }
     }
 }
 
 impl RetryPolicy {
+    /// Default delay before a stranded job is re-released to the
+    /// dispatcher.
+    pub const DEFAULT_RETRY_DELAY: SimDuration = SimDuration::from_millis(10);
+
     /// A bounded exponential-backoff schedule: at most `max_attempts`
-    /// re-releases, doubling from `base` up to 16× base, no jitter.
+    /// re-releases, doubling from `base` up to 16× base.
     pub fn exponential(max_attempts: u32, base: SimDuration) -> Self {
         RetryPolicy {
             max_attempts,
-            base_delay: Some(base),
+            base_delay: base,
             backoff: 2.0,
             max_delay: SimDuration::from_micros(base.as_micros().saturating_mul(16)),
-            jitter: 0.0,
-            seed: 0,
         }
     }
 
-    /// Builder: seeded jitter fraction.
-    pub fn with_jitter(mut self, jitter: f64, seed: u64) -> Self {
-        assert!(
-            (0.0..1.0).contains(&jitter),
-            "jitter must be in [0, 1), got {jitter}"
-        );
-        self.jitter = jitter;
-        self.seed = seed;
-        self
-    }
-
-    /// The delay before re-release number `attempt` (1-based) of job
-    /// `job_id`. `default_delay` is the fault plan's retry delay, used
-    /// when `base_delay` is `None`.
-    pub fn delay_for(&self, attempt: u32, default_delay: SimDuration, job_id: u32) -> SimDuration {
-        let base = self.base_delay.unwrap_or(default_delay);
-        if self.backoff == 1.0 && self.jitter == 0.0 {
-            // The degenerate schedule must reproduce PR 9's fixed-delay
-            // arithmetic exactly: return the base duration untouched.
+    /// The delay before re-release number `attempt` (1-based).
+    pub fn delay_for(&self, attempt: u32) -> SimDuration {
+        let base = self.base_delay;
+        if self.backoff == 1.0 {
+            // Exactly `base`: no float round trip on the default path.
             return base;
         }
         let exp = self.backoff.powi(attempt.saturating_sub(1).min(63) as i32);
-        let mut delay_us = (base.as_micros() as f64 * exp).min(self.max_delay.as_micros() as f64);
-        if self.jitter > 0.0 {
-            // One fresh stream per (job, attempt): sampled on demand but
-            // fully determined before the run by (seed, job, attempt).
-            let mut rng = StdRng::seed_from_u64(split_seed(
-                split_seed(self.seed, job_id as u64),
-                attempt as u64,
-            ));
-            let u: f64 = rng.gen();
-            delay_us *= 1.0 + self.jitter * u;
-        }
+        let delay_us = (base.as_micros() as f64 * exp).min(self.max_delay.as_micros() as f64);
         SimDuration::from_micros((delay_us.round() as u64).max(1))
     }
 }
@@ -248,8 +212,8 @@ impl HedgePolicy {
 /// The full overload-protection configuration of a cluster front end.
 ///
 /// The default — [`AdmissionPolicy::AcceptAll`], default
-/// [`RetryPolicy`], [`HedgePolicy::Disabled`] — is bitwise-identical to
-/// the PR 9 dispatch path by construction.
+/// [`RetryPolicy`], [`HedgePolicy::Disabled`] — is bitwise the
+/// unprotected path by construction.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct OverloadPolicy {
     /// Who gets in.
@@ -260,45 +224,37 @@ pub struct OverloadPolicy {
     pub hedge: HedgePolicy,
 }
 
-impl OverloadPolicy {
-    /// True when every mechanism is at its degenerate default, i.e. the
-    /// dispatch pre-pass is guaranteed to reproduce the PR 9 path.
-    pub fn is_degenerate(&self) -> bool {
-        self.admission == AdmissionPolicy::AcceptAll
-            && self.retry == RetryPolicy::default()
-            && self.hedge.is_disabled()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn default_policy_is_degenerate() {
+    fn default_policy_labels() {
         let p = OverloadPolicy::default();
-        assert!(p.is_degenerate());
         assert_eq!(p.admission.label(), "accept-all");
         assert_eq!(p.hedge.label(), "no-hedge");
     }
 
     #[test]
-    fn default_retry_delay_is_the_plan_delay_exactly() {
+    fn flat_retry_delay_is_the_base_delay_exactly() {
         let p = RetryPolicy::default();
-        let plan_delay = SimDuration::from_millis(10);
         for attempt in [1u32, 2, 7, 1000] {
-            assert_eq!(p.delay_for(attempt, plan_delay, 3), plan_delay);
+            assert_eq!(p.delay_for(attempt), RetryPolicy::DEFAULT_RETRY_DELAY);
         }
         // Odd microsecond counts survive untouched (no float round trip).
         let odd = SimDuration::from_micros(12_345);
-        assert_eq!(p.delay_for(5, odd, 99), odd);
+        let p = RetryPolicy {
+            base_delay: odd,
+            ..RetryPolicy::default()
+        };
+        assert_eq!(p.delay_for(5), odd);
     }
 
     #[test]
     fn exponential_backoff_doubles_and_clamps() {
         let base = SimDuration::from_millis(10);
         let p = RetryPolicy::exponential(8, base);
-        let d = |k| p.delay_for(k, SimDuration::ZERO, 0).as_micros();
+        let d = |k| p.delay_for(k).as_micros();
         assert_eq!(d(1), 10_000);
         assert_eq!(d(2), 20_000);
         assert_eq!(d(3), 40_000);
@@ -306,22 +262,6 @@ mod tests {
         // 2^(k-1) ≥ 16 clamps at max_delay = 16 × base.
         assert_eq!(d(6), 160_000);
         assert_eq!(d(40), 160_000);
-    }
-
-    #[test]
-    fn jitter_is_deterministic_and_bounded() {
-        let base = SimDuration::from_millis(10);
-        let p = RetryPolicy::exponential(8, base).with_jitter(0.5, 42);
-        let a = p.delay_for(1, SimDuration::ZERO, 7);
-        let b = p.delay_for(1, SimDuration::ZERO, 7);
-        assert_eq!(a, b, "same (job, attempt) stream, same jitter");
-        // Bounded by [delay, delay * 1.5).
-        assert!(a >= base && a < SimDuration::from_micros(15_000), "{a:?}");
-        // Different jobs and different attempts draw different streams.
-        let c = p.delay_for(1, SimDuration::ZERO, 8);
-        let d = p.delay_for(2, SimDuration::ZERO, 7);
-        assert_ne!(a, c);
-        assert_ne!(a.as_micros() * 2, d.as_micros());
     }
 
     #[test]
@@ -366,12 +306,6 @@ mod tests {
         assert_eq!(hedge(0.5).fire_at_us(10, 10), None);
         assert_eq!(hedge(0.5).fire_at_us(10, 5), None);
         assert_eq!(HedgePolicy::Disabled.fire_at_us(0, 100), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "jitter must be in [0, 1)")]
-    fn out_of_range_jitter_is_rejected() {
-        let _ = RetryPolicy::default().with_jitter(1.5, 0);
     }
 
     #[test]

@@ -22,13 +22,13 @@
 //! into the same pre-pass, all pure functions of pre-run data:
 //! deadline-aware **admission control** (reject hopeless arrivals into
 //! a `jobs_rejected` class distinct from the fault path's drops),
-//! **retry budgets** with exponential backoff and seeded jitter
+//! **retry budgets** with exponential backoff
 //! (stranded jobs give up cleanly into `jobs_dropped` when the budget
 //! or the deadline is exhausted), and deterministic **request hedging**
 //! (once a slack fraction elapses, dispatch a second copy to the
 //! next-best healthy shard; the first copy to finish wins, the loser is
 //! charged to energy but not quality). The default
-//! [`OverloadPolicy`] degenerates to the PR 9 path by construction.
+//! [`OverloadPolicy`] is bitwise the unprotected path by construction.
 //!
 //! # Determinism contract
 //!
@@ -46,17 +46,17 @@
 //! * **Zero faults ≡ the fault-free path.** Under
 //!   [`FaultPlan::none`] every query degenerates (all shards eligible,
 //!   one healthy epoch per shard), and each construct is written so the
-//!   degenerate case is the PR 8 code path *by construction* — the
-//!   reports are bitwise identical across the routing matrix.
+//!   degenerate case is the healthy-cluster routing pass *by
+//!   construction* — the reports are bitwise identical across the
+//!   routing matrix.
 //! * **One shard degenerates to the plain engine.** With `N = 1` every
 //!   job lands on shard 0 and the merged report is the shard's report —
 //!   bitwise, including every counter.
-//! * **Seed-split RNGs.** Shard `i` owns the derived seed
-//!   [`split_seed`]`(base, i)`; the streams are disjoint, so re-seeding
-//!   one shard cannot perturb another shard's results. The core
-//!   quality/energy path consumes no randomness at all — seeds only feed
-//!   the optional per-shard [`PowerMeter`] noise stream (fault plans are
-//!   sampled *before* the run by [`FaultPlan::seeded`], never during).
+//! * **No randomness in the run.** The quality/energy path consumes no
+//!   randomness at all. The only seeds are the [`RoutingPolicy::Random`]
+//!   stream, drawn in the sequential pre-pass, and the fault plan's:
+//!   [`FaultPlan::seeded`] samples shard `i`'s windows from
+//!   [`split_seed`]`(seed, i)` *before* the run, never during it.
 //!
 //! # Routing policies
 //!
@@ -108,15 +108,12 @@ use qes_core::MetricsRegistry;
 use qes_multicore::SchedulingPolicy;
 use qes_sim::engine::{SimConfig, Simulator};
 use qes_sim::report::{SimCounters, SimReport};
-use qes_sim::trace::{SimTrace, TraceSlice};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 
 use crate::admission::{AdmissionPolicy, OverloadPolicy};
 use crate::fault::{effective_cores, FaultKind, FaultPlan};
-use crate::meter::PowerMeter;
-use crate::replay::trace_power_sampler;
 
 #[cfg(test)]
 mod reference;
@@ -130,7 +127,7 @@ pub enum RoutingPolicy {
     /// Uniform random shard per job, drawn from a dedicated
     /// deterministic stream.
     Random {
-        /// Seed of the routing RNG (independent of the shard seeds).
+        /// Seed of the routing RNG (independent of the fault plan's).
         seed: u64,
     },
     /// Join-shortest-queue on the in-flight job count; ties go to the
@@ -158,11 +155,11 @@ impl RoutingPolicy {
     }
 }
 
-/// Derive shard `lane`'s seed from a cluster base seed (SplitMix64-style
+/// Derive lane `lane`'s seed from a base seed (SplitMix64-style
 /// mix-and-finalize). Distinct lanes map to distinct, well-separated
-/// seeds, so per-shard `StdRng` streams are disjoint in practice;
-/// changing one shard's seed leaves every other shard's stream — and
-/// report — untouched.
+/// seeds, so per-lane `StdRng` streams are disjoint in practice;
+/// [`FaultPlan::seeded`] samples shard `i`'s windows from lane `i`, so
+/// re-seeding one shard leaves every other shard's windows untouched.
 pub fn split_seed(base: u64, lane: u64) -> u64 {
     let mut z = base ^ lane.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -615,7 +612,7 @@ impl Router<'_> {
 ///   counter increments per strand; past `max_attempts` it gives up
 ///   into `dropped`. Otherwise it re-releases after
 ///   [`RetryPolicy::delay_for`](crate::admission::RetryPolicy::delay_for)
-///   (exponential backoff, seeded jitter).
+///   (flat or exponential backoff).
 /// * **Hedging** (`overload.hedge`): when an original is routed and
 ///   the slack-fraction instant lands strictly inside `(release,
 ///   deadline)` and before the horizon, a hedge copy fires at that
@@ -787,7 +784,7 @@ pub(crate) fn dispatch_observed<D: Observer>(
                         dropped.push((t, job));
                         continue;
                     }
-                    let delay = retry_policy.delay_for(attempt, plan.retry_delay(), job.id.0);
+                    let delay = retry_policy.delay_for(attempt);
                     // Saturates at `SimTime::MAX`, which is never before
                     // a deadline, so the job is dropped rather than
                     // wrapped into the past.
@@ -974,15 +971,8 @@ pub(crate) fn dispatch_observed<D: Observer>(
 pub struct ShardRun {
     /// Shard index (0-based).
     pub shard: usize,
-    /// The shard's derived seed ([`split_seed`] of the cluster base
-    /// seed, unless overridden).
-    pub seed: u64,
     /// The shard machine's simulation report (fault epochs merged).
     pub report: SimReport,
-    /// Metered wall-energy reading of this shard's schedule, when the
-    /// engine carries a [`PowerMeter`] (noise stream seeded by
-    /// [`ShardRun::seed`]).
-    pub measured_energy: Option<f64>,
 }
 
 /// The merged outcome of a sharded cluster run.
@@ -1026,19 +1016,6 @@ pub struct ClusterReport {
 }
 
 impl ClusterReport {
-    /// Total metered energy, if the cluster has shards and every shard
-    /// was metered (summed in shard order). An empty shard list was
-    /// never metered, so it reports `None`, not `Some(0.0)`.
-    pub fn measured_energy(&self) -> Option<f64> {
-        if self.shards.is_empty() {
-            return None;
-        }
-        self.shards
-            .iter()
-            .map(|s| s.measured_energy)
-            .try_fold(0.0, |acc, e| e.map(|e| acc + e))
-    }
-
     /// Largest per-shard job count — with [`ClusterReport::min_shard_jobs`]
     /// a quick balance check on the routing policy.
     pub fn max_shard_jobs(&self) -> usize {
@@ -1097,9 +1074,6 @@ impl ClusterReport {
         reg.set_gauge("cluster.jobs_hedged", self.jobs_hedged as f64);
         reg.set_gauge("cluster.hedges_won", self.hedges_won as f64);
         reg.set_gauge("cluster.degraded_quality", self.degraded_quality());
-        if let Some(e) = self.measured_energy() {
-            reg.set_gauge("cluster.measured_energy", e);
-        }
     }
 }
 
@@ -1158,24 +1132,18 @@ impl<O: Observer> Observer for OffsetObserver<'_, O> {
 pub struct ClusterEngine {
     shards: usize,
     routing: RoutingPolicy,
-    seed: u64,
-    shard_seeds: Option<Vec<u64>>,
-    meter: Option<PowerMeter>,
     fault: FaultPlan,
     overload: OverloadPolicy,
 }
 
 impl ClusterEngine {
-    /// A cluster of `shards` machines, round-robin routing, base seed 0,
-    /// no metering, no faults, no overload protection.
+    /// A cluster of `shards` machines, round-robin routing, no faults,
+    /// no overload protection.
     pub fn new(shards: usize) -> Self {
         assert!(shards > 0, "a cluster needs at least one shard");
         ClusterEngine {
             shards,
             routing: RoutingPolicy::RoundRobin,
-            seed: 0,
-            shard_seeds: None,
-            meter: None,
             fault: FaultPlan::none(shards),
             overload: OverloadPolicy::default(),
         }
@@ -1184,28 +1152,6 @@ impl ClusterEngine {
     /// Builder: routing policy.
     pub fn with_routing(mut self, routing: RoutingPolicy) -> Self {
         self.routing = routing;
-        self
-    }
-
-    /// Builder: cluster base seed (shard `i` derives
-    /// [`split_seed`]`(seed, i)`).
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Builder: explicit per-shard seeds, overriding the derived split.
-    /// Must supply exactly one seed per shard.
-    pub fn with_shard_seeds(mut self, seeds: Vec<u64>) -> Self {
-        assert_eq!(seeds.len(), self.shards, "one seed per shard");
-        self.shard_seeds = Some(seeds);
-        self
-    }
-
-    /// Builder: meter every shard's schedule with a [`PowerMeter`]
-    /// (its noise stream re-seeded per shard from the shard seed).
-    pub fn with_meter(mut self, meter: PowerMeter) -> Self {
-        self.meter = Some(meter);
         self
     }
 
@@ -1246,18 +1192,11 @@ impl ClusterEngine {
         &self.fault
     }
 
-    /// The seed shard `i` runs with.
-    pub fn shard_seed(&self, shard: usize) -> u64 {
-        match &self.shard_seeds {
-            Some(seeds) => seeds[shard],
-            None => split_seed(self.seed, shard as u64),
-        }
-    }
-
     /// Run the cluster: route `jobs`, simulate every shard (in parallel)
     /// on a machine configured like `cfg`, merge. `make_policy(i)`
     /// builds shard `i`'s scheduling policy (one fresh instance per
-    /// fault epoch).
+    /// fault epoch). Shards record no trace, whatever
+    /// `cfg.record_trace` says.
     pub fn run<F>(&self, cfg: &SimConfig<'_>, jobs: &JobSet, make_policy: F) -> ClusterReport
     where
         F: Fn(usize) -> Box<dyn SchedulingPolicy> + Sync + Send,
@@ -1271,10 +1210,8 @@ impl ClusterEngine {
     /// event stream opens with a shard-tagged
     /// [`Event::ShardAssign`]; fault windows bracket their epochs with
     /// [`Event::ShardDown`]/[`Event::ShardUp`], crashes report their
-    /// stranded jobs as [`Event::Redispatch`], and metered runs tag
-    /// their [`Event::PowerSample`]s with the shard index. Observers
-    /// are passive: the cluster report is bitwise-identical with or
-    /// without them.
+    /// stranded jobs as [`Event::Redispatch`]. Observers are passive:
+    /// the cluster report is bitwise-identical with or without them.
     pub fn run_observed<O, F, M>(
         &self,
         cfg: &SimConfig<'_>,
@@ -1354,7 +1291,7 @@ impl ClusterEngine {
                         },
                     );
                 }
-                let (report, trace, outcomes) = run_shard_epochs(
+                let (report, outcomes) = run_shard_epochs(
                     cfg,
                     i,
                     &shard_jobs[i],
@@ -1362,32 +1299,9 @@ impl ClusterEngine {
                     &redispatched[i],
                     &duel_slots[i],
                     &make_policy,
-                    self.meter.is_some(),
                     &mut obs,
                 );
-                let seed = self.shard_seed(i);
-                let measured = self.meter.as_ref().map(|m| {
-                    let m = PowerMeter { seed, ..m.clone() };
-                    measured_shard_energy(
-                        &m,
-                        cfg.model,
-                        cfg.num_cores,
-                        cfg.end,
-                        &trace,
-                        i as u32,
-                        &mut obs,
-                    )
-                });
-                (
-                    ShardRun {
-                        shard: i,
-                        seed,
-                        report,
-                        measured_energy: measured,
-                    },
-                    obs,
-                    outcomes,
-                )
+                (ShardRun { shard: i, report }, obs, outcomes)
             })
             .collect();
 
@@ -1486,8 +1400,9 @@ impl ClusterEngine {
 /// Each epoch runs the plain engine in *epoch-local* time (releases and
 /// deadlines shifted by the epoch start, horizon = epoch length) so
 /// engine-internal anchors like the quantum tick grid behave exactly as
-/// in a fresh run; an [`OffsetObserver`] re-timestamps events and the
-/// returned trace slices back to absolute time. Brownout epochs run on
+/// in a fresh run; an [`OffsetObserver`] re-timestamps events back to
+/// absolute time. Nothing reads a shard's schedule, so epochs run
+/// without recording a trace. Brownout epochs run on
 /// [`effective_cores`] and a proportionally reduced power budget; crash
 /// epochs run nothing (routing plus stranding guarantee they hold no
 /// jobs). Jobs spanning a non-final epoch boundary are truncated at the
@@ -1508,9 +1423,8 @@ fn run_shard_epochs<O, F>(
     redispatched: &[(SimTime, JobId)],
     duels: &[(u32, u32)],
     make_policy: &F,
-    metered: bool,
     obs: &mut O,
-) -> (SimReport, SimTrace, Vec<DuelOutcome>)
+) -> (SimReport, Vec<DuelOutcome>)
 where
     O: Observer,
     F: Fn(usize) -> Box<dyn SchedulingPolicy> + Sync + Send,
@@ -1520,7 +1434,6 @@ where
     let mut cursor = 0usize;
     let mut redisp = redispatched.iter().peekable();
     let mut merged: Option<SimReport> = None;
-    let mut full_trace = SimTrace::default();
     let mut duel_obs = DuelObserver {
         duels,
         near: 0,
@@ -1614,7 +1527,7 @@ where
                 model: cfg.model,
                 quality: cfg.quality,
                 end: local_end,
-                record_trace: cfg.record_trace || metered,
+                record_trace: false,
                 overhead: cfg.overhead,
             };
             let mut policy = make_policy(shard);
@@ -1622,19 +1535,12 @@ where
                 inner: &mut *obs,
                 base: ep.start,
             };
-            let (rep, trace) = Simulator::run_observed(
+            let (rep, _) = Simulator::run_observed(
                 &scfg,
                 policy.as_mut(),
                 &local_set,
                 &mut Tee(&mut duel_obs, off),
             );
-            for s in trace.slices() {
-                full_trace.push(TraceSlice {
-                    start: ep.start + s.start.saturating_since(SimTime::ZERO),
-                    end: ep.start + s.end.saturating_since(SimTime::ZERO),
-                    ..*s
-                });
-            }
             merged = Some(match merged {
                 None => rep,
                 Some(mut m) => {
@@ -1664,7 +1570,7 @@ where
     });
     // Epoch horizons are local; the shard's report spans the full run.
     report.sim_seconds = cfg.end.as_secs_f64();
-    (report, full_trace, duel_obs.outcomes)
+    (report, duel_obs.outcomes)
 }
 
 /// Collects the settle events of one shard's duelling copies as
@@ -1723,26 +1629,6 @@ fn search_near(duels: &[(u32, u32)], id: u32, near: usize) -> Result<usize, usiz
         Some(d) if d.0 == id => Ok(i),
         _ => Err(i),
     }
-}
-
-/// Meter one shard's executed schedule: replay the recorded trace as a
-/// per-core speed profile, price it through the machine's *dynamic*
-/// power curve (matching [`SimReport::energy_joules`]'s scope), and let
-/// the shard's [`PowerMeter`] sample it. `PowerSample` events carry the
-/// shard index as their node tag. A crashed or browned-out stretch
-/// simply has no (or fewer) trace slices, so the metered draw falls
-/// with the outage.
-fn measured_shard_energy<O: Observer>(
-    meter: &PowerMeter,
-    model: &dyn PowerModel,
-    num_cores: usize,
-    end: SimTime,
-    trace: &SimTrace,
-    shard: u32,
-    obs: &mut O,
-) -> f64 {
-    let power_at = trace_power_sampler(trace, num_cores, |s| model.dynamic_power(s));
-    meter.measure_window_observed(shard, SimTime::ZERO, end, power_at, obs)
 }
 
 #[cfg(test)]
@@ -2035,16 +1921,14 @@ mod tests {
         // later onto shard 1.
         let jobs = stream(4, 20, 100.0); // releases 0, 20, 40, 60 ms
         let horizon = SimTime::from_secs(1);
-        let plan = FaultPlan::none(2)
-            .with_window(
-                0,
-                FaultWindow {
-                    start: SimTime::from_millis(50),
-                    end: horizon,
-                    kind: FaultKind::Crash,
-                },
-            )
-            .with_retry_delay(SimDuration::from_millis(10));
+        let plan = FaultPlan::none(2).with_window(
+            0,
+            FaultWindow {
+                start: SimTime::from_millis(50),
+                end: horizon,
+                kind: FaultKind::Crash,
+            },
+        );
         let d = dispatch(
             &jobs,
             2,
@@ -2205,41 +2089,6 @@ mod tests {
                 jobs.len()
             );
         }
-    }
-
-    #[test]
-    fn measured_energy_is_none_for_empty_or_partially_metered_clusters() {
-        let base = ClusterReport {
-            routing: "jsq".into(),
-            merged: SimReport::default(),
-            shards: Vec::new(),
-            jobs_dropped: 0,
-            jobs_retried: 0,
-            jobs_rejected: 0,
-            jobs_hedged: 0,
-            hedges_won: 0,
-            dropped_max_quality: 0.0,
-            rejected_max_quality: 0.0,
-        };
-        // An empty cluster was never metered.
-        assert_eq!(base.measured_energy(), None);
-
-        let run = |energy: Option<f64>| ShardRun {
-            shard: 0,
-            seed: 0,
-            report: SimReport::default(),
-            measured_energy: energy,
-        };
-        let metered = ClusterReport {
-            shards: vec![run(Some(1.5)), run(Some(2.5))],
-            ..base.clone()
-        };
-        assert_eq!(metered.measured_energy(), Some(4.0));
-        let partial = ClusterReport {
-            shards: vec![run(Some(1.5)), run(None)],
-            ..base
-        };
-        assert_eq!(partial.measured_energy(), None);
     }
 
     #[test]
@@ -2427,16 +2276,14 @@ mod tests {
         )
         .unwrap()])
         .unwrap();
-        let plan = FaultPlan::none(2)
-            .with_window(
-                0,
-                FaultWindow {
-                    start: SimTime::from_millis(20),
-                    end: SimTime::from_millis(180),
-                    kind: FaultKind::Crash,
-                },
-            )
-            .with_retry_delay(SimDuration::from_millis(10));
+        let plan = FaultPlan::none(2).with_window(
+            0,
+            FaultWindow {
+                start: SimTime::from_millis(20),
+                end: SimTime::from_millis(180),
+                kind: FaultKind::Crash,
+            },
+        );
         let overload = OverloadPolicy {
             hedge: HedgePolicy::SlackFraction { fraction: 0.5 },
             ..OverloadPolicy::default()
@@ -2491,8 +2338,7 @@ mod tests {
                     end: SimTime::from_millis(390),
                     kind: FaultKind::Crash,
                 },
-            )
-            .with_retry_delay(SimDuration::from_millis(10));
+            );
         let budgeted = OverloadPolicy {
             retry: RetryPolicy {
                 max_attempts: 1,

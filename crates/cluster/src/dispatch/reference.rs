@@ -319,7 +319,7 @@ pub(super) fn dispatch_reference(
                         dropped.push((c, job));
                         continue;
                     }
-                    let delay = retry_policy.delay_for(*attempt, plan.retry_delay(), job.id.0);
+                    let delay = retry_policy.delay_for(*attempt);
                     let new_release = c + delay;
                     if new_release >= job.deadline || new_release > end {
                         dropped.push((c, job));
@@ -568,8 +568,7 @@ mod tests {
             let last = jobs.last_deadline().map_or(1_000_000, SimTime::as_micros);
             let end = SimTime::from_micros(last / 2 + ms_below(rng, last / 1_000));
 
-            let mut plan = FaultPlan::none(shards)
-                .with_retry_delay(SimDuration::from_micros(ms_below(rng, 30)));
+            let mut plan = FaultPlan::none(shards);
             for shard in 0..shards {
                 let mut t = 0;
                 for _ in 0..below(rng, 4) {
@@ -616,12 +615,17 @@ mod tests {
                     }
                 }
             };
-            let base = SimDuration::from_micros(1_000 + ms_below(rng, 20));
-            let retry = match below(rng, 3) {
-                0 => RetryPolicy::default(),
-                1 => RetryPolicy::exponential(below(rng, 4) as u32, base),
-                _ => RetryPolicy::exponential(1 + below(rng, 4) as u32, base)
-                    .with_jitter(0.9 * rng.gen::<f64>(), rng.next_u64()),
+            let retry = if below(rng, 3) == 0 {
+                // Flat delay, 0 µs included.
+                RetryPolicy {
+                    base_delay: SimDuration::from_micros(ms_below(rng, 30)),
+                    ..RetryPolicy::default()
+                }
+            } else {
+                RetryPolicy::exponential(
+                    below(rng, 5) as u32,
+                    SimDuration::from_micros(1_000 + ms_below(rng, 20)),
+                )
             };
             let invalid = [
                 f64::NAN,
@@ -850,7 +854,7 @@ mod tests {
     #[test]
     fn dense_dispatch_matches_the_reference_on_a_loaded_protected_stream() {
         // The protection stack of the cluster benchmark — slack-floor
-        // admission, budgeted jittered retries, hedging — over a diurnal
+        // admission, budgeted backoff retries, hedging — over a diurnal
         // stream that overloads four small shards under a seeded plan.
         let jobs = DiurnalWorkload::new(400.0, 200.0, 4.0)
             .with_horizon(SimTime::from_secs(8))
@@ -872,8 +876,7 @@ mod tests {
                         floor: 0.3,
                         capacity_ghz: 4.0,
                     },
-                    retry: RetryPolicy::exponential(3, SimDuration::from_millis(5))
-                        .with_jitter(0.25, 17),
+                    retry: RetryPolicy::exponential(3, SimDuration::from_millis(5)),
                     hedge: HedgePolicy::SlackFraction { fraction: 0.5 },
                 },
                 end,

@@ -80,7 +80,7 @@ pub fn effective_cores(cores: usize, loss: f64) -> usize {
     (((cores as f64) * (1.0 - loss)).floor() as usize).max(1)
 }
 
-/// A per-shard schedule of fault windows plus the failover retry knob.
+/// A per-shard schedule of fault windows.
 ///
 /// Windows per shard are kept sorted and non-overlapping (enforced by
 /// [`FaultPlan::with_window`]). The plan is pure data: queries like
@@ -88,14 +88,9 @@ pub fn effective_cores(cores: usize, loss: f64) -> usize {
 #[derive(Clone, Debug, PartialEq)]
 pub struct FaultPlan {
     windows: Vec<Vec<FaultWindow>>,
-    retry_delay: SimDuration,
 }
 
 impl FaultPlan {
-    /// Default delay before a stranded job is re-released to the
-    /// dispatcher (models detection + re-submission latency).
-    pub const DEFAULT_RETRY_DELAY: SimDuration = SimDuration::from_millis(10);
-
     /// The zero-fault plan: every shard healthy for the whole run. A
     /// cluster run under this plan is bitwise-identical to the
     /// fault-free path.
@@ -103,7 +98,6 @@ impl FaultPlan {
         assert!(shards > 0, "a cluster needs at least one shard");
         FaultPlan {
             windows: vec![Vec::new(); shards],
-            retry_delay: Self::DEFAULT_RETRY_DELAY,
         }
     }
 
@@ -128,13 +122,6 @@ impl FaultPlan {
             assert!(window.end <= ws[pos].start, "overlapping fault windows");
         }
         ws.insert(pos, window);
-        self
-    }
-
-    /// Builder: how long after a crash strands a job before the
-    /// dispatcher re-releases it.
-    pub fn with_retry_delay(mut self, delay: SimDuration) -> Self {
-        self.retry_delay = delay;
         self
     }
 
@@ -231,11 +218,6 @@ impl FaultPlan {
     /// Number of shards the plan covers.
     pub fn shards(&self) -> usize {
         self.windows.len()
-    }
-
-    /// The stranded-job retry delay.
-    pub fn retry_delay(&self) -> SimDuration {
-        self.retry_delay
     }
 
     /// True if any shard has any fault window.

@@ -35,8 +35,8 @@
 //!   stranded-job failover (DESIGN.md §10);
 //! * [`admission`] — overload protection for the front end:
 //!   deadline-aware admission control, retry budgets with exponential
-//!   backoff and seeded jitter, and deterministic request hedging with
-//!   first-wins accounting (DESIGN.md §11). The default
+//!   backoff, and deterministic request hedging with first-wins
+//!   accounting (DESIGN.md §11). The default
 //!   [`admission::OverloadPolicy`] is bitwise-identical to running
 //!   without one.
 

@@ -7,7 +7,6 @@
 //! a real machine spends on scheduling/OS work that the planned schedule
 //! does not show. [`PowerMeter`] models all three.
 
-use qes_core::obs::{Event, NoopObserver, Observer};
 use qes_core::time::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -40,43 +39,10 @@ impl Default for PowerMeter {
 
 impl PowerMeter {
     /// Integrate `power_at` (instantaneous total W) over `[0, end)` the
-    /// way the meter would: sample, perturb, sum.
-    pub fn measure(&self, end: SimTime, power_at: impl FnMut(SimTime) -> f64) -> f64 {
-        self.measure_window(SimTime::ZERO, end, power_at)
-    }
-
-    /// Integrate over the replay window `[start, end)` only.
-    ///
-    /// The sampling grid stays anchored at `t = 0` regardless of the
-    /// window — a real meter free-runs; a window is a post-hoc cut of its
-    /// log. Samples straddling a boundary contribute only the part of
-    /// their interval inside the window (the sensor reading itself is
-    /// taken at the grid instant, as always). The noise stream also stays
-    /// anchored: samples before `start` still consume their Gaussian
-    /// draw, so `measure_window(ZERO, end)` is bit-identical to
-    /// `measure(end)` and adjacent windows partition the energy.
-    pub fn measure_window(
-        &self,
-        start: SimTime,
-        end: SimTime,
-        power_at: impl FnMut(SimTime) -> f64,
-    ) -> f64 {
-        self.measure_window_observed(0, start, end, power_at, &mut NoopObserver)
-    }
-
-    /// [`measure_window`](Self::measure_window) with an observer: every
-    /// in-window perturbed sample is reported as a
-    /// [`PowerSample`](qes_core::obs::Event::PowerSample) for `node`,
-    /// timestamped at its grid instant. With [`NoopObserver`] this is the
-    /// plain measurement — the hook compiles out.
-    pub fn measure_window_observed<O: Observer>(
-        &self,
-        node: u32,
-        start: SimTime,
-        end: SimTime,
-        mut power_at: impl FnMut(SimTime) -> f64,
-        obs: &mut O,
-    ) -> f64 {
+    /// way the meter would: sample at every grid instant `k ·
+    /// sample_period`, perturb, and weight each sample by its interval
+    /// (the last one clipped at `end`).
+    pub fn measure(&self, end: SimTime, mut power_at: impl FnMut(SimTime) -> f64) -> f64 {
         let mut rng = StdRng::seed_from_u64(self.seed);
         assert!(
             self.sample_period.as_secs_f64() > 0.0,
@@ -86,19 +52,8 @@ impl PowerMeter {
         let mut energy = 0.0;
         while t < end {
             let sample_end = (t + self.sample_period).min(end);
-            if sample_end <= start {
-                // Entirely before the window: the free-running sensor
-                // still took the sample (the noise stream advances), but
-                // none of its interval is ours.
-                let _ = self.gaussian(&mut rng);
-                t += self.sample_period;
-                continue;
-            }
             let p = power_at(t) * (1.0 + self.overhead) + self.gaussian(&mut rng);
-            if O::ENABLED {
-                obs.record(t, Event::PowerSample { node, watts: p });
-            }
-            let span = sample_end.saturating_since(t.max(start));
+            let span = sample_end.saturating_since(t);
             energy += p.max(0.0) * span.as_secs_f64();
             t += self.sample_period;
         }
@@ -197,81 +152,5 @@ mod tests {
         // 1 s horizon = 3 full samples + one 100 ms remainder.
         let e = m.measure(SimTime::from_secs(1), |_| 10.0);
         assert!((e - 10.0).abs() < 1e-9, "energy {e}");
-    }
-
-    #[test]
-    fn window_clips_boundary_samples_to_closed_form() {
-        let m = PowerMeter {
-            sample_period: SimDuration::from_millis(300),
-            noise_std: 0.0,
-            overhead: 0.0,
-            seed: 0,
-        };
-        // Grid samples cover [0,300) [300,600) [600,900) [900,1000) ms.
-        // The window [100, 1000) ms cuts the first sample mid-interval:
-        // it contributes 200 ms, not its full 300 ms. Closed form at a
-        // constant 10 W: 0.9 s × 10 W = 9 J exactly — counting the first
-        // interval in full would read 10 J.
-        let e = m.measure_window(SimTime::from_millis(100), SimTime::from_secs(1), |_| 10.0);
-        assert!((e - 9.0).abs() < 1e-9, "energy {e}");
-        // A window cutting the *last* sample too: [100, 950) ms = 0.85 s.
-        let e = m.measure_window(SimTime::from_millis(100), SimTime::from_millis(950), |_| {
-            10.0
-        });
-        assert!((e - 8.5).abs() < 1e-9, "energy {e}");
-    }
-
-    #[test]
-    fn full_window_is_bitwise_identical_to_measure() {
-        // With noise ON: identical grid + identical RNG stream.
-        let m = PowerMeter::default();
-        let f = |t: SimTime| 60.0 + t.as_secs_f64();
-        let a = m.measure(SimTime::from_secs(3), f);
-        let b = m.measure_window(SimTime::ZERO, SimTime::from_secs(3), f);
-        assert_eq!(a.to_bits(), b.to_bits());
-    }
-
-    #[test]
-    fn adjacent_windows_partition_the_measurement() {
-        // Noise on; the cut lands mid-sample (off-grid). Because the grid
-        // and the noise stream are both anchored at t = 0, the two window
-        // readings sum to the full reading up to f64 addition order.
-        let m = PowerMeter::default();
-        let f = |t: SimTime| {
-            if t < SimTime::from_secs(1) {
-                80.0
-            } else {
-                20.0
-            }
-        };
-        let cut = SimTime::from_millis(1234);
-        let end = SimTime::from_secs(3);
-        let whole = m.measure(end, f);
-        let left = m.measure_window(SimTime::ZERO, cut, f);
-        let right = m.measure_window(cut, end, f);
-        assert!(
-            (left + right - whole).abs() < 1e-9,
-            "{left} + {right} != {whole}"
-        );
-    }
-
-    #[test]
-    fn observed_measurement_reports_every_in_window_sample() {
-        use qes_core::MetricsRegistry;
-        let m = PowerMeter {
-            sample_period: SimDuration::from_millis(100),
-            noise_std: 0.0,
-            overhead: 0.0,
-            seed: 7,
-        };
-        let mut reg = MetricsRegistry::new();
-        let start = SimTime::from_millis(250);
-        let end = SimTime::from_secs(1);
-        let e_obs = m.measure_window_observed(3, start, end, |_| 40.0, &mut reg);
-        let e_plain = m.measure_window(start, end, |_| 40.0);
-        assert_eq!(e_obs.to_bits(), e_plain.to_bits());
-        // Samples at 200..900 ms overlap the window: 8 of the 10.
-        assert_eq!(reg.counter("cluster.power.samples"), 8);
-        assert_eq!(reg.gauge("cluster.node3.last_watts"), Some(40.0));
     }
 }

@@ -18,30 +18,16 @@ use crate::spec::ClusterSpec;
 
 /// Exact energy (J) of executing `trace` on `cluster` over `[0, end)`:
 /// per-core table power while a slice runs, idle power otherwise.
+/// Slices are clipped at `end`.
 pub fn exact_energy(trace: &SimTrace, cluster: &ClusterSpec, end: SimTime) -> f64 {
-    exact_energy_window(trace, cluster, SimTime::ZERO, end)
-}
-
-/// Exact energy (J) over the replay window `[start, end)` only. Slices
-/// straddling a boundary contribute exactly the part inside the window,
-/// and the idle floor covers only the window's span — so adjacent
-/// windows partition [`exact_energy`] with no double counting.
-pub fn exact_energy_window(
-    trace: &SimTrace,
-    cluster: &ClusterSpec,
-    start: SimTime,
-    end: SimTime,
-) -> f64 {
-    let horizon = end.saturating_since(start).as_secs_f64();
+    let horizon = end.as_secs_f64();
     let mut busy_energy = 0.0;
     let mut busy_secs = 0.0;
     for s in trace.slices() {
         if s.start >= end {
             continue;
         }
-        let from = s.start.max(start);
-        let stop = s.end.min(end);
-        let secs = stop.saturating_since(from).as_secs_f64();
+        let secs = s.end.min(end).saturating_since(s.start).as_secs_f64();
         busy_energy += cluster.core_power(s.speed) * secs;
         busy_secs += secs;
     }
@@ -50,42 +36,18 @@ pub fn exact_energy_window(
 }
 
 /// Measured energy (J): the meter samples total cluster power while the
-/// trace executes.
+/// trace executes. At each sample instant every core's slice speed (0
+/// when it has none) is priced through the cluster's table and summed in
+/// core order. Slices are pre-indexed per core by start, so each sample
+/// costs O(log n) per core; slices on a core past the cluster's are
+/// ignored.
 pub fn measured_energy(
     trace: &SimTrace,
     cluster: &ClusterSpec,
     end: SimTime,
     meter: &PowerMeter,
 ) -> f64 {
-    measured_energy_window(trace, cluster, SimTime::ZERO, end, meter)
-}
-
-/// Measured energy (J) over the replay window `[start, end)`: the meter
-/// free-runs from `t = 0` (grid and noise stream anchored there, see
-/// [`PowerMeter::measure_window`]) and only the in-window part of each
-/// sample interval is integrated.
-pub fn measured_energy_window(
-    trace: &SimTrace,
-    cluster: &ClusterSpec,
-    start: SimTime,
-    end: SimTime,
-    meter: &PowerMeter,
-) -> f64 {
-    let power_at = trace_power_sampler(trace, cluster.total_cores(), |s| cluster.core_power(s));
-    meter.measure_window(start, end, power_at)
-}
-
-/// Total power at an instant of executing `trace` on `num_cores` cores:
-/// each core's slice speed at `t` (0 when it has none) priced through
-/// `core_power`, summed in core order. Slices are pre-indexed per core by
-/// start, so each sample costs O(log n) per core; slices on a core past
-/// `num_cores` are ignored.
-pub(crate) fn trace_power_sampler(
-    trace: &SimTrace,
-    num_cores: usize,
-    core_power: impl Fn(f64) -> f64,
-) -> impl Fn(SimTime) -> f64 {
-    let mut per_core: Vec<Vec<(SimTime, SimTime, f64)>> = vec![Vec::new(); num_cores];
+    let mut per_core: Vec<Vec<(SimTime, SimTime, f64)>> = vec![Vec::new(); cluster.total_cores()];
     for s in trace.slices() {
         if s.core < per_core.len() {
             per_core[s.core].push((s.start, s.end, s.speed));
@@ -94,7 +56,7 @@ pub(crate) fn trace_power_sampler(
     for v in &mut per_core {
         v.sort_by_key(|&(start, _, _)| start);
     }
-    move |t| {
+    meter.measure(end, |t| {
         per_core
             .iter()
             .map(|slices| {
@@ -103,10 +65,10 @@ pub(crate) fn trace_power_sampler(
                     Some(&(s, _, sp)) if s <= t => sp,
                     _ => 0.0,
                 };
-                core_power(speed)
+                cluster.core_power(speed)
             })
             .sum()
-    }
+    })
 }
 
 #[cfg(test)]
@@ -213,43 +175,6 @@ mod tests {
         let c = tiny_cluster();
         let e = exact_energy(&SimTrace::default(), &c, SimTime::from_secs(1));
         assert!((e - 2.0 * 9.2562).abs() < 1e-9);
-    }
-
-    #[test]
-    fn exact_window_clips_slices_at_both_boundaries() {
-        let c = tiny_cluster();
-        // A 2 s slice at 2.5 GHz; the window [500, 1500) ms sees 1 s of it.
-        let t = trace_one_slice(0, 0, 2000, 2.5);
-        let e = exact_energy_window(&t, &c, ms(500), ms(1500));
-        // Busy: 22.69 × 1 s. Idle: (2 cores × 1 s − 1 busy core-s) × 9.2562.
-        let expect = 22.69 + 1.0 * 9.2562;
-        assert!((e - expect).abs() < 1e-9, "{e} vs {expect}");
-        // Adjacent windows partition the full-range integral.
-        let whole = exact_energy(&t, &c, SimTime::from_secs(3));
-        let parts = exact_energy_window(&t, &c, SimTime::ZERO, ms(700))
-            + exact_energy_window(&t, &c, ms(700), ms(2100))
-            + exact_energy_window(&t, &c, ms(2100), SimTime::from_secs(3));
-        assert!((whole - parts).abs() < 1e-9, "{whole} vs {parts}");
-    }
-
-    #[test]
-    fn measured_window_clips_partial_samples_to_closed_form() {
-        let c = tiny_cluster();
-        // Empty trace: both cores idle at 9.2562 W, so total power is a
-        // constant 18.5124 W and the integral has a closed form. The
-        // 300 ms sampling grid is cut mid-sample at 100 ms: the window
-        // [100, 1000) ms must integrate 0.9 s, not 1.0 s.
-        let meter = PowerMeter {
-            sample_period: qes_core::SimDuration::from_millis(300),
-            noise_std: 0.0,
-            overhead: 0.0,
-            seed: 0,
-        };
-        let e = measured_energy_window(&SimTrace::default(), &c, ms(100), ms(1000), &meter);
-        let expect = 0.9 * 2.0 * 9.2562;
-        assert!((e - expect).abs() < 1e-9, "{e} vs {expect}");
-        let exact = exact_energy_window(&SimTrace::default(), &c, ms(100), ms(1000));
-        assert!((e - exact).abs() < 1e-9, "{e} vs exact {exact}");
     }
 
     #[test]

@@ -34,7 +34,6 @@
 //! | `plan_keep`      | core index                      |                   |
 //! | `settle`         | job id                          | `satisfied`/`partial`/`zero` |
 //! | `discard`        | job id                          |                   |
-//! | `power_sample`   | node index                      | watts             |
 //! | `policy_counter` | counter name                    | counter value     |
 //! | `shard_assign`   | shard index                     | jobs routed       |
 //! | `shard_down`     | shard index                     | `crash`/`brownout` |
@@ -202,13 +201,6 @@ pub enum Event {
         /// The job.
         job: JobId,
     },
-    /// A cluster power meter took one sample.
-    PowerSample {
-        /// Node index (0 for a single whole-cluster meter).
-        node: u32,
-        /// Measured power in watts (noise and meter overhead included).
-        watts: f64,
-    },
     /// A policy-internal counter, drained once at end of run via
     /// [`SchedulingPolicy::metrics`](../..//qes_multicore/policy/trait.SchedulingPolicy.html).
     PolicyCounter {
@@ -285,7 +277,6 @@ impl Event {
             Event::PlanKeep { .. } => "plan_keep",
             Event::JobSettle { .. } => "settle",
             Event::JobDiscard { .. } => "discard",
-            Event::PowerSample { .. } => "power_sample",
             Event::PolicyCounter { .. } => "policy_counter",
             Event::ShardAssign { .. } => "shard_assign",
             Event::ShardDown { .. } => "shard_down",
@@ -314,7 +305,6 @@ impl Event {
                 format!("{t},settle,{},{}", job.0, outcome.label())
             }
             Event::JobDiscard { job } => format!("{t},discard,{},", job.0),
-            Event::PowerSample { node, watts } => format!("{t},power_sample,{node},{watts:?}"),
             Event::PolicyCounter { name, value } => format!("{t},policy_counter,{name},{value}"),
             Event::ShardAssign { shard, jobs } => format!("{t},shard_assign,{shard},{jobs}"),
             Event::ShardDown { shard, kind } => {
@@ -573,11 +563,6 @@ impl Observer for MetricsRegistry {
                 SettleOutcome::Zero => self.inc("engine.settle.zero", 1),
             },
             Event::JobDiscard { .. } => self.inc("engine.discard", 1),
-            Event::PowerSample { node, watts } => {
-                self.inc("cluster.power.samples", 1);
-                self.observe("cluster.power.watts", watts);
-                self.set_gauge(format!("cluster.node{node}.last_watts"), watts);
-            }
             Event::PolicyCounter { name, value } => {
                 // Drained once at end of run: a snapshot, not an increment.
                 self.counters.insert(name, value);
@@ -830,11 +815,6 @@ mod tests {
                 quality: 0.25,
             }
             .to_csv_row(SimTime::from_micros(20)),
-            Event::PowerSample {
-                node: 1,
-                watts: 12.5,
-            }
-            .to_csv_row(SimTime::from_micros(30)),
             Event::ShardAssign { shard: 2, jobs: 77 }.to_csv_row(SimTime::from_micros(40)),
             Event::ShardDown {
                 shard: 1,
@@ -865,14 +845,13 @@ mod tests {
         ];
         assert_eq!(rows[0], "10,dequeue,plan_end,");
         assert_eq!(rows[1], "20,settle,3,partial");
-        assert_eq!(rows[2], "30,power_sample,1,12.5");
-        assert_eq!(rows[3], "40,shard_assign,2,77");
-        assert_eq!(rows[4], "50,shard_down,1,crash");
-        assert_eq!(rows[5], "60,shard_up,1,");
-        assert_eq!(rows[6], "70,redispatch,9,1");
-        assert_eq!(rows[7], "80,admission_reject,11,slack_floor");
-        assert_eq!(rows[8], "90,retry,9,2");
-        assert_eq!(rows[9], "100,hedge,5,3");
+        assert_eq!(rows[2], "40,shard_assign,2,77");
+        assert_eq!(rows[3], "50,shard_down,1,crash");
+        assert_eq!(rows[4], "60,shard_up,1,");
+        assert_eq!(rows[5], "70,redispatch,9,1");
+        assert_eq!(rows[6], "80,admission_reject,11,slack_floor");
+        assert_eq!(rows[7], "90,retry,9,2");
+        assert_eq!(rows[8], "100,hedge,5,3");
     }
 
     #[test]

@@ -84,9 +84,7 @@ pub fn run(opt: &FigOptions) -> Vec<FigureReport> {
     let mut rr4 = None;
     for shards in [1usize, 2, 4] {
         for (ri, routing) in routings().iter().enumerate() {
-            let engine = ClusterEngine::new(shards)
-                .with_routing(routing.clone())
-                .with_seed(opt.seed);
+            let engine = ClusterEngine::new(shards).with_routing(routing.clone());
             let rep = engine.run(&cfg, &jobs, |_| PolicyKind::Des.build(&machine.power));
             assert_eq!(rep.merged.jobs_total(), jobs.len(), "jobs conserved");
             f.push_row(vec![

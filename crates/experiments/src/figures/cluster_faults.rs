@@ -1,8 +1,8 @@
 //! Cluster fault-injection study (extension; not a paper figure).
 //!
 //! The paper's premise is graceful degradation — best-effort services
-//! return partial results rather than failing — but PR 8's cluster only
-//! models healthy machines. This experiment injects seeded
+//! return partial results rather than failing — and a healthy cluster
+//! never shows that. This experiment injects seeded
 //! crash/brownout windows ([`FaultPlan::seeded`]) at a grid of fault
 //! rates and compares routing policies on a 4-shard cluster: how much
 //! response quality survives capacity loss, what the energy bill looks
@@ -110,7 +110,6 @@ pub fn run(opt: &FigOptions) -> Vec<FigureReport> {
         for (ri, routing) in routings().iter().enumerate() {
             let engine = ClusterEngine::new(SHARDS)
                 .with_routing(routing.clone())
-                .with_seed(opt.seed)
                 .with_fault_plan(plan.clone());
             let rep = engine.run(&cfg, &jobs, |_| PolicyKind::Des.build(&machine.power));
             assert_eq!(

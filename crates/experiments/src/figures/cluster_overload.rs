@@ -1,6 +1,6 @@
 //! Cluster overload study (extension; not a paper figure).
 //!
-//! PR 9's fault figure stresses the cluster by taking capacity away;
+//! The `cluster_faults` figure stresses the cluster by taking capacity away;
 //! this one stresses it by offering more load than the shards can
 //! serve. The shards run the FCFS baseline — a backend that does *not*
 //! triage — over an all-or-nothing stream (`partial_fraction = 0`).
@@ -135,7 +135,6 @@ pub fn run(opt: &FigOptions) -> Vec<FigureReport> {
         for (ai, adm) in admissions(capacity_ghz).iter().enumerate() {
             let engine = ClusterEngine::new(SHARDS)
                 .with_routing(RoutingPolicy::Feedback)
-                .with_seed(opt.seed)
                 .with_overload(OverloadPolicy {
                     admission: adm.clone(),
                     ..OverloadPolicy::default()

@@ -344,8 +344,10 @@ impl<'a, O: Observer> Engine<'a, O> {
                     }
                     self.invoke(policy);
                     if let Some(q) = trig.quantum {
+                        // `t + q` saturates at `SimTime::MAX`: a grid
+                        // that stops advancing must stop ticking.
                         let next = t + q;
-                        if next <= self.cfg.end {
+                        if next > t && next <= self.cfg.end {
                             self.push_event(next, EventKind::Quantum);
                         }
                     }
@@ -889,6 +891,36 @@ mod tests {
         // Quantum fires at 500/1000/1500/2000 ms; idle triggers add more.
         assert!(report.invocations() >= 4, "{}", report.invocations());
         assert_eq!(report.jobs_satisfied(), 1);
+    }
+
+    #[test]
+    fn quantum_ticks_stop_when_the_grid_saturates_at_simtime_max() {
+        // The second tick lands on `2^64 µs`, which saturates to
+        // `SimTime::MAX`; the tick after it would saturate there again.
+        struct Ticker;
+        impl SchedulingPolicy for Ticker {
+            fn name(&self) -> String {
+                "ticker".into()
+            }
+            fn triggers(&self) -> TriggerRequest {
+                TriggerRequest {
+                    quantum: Some(SimDuration::from_micros(1 << 63)),
+                    counter: None,
+                    on_idle: false,
+                    idle_requires_work: false,
+                    on_arrival: false,
+                }
+            }
+            fn on_trigger(&mut self, v: &SystemView<'_>) -> PolicyDecision {
+                PolicyDecision::keep_all(v.num_cores())
+            }
+        }
+        let c = SimConfig {
+            end: SimTime::MAX,
+            ..cfg(0, 1, 20.0)
+        };
+        let (report, _) = Simulator::run(&c, &mut Ticker, &JobSet::new(Vec::new()).unwrap());
+        assert_eq!(report.counters.wakeups(), 2);
     }
 
     #[test]

@@ -70,8 +70,6 @@ fn summarize(csv: &str) {
     let mut dropped: u64 = 0;
     let mut first_us: Option<u64> = None;
     let mut last_us: u64 = 0;
-    let mut watts_sum = 0.0;
-    let mut watts_n = 0u64;
 
     for line in csv.lines() {
         let line = line.trim();
@@ -103,12 +101,6 @@ fn summarize(csv: &str) {
         first_us.get_or_insert(t);
         last_us = last_us.max(t);
         *counts.entry(event.to_string()).or_insert(0) += 1;
-        if event == "power_sample" {
-            if let Some(w) = parts.nth(1).and_then(|w| w.parse::<f64>().ok()) {
-                watts_sum += w;
-                watts_n += 1;
-            }
-        }
     }
 
     println!("blocks: {}", blocks.len());
@@ -125,11 +117,5 @@ fn summarize(csv: &str) {
     println!("by kind:");
     for (name, n) in &counts {
         println!("  {name:<16} {n}");
-    }
-    if watts_n > 0 {
-        println!(
-            "mean sampled power: {:.2} W over {watts_n} samples",
-            watts_sum / watts_n as f64
-        );
     }
 }

@@ -16,9 +16,9 @@
 //!   `(release, deadline)` sequence, never on job-id labels, so
 //!   relabeling ids inside simultaneous-arrival batches leaves the
 //!   per-position shard assignment unchanged.
-//! * **Seed-split independence.** Shard seeds derive from a SplitMix64
-//!   split; re-seeding one shard's meter leaves every other shard's
-//!   metered reading (and all reports) bit-identical.
+//! * **Seed-split disjointness.** Seeded fault plans draw each shard's
+//!   windows from a SplitMix64 split of one seed; the split lanes'
+//!   streams share no draw.
 //!
 //! The fault layer's contract (DESIGN.md §10):
 //!
@@ -38,7 +38,7 @@
 
 use qes::cluster::{
     dispatch_protected, split_seed, AdmissionPolicy, ClusterEngine, DispatchPlan, FaultKind,
-    FaultPlan, FaultWindow, HedgePolicy, OverloadPolicy, PowerMeter, RetryPolicy, RoutingPolicy,
+    FaultPlan, FaultWindow, HedgePolicy, OverloadPolicy, RetryPolicy, RoutingPolicy,
 };
 use qes::core::{Event, ExpQuality, Job, JobId, JobSet, PolynomialPower, SimDuration, SimTime};
 use qes::multicore::{DesPolicy, TriggerRequest};
@@ -80,11 +80,34 @@ fn dispatch(
     plan: &FaultPlan,
     end: SimTime,
 ) -> DispatchPlan {
+    dispatch_retrying(jobs, shards, routing, plan, RetryPolicy::default(), end)
+}
+
+/// [`dispatch`] with stranded jobs re-released under `retry`.
+fn dispatch_retrying(
+    jobs: &JobSet,
+    shards: usize,
+    routing: &RoutingPolicy,
+    plan: &FaultPlan,
+    retry: RetryPolicy,
+    end: SimTime,
+) -> DispatchPlan {
     let quality = ExpQuality::new(0.003);
-    let overload = OverloadPolicy::default();
+    let overload = OverloadPolicy {
+        retry,
+        ..OverloadPolicy::default()
+    };
     dispatch_protected(
         jobs, shards, routing, &MODEL, &quality, plan, &overload, end,
     )
+}
+
+/// Unlimited retries after a flat `ms` milliseconds.
+fn flat_retry(ms: u64) -> RetryPolicy {
+    RetryPolicy {
+        base_delay: SimDuration::from_millis(ms),
+        ..RetryPolicy::default()
+    }
 }
 
 fn diurnal_workload() -> (JobSet, u64) {
@@ -306,52 +329,6 @@ fn split_seed_streams_are_disjoint() {
             );
         }
     }
-}
-
-#[test]
-fn reseeding_one_shard_leaves_the_others_bit_identical() {
-    let (jobs, end) = diurnal_workload();
-    let quality = ExpQuality::new(0.003);
-    let cfg = sim_cfg(&quality, end);
-    let base = 1u64;
-    let meter = PowerMeter::default();
-    let seeds_a: Vec<u64> = (0..4).map(|i| split_seed(base, i)).collect();
-    let mut seeds_b = seeds_a.clone();
-    seeds_b[1] = 0xDEAD_BEEF; // re-seed shard B (= index 1) only
-
-    let run = |seeds: Vec<u64>| {
-        ClusterEngine::new(4)
-            .with_routing(RoutingPolicy::Jsq)
-            .with_shard_seeds(seeds)
-            .with_meter(meter.clone())
-            .run(&cfg, &jobs, |_| Box::new(DesPolicy::new()))
-    };
-    let ra = run(seeds_a);
-    let rb = run(seeds_b);
-
-    // Reports never depend on the seed (metering is read-only).
-    assert_reports_bitwise(&ra.merged, &rb.merged, "merged");
-    for (i, (a, b)) in ra.shards.iter().zip(rb.shards.iter()).enumerate() {
-        assert_reports_bitwise(&a.report, &b.report, &format!("shard {i}"));
-        let (ea, eb) = (a.measured_energy.unwrap(), b.measured_energy.unwrap());
-        if i == 1 {
-            assert_ne!(ea.to_bits(), eb.to_bits(), "shard 1 meter must re-roll");
-        } else {
-            assert_eq!(
-                ea.to_bits(),
-                eb.to_bits(),
-                "shard {i} meter perturbed by shard 1's seed"
-            );
-        }
-    }
-    // Metered totals exist and are within meter noise of the merged
-    // dynamic energy (2 % overhead + sampling error).
-    let measured = ra.measured_energy().unwrap();
-    let exact = ra.merged.energy_joules;
-    assert!(
-        (measured - exact).abs() / exact.max(1.0) < 0.10,
-        "measured {measured} vs exact {exact}"
-    );
 }
 
 fn routing_matrix() -> [RoutingPolicy; 4] {
@@ -627,7 +604,7 @@ fn overload_default_policy_is_bitwise_identical_across_matrix() {
 #[test]
 fn overload_active_run_is_bitwise_reproducible_across_lane_counts() {
     // All three mechanisms live (slack-floor admission, budgeted
-    // exponential backoff with seeded jitter, hedging) under a seeded
+    // exponential backoff, hedging) under a seeded
     // fault plan: 1 lane vs 4 lanes and repeat runs must agree to the
     // bit, counters included.
     let (jobs, end) = diurnal_workload();
@@ -639,7 +616,7 @@ fn overload_active_run_is_bitwise_reproducible_across_lane_counts() {
             floor: 0.05,
             capacity_ghz: CORES as f64 * 2.5,
         },
-        retry: RetryPolicy::exponential(3, SimDuration::from_millis(5)).with_jitter(0.25, 17),
+        retry: RetryPolicy::exponential(3, SimDuration::from_millis(5)),
         hedge: HedgePolicy::SlackFraction { fraction: 0.5 },
     };
     let run_with = |threads: usize| {
@@ -826,13 +803,13 @@ fn overload_retry_on_crash_boundary_respects_tie_order() {
                 end: SimTime::from_millis(70),
                 kind: FaultKind::Crash,
             },
-        )
-        .with_retry_delay(SimDuration::from_millis(5));
-    let d = dispatch(
+        );
+    let d = dispatch_retrying(
         &jobs,
         2,
         &RoutingPolicy::RoundRobin,
         &plan,
+        flat_retry(5),
         SimTime::from_secs(1),
     );
     // Round-robin: job 0 -> shard 0, job 1 -> shard 1. Both strand.
@@ -873,23 +850,22 @@ fn overload_retry_exactly_on_horizon_is_kept_one_past_is_dropped() {
     .unwrap()])
     .unwrap();
     let mk_plan = || {
-        FaultPlan::none(2)
-            .with_window(
-                0,
-                FaultWindow {
-                    start: SimTime::from_millis(40),
-                    end: SimTime::from_millis(60),
-                    kind: FaultKind::Crash,
-                },
-            )
-            .with_retry_delay(SimDuration::from_millis(10))
+        FaultPlan::none(2).with_window(
+            0,
+            FaultWindow {
+                start: SimTime::from_millis(40),
+                end: SimTime::from_millis(60),
+                kind: FaultKind::Crash,
+            },
+        )
     };
     // Horizon exactly at the 50 ms re-release: kept.
-    let kept = dispatch(
+    let kept = dispatch_retrying(
         &jobs,
         2,
         &RoutingPolicy::RoundRobin,
         &mk_plan(),
+        flat_retry(10),
         SimTime::from_millis(50),
     );
     assert_eq!(kept.retried, 1);
@@ -899,11 +875,12 @@ fn overload_retry_exactly_on_horizon_is_kept_one_past_is_dropped() {
         .any(|j| j.id.0 == 0 && j.release == SimTime::from_millis(50)));
     // Horizon one microsecond earlier: the same re-release overshoots
     // and the job is dropped instead.
-    let dropped = dispatch(
+    let dropped = dispatch_retrying(
         &jobs,
         2,
         &RoutingPolicy::RoundRobin,
         &mk_plan(),
+        flat_retry(10),
         SimTime::from_millis(50) - SimDuration::from_micros(1),
     );
     assert_eq!(dropped.retried, 0);
@@ -927,22 +904,21 @@ fn overload_retry_release_saturating_at_simtime_max_is_dropped() {
             .collect(),
     )
     .unwrap();
-    let plan = FaultPlan::none(2)
-        .with_window(
-            0,
-            FaultWindow {
-                start: before_max(5),
-                end: SimTime::MAX,
-                kind: FaultKind::Crash,
-            },
-        )
-        .with_retry_delay(SimDuration::from_millis(10));
+    let plan = FaultPlan::none(2).with_window(
+        0,
+        FaultWindow {
+            start: before_max(5),
+            end: SimTime::MAX,
+            kind: FaultKind::Crash,
+        },
+    );
     let quality = ExpQuality::new(0.003);
     for hedge in [
         HedgePolicy::Disabled,
         HedgePolicy::SlackFraction { fraction: 0.5 },
     ] {
         let overload = OverloadPolicy {
+            retry: flat_retry(10),
             hedge: hedge.clone(),
             ..OverloadPolicy::default()
         };
@@ -991,21 +967,20 @@ fn overload_retry_tying_with_an_arrival_processes_the_arrival_first() {
         .unwrap(),
     ])
     .unwrap();
-    let plan = FaultPlan::none(3)
-        .with_window(
-            0,
-            FaultWindow {
-                start: SimTime::from_millis(10),
-                end: SimTime::from_millis(15),
-                kind: FaultKind::Crash,
-            },
-        )
-        .with_retry_delay(SimDuration::from_millis(10));
-    let d = dispatch(
+    let plan = FaultPlan::none(3).with_window(
+        0,
+        FaultWindow {
+            start: SimTime::from_millis(10),
+            end: SimTime::from_millis(15),
+            kind: FaultKind::Crash,
+        },
+    );
+    let d = dispatch_retrying(
         &jobs,
         3,
         &RoutingPolicy::RoundRobin,
         &plan,
+        flat_retry(10),
         SimTime::from_secs(1),
     );
     // Originals cycle 0,1,2; the crash at 10 ms strands only job 0.
@@ -1031,17 +1006,16 @@ fn overload_retry_tying_with_a_hedge_processes_the_retry_first() {
         Job::new(1, SimTime::ZERO, SimTime::from_millis(100), 50.0).unwrap(),
     ])
     .unwrap();
-    let plan = FaultPlan::none(3)
-        .with_window(
-            0,
-            FaultWindow {
-                start: SimTime::from_millis(40),
-                end: SimTime::from_millis(45),
-                kind: FaultKind::Crash,
-            },
-        )
-        .with_retry_delay(SimDuration::from_millis(10));
+    let plan = FaultPlan::none(3).with_window(
+        0,
+        FaultWindow {
+            start: SimTime::from_millis(40),
+            end: SimTime::from_millis(45),
+            kind: FaultKind::Crash,
+        },
+    );
     let overload = OverloadPolicy {
+        retry: flat_retry(10),
         hedge: HedgePolicy::SlackFraction { fraction: 0.5 },
         ..OverloadPolicy::default()
     };

@@ -171,8 +171,7 @@ mod tests {
     fn throughput_at_dip_and_recover_reports_top_sustained_rate() {
         // The curve dips under the target mid-sweep but *ends* at or
         // above it: the sustained rate is the top of the grid, not the
-        // stale down-crossing (regression; mirrors
-        // `sweep::throughput_dip_and_recover_returns_top_sustained_rate`).
+        // stale down-crossing (regression).
         let d = panel(
             vec![100.0, 200.0, 300.0, 400.0],
             vec![0.99, 0.85, 0.95, 0.93],

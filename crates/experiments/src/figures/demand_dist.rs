@@ -14,11 +14,10 @@ use qes_core::quality::ExpQuality;
 use qes_core::time::{SimDuration, SimTime};
 use qes_multicore::{BaselineOrder, BaselinePolicy, DesPolicy, SchedulingPolicy};
 use qes_sim::engine::{SimConfig, Simulator};
-use qes_workload::distributions::{
-    DemandDistribution, Deterministic, LognormalDemand, UniformDemand,
+use qes_workload::{
+    BoundedPareto, ConstantRate, DemandDistribution, Deterministic, LognormalDemand, UniformDemand,
+    Workload,
 };
-use qes_workload::modulated::ConstantRate;
-use qes_workload::{BoundedPareto, GeneralWorkload};
 
 use crate::config::ExperimentConfig;
 use crate::figures::FigOptions;
@@ -43,9 +42,8 @@ pub fn run(opt: &FigOptions) -> Vec<FigureReport> {
         .into_par_iter()
         .map(|i| {
             let (_, dist) = shapes().swap_remove(i);
-            let jobs = GeneralWorkload::new(ConstantRate(rate), DistBox(dist))
+            let jobs = Workload::of(ConstantRate(rate), dist)
                 .with_horizon(SimTime::from_secs_f64(horizon_secs))
-                .with_deadline(SimDuration::from_millis(150))
                 .generate(opt.seed)
                 .expect("valid workload");
             let quality = ExpQuality::new(base.quality_c);
@@ -92,23 +90,6 @@ pub fn run(opt: &FigOptions) -> Vec<FigureReport> {
          (WF absorbs exactly that variance) — the §V-B consistency claim",
     );
     vec![f]
-}
-
-/// Adapter: `Box<dyn DemandDistribution>` itself as a distribution.
-struct DistBox(Box<dyn DemandDistribution>);
-
-impl DemandDistribution for DistBox {
-    fn sample(&self, rng: &mut dyn rand::RngCore) -> f64 {
-        self.0.sample(rng)
-    }
-
-    fn mean(&self) -> f64 {
-        self.0.mean()
-    }
-
-    fn label(&self) -> String {
-        self.0.label()
-    }
 }
 
 #[cfg(test)]

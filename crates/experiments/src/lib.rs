@@ -11,7 +11,8 @@
 //!   demands, 1800 s horizon) with builder-style overrides;
 //! * [`PolicyKind`] — every scheduler variant evaluated in the paper;
 //! * [`run_policy`] — one simulation run, seeded and deterministic;
-//! * [`sweep`](mod@sweep) — rayon-parallel ⟨policy, arrival-rate⟩ sweeps.
+//! * [`figures::common::measure`] — the rayon-parallel
+//!   ⟨series, arrival-rate⟩ sweep every rate-sweep figure runs.
 //!
 //! | Module | Reproduces |
 //! |--------|------------|
@@ -37,8 +38,6 @@
 pub mod config;
 pub mod figures;
 pub mod report;
-pub mod sweep;
 
 pub use config::{run_jobset, run_policy, run_policy_traced, ExperimentConfig, PolicyKind};
 pub use report::{FigureReport, Row};
-pub use sweep::{sweep, SweepPoint};

@@ -1,43 +1,23 @@
-//! Service-demand distributions beyond the paper's bounded Pareto.
+//! Service-demand distributions.
 //!
 //! The paper notes its "simulation results show consistency with different
-//! parameter values" (§V-B); these distributions let a user check that
-//! claim for shapes other than Pareto: lognormal (heavy-ish tail, common
-//! for service times), uniform, deterministic, and empirical (resampling
-//! from a measured trace).
+//! parameter values" (§V-B); beside its bounded Pareto
+//! ([`crate::pareto`]), these distributions let a user check that claim
+//! for other shapes: lognormal (heavy-ish tail, common for service
+//! times), uniform and deterministic.
 
+use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::pareto::BoundedPareto;
-
 /// A sampleable service-demand distribution.
-pub trait DemandDistribution: Send + Sync {
+pub trait DemandDistribution {
     /// Draw one demand (processing units).
-    fn sample(&self, rng: &mut dyn rand::RngCore) -> f64;
-
-    /// Analytic or empirical mean.
-    fn mean(&self) -> f64;
-
-    /// Short label for reports.
-    fn label(&self) -> String;
+    fn sample(&self, rng: &mut StdRng) -> f64;
 }
 
-impl DemandDistribution for BoundedPareto {
-    fn sample(&self, rng: &mut dyn rand::RngCore) -> f64 {
-        BoundedPareto::sample(self, rng)
-    }
-
-    fn mean(&self) -> f64 {
-        BoundedPareto::mean(self)
-    }
-
-    fn label(&self) -> String {
-        format!(
-            "pareto(α={}, {}..{})",
-            self.alpha(),
-            self.x_min(),
-            self.x_max()
-        )
+impl DemandDistribution for Box<dyn DemandDistribution> {
+    fn sample(&self, rng: &mut StdRng) -> f64 {
+        (**self).sample(rng)
     }
 }
 
@@ -49,16 +29,8 @@ pub struct Deterministic {
 }
 
 impl DemandDistribution for Deterministic {
-    fn sample(&self, _rng: &mut dyn rand::RngCore) -> f64 {
+    fn sample(&self, _rng: &mut StdRng) -> f64 {
         self.units
-    }
-
-    fn mean(&self) -> f64 {
-        self.units
-    }
-
-    fn label(&self) -> String {
-        format!("const({})", self.units)
     }
 }
 
@@ -80,17 +52,9 @@ impl UniformDemand {
 }
 
 impl DemandDistribution for UniformDemand {
-    fn sample(&self, rng: &mut dyn rand::RngCore) -> f64 {
+    fn sample(&self, rng: &mut StdRng) -> f64 {
         let u: f64 = rng.gen();
         self.lo + u * (self.hi - self.lo)
-    }
-
-    fn mean(&self) -> f64 {
-        0.5 * (self.lo + self.hi)
-    }
-
-    fn label(&self) -> String {
-        format!("uniform({}..{})", self.lo, self.hi)
     }
 }
 
@@ -122,72 +86,19 @@ impl LognormalDemand {
 }
 
 impl DemandDistribution for LognormalDemand {
-    fn sample(&self, rng: &mut dyn rand::RngCore) -> f64 {
+    fn sample(&self, rng: &mut StdRng) -> f64 {
         // Box–Muller.
         let u1: f64 = rng.gen::<f64>().max(1e-12);
         let u2: f64 = rng.gen();
         let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
         (self.mu + self.sigma * z).exp().clamp(self.lo, self.hi)
     }
-
-    fn mean(&self) -> f64 {
-        // Mean of the unclamped lognormal; close enough for reporting
-        // when the clamp is in the tails.
-        (self.mu + 0.5 * self.sigma * self.sigma).exp()
-    }
-
-    fn label(&self) -> String {
-        format!("lognormal(μ={:.2}, σ={})", self.mu, self.sigma)
-    }
-}
-
-/// Resample demands from a measured list (an "empirical" distribution).
-#[derive(Clone, Debug)]
-pub struct EmpiricalDemand {
-    samples: Vec<f64>,
-    mean: f64,
-}
-
-impl EmpiricalDemand {
-    /// Build from observed demands; rejects empty or non-positive data.
-    pub fn new(samples: Vec<f64>) -> Option<Self> {
-        if samples.is_empty() || samples.iter().any(|&s| !s.is_finite() || s <= 0.0) {
-            return None;
-        }
-        let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-        Some(EmpiricalDemand { samples, mean })
-    }
-
-    /// Number of underlying observations.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// True if built from no observations (cannot happen via `new`).
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-}
-
-impl DemandDistribution for EmpiricalDemand {
-    fn sample(&self, rng: &mut dyn rand::RngCore) -> f64 {
-        let i = (rng.gen::<f64>() * self.samples.len() as f64) as usize;
-        self.samples[i.min(self.samples.len() - 1)]
-    }
-
-    fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    fn label(&self) -> String {
-        format!("empirical(n={})", self.samples.len())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
+    use crate::pareto::BoundedPareto;
     use rand::SeedableRng;
 
     fn mean_of(d: &dyn DemandDistribution, n: usize, seed: u64) -> f64 {
@@ -202,7 +113,6 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(d.sample(&mut rng), 192.0);
         }
-        assert_eq!(d.mean(), 192.0);
     }
 
     #[test]
@@ -241,30 +151,16 @@ mod tests {
     }
 
     #[test]
-    fn empirical_resamples_only_observed_values() {
-        let obs = vec![10.0, 20.0, 30.0];
-        let d = EmpiricalDemand::new(obs.clone()).unwrap();
-        let mut rng = StdRng::seed_from_u64(4);
-        for _ in 0..1000 {
-            let x = d.sample(&mut rng);
-            assert!(obs.contains(&x));
+    fn boxed_distribution_draws_like_its_shape() {
+        let pareto = BoundedPareto::paper_default();
+        let boxed: Box<dyn DemandDistribution> = Box::new(pareto);
+        let (mut a, mut b) = (StdRng::seed_from_u64(5), StdRng::seed_from_u64(5));
+        for _ in 0..100 {
+            assert_eq!(
+                boxed.sample(&mut a).to_bits(),
+                pareto.sample(&mut b).to_bits()
+            );
         }
-        assert!((d.mean() - 20.0).abs() < 1e-12);
-        assert_eq!(d.len(), 3);
-    }
-
-    #[test]
-    fn empirical_rejects_bad_data() {
-        assert!(EmpiricalDemand::new(vec![]).is_none());
-        assert!(EmpiricalDemand::new(vec![1.0, -2.0]).is_none());
-        assert!(EmpiricalDemand::new(vec![1.0, f64::NAN]).is_none());
-    }
-
-    #[test]
-    fn pareto_implements_the_trait() {
-        let d = BoundedPareto::paper_default();
-        let label = DemandDistribution::label(&d);
-        assert!(label.contains("pareto"));
-        assert!((mean_of(&d, 100_000, 5) - 192.0).abs() < 3.0);
+        assert!((mean_of(&boxed, 100_000, 5) - 192.0).abs() < 3.0);
     }
 }

@@ -1,6 +1,9 @@
 //! Bounded Pareto service-demand distribution (paper §V-B).
 
+use rand::rngs::StdRng;
 use rand::Rng;
+
+use crate::distributions::DemandDistribution;
 
 /// A bounded Pareto distribution with index `α`, lower bound `x_min` and
 /// upper bound `x_max`.
@@ -35,21 +38,6 @@ impl BoundedPareto {
         }
     }
 
-    /// The Pareto index `α`.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-
-    /// Lower bound.
-    pub fn x_min(&self) -> f64 {
-        self.x_min
-    }
-
-    /// Upper bound.
-    pub fn x_max(&self) -> f64 {
-        self.x_max
-    }
-
     /// Analytic mean of the distribution.
     pub fn mean(&self) -> f64 {
         let (a, l, h) = (self.alpha, self.x_min, self.x_max);
@@ -63,9 +51,12 @@ impl BoundedPareto {
         let den = 1.0 - (l / h).powf(a);
         num / den
     }
+}
 
-    /// Sample one value via the inverse CDF.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+impl DemandDistribution for BoundedPareto {
+    /// One draw via the inverse CDF.
+    #[inline]
+    fn sample(&self, rng: &mut StdRng) -> f64 {
         let u: f64 = rng.gen::<f64>();
         let (a, l, h) = (self.alpha, self.x_min, self.x_max);
         // F(x) = (1 − (l/x)^α) / (1 − (l/h)^α); invert for x.
@@ -78,7 +69,6 @@ impl BoundedPareto {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     #[test]

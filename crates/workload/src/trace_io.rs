@@ -134,7 +134,7 @@ pub fn from_csv(text: &str) -> Result<JobSet, TraceParseError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::websearch::WebSearchWorkload;
+    use crate::WebSearchWorkload;
 
     #[test]
     fn roundtrip_preserves_every_job() {

@@ -10,7 +10,7 @@ use qes::core::{
     SimTime, Slice,
 };
 use qes::multicore::discrete::{rectify_speeds, snap_plan_up};
-use qes::workload::{from_csv, sample_modulated, to_csv, DiurnalRate};
+use qes::workload::{from_csv, to_csv, ArrivalProcess, DiurnalRate};
 
 const MODEL: PolynomialPower = PolynomialPower::PAPER_SIM;
 
@@ -152,7 +152,8 @@ proptest! {
         let p = DiurnalRate { base, amp, period_secs: 30.0 };
         let horizon = SimTime::from_secs(30);
         let mut rng = rand::rngs::StdRng::seed_from_u64(9);
-        let arr = sample_modulated(&p, &mut rng, horizon);
+        let mut t = 0.0;
+        let arr: Vec<SimTime> = std::iter::from_fn(|| p.next(&mut rng, &mut t, horizon)).collect();
         prop_assert!(arr.windows(2).all(|w| w[0] <= w[1]));
         // Mean observed rate can't exceed the peak (law of the process).
         let rate = arr.len() as f64 / 30.0;

@@ -44,7 +44,9 @@
 //! | `hedge`          | job id                          | hedge target shard |
 //!
 //! A `settle` event also carries the job's processed volume and earned
-//! quality; in-process observers read them, the CSV row does not.
+//! quality; in-process observers read them, the CSV row does not. A
+//! `plan_end` dequeue is a live plan end: a replaced plan's end never
+//! fires, so it is never dequeued.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -52,12 +54,14 @@ use std::fmt::Write as _;
 use crate::job::JobId;
 use crate::time::SimTime;
 
-/// Which simulator event was popped off the event heap.
+/// Which simulator event the engine took next: a heap event (deadline
+/// or quantum) or a core's plan-end timer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DequeueKind {
     /// A job's deadline expired.
     Deadline,
-    /// A core ran its installed plan to completion.
+    /// A core ran its current plan to completion. Only live plan ends
+    /// are dequeued: a replaced plan's end never fires.
     PlanEnd,
     /// The §IV-E grouped-scheduling quantum tick.
     Quantum,

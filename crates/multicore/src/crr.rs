@@ -28,14 +28,20 @@ impl CrrDistributor {
     /// Deal `count` jobs to `m` cores; returns the core index for each job
     /// in order, advancing the persistent cursor.
     pub fn assign(&mut self, count: usize, m: usize) -> Vec<usize> {
+        self.deal(m).take(count).collect()
+    }
+
+    /// Deal jobs to `m` cores one at a time: an endless stream of core
+    /// indices that advances the persistent cursor once per index taken,
+    /// so zipping it after a job iterator deals exactly those jobs.
+    pub(crate) fn deal(&mut self, m: usize) -> impl Iterator<Item = usize> + '_ {
         assert!(m > 0, "cannot distribute to zero cores");
-        let mut out = Vec::with_capacity(count);
         self.next %= m; // re-sync if the core count changed between calls
-        for _ in 0..count {
-            out.push(self.next);
-            self.next = (self.next + 1) % m;
-        }
-        out
+        std::iter::repeat_with(move || {
+            let core = self.next;
+            self.next = (core + 1) % m;
+            core
+        })
     }
 }
 

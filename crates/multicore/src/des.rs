@@ -176,6 +176,9 @@ pub struct DesPolicy {
     core_qe: Vec<CoreQe>,
     /// Sort buffer for [`CoreQe::update`].
     sort_scratch: Vec<ReadyJob>,
+    /// Per core: the queued jobs dealt to it this invocation. Kept
+    /// across invocations for the allocations.
+    dealt: Vec<Vec<ReadyJob>>,
     /// Step-2 power request per core, kept across invocations.
     requests: Vec<f64>,
     /// Step-4 grant per core: the fixed share, the shared clock's power,
@@ -207,6 +210,7 @@ impl DesPolicy {
             free_streak: Vec::new(),
             core_qe: Vec::new(),
             sort_scratch: Vec::new(),
+            dealt: Vec::new(),
             requests: Vec::new(),
             grants: Vec::new(),
             wf_rest: Vec::new(),
@@ -429,26 +433,28 @@ impl SchedulingPolicy for DesPolicy {
         self.stats.triggers += 1;
 
         // Step 1: C-RR distribution of the waiting queue.
-        let live_queue: Vec<&ReadyJob> = view
-            .queue
-            .iter()
-            .filter(|r| r.job.deadline > now && r.remaining() > 1e-9)
-            .collect();
         if self.job_sharing == JobSharing::RestartRr {
             // Ablation: forget the cumulative cursor every invocation.
             self.crr = CrrDistributor::new();
         }
-        let dealt = self.crr.assign(live_queue.len(), m);
-        let mut assignments = Vec::with_capacity(live_queue.len());
         // Newly dealt jobs, kept apart from the *borrowed* core views;
         // the keep rule below also reads which cores received any.
-        let mut extra: Vec<Vec<ReadyJob>> = vec![Vec::new(); m];
-        for (r, &core) in live_queue.iter().zip(&dealt) {
+        self.dealt.resize_with(m, Vec::new);
+        for dealt in &mut self.dealt {
+            dealt.clear();
+        }
+        let mut assignments = Vec::new();
+        let live_queue = view
+            .queue
+            .iter()
+            .filter(|r| r.job.deadline > now && r.remaining() > 1e-9);
+        for (r, core) in live_queue.zip(self.crr.deal(m)) {
             assignments.push((r.job.id, core));
-            extra[core].push(**r);
+            self.dealt[core].push(*r);
         }
         self.stats.jobs_dealt += assignments.len() as u64;
         // One core's live set (current jobs + newly dealt), borrowed.
+        let extra = &self.dealt;
         let live_iter = |c: usize| view.cores[c].live_jobs(now).chain(extra[c].iter().copied());
         // Refresh every core's ready index up front: every architecture's
         // probe and plans below read it.
@@ -480,7 +486,9 @@ impl SchedulingPolicy for DesPolicy {
 
         let mut mode = self.mode;
         let mut ladder = None;
-        let mut ambient = vec![0.0; m];
+        // Empty keeps the engine's ambient speeds, which stay 0.0 under
+        // C-DVFS: idle cores gate off.
+        let mut ambient = Vec::new();
         // Each architecture chooses the per-core grants; one loop below
         // then plans every core under its grant.
         match self.arch {
@@ -505,7 +513,7 @@ impl SchedulingPolicy for DesPolicy {
                 mode = OnlineMode::Eager;
                 // Neither can scale an idle core down: it draws the
                 // fixed or shared clock too.
-                ambient.fill(view.model.speed_for_dynamic_power(power));
+                ambient = vec![view.model.speed_for_dynamic_power(power); m];
             }
             ArchKind::CDvfs => {
                 // Requests depend on `now`, so they are recomputed every
@@ -523,7 +531,7 @@ impl SchedulingPolicy for DesPolicy {
                     // already fit the budget and complete every job.
                     self.stats.free_exits += 1;
                     let mut plans = Vec::with_capacity(m);
-                    for (c, dealt) in extra.iter().enumerate() {
+                    for (c, dealt) in self.dealt.iter().enumerate() {
                         // Keep rule — part of the decision procedure, not
                         // a cache: a core that received no new work and
                         // is still executing a budget-free plan keeps it.
@@ -689,7 +697,9 @@ mod tests {
         }
         assert!((total - 60.0).abs() < 0.1);
         assert!(d.discarded.is_empty());
-        assert!(d.ambient_speeds.iter().all(|&s| s == 0.0));
+        // C-DVFS gates idle cores: it leaves the engine's zero ambient
+        // speeds in place.
+        assert!(d.ambient_speeds.is_empty());
     }
 
     #[test]

@@ -73,10 +73,11 @@ pub struct PolicyDecision {
     /// settled from whatever volume they already processed).
     pub discarded: Vec<JobId>,
     /// Speed each core runs at while *not* executing a slice, until the
-    /// next decision. Empty means all zero (cores gate off when idle —
-    /// the C-DVFS behaviour). No-DVFS cores cannot scale down and spin at
-    /// their fixed speed; S-DVFS cores are locked to the shared clock
-    /// (§V-A), so both report nonzero ambient speeds here.
+    /// next decision. Empty leaves the previous ambient speeds in place;
+    /// they start at zero (cores gate off when idle — the C-DVFS
+    /// behaviour). No-DVFS cores cannot scale down and spin at their
+    /// fixed speed; S-DVFS cores are locked to the shared clock (§V-A),
+    /// so both report nonzero ambient speeds here.
     ///
     /// **Length contract:** either empty or exactly one entry per core.
     /// Any other length is a policy bug: the engine rejects it with a

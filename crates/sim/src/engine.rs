@@ -10,14 +10,23 @@
 //! decisions naming it are no-ops. Queue removals tombstone in
 //! place (the queue compacts lazily before each policy invocation,
 //! preserving arrival order), core removals `swap_remove` and re-index
-//! the displaced job. Arrivals are not pre-pushed onto the event heap:
-//! the release-sorted job list is merged with the heap through a cursor,
-//! and a job's deadline event is only scheduled when it actually
-//! arrives, keeping the heap proportional to the in-flight window rather
-//! than the whole trace.
+//! the displaced job. The index hashes each `u32` id with one multiply
+//! (`IdHasher`) instead of SipHash.
+//!
+//! The event heap holds only deadlines and quantum ticks. Arrivals are
+//! not pre-pushed onto it: the release-sorted job list is merged with the
+//! heap through a cursor, and a job's deadline event is only scheduled
+//! when it actually arrives, keeping the heap proportional to the
+//! in-flight window rather than the whole trace. Plan ends are not heap
+//! events either: each core holds one timer for its *current* plan,
+//! overwritten whenever a plan is installed, and the main loop takes the
+//! earliest of the next arrival, the heap top and the earliest timer
+//! (found by scanning the cores after each install batch and each fired
+//! timer). A replaced plan therefore leaves nothing behind to pop.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use qes_core::job::{Job, JobId, JobSet};
 use qes_core::obs::{
@@ -85,24 +94,53 @@ impl Simulator {
     }
 }
 
-/// Event kinds, in same-instant processing order. Arrivals are not heap
-/// events (they come from the release-sorted cursor) but occupy priority
-/// 1 between deadlines and plan ends — see [`ARRIVAL_PRIO`].
+/// Heap event kinds. Arrivals (the release-sorted cursor) and plan ends
+/// (the per-core timers) are not heap events; all four share one
+/// same-instant order through the priorities below.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 enum EventKind {
     /// A job's deadline passed: settle its quality.
     Deadline(JobId),
-    /// A core's plan ran out (stale if the version moved on).
-    PlanEnd { core: u32, version: u64 },
     /// Periodic quantum tick.
     Quantum,
 }
 
+/// `(instant, priority, sequence)`: the engine processes the smallest key
+/// next. The sequence number orders same-priority events at one instant
+/// by the order they were scheduled.
+type Key = (SimTime, u8, u64);
+
 type Event = (SimTime, u8, u64, EventKind);
 
-/// Same-instant priority of arrivals relative to heap events: after
-/// deadlines (0), before plan ends (2) and quantum ticks (3).
+/// Same-instant processing order: deadlines, then arrivals, then plan
+/// ends, then quantum ticks.
+const DEADLINE_PRIO: u8 = 0;
 const ARRIVAL_PRIO: u8 = 1;
+const PLAN_END_PRIO: u8 = 2;
+const QUANTUM_PRIO: u8 = 3;
+
+/// Hashes a [`JobId`] with one multiply by 2⁶⁴/φ (Fibonacci hashing).
+/// The live ids are a dense window of `u32`s, which the odd multiplier
+/// maps to distinct low (bucket) bits and well-mixed high (tag) bits.
+/// The ids come from the program's own workload generators, not from
+/// outside input, so SipHash's resistance to crafted collisions buys
+/// nothing here.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write_u32(&mut self, x: u32) {
+        self.0 = u64::from(x).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a JobId hashes as a single u32");
+    }
+}
 
 /// Relative satisfaction tolerance: a job counts as fully processed when
 /// its volume is within this fraction of its demand. Slice endpoints are
@@ -119,6 +157,14 @@ fn demand_met(processed: f64, demand: f64) -> bool {
     demand <= 1e-12 || processed >= demand * (1.0 - REL_EPS)
 }
 
+/// An emptied `v` re-typed to borrow for another lifetime. The in-place
+/// `collect` keeps `v`'s allocation (same element layout), so a buffer of
+/// borrowing views can outlive each borrow without reallocating.
+fn recycle<'b>(mut v: Vec<CoreView<'_>>) -> Vec<CoreView<'b>> {
+    v.clear();
+    v.into_iter().map(|_| unreachable!()).collect()
+}
+
 /// Where a live job currently lives.
 #[derive(Clone, Copy, Debug)]
 enum Loc {
@@ -132,21 +178,27 @@ enum Loc {
 struct CoreState {
     jobs: Vec<ReadyJob>,
     plan: VecDeque<Slice>,
-    version: u64,
+    /// When the current plan runs out, keyed `(instant, sequence)` like a
+    /// heap event; `None` when the current plan schedules no end.
+    plan_end: Option<(SimTime, u64)>,
     ambient: f64,
     advanced_to: SimTime,
 }
 
 struct Engine<'a, O: Observer> {
     cfg: &'a SimConfig<'a>,
-    /// The caller's jobs, borrowed: a run keeps no copy of the trace.
-    all_jobs: &'a [Job],
-    /// Indices into `all_jobs` with `release <= end`, sorted by
-    /// `(release, index)`; consumed through `next_arrival`.
-    arrival_order: Vec<u32>,
+    /// The caller's jobs with `release <= end`, borrowed (a run keeps no
+    /// copy of the trace) and already in release order; consumed through
+    /// `next_arrival`.
+    arrivals: &'a [Job],
     next_arrival: usize,
     events: BinaryHeap<Reverse<Event>>,
     seq: u64,
+    /// The earliest core timer, `(instant, sequence, core)`.
+    next_plan_end: Option<(SimTime, u64, usize)>,
+    /// The latest plan end ever scheduled, replaced plans included: the
+    /// run drains to it (see `run`).
+    last_plan_end: SimTime,
     now: SimTime,
     /// Ready queue in arrival order. Settled/assigned entries are
     /// tombstoned via `queue_dead` and compacted before each invoke.
@@ -155,7 +207,12 @@ struct Engine<'a, O: Observer> {
     queue_holes: usize,
     cores: Vec<CoreState>,
     /// O(1) location of every live job (arrived, not yet settled).
-    loc: HashMap<JobId, Loc>,
+    loc: HashMap<JobId, Loc, BuildHasherDefault<IdHasher>>,
+    /// The policy's core views, empty between invocations; kept only for
+    /// its allocation (see [`recycle`]).
+    views: Vec<CoreView<'static>>,
+    /// Jobs `advance_core` saw complete, empty between calls.
+    completions: Vec<JobId>,
     trace: SimTrace,
     report: SimReport,
     /// Observability sink. Hooks are guarded by `O::ENABLED`, so with
@@ -166,22 +223,21 @@ struct Engine<'a, O: Observer> {
 
 impl<'a, O: Observer> Engine<'a, O> {
     fn new(cfg: &'a SimConfig<'a>, jobs: &'a JobSet, obs: &'a mut O) -> Self {
-        let all_jobs = jobs.jobs();
         // Arrivals beyond the horizon are ignored. (Their deadlines may
         // still fall past the cutoff: the engine drains in-flight jobs so
         // late arrivals are not unfairly truncated — windows extend at
-        // most one relative deadline beyond `end`.)
-        let mut arrival_order: Vec<u32> = (0..all_jobs.len() as u32)
-            .filter(|&i| all_jobs[i as usize].release <= cfg.end)
-            .collect();
-        arrival_order.sort_by_key(|&i| (all_jobs[i as usize].release, i));
+        // most one relative deadline beyond `end`.) A `JobSet` is sorted
+        // by `(release, deadline, id)`, so those arrivals are a prefix.
+        let all_jobs = jobs.jobs();
+        let arrivals = &all_jobs[..all_jobs.partition_point(|j| j.release <= cfg.end)];
         Engine {
             cfg,
-            all_jobs,
-            arrival_order,
+            arrivals,
             next_arrival: 0,
             events: BinaryHeap::new(),
             seq: 0,
+            next_plan_end: None,
+            last_plan_end: SimTime::ZERO,
             now: SimTime::ZERO,
             queue: Vec::new(),
             queue_dead: Vec::new(),
@@ -190,12 +246,14 @@ impl<'a, O: Observer> Engine<'a, O> {
                 .map(|_| CoreState {
                     jobs: Vec::new(),
                     plan: VecDeque::new(),
-                    version: 0,
+                    plan_end: None,
                     ambient: 0.0,
                     advanced_to: SimTime::ZERO,
                 })
                 .collect(),
-            loc: HashMap::new(),
+            loc: HashMap::default(),
+            views: Vec::new(),
+            completions: Vec::new(),
             trace: SimTrace::default(),
             report: SimReport {
                 sim_seconds: cfg.end.as_secs_f64(),
@@ -207,19 +265,34 @@ impl<'a, O: Observer> Engine<'a, O> {
 
     fn push_event(&mut self, t: SimTime, kind: EventKind) {
         let prio = match kind {
-            EventKind::Deadline(_) => 0,
-            EventKind::PlanEnd { .. } => 2,
-            EventKind::Quantum => 3,
+            EventKind::Deadline(_) => DEADLINE_PRIO,
+            EventKind::Quantum => QUANTUM_PRIO,
         };
         self.seq += 1;
         self.events.push(Reverse((t, prio, self.seq, kind)));
     }
 
-    /// Release time of the next unprocessed arrival, if any.
-    fn next_arrival_time(&self) -> Option<SimTime> {
-        self.arrival_order
+    /// The key of whatever the engine processes next: the next arrival,
+    /// the heap top or the earliest plan end. Priorities differ between
+    /// the three sources, so keys never tie across them.
+    fn next_key(&self) -> Option<Key> {
+        let arrival = self
+            .arrivals
             .get(self.next_arrival)
-            .map(|&i| self.all_jobs[i as usize].release)
+            .map(|j| (j.release, ARRIVAL_PRIO, 0));
+        let heap = self.events.peek().map(|&Reverse((t, p, s, _))| (t, p, s));
+        let timer = self.next_plan_end.map(|(t, s, _)| (t, PLAN_END_PRIO, s));
+        [arrival, heap, timer].into_iter().flatten().min()
+    }
+
+    /// Rescan the cores for the earliest plan-end timer (m is small).
+    fn refresh_next_plan_end(&mut self) {
+        self.next_plan_end = self
+            .cores
+            .iter()
+            .enumerate()
+            .filter_map(|(c, core)| core.plan_end.map(|(t, s)| (t, s, c)))
+            .min();
     }
 
     fn run(mut self, policy: &mut dyn SchedulingPolicy) -> (SimReport, SimTrace) {
@@ -232,25 +305,18 @@ impl<'a, O: Observer> Engine<'a, O> {
         }
         // Arrivals stop at `end`; the loop then drains until every job is
         // settled (quantum ticks stop rescheduling past `end`, so the heap
-        // empties within one relative deadline). Arrivals come from the
-        // release-sorted cursor, merged with the heap at priority
-        // `ARRIVAL_PRIO`.
-        loop {
-            let take_arrival = match (self.next_arrival_time(), self.events.peek()) {
-                (None, None) => break,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (Some(at), Some(&Reverse((ht, hp, _, _)))) => (at, ARRIVAL_PRIO) < (ht, hp),
-            };
-            if take_arrival {
-                let t = self.next_arrival_time().expect("cursor checked above");
-                self.now = t;
+        // empties within one relative deadline, and plan ends fall within
+        // their jobs' windows or one overhead after the last invocation).
+        // Arrivals come from the release-sorted cursor and plan ends from
+        // the per-core timers, merged with the heap by `next_key`.
+        while let Some((t, prio, _)) = self.next_key() {
+            self.now = t;
+            if prio == ARRIVAL_PRIO {
                 // Batch all arrivals at the same instant so the policy
                 // sees them together (a lone trigger between two
                 // simultaneous arrivals is a simulation artifact).
                 let mut batch: u32 = 0;
-                while let Some(&i) = self.arrival_order.get(self.next_arrival) {
-                    let job = self.all_jobs[i as usize];
+                while let Some(&job) = self.arrivals.get(self.next_arrival) {
                     if job.release != t {
                         break;
                     }
@@ -289,12 +355,42 @@ impl<'a, O: Observer> Engine<'a, O> {
                 }
                 continue;
             }
-            let Reverse((t, _, _, kind)) = self.events.pop().expect("heap checked above");
-            self.now = t;
+            if prio == PLAN_END_PRIO {
+                let (_, _, core) = self.next_plan_end.expect("timer checked above");
+                self.cores[core].plan_end = None;
+                self.refresh_next_plan_end();
+                if O::ENABLED {
+                    self.obs.record(
+                        t,
+                        ObsEvent::Dequeue {
+                            kind: DequeueKind::PlanEnd,
+                        },
+                    );
+                }
+                self.advance_core(core, t);
+                // Grouped scheduling (§IV-E): with `idle_requires_work`
+                // the idle trigger only fires when there are live jobs
+                // to assign — deadline events at this instant ran first
+                // (priority 0 < 2), so every surviving queue slot is
+                // genuinely assignable.
+                let has_work = self.queue.len() > self.queue_holes;
+                if trig.on_idle && (has_work || !trig.idle_requires_work) {
+                    if O::ENABLED {
+                        self.obs.record(
+                            t,
+                            ObsEvent::Trigger {
+                                cause: TriggerCause::PlanEnd,
+                            },
+                        );
+                    }
+                    self.invoke(policy);
+                }
+                continue;
+            }
+            let Reverse((_, _, _, kind)) = self.events.pop().expect("heap checked above");
             if O::ENABLED {
                 let dk = match kind {
                     EventKind::Deadline(_) => DequeueKind::Deadline,
-                    EventKind::PlanEnd { .. } => DequeueKind::PlanEnd,
                     EventKind::Quantum => DequeueKind::Quantum,
                 };
                 self.obs.record(t, ObsEvent::Dequeue { kind: dk });
@@ -308,30 +404,6 @@ impl<'a, O: Observer> Engine<'a, O> {
                     // advance, or settled earlier; `settle` re-checks its
                     // location.
                     self.settle(id);
-                }
-                EventKind::PlanEnd { core, version } => {
-                    let core = core as usize;
-                    if self.cores[core].version == version {
-                        self.advance_core(core, t);
-                        // Grouped scheduling (§IV-E): with
-                        // `idle_requires_work` the idle trigger only
-                        // fires when there are live jobs to assign —
-                        // deadline events at this instant ran first
-                        // (priority 0 < 2), so every surviving queue
-                        // slot is genuinely assignable.
-                        let has_work = self.queue.len() > self.queue_holes;
-                        if trig.on_idle && (has_work || !trig.idle_requires_work) {
-                            if O::ENABLED {
-                                self.obs.record(
-                                    t,
-                                    ObsEvent::Trigger {
-                                        cause: TriggerCause::PlanEnd,
-                                    },
-                                );
-                            }
-                            self.invoke(policy);
-                        }
-                    }
                 }
                 EventKind::Quantum => {
                     if O::ENABLED {
@@ -355,7 +427,10 @@ impl<'a, O: Observer> Engine<'a, O> {
             }
         }
         // Horizon reached: integrate the tail and settle everything left.
-        let final_t = self.now.max(self.cfg.end);
+        // The run drains to the latest plan end ever scheduled, replaced
+        // plans included, so ambient draw (No-DVFS, S-DVFS) covers the
+        // whole last scheduling stall.
+        let final_t = self.now.max(self.cfg.end).max(self.last_plan_end);
         self.now = final_t;
         for c in 0..self.cores.len() {
             self.advance_core(c, final_t);
@@ -476,7 +551,7 @@ impl<'a, O: Observer> Engine<'a, O> {
         if t <= core.advanced_to {
             return;
         }
-        let mut completions: Vec<JobId> = Vec::new();
+        let completions = &mut self.completions;
         while let Some(front) = core.plan.front_mut() {
             if front.start >= t {
                 break;
@@ -529,9 +604,11 @@ impl<'a, O: Observer> Engine<'a, O> {
             self.report.energy_joules += model.dynamic_energy(core.ambient, gap.as_secs_f64());
         }
         core.advanced_to = t;
-        for id in completions {
+        let mut completions = std::mem::take(&mut self.completions);
+        for id in completions.drain(..) {
             self.settle(id);
         }
+        self.completions = completions;
     }
 
     /// Invoke the policy and apply its decision.
@@ -549,17 +626,14 @@ impl<'a, O: Observer> Engine<'a, O> {
             "location index out of step with the live queue and cores"
         );
         let decision = {
-            // Views borrow each core's job list directly — building the
-            // snapshot allocates one Vec of fat pointers, not a copy of
-            // every job on every core.
-            let views: Vec<CoreView<'_>> = self
-                .cores
-                .iter()
-                .map(|c| CoreView {
-                    jobs: &c.jobs,
-                    busy: !c.plan.is_empty(),
-                })
-                .collect();
+            // Views borrow each core's job list directly, in a buffer
+            // kept across invocations: building the snapshot neither
+            // copies jobs nor allocates.
+            let mut views = recycle(std::mem::take(&mut self.views));
+            views.extend(self.cores.iter().map(|c| CoreView {
+                jobs: &c.jobs,
+                busy: !c.plan.is_empty(),
+            }));
             let view = SystemView {
                 now,
                 queue: &self.queue,
@@ -567,7 +641,9 @@ impl<'a, O: Observer> Engine<'a, O> {
                 budget: self.cfg.budget,
                 model: self.cfg.model,
             };
-            policy.on_trigger(&view)
+            let decision = policy.on_trigger(&view);
+            self.views = recycle(views);
+            decision
         };
         // §IV-E audit: a wakeup whose decision keeps everything — no
         // assignments, no discards, every plan entry `None`, ambient
@@ -655,7 +731,6 @@ impl<'a, O: Observer> Engine<'a, O> {
                 continue;
             };
             let core = &mut self.cores[c];
-            core.version += 1;
             core.plan.clear();
             core.plan.extend(
                 plan.slices()
@@ -677,31 +752,24 @@ impl<'a, O: Observer> Engine<'a, O> {
                     },
                 );
             }
-            let version = core.version;
-            if let Some(end) = core.plan.back().map(|s| s.end) {
-                if end > now {
-                    self.push_event(
-                        end,
-                        EventKind::PlanEnd {
-                            core: c as u32,
-                            version,
-                        },
-                    );
-                }
-            } else if !plan.slices().is_empty() && effective > now {
+            // The new plan's timer replaces the old plan's. Every kept
+            // slice ends after `effective >= now`.
+            let end = match core.plan.back() {
+                Some(s) => Some(s.end),
                 // The stall swallowed the whole plan: the core comes out
-                // of the overhead window idle. Without an event here an
+                // of the overhead window idle. Without a timer here an
                 // on_idle policy would never be re-invoked and the core
                 // could sit idle forever.
-                self.push_event(
-                    effective,
-                    EventKind::PlanEnd {
-                        core: c as u32,
-                        version,
-                    },
-                );
-            }
+                None if !plan.slices().is_empty() && effective > now => Some(effective),
+                None => None,
+            };
+            core.plan_end = end.map(|t| {
+                self.seq += 1;
+                self.last_plan_end = self.last_plan_end.max(t);
+                (t, self.seq)
+            });
         }
+        self.refresh_next_plan_end();
 
         // Ambient speeds for the inter-invocation window. Contract (see
         // `PolicyDecision::ambient_speeds`): empty = leave the previous
@@ -725,6 +793,7 @@ impl<'a, O: Observer> Engine<'a, O> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use qes_core::power::PolynomialPower;
     use qes_core::quality::ExpQuality;
     use qes_multicore::{BaselineOrder, BaselinePolicy, DesPolicy, PolicyDecision, TriggerRequest};
@@ -1237,5 +1306,183 @@ mod tests {
         // discarded or zero; quality 0.
         assert_eq!(report.jobs_satisfied(), 0);
         assert_eq!(report.total_quality, 0.0);
+    }
+
+    /// Installs random plans on random cores at every invocation and
+    /// logs, per installed plan, the instant its core's plan-end trigger
+    /// must fire: the end of the plan's last slice, the end of the
+    /// scheduling stall when the stall swallows the whole plan, or never
+    /// for an empty plan. Ends fall on a 5 ms grid, so equal ends across
+    /// cores and replacements at the instant a plan ends are common.
+    struct Scripted {
+        rng: rand::rngs::StdRng,
+        overhead: SimDuration,
+        end: SimTime,
+        /// `(core, expected plan end)` per installed plan, in install
+        /// order.
+        installs: Vec<(usize, Option<SimTime>)>,
+    }
+
+    impl Scripted {
+        fn pick(&mut self, n: u64) -> u64 {
+            use rand::RngCore;
+            self.rng.next_u64() % n
+        }
+    }
+
+    impl SchedulingPolicy for Scripted {
+        fn name(&self) -> String {
+            "scripted".into()
+        }
+        fn triggers(&self) -> TriggerRequest {
+            TriggerRequest {
+                quantum: Some(SimDuration::from_millis(35)),
+                counter: None,
+                on_idle: true,
+                idle_requires_work: false,
+                on_arrival: true,
+            }
+        }
+        fn on_trigger(&mut self, v: &SystemView<'_>) -> PolicyDecision {
+            let grid = SimDuration::from_millis(5);
+            let mut plans = Vec::new();
+            for c in 0..v.num_cores() {
+                let plan = match self.pick(4) {
+                    0 => None,
+                    // Past the horizon the script winds down, so the
+                    // run ends.
+                    1 => Some(Vec::new()),
+                    _ if v.now > self.end => Some(Vec::new()),
+                    _ => {
+                        let mut t = v.now + grid * self.pick(2);
+                        let slices = (0..1 + self.pick(3))
+                            .map(|_| {
+                                let start = t;
+                                t = start + grid * (1 + self.pick(2));
+                                Slice {
+                                    job: JobId(0),
+                                    start,
+                                    end: t,
+                                    speed: 1.0,
+                                }
+                            })
+                            .collect();
+                        Some(slices)
+                    }
+                };
+                if let Some(slices) = &plan {
+                    let effective = v.now + self.overhead;
+                    let end = match slices.last() {
+                        Some(s) if s.end > effective => Some(s.end),
+                        Some(_) if effective > v.now => Some(effective),
+                        _ => None,
+                    };
+                    self.installs.push((c, end));
+                }
+                plans.push(plan.map(qes_core::schedule::CoreSchedule::new));
+            }
+            PolicyDecision {
+                assignments: Vec::new(),
+                plans,
+                discarded: Vec::new(),
+                ambient_speeds: Vec::new(),
+            }
+        }
+    }
+
+    /// Records every engine event in order.
+    #[derive(Default)]
+    struct Recorder(Vec<(SimTime, ObsEvent)>);
+
+    impl Observer for Recorder {
+        const ENABLED: bool = true;
+        fn record(&mut self, at: SimTime, event: ObsEvent) {
+            self.0.push((at, event));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        /// Every plan-end trigger fires at the end of its core's
+        /// *current* plan, same-instant ends fire in install order, a
+        /// replaced or empty plan never fires, and no plan end is
+        /// skipped.
+        #[test]
+        fn plan_ends_fire_for_current_plans_in_install_order(
+            seed in 0u64..u64::MAX,
+            cores in 1usize..7,
+            overhead in 0usize..4,
+            releases in proptest::collection::vec(0u64..60, 1..8),
+        ) {
+            let end = ms(200);
+            let jobs = JobSet::new(
+                releases
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &r)| job(i as u32, 5 * r, 400, 50.0))
+                    .collect(),
+            )
+            .unwrap();
+            let mut c = cfg(200, cores, 20.0 * cores as f64);
+            // On the grid (more equal ends) and off it.
+            c.overhead = SimDuration::from_millis([0, 5, 10, 13][overhead]);
+            let mut policy = Scripted {
+                rng: rand::SeedableRng::seed_from_u64(seed),
+                overhead: c.overhead,
+                end,
+                installs: Vec::new(),
+            };
+            let mut rec = Recorder::default();
+            Simulator::run_observed(&c, &mut policy, &jobs, &mut rec);
+
+            // Replay the event stream against each core's current plan
+            // end, keyed `(instant, install number)`.
+            let mut timers: Vec<Option<(SimTime, usize)>> = vec![None; cores];
+            let mut installs = policy.installs.iter().enumerate();
+            let mut fired = 0;
+            let events = &rec.0;
+            for (i, &(t, ev)) in events.iter().enumerate() {
+                let pending = timers.iter().flatten().min().copied();
+                match ev {
+                    ObsEvent::PlanInstall { core, .. } => {
+                        let (n, &(c, want)) = installs.next().expect("an install per plan");
+                        prop_assert_eq!(c, core as usize);
+                        timers[c] = want.map(|w| (w, n));
+                    }
+                    ObsEvent::Dequeue { kind: DequeueKind::PlanEnd } => {
+                        let (at, n) = pending.expect("a plan end fired with no current plan");
+                        prop_assert_eq!(t, at, "plan end fired off its current plan's end");
+                        let c = timers.iter().position(|&x| x == Some((at, n))).unwrap();
+                        timers[c] = None;
+                        fired += 1;
+                        prop_assert!(
+                            matches!(
+                                events.get(i + 1),
+                                Some(&(u, ObsEvent::Trigger { cause: TriggerCause::PlanEnd })) if u == t
+                            ),
+                            "a plan end at {:?} did not trigger the policy",
+                            t
+                        );
+                    }
+                    // Quantum ticks sort after plan ends at one instant;
+                    // deadlines and arrivals before them.
+                    ObsEvent::Dequeue { kind: DequeueKind::Quantum } => {
+                        prop_assert!(pending.is_none_or(|(at, _)| at > t), "skipped a plan end");
+                    }
+                    ObsEvent::Dequeue { .. } | ObsEvent::Arrivals { .. } => {
+                        prop_assert!(pending.is_none_or(|(at, _)| at >= t), "skipped a plan end");
+                    }
+                    _ => {}
+                }
+            }
+            prop_assert!(installs.next().is_none());
+            prop_assert!(timers.iter().all(Option::is_none), "a plan end never fired");
+            let triggers = events
+                .iter()
+                .filter(|(_, e)| matches!(e, ObsEvent::Trigger { cause: TriggerCause::PlanEnd }))
+                .count();
+            prop_assert_eq!(triggers, fired);
+        }
     }
 }

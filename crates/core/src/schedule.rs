@@ -51,6 +51,23 @@ impl CoreSchedule {
         CoreSchedule { slices }
     }
 
+    /// Build from slices that [`Self::new`] would keep as they are: each
+    /// non-empty at a positive speed, already in `(start, end)` order.
+    /// Debug builds check the precondition.
+    pub fn from_sorted(slices: Vec<Slice>) -> Self {
+        debug_assert!(
+            slices.iter().all(|s| s.end > s.start && s.speed > 0.0),
+            "from_sorted given an empty slice or a non-positive speed"
+        );
+        debug_assert!(
+            slices
+                .windows(2)
+                .all(|w| (w[0].start, w[0].end) <= (w[1].start, w[1].end)),
+            "from_sorted given slices out of time order"
+        );
+        CoreSchedule { slices }
+    }
+
     /// The slices in time order.
     #[inline]
     pub fn slices(&self) -> &[Slice] {

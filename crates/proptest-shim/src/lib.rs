@@ -80,8 +80,16 @@ impl TestRunner {
         self.config.cases
     }
 
+    /// The seed of case `case`. XOR with a fixed word is a bijection, so
+    /// every case of one runner gets its own seed (an OR with the
+    /// constant would merge cases that differ only in the constant's bits
+    /// 32 and 34).
+    pub fn seed_for_case(&self, case: u32) -> u64 {
+        self.name_seed ^ ((case as u64) << 32) ^ 0x5DEECE66D
+    }
+
     pub fn rng_for_case(&self, case: u32) -> StdRng {
-        StdRng::seed_from_u64(self.name_seed ^ ((case as u64) << 32 | 0x5DEECE66D))
+        StdRng::seed_from_u64(self.seed_for_case(case))
     }
 }
 
@@ -374,6 +382,19 @@ mod tests {
             r.map_err(|e: TestCaseError| TestCaseError::fail(format!("{e}")))?;
             prop_assert!(u8::from(b) <= 1);
         }
+    }
+
+    #[test]
+    fn every_case_gets_its_own_seed() {
+        let runner = TestRunner::new(ProptestConfig::with_cases(400), "t");
+        let seeds: std::collections::HashSet<u64> = (0..runner.cases())
+            .map(|c| runner.seed_for_case(c))
+            .collect();
+        assert_eq!(seeds.len(), 400);
+        let draws: std::collections::HashSet<u64> = (0..runner.cases())
+            .map(|c| (0u64..u64::MAX).generate(&mut runner.rng_for_case(c)))
+            .collect();
+        assert_eq!(draws.len(), 400);
     }
 
     #[test]

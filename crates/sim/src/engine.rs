@@ -276,13 +276,19 @@ impl<'a, O: Observer> Engine<'a, O> {
     /// the heap top or the earliest plan end. Priorities differ between
     /// the three sources, so keys never tie across them.
     fn next_key(&self) -> Option<Key> {
+        fn earlier(a: Option<Key>, b: Option<Key>) -> Option<Key> {
+            match (a, b) {
+                (Some(x), Some(y)) => Some(x.min(y)),
+                (x, None) | (None, x) => x,
+            }
+        }
         let arrival = self
             .arrivals
             .get(self.next_arrival)
             .map(|j| (j.release, ARRIVAL_PRIO, 0));
         let heap = self.events.peek().map(|&Reverse((t, p, s, _))| (t, p, s));
         let timer = self.next_plan_end.map(|(t, s, _)| (t, PLAN_END_PRIO, s));
-        [arrival, heap, timer].into_iter().flatten().min()
+        earlier(earlier(arrival, heap), timer)
     }
 
     /// Rescan the cores for the earliest plan-end timer (m is small).

@@ -39,7 +39,7 @@ use qes_core::job::{JobId, JobSet};
 use qes_core::schedule::{CoreSchedule, Slice};
 use qes_core::time::SimTime;
 
-use crate::timeline::{compress_point, edf_pack, materialize, VJob, VirtualMap};
+use crate::timeline::{compress_point, edf_pack, materialize, round_u64, VJob, VirtualMap};
 
 /// Output of [`energy_opt`].
 #[derive(Clone, Debug)]
@@ -166,7 +166,8 @@ pub fn energy_opt_common_release<T>(
         // below 2^52 µs one step leaves `edf_pack` at most 0.5 µs of a
         // job, which it counts as finished: one step, one slice per job.
         let us_per_unit = 1000.0 / speed;
-        let mut cur = 0.0f64;
+        // `cur` and its rounding: each job starts where the last ended.
+        let (mut cur, mut si) = (0.0f64, 0u64);
         for jj in &jobs[first..last] {
             let (id, d, wi) = job(jj);
             let dv = d.as_micros() - base;
@@ -176,7 +177,8 @@ pub fn energy_opt_common_release<T>(
                 cur + run_us - end <= 2.0,
                 "EDF pack drops volume at deadline: job {id:?}"
             );
-            let (si, ei) = (cur.round() as u64, (end.round() as u64).min(dv));
+            let end_us = round_u64(end);
+            let ei = end_us.min(dv);
             if ei > si {
                 slices.push(Slice {
                     job: id,
@@ -185,12 +187,14 @@ pub fn energy_opt_common_release<T>(
                     speed,
                 });
             }
-            cur = end;
+            (cur, si) = (end, end_us);
         }
         base += cut;
         first = last;
     }
-    CoreSchedule::new(slices)
+    // Each slice is non-empty at a positive speed, and each round starts
+    // at or after the last one's cut: already in time order.
+    CoreSchedule::from_sorted(slices)
 }
 
 /// Find the critical interval of `vjobs`: the candidate `[a, b)` (built

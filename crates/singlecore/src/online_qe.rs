@@ -26,6 +26,15 @@
 //!
 //! Each invocation may use a different power budget — required when DES's
 //! water-filling hands each core a new power share (§IV-C).
+//!
+//! The solve is one pass per stage over the (deadline, id)-sorted live
+//! jobs: the rewind shift, the rewound virtual jobs (built straight into
+//! the volume decomposition, which sorts them once for all its rounds),
+//! the discard loop, and one loop from volumes to slices that trims,
+//! caps at EDF capacity and feeds the mode's sink. Every stage repeats
+//! the float operations of the multi-pass form it replaced, so plans are
+//! bit-identical to it; `tests/qe_digests.rs` pins them, and debug builds
+//! check each search round against a reference (DESIGN.md §6).
 
 use qes_core::job::{Job, JobId};
 use qes_core::power::PowerModel;
@@ -34,7 +43,7 @@ use qes_core::time::SimTime;
 
 use crate::energy_opt::energy_opt_common_release;
 use crate::quality_opt::VolumeDecomposition;
-use crate::timeline::VJob;
+use crate::timeline::{ceil_u64, round_u64, VJob};
 
 /// A job visible to the scheduler at invocation time, with its progress.
 #[derive(Clone, Copy, Debug)]
@@ -137,14 +146,11 @@ pub struct QeSolver {
 #[derive(Clone, Debug, Default)]
 struct QeScratch {
     alive: Vec<bool>,
-    /// Rewound (possibly negative) f64 µs release per active job; fixed
-    /// for the whole invocation since `now`, `processed`, and `s_max`
-    /// don't change across discard rounds.
-    adj: Vec<f64>,
-    vjobs: Vec<VJob>,
     vols: Vec<f64>,
     decomp: VolumeDecomposition,
-    trimmed: Vec<Job>,
+    /// `Efficient` mode's trimmed remainders: (id, deadline, demand) in
+    /// EDF order.
+    trimmed: Vec<(JobId, SimTime, f64)>,
 }
 
 impl QeSolver {
@@ -253,14 +259,13 @@ impl QeScratch {
         let n = active.len();
         let mut discarded = Vec::new();
 
-        let us_per_unit = 1000.0 / s_max;
+        let rewind = Rewind {
+            now_f: now.as_micros() as f64,
+            us_per_unit: 1000.0 / s_max,
+        };
         let units_per_us = s_max / 1000.0;
-        let now_f = now.as_micros() as f64;
         self.alive.clear();
         self.alive.resize(n, true);
-        self.adj.clear();
-        self.adj
-            .extend(active.iter().map(|r| now_f - r.processed * us_per_unit));
         self.vols.clear();
         self.vols.resize(n, 0.0);
 
@@ -269,9 +274,13 @@ impl QeScratch {
             // non-partial jobs. Snapshots are recorded only when a
             // discard can actually happen.
             let record = active.iter().any(|r| !r.job.partial);
-            let mut shift_us = rewound_vjobs(active, &self.alive, &self.adj, &mut self.vjobs);
-            self.decomp
-                .solve(&self.vjobs, units_per_us, record, &mut self.vols);
+            let mut shift_us = rewind.shift_us(active, &self.alive);
+            self.decomp.solve(
+                rewind.vjobs(active, &self.alive, shift_us),
+                units_per_us,
+                record,
+                &mut self.vols,
+            );
             loop {
                 // Discard at most one unfinishable non-partial job per
                 // round (the one with the largest shortfall), then
@@ -297,24 +306,30 @@ impl QeScratch {
                 // rounds' chosen intervals survive the removal; otherwise
                 // rebuild and re-solve from scratch (the invalidation
                 // contract — DESIGN.md §"Interval reuse").
-                let new_shift = rewind_shift_us(&self.alive, &self.adj);
+                let new_shift = rewind.shift_us(active, &self.alive);
                 if new_shift == shift_us && self.decomp.can_resume_without(x as u32, &self.alive) {
                     self.decomp
                         .resume_without(x as u32, &self.alive, units_per_us, &mut self.vols);
                 } else {
-                    shift_us = rewound_vjobs(active, &self.alive, &self.adj, &mut self.vjobs);
-                    self.decomp
-                        .solve(&self.vjobs, units_per_us, true, &mut self.vols);
+                    shift_us = new_shift;
+                    self.decomp.solve(
+                        rewind.vjobs(active, &self.alive, shift_us),
+                        units_per_us,
+                        true,
+                        &mut self.vols,
+                    );
                 }
                 #[cfg(debug_assertions)]
                 {
                     // The resume contract, enforced: identical bits to a
                     // from-scratch solve over the surviving jobs.
-                    let mut ref_vjobs = Vec::new();
                     let mut ref_vols = vec![0.0; n];
-                    rewound_vjobs(active, &self.alive, &self.adj, &mut ref_vjobs);
-                    let mut ref_decomp = VolumeDecomposition::default();
-                    ref_decomp.solve(&ref_vjobs, units_per_us, false, &mut ref_vols);
+                    VolumeDecomposition::default().solve(
+                        rewind.vjobs(active, &self.alive, new_shift),
+                        units_per_us,
+                        false,
+                        &mut ref_vols,
+                    );
                     for (i, (v, rv)) in self.vols.iter().zip(&ref_vols).enumerate() {
                         debug_assert!(
                             !self.alive[i] || v.to_bits() == rv.to_bits(),
@@ -325,40 +340,81 @@ impl QeScratch {
             }
         }
 
-        // Trim to the future remainder and re-release at `now`. The myopic
-        // volumes are feasible at `s_max` up to µs rounding of the rewound
-        // releases; clamp the remainders to *exact* EDF feasibility at
-        // `s_max` so the Energy-OPT step can never exceed the budget.
-        // `active` is (deadline, id)-sorted and the filter preserves
-        // order, so `trimmed` is already in EDF order.
+        // One pass from volumes to the mode's sink: trim each volume to
+        // its future remainder re-released at `now`, clamp the remainders
+        // to *exact* EDF feasibility at `s_max` (the myopic volumes are
+        // feasible only up to µs rounding of the rewound releases, and the
+        // Energy-OPT step must never exceed the budget), and hand each
+        // positive one on. `active` is (deadline, id)-sorted, so the
+        // remainders arrive in EDF order.
+        let mut slices = Vec::new();
+        if mode == OnlineMode::Eager {
+            slices.reserve_exact(n);
+        }
         self.trimmed.clear();
-        for (i, r) in active.iter().enumerate() {
-            if !self.alive[i] {
-                continue;
-            }
-            let future = self.vols[i] - r.processed;
-            if future > 1e-9 {
-                self.trimmed.push(Job {
-                    release: now,
-                    demand: future,
-                    ..r.job
-                });
-            }
-        }
+        // Eager's cursor and its rounding: it runs the remainders
+        // back-to-back at `s_max`, each starting where the last ended.
+        let mut cur = rewind.now_f;
+        let mut cur_us = round_u64(cur);
+        #[cfg(debug_assertions)]
+        let (mut planned, mut kept) = (0.0, 0usize);
+        let futures = active
+            .iter()
+            .zip(&self.vols)
+            .zip(&self.alive)
+            .filter(|&(_, &alive)| alive)
+            .map(|((r, &v), _)| (r, v - r.processed))
+            .filter(|&(_, future)| future > 1e-9);
         let mut cum = 0.0;
-        for j in &mut self.trimmed {
-            let cap = j.deadline.saturating_since(now).as_micros() as f64 * units_per_us;
-            let excess = (cum + j.demand - cap).max(0.0);
-            j.demand = (j.demand - excess).max(0.0);
-            cum += j.demand;
+        for (r, future) in futures {
+            let cap = r.job.deadline.saturating_since(now).as_micros() as f64 * units_per_us;
+            let excess = (cum + future - cap).max(0.0);
+            let demand = (future - excess).max(0.0);
+            cum += demand;
+            // Remainders of at most 1e-9 are dropped after the cap.
+            if demand > 1e-9 {
+                #[cfg(debug_assertions)]
+                {
+                    planned += demand;
+                    kept += 1;
+                }
+                match mode {
+                    OnlineMode::Efficient => {
+                        self.trimmed.push((r.job.id, r.job.deadline, demand));
+                    }
+                    OnlineMode::Eager => {
+                        // The grant is fully spent on quality now; the
+                        // slack Energy-OPT would have created is worthless
+                        // under sustained arrivals, which is exactly when
+                        // the budget binds. The clamp above caps every EDF
+                        // prefix at its deadline capacity, so the
+                        // unclamped end can overshoot `dl` only by float
+                        // rounding — but the cursor must still advance
+                        // from the *clamped* end, or the clamped volume is
+                        // silently dropped and dead time opens up before
+                        // the next slice.
+                        let dl = r.job.deadline.as_micros();
+                        let end = (cur + demand * rewind.us_per_unit).min(dl as f64);
+                        let end_us = round_u64(end);
+                        let (si, ei) = (cur_us, end_us.min(dl));
+                        (cur, cur_us) = (end, end_us);
+                        if ei > si {
+                            slices.push(Slice {
+                                job: r.job.id,
+                                start: SimTime::from_micros(si),
+                                end: SimTime::from_micros(ei),
+                                speed: s_max,
+                            });
+                        }
+                    }
+                }
+            }
         }
-        self.trimmed.retain(|j| j.demand > 1e-9);
         let schedule = match mode {
             OnlineMode::Efficient => {
-                // `trimmed` is released at `now`, EDF-ordered and
-                // positive: exactly the common-release fast path's input.
-                let schedule =
-                    energy_opt_common_release(now, &self.trimmed, |j| (j.id, j.deadline, j.demand));
+                // Released at `now`, EDF-ordered and positive: exactly
+                // the common-release fast path's input.
+                let schedule = energy_opt_common_release(now, &self.trimmed, |&t| t);
                 // The first slice runs at the first (fastest) round's speed.
                 let initial_speed = schedule.slices().first().map_or(0.0, |s| s.speed);
                 debug_assert!(
@@ -368,42 +424,14 @@ impl QeScratch {
                 schedule
             }
             OnlineMode::Eager => {
-                // Run the remainders back-to-back at `s_max` (EDF order —
-                // the sort above). The grant is fully spent on quality
-                // now; the slack Energy-OPT would have created is
-                // worthless under sustained arrivals, which is exactly
-                // when the budget binds.
-                let mut slices = Vec::with_capacity(self.trimmed.len());
-                let mut cur = now.as_micros() as f64;
-                for j in &self.trimmed {
-                    let start = cur;
-                    let dl = j.deadline.as_micros();
-                    // The trim loop caps every EDF prefix at its deadline
-                    // capacity, so the unclamped end can overshoot `dl`
-                    // only by float rounding — but the cursor must still
-                    // advance from the *clamped* end, or the clamped
-                    // volume is silently dropped and dead time opens up
-                    // before the next slice.
-                    let end = (start + j.demand * us_per_unit).min(dl as f64);
-                    cur = end;
-                    let si = SimTime::from_micros(start.round() as u64);
-                    let ei = SimTime::from_micros((end.round() as u64).min(dl));
-                    if ei > si {
-                        slices.push(Slice {
-                            job: j.id,
-                            start: si,
-                            end: ei,
-                            speed: s_max,
-                        });
-                    }
-                }
-                let schedule = CoreSchedule::new(slices);
+                // Each slice starts where the last one ended: already in
+                // time order.
+                let schedule = CoreSchedule::from_sorted(slices);
                 #[cfg(debug_assertions)]
                 {
-                    let planned: f64 = self.trimmed.iter().map(|j| j.demand).sum();
                     let realized: f64 = schedule.slices().iter().map(|s| s.volume()).sum();
                     // Each slice boundary moves ≤ 0.5 µs when rounded.
-                    let tol = (self.trimmed.len() as f64 + 1.0) * units_per_us + 1e-6;
+                    let tol = (kept as f64 + 1.0) * units_per_us + 1e-6;
                     debug_assert!(
                         (planned - realized).abs() <= tol,
                         "Eager dropped volume: planned {planned}, realized {realized}"
@@ -416,38 +444,58 @@ impl QeScratch {
     }
 }
 
-/// The integral µs shift making every *alive* rewound release land ≥ 0.
-fn rewind_shift_us(alive: &[bool], adj: &[f64]) -> u64 {
-    let min_adj = adj
-        .iter()
-        .zip(alive)
-        .filter(|&(_, &a)| a)
-        .map(|(&x, _)| x)
-        .fold(f64::INFINITY, f64::min);
-    (-min_adj).max(0.0).ceil() as u64
+/// The release rewind of one solve: a job with processed volume `p̄`
+/// starts `p̄ · µs/unit` before `now` (possibly before time zero). `now`,
+/// `processed` and `s_max` don't change across discard rounds, so every
+/// round recomputes the same bits.
+#[derive(Clone, Copy)]
+struct Rewind {
+    now_f: f64,
+    us_per_unit: f64,
 }
 
-/// Build the rewound virtual jobs over the alive subset of `active`,
-/// shifting releases *and* deadlines by the same integral µs amount
-/// ([`rewind_shift_us`]) so a fractional rewind cannot skew any job's
-/// window length. `VJob::id` carries the job's index in `active`. Returns
-/// the shift applied.
-fn rewound_vjobs(active: &[ReadyJob], alive: &[bool], adj: &[f64], out: &mut Vec<VJob>) -> u64 {
-    let shift_us = rewind_shift_us(alive, adj);
-    let shift = shift_us as f64;
-    out.clear();
-    for (i, r) in active.iter().enumerate() {
-        if !alive[i] || r.job.demand <= 0.0 {
-            continue;
-        }
-        out.push(VJob {
-            id: JobId(i as u32),
-            r: (adj[i] + shift).round() as u64,
-            d: r.job.deadline.as_micros() + shift_us,
-            w: r.job.demand,
-        });
+impl Rewind {
+    /// The rewound f64 µs release of `r`.
+    fn release(&self, r: &ReadyJob) -> f64 {
+        self.now_f - r.processed * self.us_per_unit
     }
-    shift_us
+
+    /// The integral µs shift making every *alive* rewound release land
+    /// ≥ 0.
+    fn shift_us(&self, active: &[ReadyJob], alive: &[bool]) -> u64 {
+        let min_adj = active
+            .iter()
+            .zip(alive)
+            .filter(|&(_, &a)| a)
+            .map(|(r, _)| self.release(r))
+            .fold(f64::INFINITY, f64::min);
+        ceil_u64((-min_adj).max(0.0))
+    }
+
+    /// The rewound virtual jobs over the alive subset of `active`,
+    /// shifting releases *and* deadlines by the same integral µs amount
+    /// `shift_us` ([`Self::shift_us`]) so a fractional rewind cannot skew
+    /// any job's window length. `VJob::id` carries the job's index in
+    /// `active`.
+    fn vjobs<'a>(
+        self,
+        active: &'a [ReadyJob],
+        alive: &'a [bool],
+        shift_us: u64,
+    ) -> impl Iterator<Item = VJob> + 'a {
+        let shift = shift_us as f64;
+        active
+            .iter()
+            .zip(alive)
+            .enumerate()
+            .filter(|&(_, (r, &a))| a && r.job.demand > 0.0)
+            .map(move |(i, (r, _))| VJob {
+                id: JobId(i as u32),
+                r: round_u64(self.release(r) + shift),
+                d: r.job.deadline.as_micros() + shift_us,
+                w: r.job.demand,
+            })
+    }
 }
 
 #[cfg(test)]
@@ -797,16 +845,19 @@ mod tests {
             mk(1, 160_000, 100.0, 0.5001),
         ];
         // Step 1 as `QeScratch::plan` runs it: rewind, then Quality-OPT.
-        let us_per_unit = 1000.0 / s_max;
-        let now_f = now.as_micros() as f64;
-        let adj: Vec<f64> = active
-            .iter()
-            .map(|r| now_f - r.processed * us_per_unit)
-            .collect();
-        let mut vjobs = Vec::new();
-        rewound_vjobs(&active, &[true, true], &adj, &mut vjobs);
+        let rewind = Rewind {
+            now_f: now.as_micros() as f64,
+            us_per_unit: 1000.0 / s_max,
+        };
+        let alive = [true, true];
+        let shift_us = rewind.shift_us(&active, &alive);
         let mut got = vec![0.0; active.len()];
-        VolumeDecomposition::default().solve(&vjobs, s_max / 1000.0, false, &mut got);
+        VolumeDecomposition::default().solve(
+            rewind.vjobs(&active, &alive, shift_us),
+            s_max / 1000.0,
+            false,
+            &mut got,
+        );
 
         // Hand-shifted instance: S = ⌈250.25⌉ = 251 µs applied to both
         // endpoints, releases rounded after the shift.

@@ -17,6 +17,15 @@
 //! interval** (minimum d-mean), fixes its allocations, removes the interval
 //! and recurses; when every remaining interval can satisfy its jobs, the
 //! rest are scheduled in full.
+//!
+//! The search state survives the recursion: the jobs are sorted by
+//! deadline and by release once per decomposition, and removing an
+//! interval compresses the other windows monotonically, so both orders
+//! hold in every later round without sorting again. Candidates whose
+//! `capacity / k` clears the best level by a proven margin are skipped
+//! without computing their d-mean. Debug builds compare every round with
+//! a reference search that sorts afresh (DESIGN.md §6, "Interval reuse
+//! and invalidation").
 
 use std::collections::HashMap;
 
@@ -56,38 +65,32 @@ pub fn quality_opt(jobs: &JobSet, speed_ghz: f64) -> QualityOptResult {
     }
     let origin = jobs.first_release().unwrap().as_micros();
     let horizon = jobs.last_deadline().unwrap().as_micros() - origin;
-    let mut vjobs: Vec<VJob> = jobs
-        .iter()
-        .filter(|j| j.demand > 0.0)
-        .map(|j| VJob {
-            id: j.id,
-            r: j.release.as_micros() - origin,
-            d: j.deadline.as_micros() - origin,
-            w: j.demand,
-        })
-        .collect();
+    let mut rounds = BdiRounds::default();
+    rounds.load(jobs.iter().filter(|j| j.demand > 0.0).map(|j| VJob {
+        id: j.id,
+        r: j.release.as_micros() - origin,
+        d: j.deadline.as_micros() - origin,
+        w: j.demand,
+    }));
     let mut map = VirtualMap::identity(origin, horizon);
     let mut slices: Vec<Slice> = Vec::new();
     // units the core does per µs: 1 unit = 1 GHz·ms ⇒ cap(µs) = s·µs/1000.
     let units_per_us = speed_ghz / 1000.0;
-    let mut scratch = BdiScratch::default();
+    let mut group: Vec<VJob> = Vec::new();
 
-    loop {
-        if vjobs.is_empty() {
-            break;
-        }
-        match busiest_deprived_interval(&vjobs, units_per_us, &mut scratch) {
+    while !rounds.work().is_empty() {
+        match rounds.busiest(units_per_us) {
             None => {
                 // Everything remaining is satisfiable: schedule in full.
-                vjobs.sort_by_key(|x| (x.d, x.r, x.id));
-                let assigned: Vec<(VJob, f64)> = vjobs.iter().map(|&j| (j, j.w)).collect();
+                let mut rest = rounds.work().to_vec();
+                rest.sort_by_key(|x| (x.d, x.r, x.id));
+                let assigned: Vec<(VJob, f64)> = rest.iter().map(|&j| (j, j.w)).collect();
                 emit(&map, &assigned, speed_ghz, 0, &mut slices, &mut volumes);
                 break;
             }
             Some((a, b, level)) => {
-                let (mut group, rest): (Vec<VJob>, Vec<VJob>) =
-                    vjobs.into_iter().partition(|j| j.r >= a && j.d <= b);
-                vjobs = rest;
+                group.clear();
+                rounds.extract(a, b, |j| group.push(j));
                 group.sort_by_key(|x| (x.d, x.r, x.id));
                 // Satisfied jobs (w ≤ level) get w; deprived get the d-mean.
                 let assigned: Vec<(VJob, f64)> = group
@@ -96,10 +99,6 @@ pub fn quality_opt(jobs: &JobSet, speed_ghz: f64) -> QualityOptResult {
                     .collect();
                 emit(&map, &assigned, speed_ghz, a, &mut slices, &mut volumes);
                 map.cut(a, b);
-                for j in &mut vjobs {
-                    j.r = compress_point(j.r, a, b);
-                    j.d = compress_point(j.d, a, b);
-                }
             }
         }
     }
@@ -169,84 +168,226 @@ pub(crate) fn d_mean(capacity: f64, demands: &[f64]) -> Option<(f64, usize)> {
     }
 }
 
-/// Reusable buffers for [`busiest_deprived_interval`]; a warm scratch
-/// makes the search allocation-free, which matters because Online-QE runs
-/// it on every invocation of every core.
+/// The busiest-deprived-interval search carried through the rounds of one
+/// decomposition, sorted once.
+///
+/// [`Self::load`] sorts the jobs by deadline (`work`) and by release
+/// (`by_r`). Each round's [`Self::extract`] removes the chosen group and
+/// compresses the rest through `[a, b)`; [`compress_point`] is monotone,
+/// so both orders survive the compression and no round sorts again.
+/// Points that compression merges become equal neighbours, which the
+/// search steps over as one candidate endpoint.
 #[derive(Clone, Debug, Default)]
-pub(crate) struct BdiScratch {
-    /// Distinct releases, ascending.
-    rels: Vec<u64>,
-    /// Distinct deadlines, ascending.
-    dls: Vec<u64>,
-    /// Job indices ordered by deadline.
-    by_d: Vec<u32>,
+pub(crate) struct BdiRounds {
+    /// Unfixed jobs in deadline order, windows compressed through every
+    /// extracted interval.
+    work: Vec<VJob>,
+    /// Positions in `work`, in release order.
+    by_r: Vec<u32>,
     /// Demands of the current candidate group, kept sorted ascending.
     sorted: Vec<f64>,
+    /// Old position in `work` → new position (`u32::MAX` once fixed),
+    /// while a round compacts `work`.
+    remap: Vec<u32>,
 }
 
-/// Find the busiest deprived interval: the candidate `[a, b)` minimizing
-/// the d-mean. Returns `None` when no interval has deprived jobs (all jobs
-/// satisfiable at this speed).
-///
-/// Visits candidates with `a` ascending then `b` ascending and keeps the
-/// first minimum — the tie rule the decomposition's determinism rests on.
-/// For a fixed `a` the contained group only grows with `b`, so the group's
-/// demands are accumulated incrementally (sorted-insert) instead of
-/// refiltered per candidate; `d_mean` still sums the sorted demands
-/// itself, so its result is bit-identical to the refiltering form.
-fn busiest_deprived_interval(
-    vjobs: &[VJob],
-    units_per_us: f64,
-    s: &mut BdiScratch,
-) -> Option<(u64, u64, f64)> {
-    s.rels.clear();
-    s.rels.extend(vjobs.iter().map(|j| j.r));
-    s.rels.sort_unstable();
-    s.rels.dedup();
-    s.dls.clear();
-    s.dls.extend(vjobs.iter().map(|j| j.d));
-    s.dls.sort_unstable();
-    s.dls.dedup();
-    s.by_d.clear();
-    s.by_d.extend(0..vjobs.len() as u32);
-    s.by_d.sort_unstable_by_key(|&i| vjobs[i as usize].d);
+impl BdiRounds {
+    /// Start a decomposition over `jobs`, in any order.
+    pub(crate) fn load(&mut self, jobs: impl IntoIterator<Item = VJob>) {
+        self.work.clear();
+        self.work.extend(jobs);
+        // Online-QE's jobs arrive in deadline order and often in release
+        // order too, so check before sorting.
+        if !self.work.is_sorted_by_key(|j| j.d) {
+            self.work.sort_unstable_by_key(|j| j.d);
+        }
+        self.by_r.clear();
+        self.by_r.extend(0..self.work.len() as u32);
+        let work = &self.work;
+        if !work.is_sorted_by_key(|j| j.r) {
+            self.by_r.sort_unstable_by_key(|&p| work[p as usize].r);
+        }
+    }
+
+    /// The jobs not yet fixed, in deadline order.
+    pub(crate) fn work(&self) -> &[VJob] {
+        &self.work
+    }
+
+    /// Find the busiest deprived interval of the current round: the
+    /// candidate `[a, b)` minimizing the d-mean. Returns `None` when no
+    /// interval has deprived jobs (all jobs satisfiable at this speed).
+    ///
+    /// Visits candidates with `a` ascending then `b` ascending and keeps
+    /// the first minimum — the tie rule the decomposition's determinism
+    /// rests on. For a fixed `a` the contained group only grows with `b`,
+    /// so the group's demands are accumulated incrementally
+    /// (sorted-insert); `d_mean` still sums the sorted demands itself.
+    /// Two tests skip a candidate without calling `d_mean`, and each
+    /// skips only candidates that could not change the result:
+    ///
+    /// * the running sum is clearly within capacity, so `d_mean` would
+    ///   return `None`;
+    /// * `capacity / k` clears the best level so far by
+    ///   `1e-6 + 1e-14·k·capacity` (tested multiplied through by `k`, so
+    ///   without a division; that product's rounding is far inside the
+    ///   relative term). `d_mean`'s level starts at `capacity / k` and
+    ///   each classification step can lower it only by its `1e-9`
+    ///   tolerance over the remaining count plus rounding, in all at most
+    ///   `1e-9·H_k + 2.2e-16·capacity·(2k + 2·H_k + 2)` (`H_k` the k-th
+    ///   harmonic number); the margin covers that for every `k`. So the
+    ///   candidate's level is above the best, and only a strictly lower
+    ///   level replaces it.
+    ///
+    /// Debug builds compare every result bit for bit with the sorting
+    /// reference search.
+    pub(crate) fn busiest(&mut self, units_per_us: f64) -> Option<(u64, u64, f64)> {
+        let BdiRounds {
+            work, by_r, sorted, ..
+        } = self;
+        let mut best: Option<(u64, u64, f64)> = None;
+        let mut last_a = None;
+        // The first job due after `a`: no job due by `a` joins a group
+        // starting at `a`, and a candidate `b ≤ a` has no group.
+        let mut first = 0;
+        for &p in by_r.iter() {
+            let a = work[p as usize].r;
+            if last_a == Some(a) {
+                continue;
+            }
+            last_a = Some(a);
+            while first < work.len() && work[first].d <= a {
+                first += 1;
+            }
+            sorted.clear();
+            // Running sum of the group's demands, for the first skip test.
+            // Its summation order differs from the canonical (sorted) order
+            // `d_mean` uses, so it is never compared against the 1e-9 slack
+            // directly — only with a margin far wider than its float error.
+            let mut running = 0.0f64;
+            let mut di = first;
+            while di < work.len() {
+                // Append the jobs due exactly at `b`.
+                let b = work[di].d;
+                while di < work.len() && work[di].d == b {
+                    let j = &work[di];
+                    if j.r >= a {
+                        let pos = sorted.partition_point(|&x| x < j.w);
+                        sorted.insert(pos, j.w);
+                        running += j.w;
+                    }
+                    di += 1;
+                }
+                if sorted.is_empty() {
+                    continue;
+                }
+                let capacity = (b - a) as f64 * units_per_us;
+                // `d_mean` returns `None` (candidate irrelevant) whenever
+                // the canonical total ≤ capacity + 1e-9. `running` agrees
+                // with the canonical total to within summation error ≪ the
+                // 1e-6 margin, so this can only skip `None` candidates.
+                if running <= capacity - 1e-6 * (1.0 + running) {
+                    continue;
+                }
+                if let Some((_, _, l)) = best {
+                    // `capacity / k − l` beyond the margin, multiplied
+                    // through by `k` (see above).
+                    let k = sorted.len() as f64;
+                    if capacity - k * l > k * (1e-6 + 1e-14 * k * capacity) {
+                        continue;
+                    }
+                }
+                if let Some((level, _)) = d_mean(capacity, sorted) {
+                    match best {
+                        Some((_, _, l)) if l <= level => {}
+                        _ => best = Some((a, b, level)),
+                    }
+                }
+            }
+        }
+        #[cfg(debug_assertions)]
+        {
+            let bits = |x: Option<(u64, u64, f64)>| x.map(|(a, b, l)| (a, b, l.to_bits()));
+            let reference = busiest_deprived_interval(work, units_per_us);
+            debug_assert_eq!(
+                bits(best),
+                bits(reference),
+                "sort-once BDI search diverged from the reference"
+            );
+        }
+        best
+    }
+
+    /// Remove the group contained in `[a, b)`, handing each member to
+    /// `fixed`, and compress the other jobs' windows through it.
+    pub(crate) fn extract(&mut self, a: u64, b: u64, mut fixed: impl FnMut(VJob)) {
+        self.remap.clear();
+        let mut keep = 0;
+        for i in 0..self.work.len() {
+            let j = self.work[i];
+            if j.r >= a && j.d <= b {
+                fixed(j);
+                self.remap.push(u32::MAX);
+            } else {
+                self.work[keep] = VJob {
+                    r: compress_point(j.r, a, b),
+                    d: compress_point(j.d, a, b),
+                    ..j
+                };
+                self.remap.push(keep as u32);
+                keep += 1;
+            }
+        }
+        self.work.truncate(keep);
+        let remap = &self.remap;
+        self.by_r.retain_mut(|p| {
+            *p = remap[*p as usize];
+            *p != u32::MAX
+        });
+    }
+}
+
+/// The reference busiest-deprived-interval search that
+/// [`BdiRounds::busiest`] must match bit for bit: it sorts the releases,
+/// the deadlines and the jobs by deadline afresh on every call and sends
+/// every candidate that passes the running-sum test to `d_mean`.
+#[cfg(any(test, debug_assertions))]
+fn busiest_deprived_interval(vjobs: &[VJob], units_per_us: f64) -> Option<(u64, u64, f64)> {
+    let mut rels: Vec<u64> = vjobs.iter().map(|j| j.r).collect();
+    rels.sort_unstable();
+    rels.dedup();
+    let mut dls: Vec<u64> = vjobs.iter().map(|j| j.d).collect();
+    dls.sort_unstable();
+    dls.dedup();
+    let mut by_d: Vec<usize> = (0..vjobs.len()).collect();
+    by_d.sort_unstable_by_key(|&i| vjobs[i].d);
+    let mut sorted: Vec<f64> = Vec::new();
     let mut best: Option<(u64, u64, f64)> = None;
-    for i in 0..s.rels.len() {
-        let a = s.rels[i];
-        s.sorted.clear();
-        // Running sum of the group's demands, for the skip test below.
-        // Its summation order differs from the canonical (sorted) order
-        // `d_mean` uses, so it is never compared against the 1e-9 slack
-        // directly — only with a margin far wider than its float error.
+    for &a in &rels {
+        sorted.clear();
         let mut running = 0.0f64;
         let mut di = 0usize;
-        for &b in &s.dls {
-            // Append jobs due exactly at `b`; a surviving job always has
-            // `r < d`, so none of them can join a group when `b ≤ a`.
-            while di < s.by_d.len() {
-                let j = &vjobs[s.by_d[di] as usize];
+        for &b in &dls {
+            while di < by_d.len() {
+                let j = &vjobs[by_d[di]];
                 if j.d != b {
                     break;
                 }
                 if j.r >= a && j.d > a {
-                    let pos = s.sorted.partition_point(|&x| x < j.w);
-                    s.sorted.insert(pos, j.w);
+                    let pos = sorted.partition_point(|&x| x < j.w);
+                    sorted.insert(pos, j.w);
                     running += j.w;
                 }
                 di += 1;
             }
-            if b <= a || s.sorted.is_empty() {
+            if b <= a || sorted.is_empty() {
                 continue;
             }
             let capacity = (b - a) as f64 * units_per_us;
-            // `d_mean` returns `None` (candidate irrelevant) whenever the
-            // canonical total ≤ capacity + 1e-9. `running` agrees with
-            // the canonical total to within summation error ≪ the 1e-6
-            // margin, so skipping here can only skip `None` candidates.
             if running <= capacity - 1e-6 * (1.0 + running) {
                 continue;
             }
-            if let Some((level, _)) = d_mean(capacity, &s.sorted) {
+            if let Some((level, _)) = d_mean(capacity, &sorted) {
                 match best {
                     Some((_, _, l)) if l <= level => {}
                     _ => best = Some((a, b, level)),
@@ -278,15 +419,17 @@ fn busiest_deprived_interval(
 /// invalidation" for the full contract.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct VolumeDecomposition {
-    /// Surviving jobs, windows compressed through all extracted intervals.
-    work: Vec<VJob>,
-    /// Round in which each job index had its volume fixed.
+    /// Surviving jobs and the search over them.
+    rounds: BdiRounds,
+    /// Round in which each job index had its volume fixed (only kept
+    /// when recording).
     fixed_round: Vec<u32>,
-    /// `work` as of the start of each round (only kept when recording).
+    /// The surviving jobs as of the start of each round (only kept when
+    /// recording).
     snapshots: Vec<Vec<VJob>>,
-    /// The `(a, b)` chosen by each completed group round.
+    /// The `(a, b)` chosen by each completed group round (only kept when
+    /// recording).
     chosen: Vec<(u64, u64)>,
-    scratch: BdiScratch,
 }
 
 impl VolumeDecomposition {
@@ -294,17 +437,18 @@ impl VolumeDecomposition {
     /// into `vols[id]`. `vols` must cover every id in `vjobs`.
     pub(crate) fn solve(
         &mut self,
-        vjobs: &[VJob],
+        vjobs: impl IntoIterator<Item = VJob>,
         units_per_us: f64,
         record: bool,
         vols: &mut [f64],
     ) {
-        self.work.clear();
-        self.work.extend_from_slice(vjobs);
+        self.rounds.load(vjobs);
         self.snapshots.clear();
         self.chosen.clear();
         self.fixed_round.clear();
-        self.fixed_round.resize(vols.len(), u32::MAX);
+        if record {
+            self.fixed_round.resize(vols.len(), u32::MAX);
+        }
         self.run(0, units_per_us, record, vols);
     }
 
@@ -355,9 +499,8 @@ impl VolumeDecomposition {
         let k = self.fixed_round[x as usize] as usize;
         debug_assert!(k < self.snapshots.len());
         let snap = std::mem::take(&mut self.snapshots[k]);
-        self.work.clear();
-        self.work
-            .extend(snap.iter().filter(|j| alive[j.id.0 as usize]).copied());
+        self.rounds
+            .load(snap.iter().filter(|j| alive[j.id.0 as usize]).copied());
         self.snapshots.truncate(k);
         self.chosen.truncate(k);
         self.run(k as u32, units_per_us, true, vols);
@@ -365,43 +508,35 @@ impl VolumeDecomposition {
 
     fn run(&mut self, first_round: u32, units_per_us: f64, record: bool, vols: &mut [f64]) {
         let mut round = first_round;
-        loop {
-            if self.work.is_empty() {
-                break;
-            }
+        while !self.rounds.work().is_empty() {
             if record {
-                self.snapshots.push(self.work.clone());
+                self.snapshots.push(self.rounds.work().to_vec());
             }
-            match busiest_deprived_interval(&self.work, units_per_us, &mut self.scratch) {
+            let fixed_round = &mut self.fixed_round;
+            let mut fix = |idx: usize, v: f64| {
+                vols[idx] = v;
+                if record {
+                    fixed_round[idx] = round;
+                }
+            };
+            match self.rounds.busiest(units_per_us) {
                 None => {
                     // Everything remaining is satisfiable in full.
-                    for j in &self.work {
-                        vols[j.id.0 as usize] = j.w;
-                        self.fixed_round[j.id.0 as usize] = round;
+                    for j in self.rounds.work() {
+                        fix(j.id.0 as usize, j.w);
                     }
                     break;
                 }
                 Some((a, b, level)) => {
-                    self.chosen.push((a, b));
-                    // In-place, order-preserving partition: fix the
-                    // contained group's volumes, compress the rest.
-                    let mut keep = 0;
-                    for i in 0..self.work.len() {
-                        let j = self.work[i];
-                        if j.r >= a && j.d <= b {
-                            let idx = j.id.0 as usize;
-                            vols[idx] = if j.w <= level + 1e-9 { j.w } else { level };
-                            self.fixed_round[idx] = round;
-                        } else {
-                            self.work[keep] = VJob {
-                                r: compress_point(j.r, a, b),
-                                d: compress_point(j.d, a, b),
-                                ..j
-                            };
-                            keep += 1;
-                        }
+                    if record {
+                        self.chosen.push((a, b));
                     }
-                    self.work.truncate(keep);
+                    self.rounds.extract(a, b, |j| {
+                        fix(
+                            j.id.0 as usize,
+                            if j.w <= level + 1e-9 { j.w } else { level },
+                        )
+                    });
                     round += 1;
                 }
             }
@@ -477,6 +612,59 @@ mod tests {
                 assert!((used - cap).abs() < 1e-6, "cap {cap}: used {used}");
             }
         }
+    }
+
+    #[test]
+    fn prune_margin_covers_every_drop_below_capacity_over_k() {
+        // `BdiRounds::busiest` skips a candidate whose `capacity / k`
+        // clears the best level by `1e-6 + 1e-14·k·capacity`; that is only
+        // sound if `d_mean` never returns a level further below
+        // `capacity / k`. Drive the drop as far as the tolerance lets it:
+        // each satisfied demand sits just under the running level plus
+        // 1e-9, so every classification step lowers the level by the most
+        // it can.
+        let mut seed = 0x2545_f491_4f6c_dd1du64;
+        let mut next = || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut worst = 0.0f64;
+        for case in 0..20_000 {
+            let k = 1 + case % 64;
+            let capacity = 1e-3 * 1e10f64.powf(next());
+            let satisfied = (next() * k as f64) as usize;
+            let mut demands = Vec::with_capacity(k);
+            let mut prefix = 0.0;
+            for m in 0..satisfied {
+                let level = (capacity - prefix) / (k - m) as f64;
+                let w = if case % 3 == 0 {
+                    level * next()
+                } else {
+                    level + 1e-9 * next()
+                };
+                demands.push(w);
+                prefix += w;
+            }
+            while demands.len() < k {
+                demands.push(capacity * (1.0 + next()));
+            }
+            demands.sort_by(f64::total_cmp);
+            if let Some((level, _)) = d_mean(capacity, &demands) {
+                let kf = k as f64;
+                let margin = 1e-6 + 1e-14 * kf * capacity;
+                assert!(
+                    capacity / kf - level <= margin,
+                    "k {k}, capacity {capacity}: level {level} is {} below capacity / k",
+                    capacity / kf - level
+                );
+                worst = worst.max((capacity / kf - level) / margin);
+            }
+        }
+        // The drop reaches well into the margin's order, or this test
+        // shows nothing.
+        assert!(worst > 1e-4, "worst drop is {worst} of the margin");
     }
 
     // ---- quality_opt ----

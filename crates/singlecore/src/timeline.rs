@@ -34,6 +34,49 @@ pub(crate) struct VJob {
     pub w: f64,
 }
 
+/// Below this, [`round_u64`] and [`ceil_u64`] round with one addition
+/// (about 71 years of µs); above it, and for negative values and NaN,
+/// they call the float functions.
+const FAST_ROUND_LIMIT: f64 = (1u64 << 51) as f64;
+
+/// `x` rounded to an integer, ties to even, as the float sum
+/// `x + 2^52` rounds it, for `0 ≤ x < 2^51`: returns the integer and its
+/// distance from `x`, both exact.
+#[inline]
+fn round_ties_even(x: f64) -> (u64, f64) {
+    const TWO_52: f64 = (1u64 << 52) as f64;
+    // In [2^52, 2^53) one unit in the last place is 1, so the sum is
+    // rounded to an integer and its mantissa bits are that integer.
+    let y = x + TWO_52;
+    ((y.to_bits() & ((1 << 52) - 1)), x - (y - TWO_52))
+}
+
+/// `x.round() as u64`, bit for bit, without the float-to-unsigned
+/// conversions and the library call `round` compiles to on baseline
+/// x86-64: rounding ties to even differs from rounding half away from
+/// zero only on a tie rounded down, which the exact remainder shows.
+#[inline]
+pub(crate) fn round_u64(x: f64) -> u64 {
+    if (0.0..FAST_ROUND_LIMIT).contains(&x) {
+        let (r, rest) = round_ties_even(x);
+        r + u64::from(rest == 0.5)
+    } else {
+        x.round() as u64
+    }
+}
+
+/// `x.ceil() as u64`, bit for bit, by the same construction as
+/// [`round_u64`].
+#[inline]
+pub(crate) fn ceil_u64(x: f64) -> u64 {
+    if (0.0..FAST_ROUND_LIMIT).contains(&x) {
+        let (r, rest) = round_ties_even(x);
+        r + u64::from(rest > 0.0)
+    } else {
+        x.ceil() as u64
+    }
+}
+
 /// Compress a virtual coordinate after cutting `[a, b)`.
 #[inline]
 pub(crate) fn compress_point(t: u64, a: u64, b: u64) -> u64 {
@@ -312,6 +355,54 @@ mod tests {
         m.cut(80, 90); // virtual [80,90) = real [90,100)
         assert_eq!(m.extent(), 80);
         assert_eq!(m.real_segments(0, 80), vec![(10, 90)]);
+    }
+
+    #[test]
+    fn integer_rounding_matches_the_float_functions() {
+        let mut xs = vec![
+            0.0,
+            -0.0,
+            0.5,
+            1.5,
+            2.5,
+            0.499_999_999_999_999_94,
+            2_251_799_813_685_247.5,
+            2_251_799_813_685_248.0,
+            2_251_799_813_685_248.5,
+            4_503_599_627_370_495.5,
+            4_503_599_627_370_497.0,
+            9_007_199_254_740_993.0,
+            18_446_744_073_709_549_568.0,
+            18_446_744_073_709_551_616.0,
+            1e30,
+            -0.3,
+            -0.5,
+            -0.7,
+            -1e30,
+            f64::MIN_POSITIVE,
+            f64::EPSILON,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        // Every µs scale the kernel meets, around half-integers and
+        // integers, and the floats next to them.
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..20_000 {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let base = (seed >> 11) as f64 / (1u64 << 53) as f64;
+            let x = (base * 2f64.powi((seed % 60) as i32)).floor()
+                + [0.0, 0.5, 0.25][(seed % 3) as usize];
+            for y in [x, x.next_up(), x.next_down(), x * 1.000_000_1, base] {
+                xs.push(y);
+            }
+        }
+        for x in xs {
+            assert_eq!(round_u64(x), x.round() as u64, "round {x:e}");
+            assert_eq!(ceil_u64(x), x.ceil() as u64, "ceil {x:e}");
+        }
     }
 
     #[test]

@@ -37,13 +37,15 @@ fn simulate(
     Simulator::run(&cfg, policy, &jobs).0
 }
 
-/// Like [`simulate`], with a [`TraceObserver`] attached.
+/// Like [`simulate`], with a [`TraceObserver`] attached and a scheduling
+/// overhead.
 fn simulate_traced(
     jobs: JobSet,
     policy: &mut dyn SchedulingPolicy,
     cores: usize,
     budget: f64,
     end_ms: u64,
+    overhead: SimDuration,
 ) -> (qes::sim::SimReport, TraceObserver) {
     let cfg = SimConfig {
         num_cores: cores,
@@ -52,18 +54,21 @@ fn simulate_traced(
         quality: &Q,
         end: ms(end_ms),
         record_trace: false,
-        overhead: SimDuration::ZERO,
+        overhead,
     };
     let mut obs = TraceObserver::new();
     let (report, _) = Simulator::run_observed(&cfg, policy, &jobs, &mut obs);
     (report, obs)
 }
 
-/// The event-stream invariants every run must uphold (valid whenever all
-/// deadlines fall inside the horizon, so no tail events trail `end`):
-/// timestamps are monotone, every `PlanInstall` follows a trigger event
-/// at the same instant, and nothing is recorded after `end`.
-fn assert_well_formed(obs: &TraceObserver, end: SimTime) {
+/// The event-stream invariants every run must uphold when all deadlines
+/// fall inside the horizon: timestamps are monotone, every `PlanInstall`
+/// follows a trigger event at the same instant, and nothing is recorded
+/// after `end + overhead`. Every slice ends by its job's deadline, so the
+/// only timer past the last deadline is a plan that the overhead stall
+/// swallows, installed while a job is still live: before the last
+/// deadline, and ending one overhead later.
+fn assert_well_formed(obs: &TraceObserver, end: SimTime, overhead: SimDuration) {
     assert_eq!(obs.dropped(), 0, "ring buffer overflowed");
     let events = obs.events();
     assert!(!events.is_empty());
@@ -72,7 +77,10 @@ fn assert_well_formed(obs: &TraceObserver, end: SimTime) {
     for &(at, ev) in &events {
         assert!(at >= prev, "timestamps went backwards: {at:?} < {prev:?}");
         prev = at;
-        assert!(at <= end, "event after the horizon: {at:?} > {end:?}");
+        assert!(
+            at <= end + overhead,
+            "event more than one overhead after the horizon: {at:?} > {end:?} + {overhead:?}"
+        );
         match ev {
             Event::Trigger { .. } => last_trigger = Some(at),
             Event::PlanInstall { .. } => {
@@ -98,8 +106,15 @@ fn observed_burst_trace_is_well_formed() {
             .collect(),
     )
     .unwrap();
-    let (r, obs) = simulate_traced(jobs, &mut DesPolicy::new(), 4, 80.0, 1000);
-    assert_well_formed(&obs, ms(1000));
+    let (r, obs) = simulate_traced(
+        jobs,
+        &mut DesPolicy::new(),
+        4,
+        80.0,
+        1000,
+        SimDuration::ZERO,
+    );
+    assert_well_formed(&obs, ms(1000), SimDuration::ZERO);
     // The stream is complete: one settle per job, one invoke per wakeup.
     let events = obs.events();
     let settles = events
@@ -126,8 +141,15 @@ fn observed_overload_trace_is_well_formed() {
         v.push(j);
     }
     let jobs = JobSet::new(v).unwrap();
-    let (r, obs) = simulate_traced(jobs, &mut DesPolicy::new(), 2, 40.0, 2000);
-    assert_well_formed(&obs, ms(2000));
+    let (r, obs) = simulate_traced(
+        jobs,
+        &mut DesPolicy::new(),
+        2,
+        40.0,
+        2000,
+        SimDuration::ZERO,
+    );
+    assert_well_formed(&obs, ms(2000), SimDuration::ZERO);
     let events = obs.events();
     let discards = events
         .iter()
@@ -141,6 +163,55 @@ fn observed_overload_trace_is_well_formed() {
         .filter(|(_, e)| matches!(e, Event::PlanInstall { .. }))
         .count() as u64;
     assert_eq!(installs, r.counters.plans_installed);
+}
+
+#[test]
+fn observed_traces_with_overhead_end_within_one_overhead_of_the_horizon() {
+    // One job at 450 ms, due at 480 ms, on a 500 ms horizon with a 100 ms
+    // overhead: the stall swallows its plan, whose timer (550 ms) lies
+    // past the horizon, and the run drains to it.
+    let one = || JobSet::new(vec![Job::new(0, ms(450), ms(480), 20.0).unwrap()]).unwrap();
+    let overhead = SimDuration::from_millis(100);
+    for arch in [ArchKind::NoDvfs, ArchKind::SDvfs, ArchKind::CDvfs] {
+        let (_, obs) =
+            simulate_traced(one(), &mut DesPolicy::on_arch(arch), 2, 40.0, 500, overhead);
+        assert_well_formed(&obs, ms(500), overhead);
+        let last = obs.events().last().map(|&(at, _)| at);
+        assert_eq!(last, Some(ms(550)), "{arch:?}");
+    }
+    // The non-partial overload stream with the horizon on its last
+    // deadline (1710 ms), so the stalls of the last invocations trail it.
+    let overload = || {
+        let mut v = Vec::new();
+        for i in 0..40u32 {
+            let rel = ms(40 * i as u64);
+            let mut j = Job::new(i, rel, rel + SimDuration::from_millis(150), 250.0).unwrap();
+            j.partial = false;
+            v.push(j);
+        }
+        JobSet::new(v).unwrap()
+    };
+    for overhead_ms in [1, 7, 20] {
+        let overhead = SimDuration::from_millis(overhead_ms);
+        for arch in [ArchKind::NoDvfs, ArchKind::SDvfs, ArchKind::CDvfs] {
+            let (r, obs) = simulate_traced(
+                overload(),
+                &mut DesPolicy::on_arch(arch),
+                2,
+                40.0,
+                1710,
+                overhead,
+            );
+            assert_well_formed(&obs, ms(1710), overhead);
+            let settles = obs
+                .events()
+                .iter()
+                .filter(|(_, e)| matches!(e, Event::JobSettle { .. }))
+                .count();
+            assert_eq!(settles, 40, "{arch:?} at {overhead_ms} ms");
+            assert!(r.counters.plans_installed > 0);
+        }
+    }
 }
 
 #[test]

@@ -5,7 +5,14 @@
 //! job has a slice on a core, all its slices are on that core. Validation
 //! checks every constraint the paper imposes: windows, non-overlap,
 //! non-migration, the instantaneous power budget, and no over-processing.
+//!
+//! A plan's slice vector is recycled rather than freed: the simulation
+//! engine owns each installed plan's vector and hands the one a new plan
+//! replaces to [`recycle_slices`], and the online planners build their
+//! plans in vectors from [`slice_vec`]. The free list behind the two is
+//! per thread and holds at most [`FREE_SLICE_VECS`] vectors.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 
 use crate::error::QesError;
@@ -35,6 +42,37 @@ impl Slice {
     pub fn volume(&self) -> f64 {
         volume(self.speed, self.end.saturating_since(self.start))
     }
+}
+
+/// The most slice vectors a thread's free list keeps; a vector returned
+/// to a full list is freed. A run replaces at most one plan per core per
+/// invocation, so this covers a 32-core machine's whole batch.
+pub const FREE_SLICE_VECS: usize = 32;
+
+thread_local! {
+    static FREE: RefCell<Vec<Vec<Slice>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// An empty slice vector for a new plan: a recycled one from this
+/// thread's free list (keeping its capacity), or a new, unallocated one.
+pub fn slice_vec() -> Vec<Slice> {
+    FREE.with(|f| f.borrow_mut().pop()).unwrap_or_default()
+}
+
+/// Clear `slices` and keep it on this thread's free list for
+/// [`slice_vec`]; a vector that never allocated, or one that finds the
+/// list full, is dropped.
+pub fn recycle_slices(mut slices: Vec<Slice>) {
+    if slices.capacity() == 0 {
+        return;
+    }
+    slices.clear();
+    FREE.with(|f| {
+        let mut free = f.borrow_mut();
+        if free.len() < FREE_SLICE_VECS {
+            free.push(slices);
+        }
+    });
 }
 
 /// The slices of a single core, kept in start order.
@@ -72,6 +110,12 @@ impl CoreSchedule {
     #[inline]
     pub fn slices(&self) -> &[Slice] {
         &self.slices
+    }
+
+    /// The slice vector, in time order, by value.
+    #[inline]
+    pub fn into_slices(self) -> Vec<Slice> {
+        self.slices
     }
 
     /// True if the core never runs.
@@ -417,6 +461,33 @@ mod tests {
         let quality = sched.total_quality(&jobs, &q);
         let expect = q.value(200.0) + q.value(100.0);
         assert!((quality - expect).abs() < 1e-9);
+    }
+
+    #[test]
+    fn free_list_reuses_vectors_up_to_its_bound() {
+        let drain = || {
+            std::iter::from_fn(|| Some(slice_vec()))
+                .take_while(|v| v.capacity() > 0)
+                .count()
+        };
+        drain();
+        recycle_slices(Vec::new());
+        assert_eq!(
+            slice_vec().capacity(),
+            0,
+            "an unallocated vector is not kept"
+        );
+        let mut v = vec![slice(0, 0, 10, 1.0); 5];
+        let ptr = v.as_ptr();
+        v.truncate(2);
+        recycle_slices(v);
+        let reused = slice_vec();
+        assert!(reused.is_empty());
+        assert_eq!(reused.as_ptr(), ptr, "the recycled allocation comes back");
+        for _ in 0..FREE_SLICE_VECS + 3 {
+            recycle_slices(Vec::with_capacity(1));
+        }
+        assert_eq!(drain(), FREE_SLICE_VECS);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! same water-filling policy DES uses, re-scaling running jobs at every
 //! trigger.
 
-use qes_core::schedule::{CoreSchedule, Slice};
+use qes_core::schedule::{slice_vec, CoreSchedule, Slice};
 use qes_core::speed_for_volume;
 use qes_core::time::{SimDuration, SimTime};
 use qes_singlecore::online_qe::ReadyJob;
@@ -195,7 +195,11 @@ impl SchedulingPolicy for BaselinePolicy {
             let cap_speed = view.model.speed_for_dynamic_power(caps[core]);
             let speed = desired[core].min(cap_speed);
             let plan = run_slice(now, &r, speed)
-                .map(|s| CoreSchedule::new(vec![s]))
+                .map(|s| {
+                    let mut slices = slice_vec();
+                    slices.push(s);
+                    CoreSchedule::new(slices)
+                })
                 .unwrap_or_default();
             plans[core] = Some(plan);
         }

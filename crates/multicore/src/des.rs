@@ -443,7 +443,8 @@ impl SchedulingPolicy for DesPolicy {
         for dealt in &mut self.dealt {
             dealt.clear();
         }
-        let mut assignments = Vec::new();
+        // Sized once: at most every waiting job is dealt.
+        let mut assignments = Vec::with_capacity(view.queue.len());
         let live_queue = view
             .queue
             .iter()
@@ -595,7 +596,7 @@ impl SchedulingPolicy for DesPolicy {
             let (plan, disc) = Self::granted_schedule_from_index(view, cq, grant, mode);
             discarded.extend(disc);
             plans.push(Some(match ladder {
-                Some(set) => snap_plan_up(&plan, set),
+                Some(set) => snap_plan_up(plan, set),
                 None => plan,
             }));
         }

@@ -12,7 +12,7 @@
 //! (volume-preserving: speeds round up, slices shorten).
 
 use qes_core::power::{DiscreteSpeedSet, PowerModel};
-use qes_core::schedule::{CoreSchedule, Slice};
+use qes_core::schedule::CoreSchedule;
 use qes_core::time::SimTime;
 
 /// Rectify per-core WF power grants to discrete speeds (§V-F).
@@ -64,43 +64,34 @@ pub fn rectify_speeds(
 }
 
 /// Snap every slice of `plan` up to a discrete level, preserving volume by
-/// shortening the slice (speeds only rise, so nothing overlaps).
+/// shortening the slice (speeds only rise, so nothing overlaps). The
+/// slices are snapped in place, in `plan`'s own vector.
 ///
 /// Slice speeds must not exceed the fastest discrete level by construction
 /// (the per-core budget funds at most the rectified speed); slices above
 /// it are clamped there and keep their duration, losing the excess volume.
-pub fn snap_plan_up(plan: &CoreSchedule, set: &DiscreteSpeedSet) -> CoreSchedule {
-    let mut out = Vec::with_capacity(plan.slices().len());
-    for s in plan.slices() {
+pub fn snap_plan_up(plan: CoreSchedule, set: &DiscreteSpeedSet) -> CoreSchedule {
+    let mut slices = plan.into_slices();
+    slices.retain_mut(|s| {
         match set.round_up(s.speed) {
             Some(d) => {
-                if (d - s.speed).abs() < 1e-12 {
-                    out.push(*s);
-                } else {
+                if (d - s.speed).abs() >= 1e-12 {
                     // Same volume at a higher speed: shorter slice.
                     let dur = s.end.saturating_since(s.start).as_micros() as f64;
                     let new_dur = dur * s.speed / d;
                     let end = SimTime::from_micros(s.start.as_micros() + new_dur.round() as u64);
-                    if end > s.start {
-                        out.push(Slice {
-                            job: s.job,
-                            start: s.start,
-                            end,
-                            speed: d,
-                        });
+                    if end <= s.start {
+                        return false;
                     }
+                    (s.end, s.speed) = (end, d);
                 }
             }
-            None => {
-                // Above the fastest level: clamp, losing volume.
-                out.push(Slice {
-                    speed: set.max_speed(),
-                    ..*s
-                });
-            }
+            // Above the fastest level: clamp, losing volume.
+            None => s.speed = set.max_speed(),
         }
-    }
-    CoreSchedule::new(out)
+        true
+    });
+    CoreSchedule::new(slices)
 }
 
 /// The discrete level ladder used by the Fig. 10 experiment: 0.25 GHz
@@ -117,6 +108,7 @@ mod tests {
     use super::*;
     use qes_core::job::JobId;
     use qes_core::power::PolynomialPower;
+    use qes_core::schedule::Slice;
 
     const MODEL: PolynomialPower = PolynomialPower::PAPER_SIM;
 
@@ -185,7 +177,7 @@ mod tests {
             end: ms(100),
             speed: 1.0,
         }]);
-        let snapped = snap_plan_up(&plan, &opteron());
+        let snapped = snap_plan_up(plan, &opteron());
         let s = &snapped.slices()[0];
         assert!((s.speed - 1.3).abs() < 1e-12);
         // Volume 100 units preserved: 100/1.3 ms ≈ 76.923 ms.
@@ -203,7 +195,7 @@ mod tests {
             end: ms(100),
             speed: 4.0, // above the 2.5 GHz ceiling
         }]);
-        let snapped = snap_plan_up(&plan, &opteron());
+        let snapped = snap_plan_up(plan, &opteron());
         let s = &snapped.slices()[0];
         assert!((s.speed - 2.5).abs() < 1e-12);
         assert_eq!(s.end, ms(100)); // duration kept, volume lost
@@ -220,7 +212,7 @@ mod tests {
             end: ms(50),
             speed: 1.8,
         }]);
-        let snapped = snap_plan_up(&plan, &opteron());
+        let snapped = snap_plan_up(plan.clone(), &opteron());
         assert_eq!(snapped.slices(), plan.slices());
     }
 

@@ -68,6 +68,15 @@ pub struct PolicyDecision {
     /// trigger instant. `None` keeps the core's current plan; a vector
     /// shorter than the core count keeps the plans of the missing tail
     /// (so an empty vector keeps every core's plan).
+    ///
+    /// The engine takes each plan's slice vector by value and keeps it as
+    /// the core's plan, trimmed in place to the scheduling stall; it
+    /// copies no slices. The vector a new plan replaces goes to the
+    /// per-thread free list of `qes_core::schedule`
+    /// ([`recycle_slices`](qes_core::schedule::recycle_slices)), so a
+    /// policy that builds its plans in vectors from
+    /// [`slice_vec`](qes_core::schedule::slice_vec) installs them without
+    /// allocating.
     pub plans: Vec<Option<CoreSchedule>>,
     /// Jobs abandoned now (engine stops tracking them; their quality is
     /// settled from whatever volume they already processed).

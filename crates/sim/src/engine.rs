@@ -23,9 +23,14 @@
 //! earliest of the next arrival, the heap top and the earliest timer
 //! (found by scanning the cores after each install batch and each fired
 //! timer). A replaced plan therefore leaves nothing behind to pop.
+//!
+//! Installing a plan neither allocates nor copies: the core keeps the
+//! policy's slice vector as its plan, read through a cursor, and the
+//! vector the new plan replaces goes back to `qes_core::schedule`'s
+//! per-thread free list, from which the planners build the next plans.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 
 use qes_core::job::{Job, JobId, JobSet};
@@ -35,7 +40,7 @@ use qes_core::obs::{
 use qes_core::power::PowerModel;
 use qes_core::quality::QualityFunction;
 use qes_core::rate_units_per_us;
-use qes_core::schedule::Slice;
+use qes_core::schedule::{recycle_slices, Slice};
 use qes_core::time::{SimDuration, SimTime};
 use qes_multicore::{CoreView, SchedulingPolicy, SystemView};
 use qes_singlecore::online_qe::ReadyJob;
@@ -177,7 +182,10 @@ enum Loc {
 
 struct CoreState {
     jobs: Vec<ReadyJob>,
-    plan: VecDeque<Slice>,
+    /// The installed plan's slice vector, taken over from the policy's
+    /// `CoreSchedule`; `plan[next..]` is the part not yet run out.
+    plan: Vec<Slice>,
+    next: usize,
     /// When the current plan runs out, keyed `(instant, sequence)` like a
     /// heap event; `None` when the current plan schedules no end.
     plan_end: Option<(SimTime, u64)>,
@@ -221,6 +229,13 @@ struct Engine<'a, O: Observer> {
     obs: &'a mut O,
 }
 
+impl CoreState {
+    /// The slices of the current plan not yet run out.
+    fn pending(&self) -> &[Slice] {
+        &self.plan[self.next..]
+    }
+}
+
 impl<'a, O: Observer> Engine<'a, O> {
     fn new(cfg: &'a SimConfig<'a>, jobs: &'a JobSet, obs: &'a mut O) -> Self {
         // Arrivals beyond the horizon are ignored. (Their deadlines may
@@ -245,7 +260,8 @@ impl<'a, O: Observer> Engine<'a, O> {
             cores: (0..cfg.num_cores)
                 .map(|_| CoreState {
                     jobs: Vec::new(),
-                    plan: VecDeque::new(),
+                    plan: Vec::new(),
+                    next: 0,
                     plan_end: None,
                     ambient: 0.0,
                     advanced_to: SimTime::ZERO,
@@ -474,7 +490,7 @@ impl<'a, O: Observer> Engine<'a, O> {
     fn any_core_idle(&self) -> bool {
         self.cores
             .iter()
-            .any(|c| c.plan.back().is_none_or(|s| s.end <= self.now))
+            .any(|c| c.pending().last().is_none_or(|s| s.end <= self.now))
     }
 
     /// Record a job's final quality and drop it from the live structures
@@ -558,7 +574,7 @@ impl<'a, O: Observer> Engine<'a, O> {
             return;
         }
         let completions = &mut self.completions;
-        while let Some(front) = core.plan.front_mut() {
+        while let Some(front) = core.plan.get_mut(core.next) {
             if front.start >= t {
                 break;
             }
@@ -597,7 +613,7 @@ impl<'a, O: Observer> Engine<'a, O> {
             }
             if front.end <= t {
                 core.advanced_to = front.end;
-                core.plan.pop_front();
+                core.next += 1;
             } else {
                 front.start = t;
                 core.advanced_to = t;
@@ -638,7 +654,7 @@ impl<'a, O: Observer> Engine<'a, O> {
             let mut views = recycle(std::mem::take(&mut self.views));
             views.extend(self.cores.iter().map(|c| CoreView {
                 jobs: &c.jobs,
-                busy: !c.plan.is_empty(),
+                busy: !c.pending().is_empty(),
             }));
             let view = SystemView {
                 now,
@@ -721,7 +737,9 @@ impl<'a, O: Observer> Engine<'a, O> {
         // Install replacement plans. With a nonzero scheduling overhead,
         // the new plan only takes effect after the stall: slices are
         // clipped to start at `now + overhead` (work the stall displaces
-        // is lost, exactly the §IV-E cost of invoking too often).
+        // is lost, exactly the §IV-E cost of invoking too often). The
+        // core keeps the policy's slice vector, trimmed in place, and the
+        // vector it replaces goes back to the free list.
         let effective = now + self.cfg.overhead;
         for (c, plan) in decision.plans.into_iter().enumerate() {
             if c >= self.cores.len() {
@@ -736,17 +754,15 @@ impl<'a, O: Observer> Engine<'a, O> {
                 }
                 continue;
             };
+            let mut slices = plan.into_slices();
+            let planned_work = !slices.is_empty();
+            slices.retain_mut(|s| {
+                s.start = s.start.max(effective);
+                s.end > effective
+            });
             let core = &mut self.cores[c];
-            core.plan.clear();
-            core.plan.extend(
-                plan.slices()
-                    .iter()
-                    .filter(|s| s.end > effective)
-                    .map(|s| Slice {
-                        start: s.start.max(effective),
-                        ..*s
-                    }),
-            );
+            recycle_slices(std::mem::replace(&mut core.plan, slices));
+            core.next = 0;
             self.report.counters.plans_installed += 1;
             if O::ENABLED {
                 let slices = core.plan.len() as u32;
@@ -760,13 +776,13 @@ impl<'a, O: Observer> Engine<'a, O> {
             }
             // The new plan's timer replaces the old plan's. Every kept
             // slice ends after `effective >= now`.
-            let end = match core.plan.back() {
+            let end = match core.plan.last() {
                 Some(s) => Some(s.end),
                 // The stall swallowed the whole plan: the core comes out
                 // of the overhead window idle. Without a timer here an
                 // on_idle policy would never be re-invoked and the core
                 // could sit idle forever.
-                None if !plan.slices().is_empty() && effective > now => Some(effective),
+                None if planned_work && effective > now => Some(effective),
                 None => None,
             };
             core.plan_end = end.map(|t| {
@@ -1200,6 +1216,96 @@ mod tests {
             report.invocations()
         );
         assert_eq!(report.jobs_total(), 1);
+    }
+
+    #[test]
+    fn overhead_stall_trims_the_installed_plan() {
+        // At the 10 ms arrival the policy installs three slices for its
+        // job under a 20 ms overhead, so the plan takes effect at 30 ms:
+        // [10, 20) ends inside the stall and is dropped, [20, 40) is
+        // clipped to [30, 40), and [50, 60) is kept whole.
+        struct ThreeSlices;
+        impl SchedulingPolicy for ThreeSlices {
+            fn name(&self) -> String {
+                "three-slices".into()
+            }
+            fn triggers(&self) -> TriggerRequest {
+                TriggerRequest {
+                    quantum: None,
+                    counter: None,
+                    on_idle: false,
+                    idle_requires_work: false,
+                    on_arrival: true,
+                }
+            }
+            fn on_trigger(&mut self, v: &SystemView<'_>) -> PolicyDecision {
+                let Some(r) = v.queue.first() else {
+                    return PolicyDecision::keep_all(v.num_cores());
+                };
+                let slice = |a, b| Slice {
+                    job: r.job.id,
+                    start: ms(a),
+                    end: ms(b),
+                    speed: 1.0,
+                };
+                PolicyDecision {
+                    assignments: vec![(r.job.id, 0)],
+                    plans: vec![Some(qes_core::schedule::CoreSchedule::new(vec![
+                        slice(10, 20),
+                        slice(20, 40),
+                        slice(50, 60),
+                    ]))],
+                    discarded: Vec::new(),
+                    ambient_speeds: Vec::new(),
+                }
+            }
+        }
+        let jobs = JobSet::new(vec![job(0, 10, 200, 100.0)]).unwrap();
+        let mut c = cfg(300, 1, 20.0);
+        c.overhead = SimDuration::from_millis(20);
+        let mut rec = Recorder::default();
+        let (report, trace) = Simulator::run_observed(&c, &mut ThreeSlices, &jobs, &mut rec);
+
+        let ran: Vec<_> = trace
+            .slices()
+            .iter()
+            .map(|s| (s.core, s.job, s.start, s.end, s.speed.to_bits()))
+            .collect();
+        let one = 1.0f64.to_bits();
+        assert_eq!(
+            ran,
+            vec![
+                (0, JobId(0), ms(30), ms(40), one),
+                (0, JobId(0), ms(50), ms(60), one),
+            ]
+        );
+        let ten_ms = MODEL.dynamic_energy(1.0, 0.010);
+        assert_eq!(report.energy_joules.to_bits(), (ten_ms + ten_ms).to_bits());
+        let installs: Vec<_> = rec
+            .0
+            .iter()
+            .filter_map(|&(t, e)| match e {
+                ObsEvent::PlanInstall { core, slices } => Some((t, core, slices)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(installs, vec![(ms(10), 0, 2)]);
+        // The plan-end timer fires once, at the end of the last kept
+        // slice.
+        let plan_ends: Vec<SimTime> = rec
+            .0
+            .iter()
+            .filter(|(_, e)| {
+                matches!(
+                    e,
+                    ObsEvent::Dequeue {
+                        kind: DequeueKind::PlanEnd
+                    }
+                )
+            })
+            .map(|&(t, _)| t)
+            .collect();
+        assert_eq!(plan_ends, vec![ms(60)]);
     }
 
     #[test]

@@ -36,7 +36,7 @@
 use std::collections::BTreeSet;
 
 use qes_core::job::{JobId, JobSet};
-use qes_core::schedule::{CoreSchedule, Slice};
+use qes_core::schedule::{slice_vec, CoreSchedule, Slice};
 use qes_core::time::SimTime;
 
 use crate::timeline::{compress_point, edf_pack, materialize, round_u64, VJob, VirtualMap};
@@ -130,13 +130,15 @@ pub fn energy_opt(jobs: &JobSet) -> EnergyOptResult {
 /// must map each entry to `(id, deadline, work)` with `work > 0` and
 /// `now < deadline < now + 2^52 µs` (about 142 years). The accessor lets
 /// callers pass their own job records (DES's ready index, Online-QE's
-/// trimmed list) without copying them.
+/// trimmed list) without copying them. The plan is built in a vector
+/// from the free list ([`slice_vec`]).
 pub fn energy_opt_common_release<T>(
     now: SimTime,
     jobs: &[T],
     job: impl Fn(&T) -> (JobId, SimTime, f64),
 ) -> CoreSchedule {
-    let mut slices: Vec<Slice> = Vec::with_capacity(jobs.len());
+    let mut slices = slice_vec();
+    slices.reserve(jobs.len());
     // Real µs where the remaining virtual timeline starts: every round
     // cuts `[0, b)` off the front, which leaves a pure shift.
     let mut base = now.as_micros();

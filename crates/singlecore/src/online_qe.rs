@@ -38,7 +38,7 @@
 
 use qes_core::job::{Job, JobId};
 use qes_core::power::PowerModel;
-use qes_core::schedule::{CoreSchedule, Slice};
+use qes_core::schedule::{slice_vec, CoreSchedule, Slice};
 use qes_core::time::SimTime;
 
 use crate::energy_opt::energy_opt_common_release;
@@ -346,10 +346,12 @@ impl QeScratch {
         // feasible only up to µs rounding of the rewound releases, and the
         // Energy-OPT step must never exceed the budget), and hand each
         // positive one on. `active` is (deadline, id)-sorted, so the
-        // remainders arrive in EDF order.
+        // remainders arrive in EDF order. Eager builds its plan in a
+        // vector from the free list.
         let mut slices = Vec::new();
         if mode == OnlineMode::Eager {
-            slices.reserve_exact(n);
+            slices = slice_vec();
+            slices.reserve(n);
         }
         self.trimmed.clear();
         // Eager's cursor and its rounding: it runs the remainders

@@ -65,7 +65,7 @@ proptest! {
         }
         let plan = CoreSchedule::new(slices);
         let before = plan.volumes();
-        let snapped = snap_plan_up(&plan, &ladder);
+        let snapped = snap_plan_up(plan.clone(), &ladder);
         let after = snapped.volumes();
         let max = ladder.max_speed();
         for (id, v) in &before {
@@ -241,7 +241,7 @@ fn snap_respects_power_model_consistency() {
         end: SimTime::from_millis(100),
         speed: 1.3,
     }]);
-    let snapped = snap_plan_up(&plan, &ladder);
+    let snapped = snap_plan_up(plan.clone(), &ladder);
     assert_eq!(snapped.slices(), plan.slices());
     let _ = MODEL.dynamic_power(1.3);
 }

@@ -1,0 +1,103 @@
+//! Heap allocations per policy invocation on the budget-bound path.
+//!
+//! C-DVFS DES on the paper's 16-core, 320 W machine under a 250 req/s
+//! web-search stream solves Online-QE for nearly every core on nearly
+//! every trigger. Installing those plans must not allocate: the engine
+//! keeps each installed plan's slice vector and hands the one it replaces
+//! to `qes_core::schedule`'s per-thread free list, from which the next
+//! plans are built. What is left per invocation is the decision's own
+//! vectors, so the test asserts fewer than 3 allocations per invocation;
+//! one allocation per installed plan makes it about 18.
+//!
+//! Release builds only: in builds with debug assertions DES re-solves
+//! every plan with the general solvers and compares, and those
+//! cross-checks allocate on every invocation.
+#![cfg(not(debug_assertions))]
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use qes::core::{ExpQuality, SimDuration, SimTime};
+use qes::experiments::ExperimentConfig;
+use qes::multicore::DesPolicy;
+use qes::sim::{SimConfig, Simulator};
+use qes::workload::WebSearchWorkload;
+
+/// Counts the allocation calls (`alloc`, `alloc_zeroed`, `realloc`) the
+/// current thread makes while its counter is on; other threads (the test
+/// harness) are not counted.
+struct Counting;
+
+thread_local! {
+    static COUNT: Cell<Option<u64>> = const { Cell::new(None) };
+}
+
+fn bump() {
+    // `try_with`: the allocator also runs while thread-locals are torn
+    // down.
+    let _ = COUNT.try_with(|c| c.set(c.get().map(|n| n + 1)));
+}
+
+// SAFETY: every call is passed unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counting touches only a thread-local
+// `Cell` and never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        bump();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        bump();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        bump();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+#[test]
+fn budget_bound_des_allocates_under_three_times_per_invocation() {
+    let jobs = WebSearchWorkload::new(250.0)
+        .with_horizon(SimTime::from_secs(20))
+        .generate(42)
+        .expect("valid workload");
+    let power = ExperimentConfig::paper_default().power;
+    let quality = ExpQuality::new(0.003);
+    let cfg = SimConfig {
+        num_cores: 16,
+        budget: 320.0,
+        model: &power,
+        quality: &quality,
+        end: SimTime::from_secs(20),
+        record_trace: false,
+        overhead: SimDuration::ZERO,
+    };
+    let mut policy = DesPolicy::new();
+
+    COUNT.with(|c| c.set(Some(0)));
+    let (report, _) = Simulator::run(&cfg, &mut policy, &jobs);
+    let allocations = COUNT.with(|c| c.take()).expect("counting was on");
+
+    let invocations = report.counters.wakeups();
+    assert!(invocations > 100, "only {invocations} invocations");
+    let per_invocation = allocations as f64 / invocations as f64;
+    eprintln!(
+        "{allocations} allocations over {invocations} invocations ({per_invocation:.2} each), \
+         {} plans installed",
+        report.counters.plans_installed
+    );
+    assert!(
+        per_invocation < 3.0,
+        "{allocations} allocations over {invocations} invocations ({per_invocation:.2} each)"
+    );
+}

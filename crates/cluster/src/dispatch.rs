@@ -227,15 +227,41 @@ fn lowest(shards: impl Iterator<Item = usize>, key: impl Fn(usize) -> f64) -> Op
     best.map(|(s, _)| s)
 }
 
+/// One copy the dispatcher routed to a shard, held by its input
+/// position: the copy is `Job { release, ..jobs.jobs()[pos] }`, because
+/// a copy's release (a retry's re-release, a hedge's fire instant) is
+/// the only field that ever differs from its input job. 16 bytes, half
+/// a [`Job`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RoutedCopy {
+    /// The job's position in the input [`JobSet`].
+    pub pos: u32,
+    /// The copy's release.
+    pub release: SimTime,
+}
+
+impl RoutedCopy {
+    /// The copy as a job of the input stream `jobs`.
+    #[inline]
+    pub fn job(self, jobs: &[Job]) -> Job {
+        Job {
+            release: self.release,
+            ..jobs[self.pos as usize]
+        }
+    }
+}
+
 /// One hedge dispatch: a second copy of a slow job sent to another
 /// shard ([`dispatch_protected`] with
 /// [`HedgePolicy::SlackFraction`](crate::admission::HedgePolicy::SlackFraction)).
+/// 32 bytes: the hedged job is named by its input position.
 #[derive(Clone, Copy, Debug)]
 pub struct HedgeRecord {
     /// The instant the hedge copy was dispatched.
     pub at: SimTime,
-    /// The hedged job (original release and deadline).
-    pub job: Job,
+    /// The hedged job's position in the input [`JobSet`] (its entry
+    /// there carries the original release and deadline).
+    pub pos: u32,
     /// Shard holding the primary copy at dispatch time.
     pub from: u32,
     /// Shard the hedge copy went to.
@@ -251,15 +277,21 @@ pub struct HedgeRecord {
 }
 
 /// The outcome of the dispatch pre-pass ([`dispatch_protected`]).
+///
+/// Jobs are named by their position in the input [`JobSet`], never
+/// copied: a routed copy is a 16-byte [`RoutedCopy`] and a hedge a
+/// 32-byte [`HedgeRecord`]. [`DispatchPlan::shard_jobs`] materializes
+/// the per-shard job sets.
 #[derive(Clone, Debug)]
 pub struct DispatchPlan {
-    /// Final per-shard job streams: original arrivals plus surviving
-    /// retry re-releases and hedge copies, minus stranded copies,
-    /// sorted by `(release, deadline, id)`. Retries and hedge copies
-    /// keep their original deadline, so the delay eats the job's slack
-    /// (streams may lose agreeability; the per-shard engine does not
-    /// require it).
-    pub shard_jobs: Vec<JobSet>,
+    /// Final per-shard streams of routed copies: original arrivals plus
+    /// surviving retry re-releases and hedge copies, minus stranded
+    /// copies, sorted by the materialized jobs' `(release, deadline,
+    /// id)`, the order [`JobSet::new_unchecked`] gives. Retries and
+    /// hedge copies keep their original deadline, so the delay eats the
+    /// job's slack (streams may lose agreeability; the per-shard engine
+    /// does not require it).
+    pub routed: Vec<Vec<RoutedCopy>>,
     /// Shard of each *original* job in stream order, `u32::MAX` when
     /// the dispatcher dropped it (no eligible shard at release, or a
     /// later stranding with an infeasible retry) or the admission
@@ -282,6 +314,23 @@ pub struct DispatchPlan {
     pub retried: u64,
     /// Hedge dispatches, in fire order.
     pub hedges: Vec<HedgeRecord>,
+}
+
+impl DispatchPlan {
+    /// Each shard's routed copies as a job set, `jobs` being the input
+    /// stream the plan was made from.
+    pub fn shard_jobs(&self, jobs: &JobSet) -> Vec<JobSet> {
+        assert_eq!(
+            jobs.len(),
+            self.assignment.len(),
+            "the plan was made from another stream"
+        );
+        let all = jobs.jobs();
+        self.routed
+            .iter()
+            .map(|copies| JobSet::new_unchecked(copies.iter().map(|c| c.job(all)).collect()))
+            .collect()
+    }
 }
 
 /// A live copy's location `(shard, slot)`.
@@ -373,9 +422,9 @@ struct Router<'a> {
     /// `pending_demand` of each window, recomputed — in the same order,
     /// so to the same bits — whenever that window changes.
     pending: Vec<f64>,
-    /// Per-shard routed-job stream (in routing order) and whether each
+    /// Per-shard routed-copy stream (in routing order) and whether each
     /// entry is still alive (not stranded by a later crash).
-    streams: Vec<Vec<Job>>,
+    streams: Vec<Vec<RoutedCopy>>,
     alive: Vec<Vec<bool>>,
     /// The scan instant: the time of the event being handled.
     now: SimTime,
@@ -571,7 +620,10 @@ impl Router<'_> {
     /// agreeable stream with no retries it is a push at the back.
     fn place(&mut self, shard: usize, job: Job, pos: u32) -> u32 {
         let slot = self.streams[shard].len() as u32;
-        self.streams[shard].push(job);
+        self.streams[shard].push(RoutedCopy {
+            pos,
+            release: job.release,
+        });
         self.alive[shard].push(true);
         let deadline_us = job.deadline.as_micros();
         let w = &mut self.inflight[shard];
@@ -760,7 +812,7 @@ pub(crate) fn dispatch_observed<D: Observer>(
                     w.pop_front();
                 }
                 for e in w.drain(..) {
-                    let job = router.streams[shard][e.slot as usize];
+                    let job = router.streams[shard][e.slot as usize].job(arrivals);
                     router.alive[shard][e.slot as usize] = false;
                     redispatches.push((t, job.id, shard as u32));
                     let pos = e.pos as usize;
@@ -913,7 +965,7 @@ pub(crate) fn dispatch_observed<D: Observer>(
                 }
                 hedges.push(HedgeRecord {
                     at: t,
-                    job,
+                    pos,
                     from: p_shard as u32,
                     to: to_shard as u32,
                     primary_slot: p_slot,
@@ -932,31 +984,32 @@ pub(crate) fn dispatch_observed<D: Observer>(
     }
     let duels = hedges.iter().filter(|h| h.duel).count();
 
-    let shard_jobs: Vec<JobSet> = router
+    let routed: Vec<Vec<RoutedCopy>> = router
         .streams
         .into_iter()
         .zip(router.alive)
-        .map(|(stream, alive)| {
-            let survivors: Vec<Job> = stream
-                .into_iter()
-                .zip(alive)
-                .filter_map(|(j, a)| a.then_some(j))
-                .collect();
+        .map(|(mut stream, alive)| {
+            let mut alive = alive.into_iter();
+            stream.retain(|_| alive.next() == Some(true));
             // Retries keep original deadlines, so a shard's stream may
-            // not be agreeable; the engine does not require it, and
-            // `new_unchecked` applies the same (release, deadline, id)
-            // sort as the validated constructor.
-            JobSet::new_unchecked(survivors)
+            // not be agreeable; the engine does not require it. The
+            // stable sort on the copies' (release, deadline, id) is
+            // `JobSet::new_unchecked`'s.
+            stream.sort_by_key(|c| {
+                let j = &arrivals[c.pos as usize];
+                (c.release, j.deadline, j.id)
+            });
+            stream
         })
         .collect();
     assert_eq!(
-        shard_jobs.iter().map(JobSet::len).sum::<usize>() + dropped.len() + rejected.len(),
+        routed.iter().map(Vec::len).sum::<usize>() + dropped.len() + rejected.len(),
         jobs.len() + duels,
         "every arrival routed exactly once, rejected, dropped, or duelling"
     );
 
     DispatchPlan {
-        shard_jobs,
+        routed,
         assignment,
         dropped,
         rejected,
@@ -1258,7 +1311,8 @@ impl ClusterEngine {
             cfg.end,
             dispatch_obs,
         );
-        let shard_jobs = &dispatch.shard_jobs;
+        let arrivals = jobs.jobs();
+        let routed = &dispatch.routed;
         // Group stranding records by crashed shard for event emission.
         let mut redispatched: Vec<Vec<(SimTime, JobId)>> = vec![Vec::new(); self.shards];
         for &(t, job, from) in &dispatch.redispatches {
@@ -1268,11 +1322,10 @@ impl ClusterEngine {
         // per-shard outcomes and settle first-wins. Each shard gets its
         // duelling copies as an id-sorted `(id, duel slot)` list.
         let mut duel_slots: Vec<Vec<(u32, u32)>> = vec![Vec::new(); self.shards];
-        let mut duels = 0u32;
-        for h in dispatch.hedges.iter().filter(|h| h.duel) {
-            duel_slots[h.from as usize].push((h.job.id.0, 2 * duels));
-            duel_slots[h.to as usize].push((h.job.id.0, 2 * duels + 1));
-            duels += 1;
+        for (k, h) in (0u32..).zip(dispatch.hedges.iter().filter(|h| h.duel)) {
+            let id = arrivals[h.pos as usize].id.0;
+            duel_slots[h.from as usize].push((id, 2 * k));
+            duel_slots[h.to as usize].push((id, 2 * k + 1));
         }
         for slots in &mut duel_slots {
             slots.sort_unstable();
@@ -1287,14 +1340,15 @@ impl ClusterEngine {
                         SimTime::ZERO,
                         Event::ShardAssign {
                             shard: i as u32,
-                            jobs: shard_jobs[i].len() as u32,
+                            jobs: routed[i].len() as u32,
                         },
                     );
                 }
                 let (report, outcomes) = run_shard_epochs(
                     cfg,
                     i,
-                    &shard_jobs[i],
+                    arrivals,
+                    &routed[i],
                     &self.fault,
                     &redispatched[i],
                     &duel_slots[i],
@@ -1307,16 +1361,11 @@ impl ClusterEngine {
 
         let mut shards = Vec::with_capacity(self.shards);
         let mut observers = Vec::with_capacity(self.shards);
-        // Duel `k`'s primary and hedge outcomes `(class, quality)` land
-        // in slots `2k` and `2k + 1`; `None` marks a copy that never
-        // settled.
-        let mut settled: Vec<Option<(SettleOutcome, f64)>> = vec![None; 2 * duels as usize];
-        for (run, obs, outcomes) in runs {
+        let mut outcomes = Vec::with_capacity(self.shards);
+        for (run, obs, shard_outcomes) in runs {
             shards.push(run);
             observers.push(obs);
-            for (slot, class, q) in outcomes {
-                settled[slot as usize] = Some((class, q));
-            }
+            outcomes.push(shard_outcomes);
         }
 
         // Merge in shard order, seeded from shard 0's report so a
@@ -1329,35 +1378,12 @@ impl ClusterEngine {
             add_counters(&mut merged.counters, &s.report.counters);
         }
 
-        // First-wins settlement of hedge duels. Both copies ran and
-        // were counted once each by their shards; the cluster delivered
-        // the *better* outcome exactly once. The loser's quality,
-        // max-quality mass, and job-class count come back out of the
-        // merged report; its energy (and the scheduler bookkeeping —
-        // invocations, plans, discards) stays, because that work really
-        // happened. The loser's class is the one its engine settled it
-        // with. Quality comparison uses `total_cmp`, ties go to the
-        // primary, so the settlement is deterministic.
-        let mut hedges_won = 0u64;
-        let duelled = dispatch.hedges.iter().filter(|h| h.duel);
-        for (h, outcomes) in duelled.zip(settled.chunks_exact(2)) {
-            let &[Some((pc, pq)), Some((hc, hq))] = outcomes else {
-                continue;
-            };
-            let hedge_wins = hq.total_cmp(&pq) == Ordering::Greater;
-            if hedge_wins {
-                hedges_won += 1;
-            }
-            let (lc, lq) = if hedge_wins { (pc, pq) } else { (hc, hq) };
-            merged.total_quality -= lq;
-            merged.max_quality -= cfg.quality.max_job_quality(&h.job);
-            merged.counters.jobs_total -= 1;
-            match lc {
-                SettleOutcome::Satisfied => merged.counters.jobs_satisfied -= 1,
-                SettleOutcome::Partial => merged.counters.jobs_partial -= 1,
-                SettleOutcome::Zero => merged.counters.jobs_zero -= 1,
-            }
-        }
+        let duelled = dispatch.hedges.iter().filter(|h| h.duel).map(|h| Duel {
+            primary: h.from,
+            hedge: h.to,
+            job: &arrivals[h.pos as usize],
+        });
+        let hedges_won = settle_duels(&mut merged, cfg.quality, duelled, &mut outcomes);
 
         merged.policy = format!(
             "cluster/{}x/{}/{}",
@@ -1394,6 +1420,79 @@ impl ClusterEngine {
     }
 }
 
+/// One hedge duel to settle: the shards holding its primary and hedge
+/// copies, and the duelled job.
+struct Duel<'a> {
+    primary: u32,
+    hedge: u32,
+    job: &'a Job,
+}
+
+/// First-wins settlement of hedge duels into the merged report; returns
+/// how many the hedge copy won.
+///
+/// Both copies ran and were counted once each by their shards; the
+/// cluster delivered the *better* outcome exactly once. The loser's
+/// quality, max-quality mass, and job-class count come back out of
+/// `merged`; its energy (and the scheduler bookkeeping — invocations,
+/// plans, discards) stays, because that work really happened. The
+/// loser's class is the one its engine settled it with. Quality
+/// comparison uses `total_cmp`, ties go to the primary, so the
+/// settlement is deterministic.
+///
+/// `duels` yields duel `k` as the `k`-th item, whose primary copy
+/// reported into slot `2k` and hedge copy into slot `2k + 1` of its
+/// shard's entry in `outcomes`. Each shard's outcomes are sorted by slot
+/// and read with one cursor, so the walk needs no table indexed by
+/// slot. A duel with a copy that never settled (no outcome in its slot)
+/// is skipped.
+fn settle_duels<'a>(
+    merged: &mut SimReport,
+    quality: &dyn QualityFunction,
+    duels: impl Iterator<Item = Duel<'a>>,
+    outcomes: &mut [Vec<DuelOutcome>],
+) -> u64 {
+    for shard in outcomes.iter_mut() {
+        shard.sort_unstable_by_key(|&(slot, ..)| slot);
+        debug_assert!(
+            shard.windows(2).all(|w| w[0].0 < w[1].0),
+            "a duelling copy settled twice"
+        );
+    }
+    let mut next = vec![0usize; outcomes.len()];
+    // The outcome of `shard`'s copy in `slot`, if it settled.
+    let mut take = |shard: u32, slot: u32| {
+        let shard = shard as usize;
+        let &(s, class, q) = outcomes[shard].get(next[shard])?;
+        (s == slot).then(|| {
+            next[shard] += 1;
+            (class, q)
+        })
+    };
+    let mut hedges_won = 0u64;
+    for (k, duel) in (0u32..).zip(duels) {
+        let primary = take(duel.primary, 2 * k);
+        let hedge = take(duel.hedge, 2 * k + 1);
+        let (Some((pc, pq)), Some((hc, hq))) = (primary, hedge) else {
+            continue;
+        };
+        let hedge_wins = hq.total_cmp(&pq) == Ordering::Greater;
+        if hedge_wins {
+            hedges_won += 1;
+        }
+        let (lc, lq) = if hedge_wins { (pc, pq) } else { (hc, hq) };
+        merged.total_quality -= lq;
+        merged.max_quality -= quality.max_job_quality(duel.job);
+        merged.counters.jobs_total -= 1;
+        match lc {
+            SettleOutcome::Satisfied => merged.counters.jobs_satisfied -= 1,
+            SettleOutcome::Partial => merged.counters.jobs_partial -= 1,
+            SettleOutcome::Zero => merged.counters.jobs_zero -= 1,
+        }
+    }
+    hedges_won
+}
+
 /// Run one shard's simulation as a sequence of fault epochs and merge
 /// the epoch reports.
 ///
@@ -1409,6 +1508,9 @@ impl ClusterEngine {
 /// boundary (drain-on-reconfigure: the shard settles in-flight work
 /// when its capacity state changes). With no fault windows this is one
 /// healthy epoch over `[0, end)` — bitwise the fault-free path.
+/// The shard's jobs are its routed `copies` of the input stream `jobs`;
+/// each epoch builds its epoch-local jobs straight from them, so no
+/// full-size per-shard job set exists.
 /// `duels` lists this shard's duelling copies as id-sorted
 /// `(id, duel slot)` pairs: a [`DuelObserver`] teed beside the caller's
 /// observer reads their settle events, so the cluster merge can settle
@@ -1418,7 +1520,8 @@ impl ClusterEngine {
 fn run_shard_epochs<O, F>(
     cfg: &SimConfig<'_>,
     shard: usize,
-    jobs: &JobSet,
+    jobs: &[Job],
+    copies: &[RoutedCopy],
     plan: &FaultPlan,
     redispatched: &[(SimTime, JobId)],
     duels: &[(u32, u32)],
@@ -1430,14 +1533,13 @@ where
     F: Fn(usize) -> Box<dyn SchedulingPolicy> + Sync + Send,
 {
     let epochs = plan.epochs(shard, cfg.end);
-    let all = jobs.jobs();
     let mut cursor = 0usize;
     let mut redisp = redispatched.iter().peekable();
     let mut merged: Option<SimReport> = None;
     let mut duel_obs = DuelObserver {
         duels,
         near: 0,
-        outcomes: Vec::new(),
+        outcomes: Vec::with_capacity(duels.len()),
     };
 
     for (k, ep) in epochs.iter().enumerate() {
@@ -1461,11 +1563,11 @@ where
         // any arrivals at or past the horizon (the engine screens them
         // exactly as the fault-free path does).
         let hi = if is_final {
-            all.len()
+            copies.len()
         } else {
-            cursor + all[cursor..].partition_point(|j| j.release < ep.end)
+            cursor + copies[cursor..].partition_point(|c| c.release < ep.end)
         };
-        let slice = &all[cursor..hi];
+        let slice = &copies[cursor..hi];
         cursor = hi;
 
         if matches!(ep.fault, Some(FaultKind::Crash)) {
@@ -1473,7 +1575,7 @@ where
             // pass stranded everything caught by the crash, so a crash
             // epoch holds no simulatable jobs.
             assert!(
-                slice.iter().all(|j| j.release >= cfg.end),
+                slice.iter().all(|c| c.release >= cfg.end),
                 "job released inside a crash epoch"
             );
             if O::ENABLED {
@@ -1503,7 +1605,8 @@ where
             let local_end = SimTime::ZERO + ep.end.saturating_since(ep.start);
             let local_jobs: Vec<Job> = slice
                 .iter()
-                .map(|j| {
+                .map(|c| {
+                    let j = &jobs[c.pos as usize];
                     // Drain-on-reconfigure: a job spanning a non-final
                     // epoch boundary settles (with whatever quality its
                     // processed fraction earned) when the capacity
@@ -1514,7 +1617,7 @@ where
                         j.deadline
                     };
                     Job {
-                        release: SimTime::ZERO + j.release.saturating_since(ep.start),
+                        release: SimTime::ZERO + c.release.saturating_since(ep.start),
                         deadline: SimTime::ZERO + deadline.saturating_since(ep.start),
                         ..*j
                     }
@@ -1943,11 +2046,12 @@ mod tests {
         assert_eq!(d.retried, 2);
         assert!(d.dropped.is_empty());
         // Every survivor lives on shard 1; conservation holds.
-        assert_eq!(d.shard_jobs[0].len(), 0);
-        assert_eq!(d.shard_jobs[1].len(), 4);
+        let shard_jobs = d.shard_jobs(&jobs);
+        assert_eq!(shard_jobs[0].len(), 0);
+        assert_eq!(shard_jobs[1].len(), 4);
         // Retried copies keep their original deadlines but release at
         // crash + delay.
-        let retried: Vec<&Job> = d.shard_jobs[1]
+        let retried: Vec<&Job> = shard_jobs[1]
             .iter()
             .filter(|j| j.release == SimTime::from_millis(60) && j.id.0 != 3)
             .collect();
@@ -1980,7 +2084,7 @@ mod tests {
             &plan,
             horizon,
         );
-        assert_eq!(d.shard_jobs[0].len(), 0);
+        assert_eq!(d.shard_jobs(&jobs)[0].len(), 0);
         assert_eq!(d.dropped.len(), 3, "stranded + 2 blocked arrivals");
         assert_eq!(d.retried, 0);
         assert_eq!(d.assignment, vec![0, u32::MAX, u32::MAX]);
@@ -2040,6 +2144,118 @@ mod tests {
         assert!(s2 > 0.0);
     }
 
+    /// The job both test duels are over.
+    fn duelled_job() -> Job {
+        Job::new(0, SimTime::ZERO, SimTime::from_millis(100), 100.0).unwrap()
+    }
+
+    /// Settle two duels over [`duelled_job`] — duel 0 with its primary on
+    /// shard 0 and its hedge on shard 1, duel 1 the other way round —
+    /// into a merged report of 10 jobs (4 satisfied, 3 partial, 3 zero,
+    /// quality 10 of 20), given each shard's `outcomes`. Returns the
+    /// hedges won, the quality and max-quality bits, and the job counts
+    /// `[total, satisfied, partial, zero]`.
+    fn settle_two(outcomes: [Vec<DuelOutcome>; 2]) -> (u64, u64, u64, [usize; 4]) {
+        let mut merged = SimReport {
+            total_quality: 10.0,
+            max_quality: 20.0,
+            ..SimReport::default()
+        };
+        let c = &mut merged.counters;
+        (c.jobs_total, c.jobs_satisfied, c.jobs_partial, c.jobs_zero) = (10, 4, 3, 3);
+        let job = duelled_job();
+        let duel = |primary, hedge| Duel {
+            primary,
+            hedge,
+            job: &job,
+        };
+        let won = settle_duels(
+            &mut merged,
+            &ExpQuality::PAPER_DEFAULT,
+            [duel(0, 1), duel(1, 0)].into_iter(),
+            &mut outcomes.to_vec(),
+        );
+        let c = merged.counters;
+        (
+            won,
+            merged.total_quality.to_bits(),
+            merged.max_quality.to_bits(),
+            [c.jobs_total, c.jobs_satisfied, c.jobs_partial, c.jobs_zero],
+        )
+    }
+
+    /// The max quality of the duelled job, taken out once per settled
+    /// duel.
+    fn max_q() -> f64 {
+        ExpQuality::PAPER_DEFAULT.max_job_quality(&duelled_job())
+    }
+
+    #[test]
+    fn duel_settlement_reads_outcomes_in_any_arrival_order() {
+        use SettleOutcome::*;
+        // Duel 0: the hedge (slot 1, shard 1) beats the partial primary
+        // (slot 0, shard 0). Duel 1: the primary (slot 2, shard 1) beats
+        // the zero hedge (slot 3, shard 0).
+        let in_order = [
+            vec![(0, Partial, 0.5), (3, Zero, 0.0)],
+            vec![(1, Satisfied, 0.9), (2, Satisfied, 0.8)],
+        ];
+        let reversed = [
+            vec![(3, Zero, 0.0), (0, Partial, 0.5)],
+            vec![(2, Satisfied, 0.8), (1, Satisfied, 0.9)],
+        ];
+        let settled = settle_two(in_order);
+        assert_eq!(settle_two(reversed), settled);
+        let (won, quality, max_quality, counts) = settled;
+        assert_eq!(won, 1);
+        // The losers — duel 0's partial primary and duel 1's zero hedge
+        // — come out of the merged report.
+        assert_eq!(quality, (10.0 - 0.5 - 0.0f64).to_bits());
+        assert_eq!(max_quality, (20.0 - max_q() - max_q()).to_bits());
+        assert_eq!(counts, [8, 4, 2, 2]);
+    }
+
+    #[test]
+    fn a_duel_with_an_unsettled_copy_is_skipped() {
+        use SettleOutcome::*;
+        // Duel 0's hedge (slot 1) never settled; duel 1 settles as usual
+        // (its primary wins) — the walk does not stall on the gap.
+        let settled = settle_two([
+            vec![(0, Partial, 0.5), (3, Zero, 0.0)],
+            vec![(2, Satisfied, 0.8)],
+        ]);
+        assert_eq!(
+            settled,
+            (
+                0,
+                (10.0 - 0.0f64).to_bits(),
+                (20.0 - max_q()).to_bits(),
+                [9, 4, 3, 2]
+            )
+        );
+        // Neither of duel 0's copies settled, nor duel 1's primary:
+        // nothing is settled at all.
+        let settled = settle_two([vec![(3, Zero, 0.0)], Vec::new()]);
+        assert_eq!(
+            settled,
+            (0, 10.0f64.to_bits(), 20.0f64.to_bits(), [10, 4, 3, 3])
+        );
+    }
+
+    #[test]
+    fn a_quality_tie_goes_to_the_primary() {
+        use SettleOutcome::*;
+        // Both duels tie on quality; the primaries win, so the hedges'
+        // classes (satisfied in duel 0, partial in duel 1) come out.
+        let (won, quality, _, counts) = settle_two([
+            vec![(0, Partial, 0.7), (3, Partial, 0.25)],
+            vec![(1, Satisfied, 0.7), (2, Zero, 0.25)],
+        ]);
+        assert_eq!(won, 0);
+        assert_eq!(quality, (10.0 - 0.7 - 0.25f64).to_bits());
+        assert_eq!(counts, [8, 3, 2, 3]);
+    }
+
     #[test]
     fn search_near_agrees_with_binary_search_from_any_start() {
         let duels: Vec<(u32, u32)> = (0..50).map(|i| (3 * i + 1, i)).collect();
@@ -2085,7 +2301,7 @@ mod tests {
             );
             assert!(d.hedges.is_empty(), "fraction {fraction}");
             assert_eq!(
-                d.shard_jobs.iter().map(JobSet::len).sum::<usize>(),
+                d.shard_jobs(&jobs).iter().map(JobSet::len).sum::<usize>(),
                 jobs.len()
             );
         }
@@ -2252,14 +2468,24 @@ mod tests {
         assert!(h.duel, "both copies survive a fault-free run");
         // The twin keeps the original deadline but releases at the
         // hedge instant.
-        assert_eq!(d.shard_jobs[1].len(), 1);
-        let twin = d.shard_jobs[1].iter().next().unwrap();
+        let shard_jobs = d.shard_jobs(&jobs);
+        assert_eq!(shard_jobs[1].len(), 1);
+        let twin = shard_jobs[1].iter().next().unwrap();
         assert_eq!(twin.id.0, 0);
         assert_eq!(twin.release, SimTime::from_millis(50));
         assert_eq!(twin.deadline, SimTime::from_millis(100));
+        // The hedge copy's compact record: the input position and the
+        // hedge instant.
+        assert_eq!(
+            d.routed[1],
+            vec![RoutedCopy {
+                pos: 0,
+                release: SimTime::from_millis(50)
+            }]
+        );
         // Conservation with a duel: 1 arrival, 2 stream entries.
         assert_eq!(
-            d.shard_jobs.iter().map(JobSet::len).sum::<usize>(),
+            shard_jobs.iter().map(JobSet::len).sum::<usize>(),
             jobs.len() + 1
         );
     }
@@ -2313,7 +2539,66 @@ mod tests {
         assert!(d2.hedges.is_empty(), "stranded primary cancels the hedge");
         assert_eq!(d2.retried, 1);
         // The retried copy alone survives: plain conservation.
-        assert_eq!(d2.shard_jobs.iter().map(JobSet::len).sum::<usize>(), 1);
+        assert_eq!(
+            d2.shard_jobs(&jobs).iter().map(JobSet::len).sum::<usize>(),
+            1
+        );
+    }
+
+    #[test]
+    fn routed_copies_tie_break_by_id_like_a_job_set() {
+        // Shard 0 is down over [10, 15) ms, shard 1 over [15, 30) ms, and
+        // retries wait 10 ms. Job 0 strands on shard 0 and re-releases at
+        // 20 ms, the instant job 2 arrives with the same deadline; only
+        // shard 0 is up, and the arrival is routed before the retry. The
+        // routed copies still come out in (release, deadline, id) order.
+        let at = |id, ms| {
+            Job::new(
+                id,
+                SimTime::from_millis(ms),
+                SimTime::from_millis(100),
+                50.0,
+            )
+        };
+        let jobs = JobSet::new(vec![
+            at(0, 0).unwrap(),
+            at(1, 0).unwrap(),
+            at(2, 20).unwrap(),
+        ])
+        .unwrap();
+        let crash = |from, to| FaultWindow {
+            start: SimTime::from_millis(from),
+            end: SimTime::from_millis(to),
+            kind: FaultKind::Crash,
+        };
+        let plan = FaultPlan::none(2)
+            .with_window(0, crash(10, 15))
+            .with_window(1, crash(15, 30));
+        let overload = OverloadPolicy {
+            retry: RetryPolicy {
+                base_delay: SimDuration::from_millis(10),
+                ..RetryPolicy::default()
+            },
+            ..OverloadPolicy::default()
+        };
+        let d = dispatch_protected(
+            &jobs,
+            2,
+            &RoutingPolicy::RoundRobin,
+            &PolynomialPower::PAPER_SIM,
+            &ExpQuality::PAPER_DEFAULT,
+            &plan,
+            &overload,
+            SimTime::from_secs(1),
+        );
+        let copy = |pos, ms| RoutedCopy {
+            pos,
+            release: SimTime::from_millis(ms),
+        };
+        assert_eq!(
+            d.routed,
+            vec![vec![copy(0, 20), copy(2, 20), copy(1, 25)], vec![]]
+        );
     }
 
     #[test]
@@ -2361,7 +2646,10 @@ mod tests {
         assert_eq!(d.retried, 1);
         assert_eq!(d.dropped.len(), 1);
         assert_eq!(d.redispatches.len(), 2);
-        assert_eq!(d.shard_jobs.iter().map(JobSet::len).sum::<usize>(), 0);
+        assert_eq!(
+            d.shard_jobs(&jobs).iter().map(JobSet::len).sum::<usize>(),
+            0
+        );
         // The unbudgeted default keeps retrying instead (second retry
         // lands at 40 ms, after both crashes started, and both shards
         // are down -> still dropped, but after two routed retries).

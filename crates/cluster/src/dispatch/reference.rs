@@ -6,11 +6,13 @@
 //! `Vec`, window sums and probes by full rescans, per-job state in
 //! `BTreeMap`s keyed by job id, events merged from four streams by
 //! explicit comparisons and collected into a `Vec` — so it is slow and
-//! obviously correct. The property test below requires the optimized
-//! dispatcher to produce the identical [`DispatchPlan`] (floats compared
-//! by bits), and to record the identical dispatcher event sequence into
-//! an observer, over random fault plans × admission × retry × hedge ×
-//! routing × small streams.
+//! obviously correct. It routes whole [`Job`] copies and derives the
+//! plan's input positions from an id map only at the end. The property
+//! test below requires the optimized dispatcher to produce the identical
+//! [`DispatchPlan`] (floats compared by bits), materialized per-shard
+//! jobs equal to the reference's own job streams, and the identical
+//! dispatcher event sequence recorded into an observer, over random fault
+//! plans × admission × retry × hedge × routing × small streams.
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, VecDeque};
@@ -23,7 +25,7 @@ use qes_core::time::SimTime;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use super::{DispatchPlan, HedgeRecord, RoutingPolicy};
+use super::{DispatchPlan, HedgeRecord, RoutedCopy, RoutingPolicy};
 use crate::admission::{AdmissionPolicy, OverloadPolicy};
 use crate::fault::FaultPlan;
 
@@ -204,8 +206,9 @@ impl Router<'_> {
 }
 
 /// The reference scan: same contract and arguments as
-/// [`dispatch_protected`](super::dispatch_protected), plus the
-/// dispatcher events (admission rejects, retries, hedges) in scan order.
+/// [`dispatch_protected`](super::dispatch_protected), plus each shard's
+/// surviving job copies as a job set and the dispatcher events
+/// (admission rejects, retries, hedges) in scan order.
 #[allow(clippy::too_many_arguments)]
 pub(super) fn dispatch_reference(
     jobs: &JobSet,
@@ -216,7 +219,7 @@ pub(super) fn dispatch_reference(
     plan: &FaultPlan,
     overload: &OverloadPolicy,
     end: SimTime,
-) -> (DispatchPlan, Vec<(SimTime, Event)>) {
+) -> (DispatchPlan, Vec<JobSet>, Vec<(SimTime, Event)>) {
     let retry_policy = &overload.retry;
     let hedging = !overload.hedge.is_disabled();
     let screened = !matches!(overload.admission, AdmissionPolicy::AcceptAll);
@@ -239,6 +242,7 @@ pub(super) fn dispatch_reference(
     };
 
     let stored: Vec<Job> = jobs.iter().copied().collect();
+    let pos_of: BTreeMap<u32, u32> = (0..).zip(&stored).map(|(p, j)| (j.id.0, p)).collect();
     let crash_events: Vec<(SimTime, usize)> = plan
         .crash_starts()
         .into_iter()
@@ -441,7 +445,7 @@ pub(super) fn dispatch_reference(
                 ));
                 hedges.push(HedgeRecord {
                     at,
-                    job,
+                    pos: pos_of[&job.id.0],
                     from: p_shard as u32,
                     to: to_shard as u32,
                     primary_slot: p_slot,
@@ -471,8 +475,19 @@ pub(super) fn dispatch_reference(
         })
         .collect();
 
+    let routed = shard_jobs
+        .iter()
+        .map(|s| {
+            s.iter()
+                .map(|j| RoutedCopy {
+                    pos: pos_of[&j.id.0],
+                    release: j.release,
+                })
+                .collect()
+        })
+        .collect();
     let plan = DispatchPlan {
-        shard_jobs,
+        routed,
         assignment,
         dropped,
         rejected,
@@ -480,7 +495,7 @@ pub(super) fn dispatch_reference(
         retried,
         hedges,
     };
-    (plan, events)
+    (plan, shard_jobs, events)
 }
 
 #[cfg(test)]
@@ -673,24 +688,26 @@ mod tests {
         )
     }
 
-    /// Every [`DispatchPlan`] field in bit-exact comparable form, plus
-    /// the dispatcher events.
+    /// Every [`DispatchPlan`] field in bit-exact comparable form (routed
+    /// copies as `(input position, release µs)`), plus the per-shard job
+    /// sets and the dispatcher events.
     #[derive(Debug, PartialEq)]
     struct Fingerprint {
+        routed: Vec<Vec<(u32, u64)>>,
         shard_jobs: Vec<Vec<JobBits>>,
         assignment: Vec<u32>,
         dropped: Vec<(SimTime, JobBits)>,
         rejected: Vec<(SimTime, JobBits)>,
         redispatches: Vec<(SimTime, JobId, u32)>,
         retried: u64,
-        hedges: Vec<(SimTime, JobBits, u32, u32, u32, u32, bool)>,
+        hedges: Vec<(SimTime, u32, u32, u32, u32, u32, bool)>,
         events: Vec<(SimTime, Event)>,
     }
 
-    fn fingerprint(plan: &DispatchPlan, events: &[(SimTime, Event)]) -> Fingerprint {
+    fn fingerprint((plan, shard_jobs, events): &Dispatched) -> Fingerprint {
         // Destructured so that a new field is a compile error here.
         let DispatchPlan {
-            shard_jobs,
+            routed,
             assignment,
             dropped,
             rejected,
@@ -702,6 +719,10 @@ mod tests {
             v.iter().map(|(t, j)| (*t, bits(j))).collect()
         };
         Fingerprint {
+            routed: routed
+                .iter()
+                .map(|s| s.iter().map(|c| (c.pos, c.release.as_micros())).collect())
+                .collect(),
             shard_jobs: shard_jobs
                 .iter()
                 .map(|s| s.iter().map(bits).collect())
@@ -716,24 +737,26 @@ mod tests {
                 .map(|h| {
                     let HedgeRecord {
                         at,
-                        job,
+                        pos,
                         from,
                         to,
                         primary_slot,
                         hedge_slot,
                         duel,
                     } = *h;
-                    (at, bits(&job), from, to, primary_slot, hedge_slot, duel)
+                    (at, pos, from, to, primary_slot, hedge_slot, duel)
                 })
                 .collect(),
-            events: events.to_vec(),
+            events: events.clone(),
         }
     }
 
-    /// A dispatcher's plan and its dispatcher events.
-    type Dispatched = (DispatchPlan, Vec<(SimTime, Event)>);
+    /// A dispatcher's plan, its per-shard job sets and its dispatcher
+    /// events.
+    type Dispatched = (DispatchPlan, Vec<JobSet>, Vec<(SimTime, Event)>);
 
-    /// The dense scan, its events recorded into a trace observer. The
+    /// The dense scan, its events recorded into a trace observer and its
+    /// job sets materialized by [`DispatchPlan::shard_jobs`]. The
     /// observer must be passive: the plan is also checked against the
     /// unobserved [`dispatch_protected`].
     fn dense(c: &Scenario, quality: &dyn QualityFunction) -> Dispatched {
@@ -744,15 +767,16 @@ mod tests {
             jobs, c.shards, routing, model, quality, plan, overload, c.end, &mut obs,
         );
         assert_eq!(obs.dropped(), 0, "the trace ring overflowed");
-        let events = obs.events();
         let plain = dispatch_protected(
             jobs, c.shards, routing, model, quality, plan, overload, c.end,
         );
+        let bare = |plan| fingerprint(&(plan, Vec::new(), Vec::new()));
         assert!(
-            fingerprint(&plain, &[]) == fingerprint(&observed, &[]),
+            bare(plain) == bare(observed.clone()),
             "observing the scan changed its plan"
         );
-        (observed, events)
+        let shard_jobs = observed.shard_jobs(jobs);
+        (observed, shard_jobs, obs.events())
     }
 
     fn reference(c: &Scenario, quality: &dyn QualityFunction) -> Dispatched {
@@ -773,10 +797,8 @@ mod tests {
 
         #[test]
         fn dense_dispatch_matches_the_reference_scan(case in AnyScenario) {
-            let (plan, events) = dense(&case, &ExpQuality::PAPER_DEFAULT);
-            let fast = fingerprint(&plan, &events);
-            let (plan, events) = reference(&case, &ExpQuality::PAPER_DEFAULT);
-            let slow = fingerprint(&plan, &events);
+            let fast = fingerprint(&dense(&case, &ExpQuality::PAPER_DEFAULT));
+            let slow = fingerprint(&reference(&case, &ExpQuality::PAPER_DEFAULT));
             prop_assert_eq!(fast, slow, "plans differ for {:?}\ndense: {:?}\nreference: {:?}", case, fast, slow);
         }
     }
@@ -791,7 +813,7 @@ mod tests {
         );
         let (mut rejected, mut dropped, mut retried, mut duels, mut absorbed) = (0, 0, 0, 0, 0);
         for case in 0..runner.cases() {
-            let (plan, _) = dense(
+            let (plan, ..) = dense(
                 &AnyScenario.generate(&mut runner.rng_for_case(case)),
                 &ExpQuality::PAPER_DEFAULT,
             );
@@ -844,10 +866,9 @@ mod tests {
                 },
                 end: SimTime::from_secs(1),
             };
-            let (plan, events) = dense(&case, &NanQuality);
-            assert_eq!(plan.rejected.len(), rejected, "floor {floor}");
-            let (ref_plan, ref_events) = reference(&case, &NanQuality);
-            assert!(fingerprint(&plan, &events) == fingerprint(&ref_plan, &ref_events));
+            let fast = dense(&case, &NanQuality);
+            assert_eq!(fast.0.rejected.len(), rejected, "floor {floor}");
+            assert!(fingerprint(&fast) == fingerprint(&reference(&case, &NanQuality)));
         }
     }
 
@@ -881,7 +902,8 @@ mod tests {
                 },
                 end,
             };
-            let (plan, events) = dense(&case, &ExpQuality::PAPER_DEFAULT);
+            let fast = dense(&case, &ExpQuality::PAPER_DEFAULT);
+            let (plan, _, events) = &fast;
             assert!(
                 !plan.rejected.is_empty() && plan.retried > 0 && !plan.hedges.is_empty(),
                 "{:?}: every mechanism should fire",
@@ -893,9 +915,8 @@ mod tests {
                 "{:?}: one event per reject, retry and hedge",
                 case.routing
             );
-            let (ref_plan, ref_events) = reference(&case, &ExpQuality::PAPER_DEFAULT);
             assert!(
-                fingerprint(&plan, &events) == fingerprint(&ref_plan, &ref_events),
+                fingerprint(&fast) == fingerprint(&reference(&case, &ExpQuality::PAPER_DEFAULT)),
                 "{:?}: dense and reference plans differ",
                 case.routing
             );

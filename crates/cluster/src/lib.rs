@@ -51,7 +51,7 @@ pub mod spec;
 pub use admission::{AdmissionPolicy, HedgePolicy, OverloadPolicy, RetryPolicy};
 pub use dispatch::{
     dispatch_protected, split_seed, ClusterEngine, ClusterReport, DispatchPlan, HedgeRecord,
-    RoutingPolicy, ShardRun,
+    RoutedCopy, RoutingPolicy, ShardRun,
 };
 pub use fault::{effective_cores, Epoch, FaultKind, FaultPlan, FaultWindow};
 pub use meter::PowerMeter;

@@ -89,12 +89,19 @@ impl Simulator {
     /// bitwise-identical with any observer, including none. Per-job
     /// outcomes (class, processed volume, quality) leave the engine only
     /// as [`JobSettle`](ObsEvent::JobSettle) events.
+    ///
+    /// # Panics
+    ///
+    /// If `cfg.num_cores` is zero or `cfg.budget` is NaN. Infinite and
+    /// negative budgets are accepted.
     pub fn run_observed<O: Observer>(
         cfg: &SimConfig<'_>,
         policy: &mut dyn SchedulingPolicy,
         jobs: &JobSet,
         obs: &mut O,
     ) -> (SimReport, SimTrace) {
+        assert!(cfg.num_cores > 0, "a machine needs at least one core");
+        assert!(!cfg.budget.is_nan(), "the power budget is NaN");
         Engine::new(cfg, jobs, obs).run(policy)
     }
 }
@@ -841,6 +848,39 @@ mod tests {
 
     fn job(id: u32, r: u64, d: u64, w: f64) -> Job {
         Job::new(id, ms(r), ms(d), w).unwrap()
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one core")]
+    fn zero_cores_are_rejected_at_entry() {
+        let jobs = JobSet::new(vec![job(0, 0, 150, 100.0)]).unwrap();
+        Simulator::run(&cfg(1000, 0, 40.0), &mut DesPolicy::new(), &jobs);
+    }
+
+    #[test]
+    #[should_panic(expected = "budget is NaN")]
+    fn a_nan_budget_is_rejected_at_entry() {
+        let jobs = JobSet::new(vec![job(0, 0, 150, 100.0)]).unwrap();
+        Simulator::run(&cfg(1000, 2, f64::NAN), &mut DesPolicy::new(), &jobs);
+    }
+
+    #[test]
+    fn infinite_and_negative_budgets_still_run() {
+        let jobs = JobSet::new(vec![job(0, 0, 150, 100.0), job(1, 10, 160, 50.0)]).unwrap();
+        let run = |budget| Simulator::run(&cfg(1000, 2, budget), &mut DesPolicy::new(), &jobs).0;
+        // Unbounded power serves both jobs in full; a negative budget,
+        // like a zero one, grants none.
+        assert_eq!(run(f64::INFINITY).jobs_satisfied(), 2);
+        let (negative, zero) = (run(-5.0), run(0.0));
+        assert_eq!(
+            negative.total_quality.to_bits(),
+            zero.total_quality.to_bits()
+        );
+        assert_eq!(
+            negative.energy_joules.to_bits(),
+            zero.energy_joules.to_bits()
+        );
+        assert_eq!((zero.total_quality, zero.energy_joules), (0.0, 0.0));
     }
 
     #[test]

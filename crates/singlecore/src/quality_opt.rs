@@ -547,6 +547,7 @@ impl VolumeDecomposition {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use qes_core::job::Job;
     use qes_core::power::PolynomialPower;
     use qes_core::quality::{ExpQuality, QualityFunction};
@@ -806,5 +807,43 @@ mod tests {
         let tot = r.volume(JobId(0)) + r.volume(JobId(1));
         assert!(tot <= 90.0 + 1e-6);
         assert!(tot > 80.0, "should use nearly all capacity, got {tot}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The sort-once search equals the reference search bit for bit
+        /// in every round of a decomposition, on windows sharing many
+        /// endpoints (a 1 ms grid) and zero demands. Unlike the per-round
+        /// check inside `BdiRounds::busiest`, this also runs in release
+        /// builds.
+        #[test]
+        fn prop_sort_once_bdi_search_matches_the_reference(
+            raw in proptest::collection::vec(
+                // (release ms, window ms, demand draw)
+                (0u64..40, 1u64..60, 0.0f64..1.0),
+                1..24,
+            ),
+            speed_ghz in 0.2f64..8.0,
+        ) {
+            let vjobs = raw.iter().zip(0..).map(|(&(r, len, u), id)| VJob {
+                id: JobId(id),
+                r: 1_000 * r,
+                d: 1_000 * (r + len),
+                // One job in eight demands nothing.
+                w: if u < 0.125 { 0.0 } else { 200.0 * u },
+            });
+            let units_per_us = speed_ghz / 1000.0;
+            let bits = |x: Option<(u64, u64, f64)>| x.map(|(a, b, l)| (a, b, l.to_bits()));
+            let mut rounds = BdiRounds::default();
+            rounds.load(vjobs);
+            loop {
+                let reference = busiest_deprived_interval(rounds.work(), units_per_us);
+                let found = rounds.busiest(units_per_us);
+                prop_assert_eq!(bits(found), bits(reference));
+                let Some((a, b, _)) = found else { break };
+                rounds.extract(a, b, |_| {});
+            }
+        }
     }
 }

@@ -479,11 +479,12 @@ fn fault_dispatch_never_targets_a_crashed_shard() {
         }
         // Retried jobs land on live shards only: every job in shard 0's
         // final stream must release outside its crash window.
-        for j in d.shard_jobs[0].iter() {
+        let shard_jobs = d.shard_jobs(&jobs);
+        for j in shard_jobs[0].iter() {
             assert!(!plan.is_crashed(0, j.release), "{ctx}: job {}", j.id.0);
         }
         // Conservation at the dispatch level.
-        let routed: usize = d.shard_jobs.iter().map(|s| s.len()).sum();
+        let routed: usize = shard_jobs.iter().map(|s| s.len()).sum();
         assert_eq!(routed + d.dropped.len(), jobs.len(), "{ctx}");
     }
 }
@@ -820,7 +821,8 @@ fn overload_retry_on_crash_boundary_respects_tie_order() {
     // Job 0's retry fires at exactly 45 ms: shard 1 just crashed
     // (ineligible at its half-open start), shard 0 just recovered
     // (eligible at its half-open end) -> shard 0 gets it back.
-    let s0: Vec<_> = d.shard_jobs[0].iter().collect();
+    let shard_jobs = d.shard_jobs(&jobs);
+    let s0: Vec<_> = shard_jobs[0].iter().collect();
     assert!(
         s0.iter()
             .any(|j| j.id.0 == 0 && j.release == SimTime::from_millis(45)),
@@ -833,7 +835,7 @@ fn overload_retry_on_crash_boundary_respects_tie_order() {
             .any(|j| j.id.0 == 1 && j.release == SimTime::from_millis(50)),
         "job 1's retry must fail over to shard 0"
     );
-    assert_eq!(d.shard_jobs[1].len(), 0);
+    assert_eq!(shard_jobs[1].len(), 0);
 }
 
 #[test]
@@ -870,7 +872,7 @@ fn overload_retry_exactly_on_horizon_is_kept_one_past_is_dropped() {
     );
     assert_eq!(kept.retried, 1);
     assert!(kept.dropped.is_empty());
-    assert!(kept.shard_jobs[1]
+    assert!(kept.shard_jobs(&jobs)[1]
         .iter()
         .any(|j| j.id.0 == 0 && j.release == SimTime::from_millis(50)));
     // Horizon one microsecond earlier: the same re-release overshoots
@@ -885,7 +887,14 @@ fn overload_retry_exactly_on_horizon_is_kept_one_past_is_dropped() {
     );
     assert_eq!(dropped.retried, 0);
     assert_eq!(dropped.dropped.len(), 1);
-    assert_eq!(dropped.shard_jobs.iter().map(|s| s.len()).sum::<usize>(), 0);
+    assert_eq!(
+        dropped
+            .shard_jobs(&jobs)
+            .iter()
+            .map(|s| s.len())
+            .sum::<usize>(),
+        0
+    );
 }
 
 #[test]
@@ -941,9 +950,10 @@ fn overload_retry_release_saturating_at_simtime_max_is_dropped() {
         assert_eq!(d.dropped[0], (before_max(5), jobs.jobs()[0]));
         assert!(d.hedges.is_empty(), "{hedge:?}");
         // Conservation: routed + dropped = arrivals.
-        let routed: usize = d.shard_jobs.iter().map(|s| s.len()).sum();
+        let shard_jobs = d.shard_jobs(&jobs);
+        let routed: usize = shard_jobs.iter().map(|s| s.len()).sum();
         assert_eq!(routed + d.dropped.len(), jobs.len(), "{hedge:?}");
-        assert_eq!(d.shard_jobs[1].len(), 2, "{hedge:?}");
+        assert_eq!(shard_jobs[1].len(), 2, "{hedge:?}");
     }
 }
 
@@ -988,7 +998,7 @@ fn overload_retry_tying_with_an_arrival_processes_the_arrival_first() {
     // again), then job 0's retry takes shard 1.
     assert_eq!(d.assignment, vec![0, 1, 2, 0]);
     assert_eq!(d.retried, 1);
-    assert!(d.shard_jobs[1]
+    assert!(d.shard_jobs(&jobs)[1]
         .iter()
         .any(|j| j.id.0 == 0 && j.release == SimTime::from_millis(20)));
 }
@@ -1033,7 +1043,7 @@ fn overload_retry_tying_with_a_hedge_processes_the_retry_first() {
     let at = SimTime::from_millis(50);
     assert_eq!(d.assignment, vec![0, 1]);
     assert_eq!(d.retried, 1);
-    assert!(d.shard_jobs[0]
+    assert!(d.shard_jobs(&jobs)[0]
         .iter()
         .any(|j| j.id.0 == 0 && j.release == at));
     assert_eq!(d.hedges.len(), 1);

@@ -1,0 +1,150 @@
+//! Peak live heap bytes per arrival of a protected cluster run.
+//!
+//! The dispatch pre-pass names every routed copy and hedge by the job's
+//! position in the input stream (a 16-byte routed copy, a 32-byte hedge
+//! record) instead of storing the job, the shards build each fault
+//! epoch's jobs straight from those records, and the merge settles duels
+//! by walking each shard's slot-sorted outcomes. The test runs the
+//! protected stack of the cluster benchmark — seeded crash and brownout
+//! windows, slack-floor admission, a retry budget with backoff and
+//! slack-fraction hedging — on a 20k-job diurnal stream and bounds the
+//! run's peak live heap above what was live when it started (the input
+//! stream is not counted), per arrival.
+//!
+//! Release builds only: in builds with debug assertions DES and the
+//! dispatcher cross-check their results with allocating reference
+//! computations, which would dominate the peak.
+#![cfg(not(debug_assertions))]
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use qes::cluster::{
+    AdmissionPolicy, ClusterEngine, FaultPlan, HedgePolicy, OverloadPolicy, RetryPolicy,
+    RoutingPolicy,
+};
+use qes::core::{ExpQuality, PolynomialPower, SimDuration};
+use qes::multicore::{DesPolicy, SchedulingPolicy};
+use qes::sim::SimConfig;
+use qes::workload::DiurnalWorkload;
+
+/// Tracks the current thread's live heap bytes and their peak while
+/// tracking is on, both relative to the live bytes when it was turned
+/// on. The run uses one lane, so all of its allocations happen on the
+/// calling thread; other threads (the test harness) are not counted.
+struct Tracking;
+
+thread_local! {
+    /// `(live, peak)` bytes since tracking was turned on.
+    static HEAP: Cell<Option<(i64, i64)>> = const { Cell::new(None) };
+}
+
+fn track(delta: i64) {
+    // `try_with`: the allocator also runs while thread-locals are torn
+    // down.
+    let _ = HEAP.try_with(|h| {
+        if let Some((live, peak)) = h.get() {
+            let live = live + delta;
+            h.set(Some((live, peak.max(live))));
+        }
+    });
+}
+
+// SAFETY: every call is passed unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the tracking touches only a thread-local
+// `Cell` and never allocates.
+unsafe impl GlobalAlloc for Tracking {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc(layout);
+        if !p.is_null() {
+            track(layout.size() as i64);
+        }
+        p
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc_zeroed(layout);
+        if !p.is_null() {
+            track(layout.size() as i64);
+        }
+        p
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let p = System.realloc(ptr, layout, new_size);
+        if !p.is_null() {
+            track(new_size as i64 - layout.size() as i64);
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+        track(-(layout.size() as i64));
+    }
+}
+
+#[global_allocator]
+static ALLOC: Tracking = Tracking;
+
+/// The bound on peak live heap bytes per arrival. The run peaks at 192.4
+/// bytes per arrival; storing each routed copy and hedge as a whole job,
+/// building a full-size job set per shard and settling duels through a
+/// table indexed by duel slot made it 324.6.
+const PEAK_BYTES_PER_ARRIVAL: f64 = 220.0;
+
+#[test]
+fn protected_cluster_peak_heap_per_arrival_is_bounded() {
+    const SHARDS: usize = 4;
+    const ARRIVALS: usize = 20_000;
+    // About 90 % of four 8-core shards at 2 GHz, swinging ±50 %.
+    let jobs = DiurnalWorkload::millions_of_users(300.0)
+        .generate_exact(ARRIVALS, 42)
+        .expect("valid workload");
+    let end = jobs.last_deadline().expect("non-empty stream");
+    let engine = ClusterEngine::new(SHARDS)
+        .with_routing(RoutingPolicy::Feedback)
+        .with_fault_plan(FaultPlan::seeded(SHARDS, end, 42, 97.0, 3.0, 0.5))
+        .with_overload(OverloadPolicy {
+            admission: AdmissionPolicy::SlackFloor {
+                floor: 0.05,
+                capacity_ghz: 16.0,
+            },
+            retry: RetryPolicy::exponential(3, SimDuration::from_millis(5)),
+            hedge: HedgePolicy::SlackFraction { fraction: 0.5 },
+        });
+    let power = PolynomialPower::PAPER_SIM;
+    let quality = ExpQuality::PAPER_DEFAULT;
+    let cfg = SimConfig {
+        num_cores: 8,
+        budget: 320.0,
+        model: &power,
+        quality: &quality,
+        end,
+        record_trace: false,
+        overhead: SimDuration::ZERO,
+    };
+
+    HEAP.with(|h| h.set(Some((0, 0))));
+    let report = rayon::with_threads(1, || {
+        engine.run(&cfg, &jobs, |_| {
+            Box::new(DesPolicy::new()) as Box<dyn SchedulingPolicy>
+        })
+    });
+    let (_, peak) = HEAP.with(|h| h.take()).expect("tracking was on");
+
+    // The stack must actually have fired: hedges duelled, jobs were
+    // rejected and retried.
+    assert!(report.jobs_hedged > ARRIVALS as u64 / 4, "{report:?}");
+    assert!(report.jobs_rejected > 0 && report.jobs_retried > 0);
+    let per_arrival = peak as f64 / ARRIVALS as f64;
+    eprintln!(
+        "peak live heap {peak} bytes over {ARRIVALS} arrivals ({per_arrival:.1} each), \
+         {} hedges",
+        report.jobs_hedged
+    );
+    assert!(
+        per_arrival < PEAK_BYTES_PER_ARRIVAL,
+        "peak live heap {peak} bytes over {ARRIVALS} arrivals ({per_arrival:.1} each)"
+    );
+}

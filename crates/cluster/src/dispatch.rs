@@ -983,22 +983,47 @@ pub(crate) fn dispatch_observed<D: Observer>(
             && router.alive[h.to as usize][h.hedge_slot as usize];
     }
     let duels = hedges.iter().filter(|h| h.duel).count();
+    // The shard phase holds the records, not the slack of their growth.
+    hedges.shrink_to_fit();
 
+    // Whether copy `a` comes after copy `b` in `JobSet::new_unchecked`'s
+    // (release, deadline, id) order; the input jobs are read only on a
+    // release tie.
+    let after = |a: &RoutedCopy, b: &RoutedCopy| {
+        a.release > b.release
+            || (a.release == b.release && {
+                let (ja, jb) = (&arrivals[a.pos as usize], &arrivals[b.pos as usize]);
+                (ja.deadline, ja.id) > (jb.deadline, jb.id)
+            })
+    };
     let routed: Vec<Vec<RoutedCopy>> = router
         .streams
         .into_iter()
         .zip(router.alive)
         .map(|(mut stream, alive)| {
-            let mut alive = alive.into_iter();
-            stream.retain(|_| alive.next() == Some(true));
-            // Retries keep original deadlines, so a shard's stream may
-            // not be agreeable; the engine does not require it. The
-            // stable sort on the copies' (release, deadline, id) is
-            // `JobSet::new_unchecked`'s.
-            stream.sort_by_key(|c| {
-                let j = &arrivals[c.pos as usize];
-                (c.release, j.deadline, j.id)
-            });
+            // One pass keeps the copies that reached simulation and
+            // insertion-sorts them stably into (release, deadline, id)
+            // order. Every copy is released at the scan instant that
+            // placed it, and scan time never decreases, so the releases
+            // already ascend: only copies released at one instant can be
+            // out of order (retries keep their original deadlines), and
+            // each moves past just those.
+            let mut kept = 0;
+            for (i, alive) in alive.into_iter().enumerate() {
+                if !alive {
+                    continue;
+                }
+                let copy = stream[i];
+                let mut at = kept;
+                while at > 0 && after(&stream[at - 1], &copy) {
+                    stream[at] = stream[at - 1];
+                    at -= 1;
+                }
+                stream[at] = copy;
+                kept += 1;
+            }
+            stream.truncate(kept);
+            stream.shrink_to_fit();
             stream
         })
         .collect();

@@ -55,6 +55,7 @@ thread_local! {
 
 /// An empty slice vector for a new plan: a recycled one from this
 /// thread's free list (keeping its capacity), or a new, unallocated one.
+#[inline]
 pub fn slice_vec() -> Vec<Slice> {
     FREE.with(|f| f.borrow_mut().pop()).unwrap_or_default()
 }
@@ -62,6 +63,7 @@ pub fn slice_vec() -> Vec<Slice> {
 /// Clear `slices` and keep it on this thread's free list for
 /// [`slice_vec`]; a vector that never allocated, or one that finds the
 /// list full, is dropped.
+#[inline]
 pub fn recycle_slices(mut slices: Vec<Slice>) {
     if slices.capacity() == 0 {
         return;

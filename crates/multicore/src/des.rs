@@ -42,7 +42,7 @@ use qes_core::schedule::CoreSchedule;
 #[cfg(debug_assertions)]
 use qes_singlecore::energy_opt::energy_opt;
 use qes_singlecore::energy_opt::energy_opt_common_release;
-use qes_singlecore::online_qe::{OnlineMode, QeSolver, ReadyJob};
+use qes_singlecore::online_qe::{OnlineMode, QeSolver, ReadyJob, SpeedCap};
 
 use crate::arch::ArchKind;
 use crate::crr::CrrDistributor;
@@ -356,15 +356,27 @@ impl DesPolicy {
     /// its ready index with [`QeSolver::solve_sorted`]: the index is
     /// exactly the live, sorted list [`QeSolver::solve`] would build, so
     /// the plan and discards are bit-identical; debug builds re-solve
-    /// with `solve` and check.
+    /// with `solve` and check. `cap` is `grant`'s [`SpeedCap`]; the
+    /// discarded ids are appended to `discarded`.
     fn granted_schedule_from_index(
         view: &SystemView<'_>,
         cq: &mut CoreQe,
         grant: f64,
+        cap: SpeedCap,
         mode: OnlineMode,
-    ) -> (CoreSchedule, Vec<JobId>) {
+        discarded: &mut Vec<JobId>,
+    ) -> CoreSchedule {
+        debug_assert_eq!(
+            cap.max_speed().to_bits(),
+            SpeedCap::new(view.model, grant).max_speed().to_bits(),
+            "a shared speed cap is not its grant's"
+        );
         let CoreQe { jobs, solver, .. } = cq;
-        let (plan, discarded) = solver.solve_sorted(view.now, jobs, view.model, grant, mode);
+        let (plan, disc) = solver.solve_sorted(view.now, jobs, cap, mode);
+        // Debug builds copy the ids, so the solver is free to re-solve.
+        #[cfg(debug_assertions)]
+        let disc = disc.to_vec();
+        discarded.extend_from_slice(&disc);
         #[cfg(debug_assertions)]
         {
             let reference = solver.solve(view.now, jobs, view.model, grant, mode);
@@ -374,11 +386,11 @@ impl DesPolicy {
                 "sorted-index Online-QE diverged from the general solve"
             );
             debug_assert_eq!(
-                discarded, reference.discarded,
+                disc, reference.discarded,
                 "sorted-index Online-QE discarded different jobs"
             );
         }
-        (plan, discarded)
+        plan
     }
 }
 
@@ -584,6 +596,9 @@ impl SchedulingPolicy for DesPolicy {
         let mut plans = Vec::with_capacity(m);
         let mut discarded = Vec::new();
         self.free_streak.fill(false);
+        // Water-filling gives every core at its level the same grant bits,
+        // so consecutive equal grants share one speed cap.
+        let mut last_cap: Option<(u64, SpeedCap)> = None;
         for (cq, &grant) in self.core_qe.iter_mut().zip(&self.grants) {
             if cq.jobs.is_empty() || grant <= 0.0 {
                 // Nothing live, or a zero grant (s* = 0): Online-QE
@@ -593,8 +608,13 @@ impl SchedulingPolicy for DesPolicy {
                 continue;
             }
             self.stats.qe_solves += 1;
-            let (plan, disc) = Self::granted_schedule_from_index(view, cq, grant, mode);
-            discarded.extend(disc);
+            let cap = match last_cap {
+                Some((bits, cap)) if bits == grant.to_bits() => cap,
+                _ => SpeedCap::new(view.model, grant),
+            };
+            last_cap = Some((grant.to_bits(), cap));
+            let plan =
+                Self::granted_schedule_from_index(view, cq, grant, cap, mode, &mut discarded);
             plans.push(Some(match ladder {
                 Some(set) => snap_plan_up(plan, set),
                 None => plan,

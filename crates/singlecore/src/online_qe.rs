@@ -28,13 +28,15 @@
 //! water-filling hands each core a new power share (§IV-C).
 //!
 //! The solve is one pass per stage over the (deadline, id)-sorted live
-//! jobs: the rewind shift, the rewound virtual jobs (built straight into
-//! the volume decomposition, which sorts them once for all its rounds),
-//! the discard loop, and one loop from volumes to slices that trims,
-//! caps at EDF capacity and feeds the mode's sink. Every stage repeats
-//! the float operations of the multi-pass form it replaced, so plans are
+//! jobs: the rewound virtual jobs, built straight into the volume
+//! decomposition (which sorts them once for all its rounds) while the
+//! rewind shift is folded; the discard loop, run only when a job is
+//! non-partial; and one loop from volumes to slices that trims, caps at
+//! EDF capacity and feeds the mode's sink. Every stage repeats the float
+//! operations of the multi-pass form it replaced, so plans are
 //! bit-identical to it; `tests/qe_digests.rs` pins them, and debug builds
-//! check each search round against a reference (DESIGN.md §6).
+//! check each search round and each decomposition against a reference
+//! (DESIGN.md §6).
 
 use qes_core::job::{Job, JobId};
 use qes_core::power::PowerModel;
@@ -115,6 +117,37 @@ pub enum OnlineMode {
     Eager,
 }
 
+/// The speed cap `s*` a power grant buys under a power model, with the
+/// two unit conversions every solve under it uses. Building one inverts
+/// the power model and divides twice; DES builds one per distinct grant
+/// of an invocation and solves every core that shares the grant under it.
+#[derive(Clone, Copy, Debug)]
+pub struct SpeedCap {
+    /// `s*` in GHz.
+    s_max: f64,
+    /// µs per processing unit at `s*`.
+    us_per_unit: f64,
+    /// Processing units per µs at `s*`.
+    units_per_us: f64,
+}
+
+impl SpeedCap {
+    /// The cap of dynamic power `budget` (W) under `model`.
+    pub fn new(model: &dyn PowerModel, budget: f64) -> Self {
+        let s_max = model.speed_for_dynamic_power(budget);
+        SpeedCap {
+            s_max,
+            us_per_unit: 1000.0 / s_max,
+            units_per_us: s_max / 1000.0,
+        }
+    }
+
+    /// `s*` in GHz.
+    pub fn max_speed(self) -> f64 {
+        self.s_max
+    }
+}
+
 /// [`QeSolver::solve`] on a fresh solver in [`OnlineMode::Efficient`]
 /// mode.
 pub fn online_qe(
@@ -151,6 +184,8 @@ struct QeScratch {
     /// `Efficient` mode's trimmed remainders: (id, deadline, demand) in
     /// EDF order.
     trimmed: Vec<(JobId, SimTime, f64)>,
+    /// The last plan's discarded ids.
+    discarded: Vec<JobId>,
 }
 
 impl QeSolver {
@@ -173,8 +208,8 @@ impl QeSolver {
             .iter()
             .map(|r| (r.job.id, r.processed.min(r.job.demand)))
             .collect();
-        let s_max = model.speed_for_dynamic_power(budget);
-        if s_max <= 0.0 {
+        let cap = SpeedCap::new(model, budget);
+        if cap.s_max <= 0.0 {
             return OnlineQeOutcome {
                 schedule: CoreSchedule::default(),
                 planned_total,
@@ -197,7 +232,8 @@ impl QeSolver {
         // checks this).
         self.active
             .sort_unstable_by_key(|r| (r.job.deadline, r.job.id));
-        let (schedule, discarded) = self.scratch.plan(now, &self.active, s_max, mode);
+        let schedule = self.scratch.plan(now, &self.active, cap, mode);
+        let discarded = self.scratch.discarded.clone();
         // Planned totals: sunk work plus what the schedule will run.
         for s in schedule.slices() {
             if let Some(t) = planned_total.iter_mut().find(|(id, _)| *id == s.job) {
@@ -208,7 +244,7 @@ impl QeSolver {
             schedule,
             planned_total,
             discarded,
-            max_speed: s_max,
+            max_speed: cap.s_max,
         }
     }
 
@@ -216,16 +252,16 @@ impl QeSolver {
     /// `now`, remaining demand above 1e-9) and strictly (deadline,
     /// id)-sorted — the list `solve` builds before planning, so the
     /// schedule and the discarded ids are bit-identical to its. The slice
-    /// is read in place, and no planned totals are built. Debug builds
-    /// check the precondition.
+    /// is read in place, the grant comes as its [`SpeedCap`], no planned
+    /// totals are built, and the discarded ids are lent from the solver's
+    /// own buffer. Debug builds check the precondition.
     pub fn solve_sorted(
         &mut self,
         now: SimTime,
         jobs: &[ReadyJob],
-        model: &dyn PowerModel,
-        budget: f64,
+        cap: SpeedCap,
         mode: OnlineMode,
-    ) -> (CoreSchedule, Vec<JobId>) {
+    ) -> (CoreSchedule, &[JobId]) {
         debug_assert!(
             jobs.iter()
                 .all(|r| r.job.deadline > now && r.remaining() > 1e-9),
@@ -236,105 +272,134 @@ impl QeSolver {
                 .all(|w| (w[0].job.deadline, w[0].job.id) < (w[1].job.deadline, w[1].job.id)),
             "solve_sorted input is not strictly (deadline, id)-sorted"
         );
-        let s_max = model.speed_for_dynamic_power(budget);
-        if s_max <= 0.0 {
-            return (CoreSchedule::default(), Vec::new());
+        if cap.s_max <= 0.0 {
+            return (CoreSchedule::default(), &[]);
         }
-        self.scratch.plan(now, jobs, s_max, mode)
+        let schedule = self.scratch.plan(now, jobs, cap, mode);
+        (schedule, &self.scratch.discarded)
     }
 }
 
 impl QeScratch {
     /// The solve body over `active` — live, (deadline, id)-sorted jobs —
-    /// at speed cap `s_max > 0`: the myopic volumes, the §V-D discard
+    /// under a speed cap `s* > 0`: the myopic volumes, the §V-D discard
     /// loop, then the realization `mode` asks for. Returns the schedule
-    /// and the discarded ids.
+    /// and leaves the discarded ids in `self.discarded`.
     fn plan(
         &mut self,
         now: SimTime,
         active: &[ReadyJob],
-        s_max: f64,
+        cap: SpeedCap,
         mode: OnlineMode,
-    ) -> (CoreSchedule, Vec<JobId>) {
+    ) -> CoreSchedule {
         let n = active.len();
-        let mut discarded = Vec::new();
+        self.discarded.clear();
 
+        let SpeedCap {
+            s_max,
+            us_per_unit,
+            units_per_us,
+        } = cap;
         let rewind = Rewind {
             now_f: now.as_micros() as f64,
-            us_per_unit: 1000.0 / s_max,
+            us_per_unit,
         };
-        let units_per_us = s_max / 1000.0;
-        self.alive.clear();
-        self.alive.resize(n, true);
-        self.vols.clear();
-        self.vols.resize(n, 0.0);
+        // Snapshots are recorded, and `alive` kept, only when a discard
+        // can actually happen.
+        let record = active.iter().any(|r| !r.job.partial);
 
+        self.vols.clear();
         if n > 0 {
-            // Step 1: the myopic volumes, then the §V-D discard loop for
-            // non-partial jobs. Snapshots are recorded only when a
-            // discard can actually happen.
-            let record = active.iter().any(|r| !r.job.partial);
-            let mut shift_us = rewind.shift_us(active, &self.alive);
-            self.decomp.solve(
-                rewind.vjobs(active, &self.alive, shift_us),
-                units_per_us,
-                record,
-                &mut self.vols,
-            );
-            loop {
-                // Discard at most one unfinishable non-partial job per
-                // round (the one with the largest shortfall), then
-                // recompute: discarding frees capacity that may rescue
-                // the others.
-                let worst = active
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, r)| {
-                        self.alive[i] && !r.job.partial && r.job.demand - self.vols[i] > 1e-6
-                    })
-                    .map(|(i, r)| (i, r.job.demand - self.vols[i]))
-                    .max_by(|a, b| a.1.total_cmp(&b.1));
-                let Some((x, _)) = worst else { break };
-                discarded.push(active[x].job.id);
-                self.alive[x] = false;
-                self.vols[x] = 0.0;
-                // Removing a job can change the rewind shift (if it held
-                // the minimum adjusted release) and thereby every other
-                // job's rounded virtual window — the virtual geometry
-                // moves, so the recorded decomposition is useless. Resume
-                // only when the shift is unchanged *and* the earlier
-                // rounds' chosen intervals survive the removal; otherwise
-                // rebuild and re-solve from scratch (the invalidation
-                // contract — DESIGN.md §"Interval reuse").
-                let new_shift = rewind.shift_us(active, &self.alive);
-                if new_shift == shift_us && self.decomp.can_resume_without(x as u32, &self.alive) {
-                    self.decomp
-                        .resume_without(x as u32, &self.alive, units_per_us, &mut self.vols);
-                } else {
-                    shift_us = new_shift;
-                    self.decomp.solve(
-                        rewind.vjobs(active, &self.alive, shift_us),
-                        units_per_us,
-                        true,
-                        &mut self.vols,
-                    );
-                }
-                #[cfg(debug_assertions)]
-                {
-                    // The resume contract, enforced: identical bits to a
-                    // from-scratch solve over the surviving jobs.
-                    let mut ref_vols = vec![0.0; n];
-                    VolumeDecomposition::default().solve(
-                        rewind.vjobs(active, &self.alive, new_shift),
-                        units_per_us,
-                        false,
-                        &mut ref_vols,
-                    );
-                    for (i, (v, rv)) in self.vols.iter().zip(&ref_vols).enumerate() {
-                        debug_assert!(
-                            !self.alive[i] || v.to_bits() == rv.to_bits(),
-                            "discard resume diverged from a full re-solve at job {i}"
+            // Step 1: the myopic volumes. The rewind shift is the least
+            // rewound release, found while the jobs are loaded unshifted;
+            // it is 0 unless the sunk work reaches back past time 0, and
+            // only then are the jobs loaded again. Every job's volume
+            // starts at 0 on the same pass.
+            let mut min_adj = f64::INFINITY;
+            let vols = &mut self.vols;
+            self.decomp
+                .load(active.iter().enumerate().filter_map(|(i, r)| {
+                    min_adj = min_adj.min(rewind.release(r));
+                    vols.push(0.0);
+                    rewind.vjob(i, r, 0)
+                }));
+            let mut shift_us = ceil_u64((-min_adj).max(0.0));
+            if shift_us != 0 {
+                self.decomp.load(
+                    active
+                        .iter()
+                        .enumerate()
+                        .filter_map(|(i, r)| rewind.vjob(i, r, shift_us)),
+                );
+            }
+            debug_assert_eq!(shift_us, rewind.shift_us(active, &vec![true; n]));
+            self.decomp
+                .solve_loaded(units_per_us, record, &mut self.vols);
+            // Then the §V-D discard loop for non-partial jobs.
+            if record {
+                self.alive.clear();
+                self.alive.resize(n, true);
+                loop {
+                    // Discard at most one unfinishable non-partial job per
+                    // round (the one with the largest shortfall), then
+                    // recompute: discarding frees capacity that may rescue
+                    // the others.
+                    let worst = active
+                        .iter()
+                        .enumerate()
+                        .filter(|&(i, r)| {
+                            self.alive[i] && !r.job.partial && r.job.demand - self.vols[i] > 1e-6
+                        })
+                        .map(|(i, r)| (i, r.job.demand - self.vols[i]))
+                        .max_by(|a, b| a.1.total_cmp(&b.1));
+                    let Some((x, _)) = worst else { break };
+                    self.discarded.push(active[x].job.id);
+                    self.alive[x] = false;
+                    self.vols[x] = 0.0;
+                    // Removing a job can change the rewind shift (if it held
+                    // the minimum adjusted release) and thereby every other
+                    // job's rounded virtual window — the virtual geometry
+                    // moves, so the recorded decomposition is useless. Resume
+                    // only when the shift is unchanged *and* the earlier
+                    // rounds' chosen intervals survive the removal; otherwise
+                    // rebuild and re-solve from scratch (the invalidation
+                    // contract — DESIGN.md §"Interval reuse").
+                    let new_shift = rewind.shift_us(active, &self.alive);
+                    if new_shift == shift_us
+                        && self.decomp.can_resume_without(x as u32, &self.alive)
+                    {
+                        self.decomp.resume_without(
+                            x as u32,
+                            &self.alive,
+                            units_per_us,
+                            &mut self.vols,
                         );
+                    } else {
+                        shift_us = new_shift;
+                        self.decomp.solve(
+                            rewind.alive_vjobs(active, &self.alive, shift_us),
+                            units_per_us,
+                            true,
+                            &mut self.vols,
+                        );
+                    }
+                    #[cfg(debug_assertions)]
+                    {
+                        // The resume contract, enforced: identical bits to a
+                        // from-scratch solve over the surviving jobs.
+                        let mut ref_vols = vec![0.0; n];
+                        VolumeDecomposition::default().solve(
+                            rewind.alive_vjobs(active, &self.alive, new_shift),
+                            units_per_us,
+                            false,
+                            &mut ref_vols,
+                        );
+                        for (i, (v, rv)) in self.vols.iter().zip(&ref_vols).enumerate() {
+                            debug_assert!(
+                                !self.alive[i] || v.to_bits() == rv.to_bits(),
+                                "discard resume diverged from a full re-solve at job {i}"
+                            );
+                        }
                     }
                 }
             }
@@ -360,12 +425,15 @@ impl QeScratch {
         let mut cur_us = round_u64(cur);
         #[cfg(debug_assertions)]
         let (mut planned, mut kept) = (0.0, 0usize);
+        // Discarded jobs are skipped; a solve without a discard has
+        // every job alive.
+        let alive = |i: usize| self.discarded.is_empty() || self.alive[i];
         let futures = active
             .iter()
             .zip(&self.vols)
-            .zip(&self.alive)
-            .filter(|&(_, &alive)| alive)
-            .map(|((r, &v), _)| (r, v - r.processed))
+            .enumerate()
+            .filter(|&(i, _)| alive(i))
+            .map(|(_, (r, &v))| (r, v - r.processed))
             .filter(|&(_, future)| future > 1e-9);
         let mut cum = 0.0;
         for (r, future) in futures {
@@ -442,7 +510,7 @@ impl QeScratch {
                 schedule
             }
         };
-        (schedule, discarded)
+        schedule
     }
 }
 
@@ -474,29 +542,33 @@ impl Rewind {
         ceil_u64((-min_adj).max(0.0))
     }
 
-    /// The rewound virtual jobs over the alive subset of `active`,
-    /// shifting releases *and* deadlines by the same integral µs amount
-    /// `shift_us` ([`Self::shift_us`]) so a fractional rewind cannot skew
-    /// any job's window length. `VJob::id` carries the job's index in
-    /// `active`.
-    fn vjobs<'a>(
+    /// The rewound virtual job of `r`, the job at index `i` of `active`,
+    /// shifting its release *and* deadline by the same integral µs
+    /// amount `shift_us` ([`Self::shift_us`]) so a fractional rewind
+    /// cannot skew its window length; `None` for a job without demand.
+    /// `VJob::id` carries `i`.
+    fn vjob(self, i: usize, r: &ReadyJob, shift_us: u64) -> Option<VJob> {
+        (r.job.demand > 0.0).then(|| VJob {
+            id: JobId(i as u32),
+            r: round_u64(self.release(r) + shift_us as f64),
+            d: r.job.deadline.as_micros() + shift_us,
+            w: r.job.demand,
+        })
+    }
+
+    /// [`Self::vjob`] over the alive subset of `active`.
+    fn alive_vjobs<'a>(
         self,
         active: &'a [ReadyJob],
         alive: &'a [bool],
         shift_us: u64,
     ) -> impl Iterator<Item = VJob> + 'a {
-        let shift = shift_us as f64;
         active
             .iter()
             .zip(alive)
             .enumerate()
-            .filter(|&(_, (r, &a))| a && r.job.demand > 0.0)
-            .map(move |(i, (r, _))| VJob {
-                id: JobId(i as u32),
-                r: round_u64(self.release(r) + shift),
-                d: r.job.deadline.as_micros() + shift_us,
-                w: r.job.demand,
-            })
+            .filter(|&(_, (_, &a))| a)
+            .filter_map(move |(i, (r, _))| self.vjob(i, r, shift_us))
     }
 }
 
@@ -812,7 +884,8 @@ mod tests {
                     budget,
                     mode,
                 );
-                let (schedule, discarded) = warm.solve_sorted(now, &sorted, &MODEL, budget, mode);
+                let cap = SpeedCap::new(&MODEL, budget);
+                let (schedule, discarded) = warm.solve_sorted(now, &sorted, cap, mode);
                 assert_eq!(
                     bits(&schedule),
                     bits(&reference.schedule),
@@ -855,7 +928,7 @@ mod tests {
         let shift_us = rewind.shift_us(&active, &alive);
         let mut got = vec![0.0; active.len()];
         VolumeDecomposition::default().solve(
-            rewind.vjobs(&active, &alive, shift_us),
+            rewind.alive_vjobs(&active, &alive, shift_us),
             s_max / 1000.0,
             false,
             &mut got,

@@ -28,6 +28,7 @@
 //! and invalidation").
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use qes_core::job::{JobId, JobSet};
 use qes_core::schedule::{CoreSchedule, Slice};
@@ -153,7 +154,15 @@ pub(crate) fn d_mean(capacity: f64, demands: &[f64]) -> Option<(f64, usize)> {
     let mut prefix = 0.0;
     loop {
         // Water level if jobs [..m] are satisfied and the rest deprived.
-        let level = (capacity - prefix) / (k - m) as f64;
+        // Dividing by 1 is the identity and dividing by 2 rounds the same
+        // exact half as multiplying by 0.5, so the last two steps skip
+        // the division.
+        let free = capacity - prefix;
+        let level = match k - m {
+            1 => free,
+            2 => free * 0.5,
+            left => free / left as f64,
+        };
         if m < k && demands[m] <= level + 1e-9 {
             prefix += demands[m];
             m += 1;
@@ -171,28 +180,31 @@ pub(crate) fn d_mean(capacity: f64, demands: &[f64]) -> Option<(f64, usize)> {
 /// The busiest-deprived-interval search carried through the rounds of one
 /// decomposition, sorted once.
 ///
-/// [`Self::load`] sorts the jobs by deadline (`work`) and by release
-/// (`by_r`). Each round's [`Self::extract`] removes the chosen group and
-/// compresses the rest through `[a, b)`; [`compress_point`] is monotone,
-/// so both orders survive the compression and no round sorts again.
-/// Points that compression merges become equal neighbours, which the
-/// search steps over as one candidate endpoint.
+/// [`Self::load`] sorts the jobs by deadline (`work`) and, unless they
+/// are then also in release order, builds their release order (`by_r`).
+/// Each round's [`Self::extract`] removes the chosen group and compresses
+/// the rest through `[a, b)`; [`compress_point`] is monotone, so both
+/// orders survive the compression and no round sorts again. Points that
+/// compression merges become equal neighbours, which the search steps
+/// over as one candidate endpoint.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct BdiRounds {
     /// Unfixed jobs in deadline order, windows compressed through every
     /// extracted interval.
     work: Vec<VJob>,
-    /// Positions in `work`, in release order.
+    /// Positions in `work`, in release order; empty when `work` is in
+    /// release order itself.
     by_r: Vec<u32>,
     /// Demands of the current candidate group, kept sorted ascending.
     sorted: Vec<f64>,
     /// Old position in `work` → new position (`u32::MAX` once fixed),
-    /// while a round compacts `work`.
+    /// while a round compacts `work` under a release order.
     remap: Vec<u32>,
 }
 
 impl BdiRounds {
     /// Start a decomposition over `jobs`, in any order.
+    #[inline]
     pub(crate) fn load(&mut self, jobs: impl IntoIterator<Item = VJob>) {
         self.work.clear();
         self.work.extend(jobs);
@@ -202,9 +214,9 @@ impl BdiRounds {
             self.work.sort_unstable_by_key(|j| j.d);
         }
         self.by_r.clear();
-        self.by_r.extend(0..self.work.len() as u32);
         let work = &self.work;
         if !work.is_sorted_by_key(|j| j.r) {
+            self.by_r.extend(0..work.len() as u32);
             self.by_r.sort_unstable_by_key(|&p| work[p as usize].r);
         }
     }
@@ -212,6 +224,12 @@ impl BdiRounds {
     /// The jobs not yet fixed, in deadline order.
     pub(crate) fn work(&self) -> &[VJob] {
         &self.work
+    }
+
+    /// Fix every job left.
+    fn clear(&mut self) {
+        self.work.clear();
+        self.by_r.clear();
     }
 
     /// Find the busiest deprived interval of the current round: the
@@ -245,66 +263,13 @@ impl BdiRounds {
         let BdiRounds {
             work, by_r, sorted, ..
         } = self;
-        let mut best: Option<(u64, u64, f64)> = None;
-        let mut last_a = None;
-        // The first job due after `a`: no job due by `a` joins a group
-        // starting at `a`, and a candidate `b ≤ a` has no group.
-        let mut first = 0;
-        for &p in by_r.iter() {
-            let a = work[p as usize].r;
-            if last_a == Some(a) {
-                continue;
-            }
-            last_a = Some(a);
-            while first < work.len() && work[first].d <= a {
-                first += 1;
-            }
-            sorted.clear();
-            // Running sum of the group's demands, for the first skip test.
-            // Its summation order differs from the canonical (sorted) order
-            // `d_mean` uses, so it is never compared against the 1e-9 slack
-            // directly — only with a margin far wider than its float error.
-            let mut running = 0.0f64;
-            let mut di = first;
-            while di < work.len() {
-                // Append the jobs due exactly at `b`.
-                let b = work[di].d;
-                while di < work.len() && work[di].d == b {
-                    let j = &work[di];
-                    if j.r >= a {
-                        let pos = sorted.partition_point(|&x| x < j.w);
-                        sorted.insert(pos, j.w);
-                        running += j.w;
-                    }
-                    di += 1;
-                }
-                if sorted.is_empty() {
-                    continue;
-                }
-                let capacity = (b - a) as f64 * units_per_us;
-                // `d_mean` returns `None` (candidate irrelevant) whenever
-                // the canonical total ≤ capacity + 1e-9. `running` agrees
-                // with the canonical total to within summation error ≪ the
-                // 1e-6 margin, so this can only skip `None` candidates.
-                if running <= capacity - 1e-6 * (1.0 + running) {
-                    continue;
-                }
-                if let Some((_, _, l)) = best {
-                    // `capacity / k − l` beyond the margin, multiplied
-                    // through by `k` (see above).
-                    let k = sorted.len() as f64;
-                    if capacity - k * l > k * (1e-6 + 1e-14 * k * capacity) {
-                        continue;
-                    }
-                }
-                if let Some((level, _)) = d_mean(capacity, sorted) {
-                    match best {
-                        Some((_, _, l)) if l <= level => {}
-                        _ => best = Some((a, b, level)),
-                    }
-                }
-            }
-        }
+        // Both release orders visit the same sequence of distinct `a`.
+        let best = if by_r.is_empty() {
+            search(work, sorted, work.iter().map(|j| j.r), units_per_us)
+        } else {
+            let releases = by_r.iter().map(|&p| work[p as usize].r);
+            search(work, sorted, releases, units_per_us)
+        };
         #[cfg(debug_assertions)]
         {
             let bits = |x: Option<(u64, u64, f64)>| x.map(|(a, b, l)| (a, b, l.to_bits()));
@@ -321,30 +286,126 @@ impl BdiRounds {
     /// Remove the group contained in `[a, b)`, handing each member to
     /// `fixed`, and compress the other jobs' windows through it.
     pub(crate) fn extract(&mut self, a: u64, b: u64, mut fixed: impl FnMut(VJob)) {
+        // A release order other than `work`'s own is mapped through the
+        // compaction.
+        let mapped = !self.by_r.is_empty();
         self.remap.clear();
         let mut keep = 0;
         for i in 0..self.work.len() {
             let j = self.work[i];
             if j.r >= a && j.d <= b {
                 fixed(j);
-                self.remap.push(u32::MAX);
+                if mapped {
+                    self.remap.push(u32::MAX);
+                }
             } else {
                 self.work[keep] = VJob {
                     r: compress_point(j.r, a, b),
                     d: compress_point(j.d, a, b),
                     ..j
                 };
-                self.remap.push(keep as u32);
+                if mapped {
+                    self.remap.push(keep as u32);
+                }
                 keep += 1;
             }
         }
         self.work.truncate(keep);
-        let remap = &self.remap;
-        self.by_r.retain_mut(|p| {
-            *p = remap[*p as usize];
-            *p != u32::MAX
-        });
+        if mapped {
+            let remap = &self.remap;
+            self.by_r.retain_mut(|p| {
+                *p = remap[*p as usize];
+                *p != u32::MAX
+            });
+        }
     }
+}
+
+/// [`BdiRounds::busiest`]'s candidate scan over the deadline-ordered
+/// `work`, taking each group's start `a` from `releases` (ascending).
+fn search(
+    work: &[VJob],
+    sorted: &mut Vec<f64>,
+    releases: impl Iterator<Item = u64>,
+    units_per_us: f64,
+) -> Option<(u64, u64, f64)> {
+    let mut best: Option<(u64, u64, f64)> = None;
+    let mut last_a = None;
+    // The first job due after `a`: no job due by `a` joins a group
+    // starting at `a`, and a candidate `b ≤ a` has no group.
+    let mut first = 0;
+    for a in releases {
+        if last_a == Some(a) {
+            continue;
+        }
+        last_a = Some(a);
+        while first < work.len() && work[first].d <= a {
+            first += 1;
+        }
+        sorted.clear();
+        // Running sum of the group's demands, for the first skip test.
+        // Its summation order differs from the canonical (sorted) order
+        // `d_mean` uses, so it is never compared against the 1e-9 slack
+        // directly — only with a margin far wider than its float error.
+        let mut running = 0.0f64;
+        let mut di = first;
+        while di < work.len() {
+            // Append the jobs due exactly at `b`.
+            let b = work[di].d;
+            while di < work.len() && work[di].d == b {
+                let j = &work[di];
+                if j.r >= a {
+                    insert_sorted(sorted, j.w);
+                    running += j.w;
+                }
+                di += 1;
+            }
+            if sorted.is_empty() {
+                continue;
+            }
+            let capacity = (b - a) as f64 * units_per_us;
+            // `d_mean` returns `None` (candidate irrelevant) whenever
+            // the canonical total ≤ capacity + 1e-9. `running` agrees
+            // with the canonical total to within summation error ≪ the
+            // 1e-6 margin, so this can only skip `None` candidates.
+            if running <= capacity - 1e-6 * (1.0 + running) {
+                continue;
+            }
+            if let Some((_, _, l)) = best {
+                // `capacity / k − l` beyond the margin, multiplied
+                // through by `k` (see above).
+                let k = sorted.len() as f64;
+                if capacity - k * l > k * (1e-6 + 1e-14 * k * capacity) {
+                    continue;
+                }
+            }
+            if let Some((level, _)) = d_mean(capacity, sorted) {
+                match best {
+                    Some((_, _, l)) if l <= level => {}
+                    _ => best = Some((a, b, level)),
+                }
+            }
+        }
+    }
+    best
+}
+
+/// Insert `w` into the ascending `sorted` ahead of any equal demand — the
+/// place `partition_point(|&x| x < w)` finds — by moving the larger
+/// demands up one at a time: groups are a few demands long, and this
+/// spares the binary search and the `memmove` call of `Vec::insert`.
+#[inline]
+fn insert_sorted(sorted: &mut Vec<f64>, w: f64) {
+    sorted.push(w);
+    let mut i = sorted.len() - 1;
+    while i > 0 {
+        if sorted[i - 1] < w {
+            break;
+        }
+        sorted[i] = sorted[i - 1];
+        i -= 1;
+    }
+    sorted[i] = w;
 }
 
 /// The reference busiest-deprived-interval search that
@@ -417,6 +478,10 @@ fn busiest_deprived_interval(vjobs: &[VJob], units_per_us: f64) -> Option<(u64, 
 /// was the sole holder of a chosen endpoint would have changed the
 /// candidate enumeration itself). See DESIGN.md §"Interval reuse and
 /// invalidation" for the full contract.
+///
+/// A round with one job left is fixed in closed form (DESIGN.md §6).
+/// Debug builds compare the volumes of every solve and resume bit for bit
+/// with [`reference_volumes`].
 #[derive(Clone, Debug, Default)]
 pub(crate) struct VolumeDecomposition {
     /// Surviving jobs and the search over them.
@@ -424,9 +489,11 @@ pub(crate) struct VolumeDecomposition {
     /// Round in which each job index had its volume fixed (only kept
     /// when recording).
     fixed_round: Vec<u32>,
-    /// The surviving jobs as of the start of each round (only kept when
-    /// recording).
-    snapshots: Vec<Vec<VJob>>,
+    /// The surviving jobs as of the start of each round, back to back
+    /// (only kept when recording).
+    snap_jobs: Vec<VJob>,
+    /// Where each round's snapshot starts in `snap_jobs`.
+    snap_start: Vec<u32>,
     /// The `(a, b)` chosen by each completed group round (only kept when
     /// recording).
     chosen: Vec<(u64, u64)>,
@@ -442,14 +509,39 @@ impl VolumeDecomposition {
         record: bool,
         vols: &mut [f64],
     ) {
+        self.load(vjobs);
+        self.solve_loaded(units_per_us, record, vols);
+    }
+
+    /// Load `vjobs` for [`Self::solve_loaded`].
+    #[inline]
+    pub(crate) fn load(&mut self, vjobs: impl IntoIterator<Item = VJob>) {
         self.rounds.load(vjobs);
-        self.snapshots.clear();
+    }
+
+    /// [`Self::solve`] over the jobs last given to [`Self::load`].
+    pub(crate) fn solve_loaded(&mut self, units_per_us: f64, record: bool, vols: &mut [f64]) {
+        self.snap_jobs.clear();
+        self.snap_start.clear();
         self.chosen.clear();
         self.fixed_round.clear();
         if record {
             self.fixed_round.resize(vols.len(), u32::MAX);
         }
+        #[cfg(debug_assertions)]
+        let loaded = self.rounds.work().to_vec();
         self.run(0, units_per_us, record, vols);
+        #[cfg(debug_assertions)]
+        check_volumes(&loaded, units_per_us, vols);
+    }
+
+    /// Where the snapshot of round `k` sits in `snap_jobs`.
+    fn snapshot(&self, k: usize) -> Range<usize> {
+        let end = self
+            .snap_start
+            .get(k + 1)
+            .map_or(self.snap_jobs.len(), |&e| e as usize);
+        self.snap_start[k] as usize..end
     }
 
     /// Whether [`Self::resume_without`] would be bit-identical to a
@@ -466,16 +558,16 @@ impl VolumeDecomposition {
             .get(x as usize)
             .copied()
             .unwrap_or(u32::MAX);
-        if (k as usize) >= self.snapshots.len() {
+        if (k as usize) >= self.snap_start.len() {
             return false;
         }
         self.chosen[..k as usize]
             .iter()
-            .zip(&self.snapshots)
-            .all(|(&(a, b), snap)| {
+            .enumerate()
+            .all(|(round, &(a, b))| {
                 let mut a_held = false;
                 let mut b_held = false;
-                for j in snap {
+                for j in &self.snap_jobs[self.snapshot(round)] {
                     if alive[j.id.0 as usize] {
                         a_held |= j.r == a;
                         b_held |= j.d == b;
@@ -497,11 +589,17 @@ impl VolumeDecomposition {
         vols: &mut [f64],
     ) {
         let k = self.fixed_round[x as usize] as usize;
-        debug_assert!(k < self.snapshots.len());
-        let snap = std::mem::take(&mut self.snapshots[k]);
-        self.rounds
-            .load(snap.iter().filter(|j| alive[j.id.0 as usize]).copied());
-        self.snapshots.truncate(k);
+        debug_assert!(k < self.snap_start.len());
+        let snap = self.snapshot(k);
+        let start = snap.start;
+        self.rounds.load(
+            self.snap_jobs[snap]
+                .iter()
+                .filter(|j| alive[j.id.0 as usize])
+                .copied(),
+        );
+        self.snap_jobs.truncate(start);
+        self.snap_start.truncate(k);
         self.chosen.truncate(k);
         self.run(k as u32, units_per_us, true, vols);
     }
@@ -510,7 +608,8 @@ impl VolumeDecomposition {
         let mut round = first_round;
         while !self.rounds.work().is_empty() {
             if record {
-                self.snapshots.push(self.rounds.work().to_vec());
+                self.snap_start.push(self.snap_jobs.len() as u32);
+                self.snap_jobs.extend_from_slice(self.rounds.work());
             }
             let fixed_round = &mut self.fixed_round;
             let mut fix = |idx: usize, v: f64| {
@@ -519,6 +618,29 @@ impl VolumeDecomposition {
                     fixed_round[idx] = round;
                 }
             };
+            if let [j] = *self.rounds.work() {
+                // One job: its own window is the only candidate, and
+                // `d_mean` over one demand is `capacity / 1.0`, so the
+                // search would return level `capacity.max(0.0)` exactly
+                // when `d > r` and the demand exceeds `capacity + 1e-9`.
+                let capacity = j.d.saturating_sub(j.r) as f64 * units_per_us;
+                let v = if j.d <= j.r || j.w <= capacity + 1e-9 {
+                    j.w
+                } else {
+                    let level = capacity.max(0.0);
+                    if record {
+                        self.chosen.push((j.r, j.d));
+                    }
+                    if j.w <= level + 1e-9 {
+                        j.w
+                    } else {
+                        level
+                    }
+                };
+                fix(j.id.0 as usize, v);
+                self.rounds.clear();
+                break;
+            }
             match self.rounds.busiest(units_per_us) {
                 None => {
                     // Everything remaining is satisfiable in full.
@@ -541,6 +663,46 @@ impl VolumeDecomposition {
                 }
             }
         }
+    }
+}
+
+/// The volumes of the decomposition over `vjobs` by its textbook
+/// recursion: the sorting [`busiest_deprived_interval`] in every round,
+/// every window compressed afresh, and no closed form. The oracle that
+/// debug builds compare [`VolumeDecomposition`]'s fast paths with.
+#[cfg(any(test, debug_assertions))]
+fn reference_volumes(vjobs: &[VJob], units_per_us: f64, vols: &mut [f64]) {
+    let mut work = vjobs.to_vec();
+    while let Some((a, b, level)) = busiest_deprived_interval(&work, units_per_us) {
+        work.retain_mut(|j| {
+            if j.r >= a && j.d <= b {
+                vols[j.id.0 as usize] = if j.w <= level + 1e-9 { j.w } else { level };
+                false
+            } else {
+                j.r = compress_point(j.r, a, b);
+                j.d = compress_point(j.d, a, b);
+                true
+            }
+        });
+    }
+    for j in &work {
+        vols[j.id.0 as usize] = j.w;
+    }
+}
+
+/// Debug builds: panic unless `vols` holds [`reference_volumes`]' bits
+/// for every job of `vjobs`.
+#[cfg(debug_assertions)]
+fn check_volumes(vjobs: &[VJob], units_per_us: f64, vols: &[f64]) {
+    let mut reference = vols.to_vec();
+    reference_volumes(vjobs, units_per_us, &mut reference);
+    for j in vjobs {
+        let i = j.id.0 as usize;
+        debug_assert_eq!(
+            vols[i].to_bits(),
+            reference[i].to_bits(),
+            "volume decomposition diverged from the reference at job {i}"
+        );
     }
 }
 
@@ -813,10 +975,11 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
         /// The sort-once search equals the reference search bit for bit
-        /// in every round of a decomposition, on windows sharing many
-        /// endpoints (a 1 ms grid) and zero demands. Unlike the per-round
-        /// check inside `BdiRounds::busiest`, this also runs in release
-        /// builds.
+        /// in every round of a decomposition, and the decomposition's
+        /// volumes equal the reference recursion's, on windows sharing
+        /// many endpoints (a 1 ms grid) and zero demands. Unlike the
+        /// checks inside `BdiRounds::busiest` and
+        /// `VolumeDecomposition::solve`, this also runs in release builds.
         #[test]
         fn prop_sort_once_bdi_search_matches_the_reference(
             raw in proptest::collection::vec(
@@ -836,7 +999,7 @@ mod tests {
             let units_per_us = speed_ghz / 1000.0;
             let bits = |x: Option<(u64, u64, f64)>| x.map(|(a, b, l)| (a, b, l.to_bits()));
             let mut rounds = BdiRounds::default();
-            rounds.load(vjobs);
+            rounds.load(vjobs.clone());
             loop {
                 let reference = busiest_deprived_interval(rounds.work(), units_per_us);
                 let found = rounds.busiest(units_per_us);
@@ -844,6 +1007,14 @@ mod tests {
                 let Some((a, b, _)) = found else { break };
                 rounds.extract(a, b, |_| {});
             }
+            // The whole decomposition, closed-form one-job rounds
+            // included, against the textbook recursion.
+            let n = raw.len();
+            let (mut got, mut want) = (vec![0.0; n], vec![0.0; n]);
+            VolumeDecomposition::default().solve(vjobs.clone(), units_per_us, false, &mut got);
+            reference_volumes(&vjobs.collect::<Vec<_>>(), units_per_us, &mut want);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&got), bits(&want));
         }
     }
 }

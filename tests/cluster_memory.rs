@@ -9,7 +9,8 @@
 //! windows, slack-floor admission, a retry budget with backoff and
 //! slack-fraction hedging — on a 20k-job diurnal stream and bounds the
 //! run's peak live heap above what was live when it started (the input
-//! stream is not counted), per arrival.
+//! stream is not counted), per arrival. A second test bounds what the
+//! dispatch plan alone holds when the pre-pass returns it.
 //!
 //! Release builds only: in builds with debug assertions DES and the
 //! dispatcher cross-check their results with allocating reference
@@ -20,10 +21,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use qes::cluster::{
-    AdmissionPolicy, ClusterEngine, FaultPlan, HedgePolicy, OverloadPolicy, RetryPolicy,
-    RoutingPolicy,
+    dispatch_protected, AdmissionPolicy, ClusterEngine, FaultPlan, HedgePolicy, OverloadPolicy,
+    RetryPolicy, RoutingPolicy,
 };
-use qes::core::{ExpQuality, PolynomialPower, SimDuration};
+use qes::core::{ExpQuality, JobSet, PolynomialPower, SimDuration};
 use qes::multicore::{DesPolicy, SchedulingPolicy};
 use qes::sim::SimConfig;
 use qes::workload::DiurnalWorkload;
@@ -87,32 +88,83 @@ unsafe impl GlobalAlloc for Tracking {
 #[global_allocator]
 static ALLOC: Tracking = Tracking;
 
-/// The bound on peak live heap bytes per arrival. The run peaks at 192.4
-/// bytes per arrival; storing each routed copy and hedge as a whole job,
-/// building a full-size job set per shard and settling duels through a
-/// table indexed by duel slot made it 324.6.
-const PEAK_BYTES_PER_ARRIVAL: f64 = 220.0;
+/// The bound on peak live heap bytes per arrival. The run peaks at 151.4
+/// bytes per arrival; handing the shard phase a dispatch plan with the
+/// slack of its growth made it 192.4, and storing each routed copy and
+/// hedge as a whole job, building a full-size job set per shard and
+/// settling duels through a table indexed by duel slot made it 324.6.
+const PEAK_BYTES_PER_ARRIVAL: f64 = 180.0;
 
-#[test]
-fn protected_cluster_peak_heap_per_arrival_is_bounded() {
-    const SHARDS: usize = 4;
-    const ARRIVALS: usize = 20_000;
-    // About 90 % of four 8-core shards at 2 GHz, swinging ±50 %.
+/// The bound on the live heap bytes per arrival that the dispatch plan
+/// holds when the pre-pass hands it to the shard phase. The plan's
+/// records take about 70 bytes per arrival; handing over the hedge list
+/// and the routed streams at the capacity their doubling left made it
+/// 109.
+const PLAN_BYTES_PER_ARRIVAL: f64 = 80.0;
+
+const SHARDS: usize = 4;
+const ARRIVALS: usize = 20_000;
+
+/// The protected stack over its 20k-job diurnal stream at about 90 % of
+/// four 8-core shards at 2 GHz, swinging ±50 %.
+fn protected() -> (JobSet, FaultPlan, OverloadPolicy) {
     let jobs = DiurnalWorkload::millions_of_users(300.0)
         .generate_exact(ARRIVALS, 42)
         .expect("valid workload");
     let end = jobs.last_deadline().expect("non-empty stream");
+    let overload = OverloadPolicy {
+        admission: AdmissionPolicy::SlackFloor {
+            floor: 0.05,
+            capacity_ghz: 16.0,
+        },
+        retry: RetryPolicy::exponential(3, SimDuration::from_millis(5)),
+        hedge: HedgePolicy::SlackFraction { fraction: 0.5 },
+    };
+    let faults = FaultPlan::seeded(SHARDS, end, 42, 97.0, 3.0, 0.5);
+    (jobs, faults, overload)
+}
+
+#[test]
+fn dispatch_plan_holds_its_records_without_growth_slack() {
+    let (jobs, faults, overload) = protected();
+    let end = jobs.last_deadline().expect("non-empty stream");
+    HEAP.with(|h| h.set(Some((0, 0))));
+    let plan = dispatch_protected(
+        &jobs,
+        SHARDS,
+        &RoutingPolicy::Feedback,
+        &PolynomialPower::PAPER_SIM,
+        &ExpQuality::PAPER_DEFAULT,
+        &faults,
+        &overload,
+        end,
+    );
+    let (live, peak) = HEAP.with(|h| h.take()).expect("tracking was on");
+    assert!(
+        plan.hedges.len() > ARRIVALS / 4,
+        "{} hedges",
+        plan.hedges.len()
+    );
+    let per_arrival = live as f64 / ARRIVALS as f64;
+    eprintln!(
+        "dispatch plan holds {live} bytes over {ARRIVALS} arrivals ({per_arrival:.1} each), \
+         {:.1} each at the pre-pass peak",
+        peak as f64 / ARRIVALS as f64
+    );
+    assert!(
+        per_arrival < PLAN_BYTES_PER_ARRIVAL,
+        "dispatch plan holds {live} bytes over {ARRIVALS} arrivals ({per_arrival:.1} each)"
+    );
+}
+
+#[test]
+fn protected_cluster_peak_heap_per_arrival_is_bounded() {
+    let (jobs, faults, overload) = protected();
+    let end = jobs.last_deadline().expect("non-empty stream");
     let engine = ClusterEngine::new(SHARDS)
         .with_routing(RoutingPolicy::Feedback)
-        .with_fault_plan(FaultPlan::seeded(SHARDS, end, 42, 97.0, 3.0, 0.5))
-        .with_overload(OverloadPolicy {
-            admission: AdmissionPolicy::SlackFloor {
-                floor: 0.05,
-                capacity_ghz: 16.0,
-            },
-            retry: RetryPolicy::exponential(3, SimDuration::from_millis(5)),
-            hedge: HedgePolicy::SlackFraction { fraction: 0.5 },
-        });
+        .with_fault_plan(faults)
+        .with_overload(overload);
     let power = PolynomialPower::PAPER_SIM;
     let quality = ExpQuality::PAPER_DEFAULT;
     let cfg = SimConfig {

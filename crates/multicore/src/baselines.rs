@@ -20,7 +20,7 @@ use qes_core::time::{SimDuration, SimTime};
 use qes_singlecore::online_qe::ReadyJob;
 
 use crate::policy::{PolicyDecision, SchedulingPolicy, SystemView, TriggerRequest};
-use crate::water_filling::water_filling;
+use crate::water_filling::water_filling_with_rounds;
 
 /// Queue discipline of a baseline scheduler.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -42,6 +42,27 @@ impl BaselineOrder {
             BaselineOrder::Sjf => "SJF",
         }
     }
+
+    /// Sort the waiting queue according to the discipline. Every key
+    /// ends in the job id, so the order is total and an unstable sort
+    /// (which allocates nothing) gives the stable sort's order.
+    fn sort(self, queue: &mut [ReadyJob]) {
+        match self {
+            BaselineOrder::Fcfs => queue.sort_unstable_by_key(|a| (a.job.release, a.job.id)),
+            BaselineOrder::Ljf => queue.sort_unstable_by(|a, b| {
+                b.job
+                    .demand
+                    .total_cmp(&a.job.demand)
+                    .then(a.job.id.cmp(&b.job.id))
+            }),
+            BaselineOrder::Sjf => queue.sort_unstable_by(|a, b| {
+                a.job
+                    .demand
+                    .total_cmp(&b.job.demand)
+                    .then(a.job.id.cmp(&b.job.id))
+            }),
+        }
+    }
 }
 
 /// A baseline scheduling policy.
@@ -49,6 +70,25 @@ impl BaselineOrder {
 pub struct BaselinePolicy {
     order: BaselineOrder,
     use_wf: bool,
+    scratch: Scratch,
+}
+
+/// A trigger's working vectors, kept across triggers so that a trigger
+/// allocates only the decision it returns.
+#[derive(Clone, Debug, Default)]
+struct Scratch {
+    /// Current occupant (live, unfinished job) per core.
+    occupant: Vec<Option<ReadyJob>>,
+    /// Whether the core's occupant was assigned by this trigger.
+    newly_assigned: Vec<bool>,
+    /// The live waiting jobs in the discipline's order.
+    queue: Vec<ReadyJob>,
+    /// Slowest deadline-meeting speed per core.
+    desired: Vec<f64>,
+    /// Water-filling's requests, grants and outstanding requests.
+    requests: Vec<f64>,
+    grants: Vec<f64>,
+    rest: Vec<(usize, f64)>,
 }
 
 impl BaselinePolicy {
@@ -57,6 +97,7 @@ impl BaselinePolicy {
         BaselinePolicy {
             order,
             use_wf: false,
+            scratch: Scratch::default(),
         }
     }
 
@@ -65,31 +106,13 @@ impl BaselinePolicy {
         BaselinePolicy {
             order,
             use_wf: true,
+            scratch: Scratch::default(),
         }
     }
 
     /// The queue discipline.
     pub fn order(&self) -> BaselineOrder {
         self.order
-    }
-
-    /// Sort the waiting queue according to the discipline.
-    fn sort_queue(&self, queue: &mut [ReadyJob]) {
-        match self.order {
-            BaselineOrder::Fcfs => queue.sort_by_key(|a| (a.job.release, a.job.id)),
-            BaselineOrder::Ljf => queue.sort_by(|a, b| {
-                b.job
-                    .demand
-                    .total_cmp(&a.job.demand)
-                    .then(a.job.id.cmp(&b.job.id))
-            }),
-            BaselineOrder::Sjf => queue.sort_by(|a, b| {
-                a.job
-                    .demand
-                    .total_cmp(&b.job.demand)
-                    .then(a.job.id.cmp(&b.job.id))
-            }),
-        }
     }
 }
 
@@ -136,64 +159,60 @@ impl SchedulingPolicy for BaselinePolicy {
             return PolicyDecision::keep_all(m);
         }
 
-        // Current occupant (live, unfinished job) per core.
-        let mut occupant: Vec<Option<ReadyJob>> =
-            view.cores.iter().map(|c| c.live_jobs(now).next()).collect();
+        let s = &mut self.scratch;
+        s.occupant.clear();
+        s.occupant
+            .extend(view.cores.iter().map(|c| c.live_jobs(now).next()));
 
         // Fill idle cores from the ordered queue.
-        let mut queue: Vec<ReadyJob> = view
-            .queue
-            .iter()
-            .filter(|r| r.job.deadline > now && r.remaining() > 1e-9)
-            .copied()
-            .collect();
-        self.sort_queue(&mut queue);
-        let mut queue_iter = queue.into_iter();
+        s.queue.clear();
+        s.queue
+            .extend(view.queue.iter().filter(|r| r.is_live(now)).copied());
+        self.order.sort(&mut s.queue);
+        let mut waiting = s.queue.iter();
         let mut assignments = Vec::new();
-        let mut newly_assigned = vec![false; m];
-        for (core, occ) in occupant.iter_mut().enumerate() {
+        s.newly_assigned.clear();
+        s.newly_assigned.resize(m, false);
+        for (core, occ) in s.occupant.iter_mut().enumerate() {
             if occ.is_none() {
-                if let Some(job) = queue_iter.next() {
+                if let Some(&job) = waiting.next() {
                     assignments.push((job.job.id, core));
                     *occ = Some(job);
-                    newly_assigned[core] = true;
+                    s.newly_assigned[core] = true;
                 }
             }
         }
 
         // Desired (slowest deadline-meeting) speed per core.
-        let desired: Vec<f64> = occupant
-            .iter()
-            .map(|occ| {
-                occ.map(|r| speed_for_volume(r.remaining(), r.job.deadline.saturating_since(now)))
-                    .unwrap_or(0.0)
-            })
-            .collect();
+        s.desired.clear();
+        s.desired.extend(s.occupant.iter().map(|occ| {
+            occ.map(|r| speed_for_volume(r.remaining(), r.job.deadline.saturating_since(now)))
+                .unwrap_or(0.0)
+        }));
 
         // Power caps: static equal share, or water-filled over requests.
-        let caps: Vec<f64> = if self.use_wf {
-            let requests: Vec<f64> = desired
-                .iter()
-                .map(|&s| view.model.dynamic_power(s))
-                .collect();
-            water_filling(&requests, view.budget)
-        } else {
-            vec![view.budget / m as f64; m]
-        };
+        if self.use_wf {
+            s.requests.clear();
+            s.requests
+                .extend(s.desired.iter().map(|&x| view.model.dynamic_power(x)));
+            water_filling_with_rounds(&s.requests, view.budget, &mut s.grants, &mut s.rest);
+        }
+        let share = view.budget / m as f64;
 
         // Plans: replan a core when its job is new, or (under WF) whenever
         // it has a job at all — the cap may have moved.
         let mut plans: Vec<Option<CoreSchedule>> = vec![None; m];
-        for core in 0..m {
-            let Some(r) = occupant[core] else {
+        for (core, slot) in plans.iter_mut().enumerate() {
+            let Some(r) = s.occupant[core] else {
                 // An occupant-less core keeps its (empty) plan.
                 continue;
             };
-            if !self.use_wf && !newly_assigned[core] {
+            if !self.use_wf && !s.newly_assigned[core] {
                 continue; // static sharing: the running slice is unchanged
             }
-            let cap_speed = view.model.speed_for_dynamic_power(caps[core]);
-            let speed = desired[core].min(cap_speed);
+            let cap = if self.use_wf { s.grants[core] } else { share };
+            let cap_speed = view.model.speed_for_dynamic_power(cap);
+            let speed = s.desired[core].min(cap_speed);
             let plan = run_slice(now, &r, speed)
                 .map(|s| {
                     let mut slices = slice_vec();
@@ -201,7 +220,7 @@ impl SchedulingPolicy for BaselinePolicy {
                     CoreSchedule::new(slices)
                 })
                 .unwrap_or_default();
-            plans[core] = Some(plan);
+            *slot = Some(plan);
         }
 
         PolicyDecision {

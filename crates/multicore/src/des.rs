@@ -15,30 +15,37 @@
 //!    prefix density), and a schedule is built only on this early exit:
 //!    with one common release, Energy-OPT is a sequence of critical
 //!    prefixes of the deadline-ordered jobs, which
-//!    [`energy_opt_common_release`] solves straight off the core's ready
-//!    index.
+//!    [`energy_opt_common_release`] solves straight off the core's
+//!    sorted live set.
 //! 3. **Dynamic-power-distribution** — otherwise water-fill the budget
 //!    over the requests.
 //! 4. **Budget-bounded-independent-core-scheduling** — per core, run
 //!    Online-QE under the granted power, again straight off the core's
-//!    ready index ([`QeSolver::solve_sorted`]).
+//!    sorted live set ([`QeSolver::solve_sorted`]).
+//!
+//! Every step reads one per-core input: the core's live jobs in
+//! (deadline, id) order. The engine keeps each core's job list in that
+//! order, so DES reads it in place: one pass checks that every entry is
+//! live and the order strict, and sums the step-2 request as it goes. A
+//! core dealt jobs in step 1, or a list that fails the check, has its
+//! live set sorted into a per-core buffer instead.
 //!
 //! [`ArchKind`] selects the §V-A degradations (No-DVFS, S-DVFS), and an
 //! optional [`DiscreteSpeedSet`] enables the §V-F discrete-speed variant.
 //! The variants differ only in the per-core grants: the equal share
 //! (No-DVFS), the shared clock (S-DVFS), water-filling, or water-filling
 //! rectified onto the ladder (§V-F). One loop then runs step 4 on every
-//! core off its ready index, refreshed at the top of each invocation —
-//! eagerly on the fixed-speed architectures, which skip Energy-OPT, and
-//! snapped onto the ladder under §V-F. The general solvers
-//! ([`energy_opt`], [`QeSolver::solve`]) are the oracles debug builds
-//! re-run against the index on every invocation.
+//! core off its sorted live set — eagerly on the fixed-speed
+//! architectures, which skip Energy-OPT, and snapped onto the ladder
+//! under §V-F. The general solvers ([`energy_opt`], [`QeSolver::solve`])
+//! are the oracles debug builds re-run on every invocation.
 
 use qes_core::job::JobId;
 #[cfg(debug_assertions)]
 use qes_core::job::{Job, JobSet};
 use qes_core::power::DiscreteSpeedSet;
 use qes_core::schedule::CoreSchedule;
+use qes_core::time::SimTime;
 #[cfg(debug_assertions)]
 use qes_singlecore::energy_opt::energy_opt;
 use qes_singlecore::energy_opt::energy_opt_common_release;
@@ -76,56 +83,87 @@ pub enum PowerSharing {
     StaticEqual,
 }
 
-/// Per-core ready index: the live job set in canonical (deadline, id)
-/// order with left-to-right prefix sums of remaining demand, updated by
-/// suffix diff each invocation. It is DES's only per-core input, for
-/// every architecture: the power probe, the budget-free solve and the
-/// granted Online-QE solves all read it.
+/// One core's ready jobs as every DES step reads them: the live set in
+/// canonical (deadline, id) order, the step-2 probe speed read off it,
+/// and the core's warm Online-QE solver. The budget-free solve and the
+/// granted Online-QE solves of every architecture read the live set.
 ///
-/// The prefix sums resume from the first diverging position, which is
-/// bit-identical to re-summing from the left — so everything derived
-/// from them matches a from-scratch computation exactly. Debug builds
-/// check the index against a freshly sorted live set, and the probe
-/// against the sorting reference `DesPolicy::probe_request`, on every
-/// invocation.
+/// The engine keeps each core's job list in that order (see
+/// [`CoreView::jobs`](crate::policy::CoreView::jobs)), so on a core that
+/// was dealt nothing the list is read in place: one pass checks that
+/// every entry is live and the order strict, and sums the prefix sums
+/// of remaining demand into the probe speed as it goes. Only a core
+/// dealt jobs this invocation, or a list that fails the check (a view
+/// built by hand), has its live set sorted into `sorted`, and the same
+/// pass then runs over that. Either way the jobs are those of the
+/// freshly sorted live set and the sums run left to right over them;
+/// debug builds check the jobs, and the probe against the sorting
+/// `DesPolicy::probe_request`, on every invocation.
 #[derive(Clone, Debug, Default)]
 struct CoreQe {
-    /// Live jobs, (deadline, id)-sorted — the order Online-QE itself
-    /// canonicalizes to, so every plan is a function of the job set.
-    jobs: Vec<ReadyJob>,
-    /// `cum[i]` = Σ remaining demand of `jobs[..=i]`, summed left to
-    /// right.
-    cum: Vec<f64>,
+    /// The engine's list is this invocation's live set, read in place.
+    in_place: bool,
+    /// The live set, (deadline, id)-sorted, when it is not read in place.
+    sorted: Vec<ReadyJob>,
+    /// The live set's maximum prefix density: the speed of step 2's
+    /// power request.
+    peak: f64,
     /// Warm Online-QE solver (scratch reuse only — bitwise inert).
     solver: QeSolver,
 }
 
 impl CoreQe {
-    /// Rebuild the index from this invocation's live set, resuming the
-    /// prefix sums after the longest unchanged prefix.
-    fn update(&mut self, live: impl Iterator<Item = ReadyJob>, scratch: &mut Vec<ReadyJob>) {
-        scratch.clear();
-        scratch.extend(live);
-        scratch.sort_unstable_by_key(|r| (r.job.deadline, r.job.id));
-        let same = |a: &ReadyJob, b: &ReadyJob| {
-            a.job == b.job && a.processed.to_bits() == b.processed.to_bits()
+    /// Take this invocation's live set: the core's `listed` jobs plus
+    /// the `dealt` ones.
+    fn refresh(&mut self, listed: &[ReadyJob], dealt: &[ReadyJob], now: SimTime) {
+        let in_place = if dealt.is_empty() {
+            peak_speed(listed, now)
+        } else {
+            None
         };
-        let mut p = 0;
-        while p < self.jobs.len() && p < scratch.len() && same(&self.jobs[p], &scratch[p]) {
-            p += 1;
-        }
-        if p == self.jobs.len() && p == scratch.len() {
-            return;
-        }
-        self.jobs.truncate(p);
-        self.jobs.extend_from_slice(&scratch[p..]);
-        self.cum.truncate(p);
-        let mut acc = if p == 0 { 0.0 } else { self.cum[p - 1] };
-        for r in &self.jobs[p..] {
-            acc += r.remaining();
-            self.cum.push(acc);
+        self.in_place = in_place.is_some();
+        self.peak = in_place.unwrap_or_else(|| {
+            self.sorted.clear();
+            self.sorted
+                .extend(listed.iter().filter(|r| r.is_live(now)).copied());
+            self.sorted.extend_from_slice(dealt);
+            self.sorted.sort_unstable_by_key(ReadyJob::edf_key);
+            peak_speed(&self.sorted, now).expect("a sorted live set")
+        });
+    }
+
+    /// The live set in (deadline, id) order, given the core's `listed`
+    /// jobs from the same invocation's [`Self::refresh`].
+    fn jobs<'s>(&'s self, listed: &'s [ReadyJob]) -> &'s [ReadyJob] {
+        if self.in_place {
+            listed
+        } else {
+            &self.sorted
         }
     }
+
+    /// Step 2's power request `P_i(t)`.
+    fn probe(&self, view: &SystemView<'_>) -> f64 {
+        view.model.dynamic_power(self.peak)
+    }
+}
+
+/// The maximum prefix density of `jobs` at `now` (GHz), or `None` if an
+/// entry is not live or the list is not strictly (deadline, id)-ordered.
+/// The prefix sums run left to right, as the sorting
+/// `DesPolicy::probe_request` runs them over the same order, so the
+/// speed is bit-identical to its.
+fn peak_speed(jobs: &[ReadyJob], now: SimTime) -> Option<f64> {
+    let now_us = now.as_micros();
+    let (mut cum, mut speed) = (0.0, 0.0f64);
+    for (i, r) in jobs.iter().enumerate() {
+        if !r.is_live(now) || (i > 0 && jobs[i - 1].edf_key() >= r.edf_key()) {
+            return None;
+        }
+        cum += r.remaining();
+        speed = speed.max(cum * 1000.0 / (r.job.deadline.as_micros() - now_us) as f64);
+    }
+    Some(speed)
 }
 
 /// Always-on observability counters for [`DesPolicy`]: plain integer
@@ -172,10 +210,8 @@ pub struct DesPolicy {
     /// early exit. Part of the *decision procedure*, not a cache: it
     /// licenses the keep-plan rule in `on_trigger`.
     free_streak: Vec<bool>,
-    /// Per-core ready indexes, refreshed at the top of every invocation.
+    /// Per-core live sets, refreshed at the top of every invocation.
     core_qe: Vec<CoreQe>,
-    /// Sort buffer for [`CoreQe::update`].
-    sort_scratch: Vec<ReadyJob>,
     /// Per core: the queued jobs dealt to it this invocation. Kept
     /// across invocations for the allocations.
     dealt: Vec<Vec<ReadyJob>>,
@@ -186,7 +222,7 @@ pub struct DesPolicy {
     /// invocations.
     grants: Vec<f64>,
     /// Water-filling's outstanding-request scratch.
-    wf_rest: Vec<f64>,
+    wf_rest: Vec<(usize, f64)>,
     /// Observability counters (see [`DesStats`]).
     stats: DesStats,
 }
@@ -209,7 +245,6 @@ impl DesPolicy {
             mode: OnlineMode::Eager,
             free_streak: Vec::new(),
             core_qe: Vec::new(),
-            sort_scratch: Vec::new(),
             dealt: Vec::new(),
             requests: Vec::new(),
             grants: Vec::new(),
@@ -285,7 +320,7 @@ impl DesPolicy {
     /// prefix density over deadline-ordered jobs. This replaces a full
     /// Energy-OPT solve per core per invocation; the schedule itself is
     /// only materialized on the early-exit branch. DES reads the same
-    /// quantity off its ready index ([`Self::probe_from_index`]); this
+    /// quantity off each core's live set ([`CoreQe::probe`]); this
     /// sorting form is the reference that debug builds and tests check
     /// it against.
     #[cfg(any(test, debug_assertions))]
@@ -306,36 +341,21 @@ impl DesPolicy {
         view.model.dynamic_power(speed)
     }
 
-    /// `probe_request` read off a core's ready index: the jobs
-    /// are already (deadline, id)-sorted and `cum` holds exactly the
-    /// left-to-right prefix sums the probe would compute, so the result
-    /// is bit-identical — only the sort and the summation are skipped.
-    fn probe_from_index(view: &SystemView<'_>, cq: &CoreQe) -> f64 {
-        let now_us = view.now.as_micros();
-        let mut speed: f64 = 0.0;
-        for (r, &cum) in cq.jobs.iter().zip(&cq.cum) {
-            let d_us = r.job.deadline.as_micros();
-            speed = speed.max(cum * 1000.0 / (d_us - now_us) as f64);
-        }
-        view.model.dynamic_power(speed)
-    }
-
     /// The step-2 early-exit schedule for one core: unconstrained
-    /// Energy-OPT over the live jobs re-released at `now` with their
-    /// remaining demands (the sunk work needs no future power), solved
-    /// straight off the core's ready index. Its jobs are already live and
-    /// (deadline, id)-sorted, which is the common-release fast path's
-    /// input, so nothing is copied. The fast path repeats the general
-    /// solver's float operations, so the plan is bit-identical; debug
-    /// builds re-solve with the general [`energy_opt`] and check.
-    fn free_schedule_from_index(view: &SystemView<'_>, cq: &CoreQe) -> CoreSchedule {
-        let plan = energy_opt_common_release(view.now, &cq.jobs, |r| {
+    /// Energy-OPT over the live `jobs` re-released at `now` with their
+    /// remaining demands (the sunk work needs no future power). The jobs
+    /// are live and (deadline, id)-sorted, which is the common-release
+    /// fast path's input, so nothing is copied. The fast path repeats
+    /// the general solver's float operations, so the plan is
+    /// bit-identical; debug builds re-solve with the general
+    /// [`energy_opt`] and check.
+    fn free_schedule(view: &SystemView<'_>, jobs: &[ReadyJob]) -> CoreSchedule {
+        let plan = energy_opt_common_release(view.now, jobs, |r| {
             (r.job.id, r.job.deadline, r.remaining())
         });
         #[cfg(debug_assertions)]
         {
-            let jobs: Vec<Job> = cq
-                .jobs
+            let jobs: Vec<Job> = jobs
                 .iter()
                 .map(|r| Job {
                     release: view.now,
@@ -353,14 +373,15 @@ impl DesPolicy {
     }
 
     /// Step 4 for one core under any architecture's grant, straight off
-    /// its ready index with [`QeSolver::solve_sorted`]: the index is
-    /// exactly the live, sorted list [`QeSolver::solve`] would build, so
-    /// the plan and discards are bit-identical; debug builds re-solve
-    /// with `solve` and check. `cap` is `grant`'s [`SpeedCap`]; the
-    /// discarded ids are appended to `discarded`.
-    fn granted_schedule_from_index(
+    /// its live set with [`QeSolver::solve_sorted`]: `jobs` is exactly
+    /// the live, sorted list [`QeSolver::solve`] would build, so the
+    /// plan and discards are bit-identical; debug builds re-solve with
+    /// `solve` and check. `cap` is `grant`'s [`SpeedCap`]; the discarded
+    /// ids are appended to `discarded`.
+    fn granted_schedule(
         view: &SystemView<'_>,
-        cq: &mut CoreQe,
+        jobs: &[ReadyJob],
+        solver: &mut QeSolver,
         grant: f64,
         cap: SpeedCap,
         mode: OnlineMode,
@@ -371,7 +392,6 @@ impl DesPolicy {
             SpeedCap::new(view.model, grant).max_speed().to_bits(),
             "a shared speed cap is not its grant's"
         );
-        let CoreQe { jobs, solver, .. } = cq;
         let (plan, disc) = solver.solve_sorted(view.now, jobs, cap, mode);
         // Debug builds copy the ids, so the solver is free to re-solve.
         #[cfg(debug_assertions)]
@@ -383,11 +403,11 @@ impl DesPolicy {
             debug_assert_eq!(
                 slice_bits(&plan),
                 slice_bits(&reference.schedule),
-                "sorted-index Online-QE diverged from the general solve"
+                "sorted Online-QE diverged from the general solve"
             );
             debug_assert_eq!(
                 disc, reference.discarded,
-                "sorted-index Online-QE discarded different jobs"
+                "sorted Online-QE discarded different jobs"
             );
         }
         plan
@@ -457,40 +477,41 @@ impl SchedulingPolicy for DesPolicy {
         }
         // Sized once: at most every waiting job is dealt.
         let mut assignments = Vec::with_capacity(view.queue.len());
-        let live_queue = view
-            .queue
-            .iter()
-            .filter(|r| r.job.deadline > now && r.remaining() > 1e-9);
+        let live_queue = view.queue.iter().filter(|r| r.is_live(now));
         for (r, core) in live_queue.zip(self.crr.deal(m)) {
             assignments.push((r.job.id, core));
             self.dealt[core].push(*r);
         }
         self.stats.jobs_dealt += assignments.len() as u64;
-        // One core's live set (current jobs + newly dealt), borrowed.
-        let extra = &self.dealt;
-        let live_iter = |c: usize| view.cores[c].live_jobs(now).chain(extra[c].iter().copied());
-        // Refresh every core's ready index up front: every architecture's
-        // probe and plans below read it.
+        // Take every core's live set up front: every architecture's probe
+        // and plans below read it.
         if self.core_qe.len() != m {
             self.core_qe = std::iter::repeat_with(CoreQe::default).take(m).collect();
         }
-        for (c, cq) in self.core_qe.iter_mut().enumerate() {
-            cq.update(live_iter(c), &mut self.sort_scratch);
+        for ((cq, core), dealt) in self.core_qe.iter_mut().zip(view.cores).zip(&self.dealt) {
+            cq.refresh(core.jobs, dealt, now);
         }
         #[cfg(debug_assertions)]
         for (c, cq) in self.core_qe.iter().enumerate() {
-            let mut live: Vec<ReadyJob> = live_iter(c).collect();
-            live.sort_unstable_by_key(|r| (r.job.deadline, r.job.id));
+            let listed = view.cores[c].jobs;
+            let live_iter = || {
+                listed
+                    .iter()
+                    .chain(&self.dealt[c])
+                    .filter(|r| r.is_live(now))
+            };
+            let mut live: Vec<ReadyJob> = live_iter().copied().collect();
+            live.sort_unstable_by_key(ReadyJob::edf_key);
             let key = |r: &ReadyJob| (r.job, r.processed.to_bits());
             debug_assert_eq!(
-                cq.jobs.iter().map(key).collect::<Vec<_>>(),
+                cq.jobs(listed).iter().map(key).collect::<Vec<_>>(),
                 live.iter().map(key).collect::<Vec<_>>(),
-                "core {c}: ready index diverged from the sorted live set"
+                "core {c}: live set diverged from the sorted live jobs"
             );
             debug_assert_eq!(
-                Self::probe_from_index(view, cq).to_bits(),
-                Self::probe_request(view, live_iter(c)).to_bits(),
-                "core {c}: indexed probe diverged from the sorting probe"
+                cq.probe(view).to_bits(),
+                Self::probe_request(view, live_iter().copied()).to_bits(),
+                "core {c}: probe diverged from the sorting probe"
             );
         }
         if self.free_streak.len() != m {
@@ -516,7 +537,7 @@ impl SchedulingPolicy for DesPolicy {
                     ArchKind::SDvfs => self
                         .core_qe
                         .iter()
-                        .map(|cq| Self::probe_from_index(view, cq))
+                        .map(|cq| cq.probe(view))
                         .fold(0.0, f64::max)
                         .min(share),
                     _ => share,
@@ -530,14 +551,11 @@ impl SchedulingPolicy for DesPolicy {
             }
             ArchKind::CDvfs => {
                 // Requests depend on `now`, so they are recomputed every
-                // invocation — but via the closed form off the stored
-                // prefix sums, not a YDS solve.
+                // invocation — but via the closed form summed in the
+                // live-set pass, not a YDS solve.
                 self.requests.clear();
-                self.requests.extend(
-                    self.core_qe
-                        .iter()
-                        .map(|cq| Self::probe_from_index(view, cq)),
-                );
+                self.requests
+                    .extend(self.core_qe.iter().map(|cq| cq.probe(view)));
                 let total: f64 = self.requests.iter().sum();
                 if self.discrete.is_none() && total <= view.budget {
                     // Step 2 early exit: the unconstrained schedules
@@ -559,13 +577,14 @@ impl SchedulingPolicy for DesPolicy {
                             continue;
                         }
                         self.free_streak[c] = true;
-                        if self.core_qe[c].jobs.is_empty() {
+                        let jobs = self.core_qe[c].jobs(view.cores[c].jobs);
+                        if jobs.is_empty() {
                             // No live work: Energy-OPT over nothing.
                             plans.push(Some(CoreSchedule::default()));
                             continue;
                         }
                         self.stats.free_solves += 1;
-                        plans.push(Some(Self::free_schedule_from_index(view, &self.core_qe[c])));
+                        plans.push(Some(Self::free_schedule(view, jobs)));
                     }
                     return PolicyDecision {
                         assignments,
@@ -599,8 +618,10 @@ impl SchedulingPolicy for DesPolicy {
         // Water-filling gives every core at its level the same grant bits,
         // so consecutive equal grants share one speed cap.
         let mut last_cap: Option<(u64, SpeedCap)> = None;
-        for (cq, &grant) in self.core_qe.iter_mut().zip(&self.grants) {
-            if cq.jobs.is_empty() || grant <= 0.0 {
+        for ((cq, core), &grant) in self.core_qe.iter_mut().zip(view.cores).zip(&self.grants) {
+            // `CoreQe::jobs`, with the solver borrowed apart.
+            let jobs = if cq.in_place { core.jobs } else { &cq.sorted };
+            if jobs.is_empty() || grant <= 0.0 {
                 // Nothing live, or a zero grant (s* = 0): Online-QE
                 // returns an empty plan and no discards without looking
                 // at the jobs.
@@ -613,8 +634,15 @@ impl SchedulingPolicy for DesPolicy {
                 _ => SpeedCap::new(view.model, grant),
             };
             last_cap = Some((grant.to_bits(), cap));
-            let plan =
-                Self::granted_schedule_from_index(view, cq, grant, cap, mode, &mut discarded);
+            let plan = Self::granted_schedule(
+                view,
+                jobs,
+                &mut cq.solver,
+                grant,
+                cap,
+                mode,
+                &mut discarded,
+            );
             plans.push(Some(match ladder {
                 Some(set) => snap_plan_up(plan, set),
                 None => plan,
@@ -1090,11 +1118,11 @@ mod tests {
         }
     }
 
-    /// Run `des` on `v`, and a clone of it whose ready indexes were
-    /// dropped on the same view, and require bitwise-equal decisions:
-    /// assignments, plan slices, discards and ambient speeds. The warm
-    /// index is resumed by suffix diff; the cold one is rebuilt from
-    /// nothing. Returns the warm policy's decision.
+    /// Run `des` on `v`, and a clone of it whose per-core state (live
+    /// set buffers, prefix sums and warm solvers) was dropped on the
+    /// same view, and require bitwise-equal decisions: assignments, plan
+    /// slices, discards and ambient speeds. Returns the warm policy's
+    /// decision.
     fn decide_against_cold_index(
         des: &mut DesPolicy,
         v: &SystemView<'_>,
@@ -1211,9 +1239,10 @@ mod tests {
 
     #[test]
     fn permuted_job_lists_match_a_cold_index() {
-        // The engine's `swap_remove` permutes per-core job lists without
-        // changing the set; neither the ready index nor the plan may
-        // care. `busy: false` keeps the keep-plan rule out of the way so
+        // A view built by hand may list a core's jobs in any order: the
+        // ordered list is read in place, the permuted ones are sorted
+        // into the core's buffer, and the plan may not tell them apart.
+        // `busy: false` keeps the keep-plan rule out of the way so
         // every step solves, on the budget-free branch (40 W) and the
         // budget-bound one (1 W against a 2.3 W request).
         let a = rj(0, 0, 150, 60.0);
@@ -1318,7 +1347,8 @@ mod tests {
                         _ => {}
                     }
                 }
-                // Fisher–Yates, like the engine's `swap_remove` churn.
+                // Fisher–Yates: the lists reach DES out of order, so
+                // most cores take the sorting path.
                 for i in (1..jobs.len()).rev() {
                     jobs.swap(i, below(rng, i as u64 + 1) as usize);
                 }
@@ -1356,6 +1386,36 @@ mod tests {
         assert!(totals.keeps > 0, "no kept plan");
         assert!(totals.qe_solves > 0, "no budget-bound solve");
         assert!(totals.discards > 0, "no discard");
+    }
+
+    #[test]
+    fn ordered_lists_are_read_in_place_and_others_sorted() {
+        let (a, b, c) = (
+            rj(0, 0, 150, 60.0),
+            rj(1, 0, 180, 45.0),
+            rj(2, 0, 210, 30.0),
+        );
+        let expired = rj(3, 0, 5, 10.0);
+        let lists = [vec![a, b, c], vec![c, a, b], vec![expired, a, b], vec![]];
+        let cores: Vec<CoreView<'_>> = lists
+            .iter()
+            .map(|jobs| CoreView { jobs, busy: false })
+            .collect();
+        let mut des = DesPolicy::new();
+        let state = |des: &DesPolicy| -> Vec<(bool, usize)> {
+            des.core_qe
+                .iter()
+                .zip(&lists)
+                .map(|(cq, listed)| (cq.in_place, cq.jobs(listed).len()))
+                .collect()
+        };
+        des.on_trigger(&view(ms(10), &[], &cores, 40.0));
+        // The expired job is not live, so core 2 sorts its two live jobs.
+        assert_eq!(state(&des), [(true, 3), (false, 3), (false, 2), (true, 0)]);
+        // C-RR deals the one waiting job to core 0: its list no longer
+        // is the live set, so that core sorts too.
+        des.on_trigger(&view(ms(10), &[rj(4, 10, 300, 20.0)], &cores, 40.0));
+        assert_eq!(state(&des), [(false, 4), (false, 3), (false, 2), (true, 0)]);
     }
 
     #[test]

@@ -22,6 +22,11 @@ use qes_singlecore::online_qe::ReadyJob;
 pub struct CoreView<'a> {
     /// Unfinished, unexpired jobs assigned to this core (non-migratory),
     /// with their processed volumes. Includes the running job, if any.
+    ///
+    /// The engine keeps this list in strictly increasing (deadline, id)
+    /// order, the core's EDF order, so a policy can read it as sorted
+    /// without copying it. Views built by hand (tests) need not follow
+    /// that order; a policy that relies on it checks it first.
     pub jobs: &'a [ReadyJob],
     /// True if the core still has planned work from the previous decision.
     pub busy: bool,
@@ -30,10 +35,7 @@ pub struct CoreView<'a> {
 impl CoreView<'_> {
     /// Jobs still live at `now` with remaining work.
     pub fn live_jobs(&self, now: SimTime) -> impl Iterator<Item = ReadyJob> + '_ {
-        self.jobs
-            .iter()
-            .filter(move |r| r.job.deadline > now && r.remaining() > 1e-9)
-            .copied()
+        self.jobs.iter().filter(move |r| r.is_live(now)).copied()
     }
 }
 

@@ -36,15 +36,17 @@ pub fn water_filling(requests: &[f64], budget: f64) -> Vec<f64> {
 /// degenerate). Observability hook: DES exports the accumulated round
 /// count as `des.wf_rounds`.
 ///
-/// Each round scans the unsatisfied cores (`rest[i] > 1e-12`) in index
-/// order twice: once to count them and fold their minimum, once to fill
-/// them. A core's test reads its own `rest` before the fill touches it,
-/// so both passes see the same set.
+/// `rest` holds `(core, outstanding request)` for the unsatisfied cores
+/// only (`> 1e-12`), in index order. Each round makes one pass over it:
+/// fill every entry, drop the ones the fill satisfies and fold the
+/// survivors' minimum for the next round. That is the float sequence of
+/// scanning all cores twice per round (count and minimum, then fill),
+/// in the same order, without visiting satisfied cores again.
 pub fn water_filling_with_rounds(
     requests: &[f64],
     budget: f64,
     grant: &mut Vec<f64>,
-    rest: &mut Vec<f64>,
+    rest: &mut Vec<(usize, f64)>,
 ) -> u64 {
     let m = requests.len();
     grant.clear();
@@ -53,37 +55,41 @@ pub fn water_filling_with_rounds(
         return 0;
     }
     let mut rounds = 0u64;
-    // Outstanding (not yet granted) request per core.
     rest.clear();
-    rest.extend(requests.iter().map(|&h| h.max(0.0)));
+    rest.extend(
+        requests
+            .iter()
+            .map(|&h| h.max(0.0))
+            .enumerate()
+            .filter(|&(_, h)| h > 1e-12),
+    );
+    let mut h_min = rest.iter().fold(f64::INFINITY, |a, &(_, h)| a.min(h));
     let mut remaining = budget;
-    loop {
-        let mut unsat = 0usize;
-        let mut h_min = f64::INFINITY;
-        for &h in rest.iter().filter(|&&h| h > 1e-12) {
-            unsat += 1;
-            h_min = h_min.min(h);
-        }
-        if unsat == 0 || remaining <= 1e-12 {
+    while !rest.is_empty() && remaining > 1e-12 {
+        rounds += 1;
+        let k = rest.len() as f64;
+        // Not enough water to reach the next container rim: level off.
+        if h_min * k >= remaining {
+            let fill = remaining / k;
+            for &(i, _) in rest.iter() {
+                grant[i] += fill;
+            }
             break;
         }
-        rounds += 1;
-        let k = unsat as f64;
-        // Not enough water to reach the next container rim: level off.
         // Otherwise fill every unsatisfied container by h_min; the
         // minimal ones are then satisfied.
-        let level_off = h_min * k >= remaining;
-        let fill = if level_off { remaining / k } else { h_min };
-        for (g, h) in grant.iter_mut().zip(rest.iter_mut()) {
-            if *h > 1e-12 {
-                *g += fill;
-                *h -= fill;
+        let fill = h_min;
+        h_min = f64::INFINITY;
+        rest.retain_mut(|(i, h)| {
+            grant[*i] += fill;
+            *h -= fill;
+            let unsat = *h > 1e-12;
+            if unsat {
+                h_min = h_min.min(*h);
             }
-        }
-        if level_off {
-            break;
-        }
-        remaining -= h_min * k;
+            unsat
+        });
+        remaining -= fill * k;
     }
     rounds
 }
@@ -336,7 +342,7 @@ mod tests {
             };
             let (old, old_rounds) = per_round_unsat(&req, budget);
             let mut grant = vec![f64::NAN; stale];
-            let mut rest = vec![-1.0; stale / 2];
+            let mut rest = vec![(usize::MAX, -1.0); stale / 2];
             let rounds = water_filling_with_rounds(&req, budget, &mut grant, &mut rest);
             prop_assert_eq!(rounds, old_rounds);
             prop_assert_eq!(

@@ -9,9 +9,11 @@
 //! never the whole trace; an id with no entry is not live, and events or
 //! decisions naming it are no-ops. Queue removals tombstone in
 //! place (the queue compacts lazily before each policy invocation,
-//! preserving arrival order), core removals `swap_remove` and re-index
-//! the displaced job. The index hashes each `u32` id with one multiply
-//! (`IdHasher`) instead of SipHash.
+//! preserving arrival order). Each core's job list is kept in
+//! (deadline, id) order: an assignment inserts at its place and a
+//! settle removes in order, so policies read the list as the core's
+//! EDF order without sorting it. The index hashes each `u32` id with
+//! one multiply (`IdHasher`) instead of SipHash.
 //!
 //! The event heap holds only deadlines and quantum ticks. Arrivals are
 //! not pre-pushed onto it: the release-sorted job list is merged with the
@@ -183,11 +185,12 @@ enum Loc {
     /// Waiting in the ready queue at this slot (may be tombstoned only
     /// by transitioning away — a live slot always matches its index).
     Queue(u32),
-    /// Assigned to `core`, at `idx` in its job list.
-    Core { core: u32, idx: u32 },
+    /// Assigned to `core`.
+    Core(u32),
 }
 
 struct CoreState {
+    /// The core's live jobs in strictly increasing (deadline, id) order.
     jobs: Vec<ReadyJob>,
     /// The installed plan's slice vector, taken over from the policy's
     /// `CoreSchedule`; `plan[next..]` is the part not yet run out.
@@ -426,7 +429,7 @@ impl<'a, O: Observer> Engine<'a, O> {
             }
             match kind {
                 EventKind::Deadline(id) => {
-                    if let Some(&Loc::Core { core, .. }) = self.loc.get(&id) {
+                    if let Some(&Loc::Core(core)) = self.loc.get(&id) {
                         self.advance_core(core as usize, t);
                     }
                     // The job may have completed (and settled) during the
@@ -512,14 +515,16 @@ impl<'a, O: Observer> Engine<'a, O> {
                 self.queue_holes += 1;
                 self.queue[qi]
             }
-            Some(Loc::Core { core, idx }) => {
+            Some(Loc::Core(core)) => {
+                // An ordered remove keeps the list in (deadline, id)
+                // order; the list is short, so a linear find beats a
+                // search keyed by the deadline.
                 let jobs = &mut self.cores[core as usize].jobs;
-                let r = jobs.swap_remove(idx as usize);
-                // Re-index the job the swap displaced into `idx`.
-                if let Some(moved) = jobs.get(idx as usize) {
-                    self.loc.insert(moved.job.id, Loc::Core { core, idx });
-                }
-                r
+                let at = jobs
+                    .iter()
+                    .position(|r| r.job.id == id)
+                    .expect("a core job is in its core's list");
+                jobs.remove(at)
             }
             None => return false,
         };
@@ -633,6 +638,9 @@ impl<'a, O: Observer> Engine<'a, O> {
             self.report.energy_joules += model.dynamic_energy(core.ambient, gap.as_secs_f64());
         }
         core.advanced_to = t;
+        if self.completions.is_empty() {
+            return;
+        }
         let mut completions = std::mem::take(&mut self.completions);
         for id in completions.drain(..) {
             self.settle(id);
@@ -653,6 +661,12 @@ impl<'a, O: Observer> Engine<'a, O> {
             self.loc.len(),
             self.queue.len() + self.cores.iter().map(|c| c.jobs.len()).sum::<usize>(),
             "location index out of step with the live queue and cores"
+        );
+        debug_assert!(
+            self.cores
+                .iter()
+                .all(|c| c.jobs.windows(2).all(|w| w[0].edf_key() < w[1].edf_key())),
+            "a core's job list is out of (deadline, id) order"
         );
         let decision = {
             // Views borrow each core's job list directly, in a buffer
@@ -711,21 +725,19 @@ impl<'a, O: Observer> Engine<'a, O> {
                 debug_assert!(false, "assignment to nonexistent core {core}");
                 continue;
             }
-            if let Some(&Loc::Queue(qi)) = self.loc.get(&id) {
+            let Some(loc) = self.loc.get_mut(&id) else {
+                continue;
+            };
+            if let Loc::Queue(qi) = *loc {
+                *loc = Loc::Core(core as u32);
                 let qi = qi as usize;
                 debug_assert!(!self.queue_dead[qi], "live queue slot for {id:?}");
                 self.queue_dead[qi] = true;
                 self.queue_holes += 1;
                 let r = self.queue[qi];
                 let jobs = &mut self.cores[core].jobs;
-                self.loc.insert(
-                    id,
-                    Loc::Core {
-                        core: core as u32,
-                        idx: jobs.len() as u32,
-                    },
-                );
-                jobs.push(r);
+                let at = jobs.partition_point(|x| x.edf_key() < r.edf_key());
+                jobs.insert(at, r);
             }
         }
 
@@ -1466,6 +1478,11 @@ mod tests {
     /// scheduling stall when the stall swallows the whole plan, or never
     /// for an empty plan. Ends fall on a 5 ms grid, so equal ends across
     /// cores and replacements at the instant a plan ends are common.
+    ///
+    /// With `churn` it also assigns queued jobs to random cores, discards
+    /// random core jobs, plans its slices for the core's own jobs (so
+    /// jobs complete mid-list) and records every core view it receives
+    /// that is not live and strictly (deadline, id)-ordered.
     struct Scripted {
         rng: rand::rngs::StdRng,
         overhead: SimDuration,
@@ -1473,12 +1490,62 @@ mod tests {
         /// `(core, expected plan end)` per installed plan, in install
         /// order.
         installs: Vec<(usize, Option<SimTime>)>,
+        churn: bool,
+        /// `(now, core, job ids)` of every core view out of order or
+        /// holding a job that is not live.
+        disordered: Vec<(SimTime, usize, Vec<u32>)>,
+        /// Core views seen with at least two jobs.
+        shared_views: usize,
     }
 
     impl Scripted {
+        fn new(seed: u64, overhead: SimDuration, end: SimTime, churn: bool) -> Self {
+            Scripted {
+                rng: rand::SeedableRng::seed_from_u64(seed),
+                overhead,
+                end,
+                installs: Vec::new(),
+                churn,
+                disordered: Vec::new(),
+                shared_views: 0,
+            }
+        }
+
         fn pick(&mut self, n: u64) -> u64 {
             use rand::RngCore;
             self.rng.next_u64() % n
+        }
+
+        /// Check the view's core lists, then pick assignments and
+        /// discards.
+        fn churn(&mut self, v: &SystemView<'_>) -> (Vec<(JobId, usize)>, Vec<JobId>) {
+            for (c, core) in v.cores.iter().enumerate() {
+                let ordered = core.jobs.iter().all(|r| r.is_live(v.now))
+                    && core
+                        .jobs
+                        .windows(2)
+                        .all(|w| w[0].edf_key() < w[1].edf_key());
+                if !ordered {
+                    let ids = core.jobs.iter().map(|r| r.job.id.0).collect();
+                    self.disordered.push((v.now, c, ids));
+                }
+                self.shared_views += usize::from(core.jobs.len() >= 2);
+            }
+            let m = v.num_cores() as u64;
+            let mut assignments = Vec::new();
+            for r in v.queue {
+                if self.pick(4) != 0 {
+                    assignments.push((r.job.id, self.pick(m) as usize));
+                }
+            }
+            let discarded = v
+                .cores
+                .iter()
+                .flat_map(|core| core.jobs)
+                .filter(|_| self.pick(16) == 0)
+                .map(|r| r.job.id)
+                .collect();
+            (assignments, discarded)
         }
     }
 
@@ -1497,8 +1564,18 @@ mod tests {
         }
         fn on_trigger(&mut self, v: &SystemView<'_>) -> PolicyDecision {
             let grid = SimDuration::from_millis(5);
+            let (assignments, discarded) = if self.churn {
+                self.churn(v)
+            } else {
+                (Vec::new(), Vec::new())
+            };
             let mut plans = Vec::new();
             for c in 0..v.num_cores() {
+                let jobs = v.cores[c].jobs;
+                let job = match jobs.len() {
+                    n if self.churn && n > 0 => jobs[self.pick(n as u64) as usize].job.id,
+                    _ => JobId(0),
+                };
                 let plan = match self.pick(4) {
                     0 => None,
                     // Past the horizon the script winds down, so the
@@ -1512,7 +1589,7 @@ mod tests {
                                 let start = t;
                                 t = start + grid * (1 + self.pick(2));
                                 Slice {
-                                    job: JobId(0),
+                                    job,
                                     start,
                                     end: t,
                                     speed: 1.0,
@@ -1534,9 +1611,9 @@ mod tests {
                 plans.push(plan.map(qes_core::schedule::CoreSchedule::new));
             }
             PolicyDecision {
-                assignments: Vec::new(),
+                assignments,
                 plans,
-                discarded: Vec::new(),
+                discarded,
                 ambient_speeds: Vec::new(),
             }
         }
@@ -1579,12 +1656,7 @@ mod tests {
             let mut c = cfg(200, cores, 20.0 * cores as f64);
             // On the grid (more equal ends) and off it.
             c.overhead = SimDuration::from_millis([0, 5, 10, 13][overhead]);
-            let mut policy = Scripted {
-                rng: rand::SeedableRng::seed_from_u64(seed),
-                overhead: c.overhead,
-                end,
-                installs: Vec::new(),
-            };
+            let mut policy = Scripted::new(seed, c.overhead, end, false);
             let mut rec = Recorder::default();
             Simulator::run_observed(&c, &mut policy, &jobs, &mut rec);
 
@@ -1636,5 +1708,69 @@ mod tests {
                 .count();
             prop_assert_eq!(triggers, fired);
         }
+
+        /// Under random assignments, discards, completions and
+        /// deadlines, every core view a policy receives lists live jobs
+        /// in strictly increasing (deadline, id) order.
+        #[test]
+        fn core_views_are_live_and_edf_ordered(
+            seed in 0u64..u64::MAX,
+            cores in 1usize..5,
+            overhead in 0usize..3,
+            specs in proptest::collection::vec((0u64..40, 1u64..40, 1u64..8), 1..40),
+        ) {
+            // Releases on a 5 ms grid, windows of 5–195 ms (not
+            // agreeable), demands of one to seven 5 ms slices at 1 GHz:
+            // deadline ties, jobs that finish mid-list and jobs that
+            // expire are all common.
+            let jobs = JobSet::new_unchecked(
+                specs
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(r, d, w))| job(i as u32, 5 * r, 5 * (r + d), 5.0 * w as f64))
+                    .collect(),
+            );
+            let mut c = cfg(200, cores, 20.0 * cores as f64);
+            c.overhead = SimDuration::from_millis([0, 5, 7][overhead]);
+            let mut policy = Scripted::new(seed, c.overhead, ms(200), true);
+            let (report, _) = Simulator::run(&c, &mut policy, &jobs);
+            prop_assert!(
+                policy.disordered.is_empty(),
+                "views out of (deadline, id) order or not live: {:?}",
+                policy.disordered
+            );
+            prop_assert_eq!(report.jobs_total(), jobs.len());
+        }
+    }
+
+    #[test]
+    fn churning_views_share_cores() {
+        // The property above is only as strong as the lists it sees:
+        // over a fixed stream, many views must hold several jobs.
+        let jobs = JobSet::new_unchecked(
+            (0..60)
+                .map(|i| {
+                    let r = 3 * u64::from(i);
+                    job(
+                        i,
+                        r,
+                        r + 60 + 7 * u64::from(i % 5),
+                        5.0 * f64::from(1 + i % 3),
+                    )
+                })
+                .collect(),
+        );
+        let mut policy = Scripted::new(7, SimDuration::ZERO, ms(200), true);
+        let (report, _) = Simulator::run(&cfg(200, 2, 40.0), &mut policy, &jobs);
+        assert!(policy.disordered.is_empty(), "{:?}", policy.disordered);
+        assert!(
+            policy.shared_views > 20,
+            "{} shared views",
+            policy.shared_views
+        );
+        assert!(
+            report.jobs_discarded() > 0 && report.jobs_satisfied() > 0,
+            "{report}"
+        );
     }
 }

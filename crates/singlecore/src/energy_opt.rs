@@ -29,7 +29,7 @@
 //!   the release, so each round is a critical *prefix* of the
 //!   deadline-ordered jobs and removing it is a pure shift. The fast
 //!   path repeats the general solver's float operations in the same
-//!   order, so its schedule is bit-identical (DESIGN.md §"The one-index
+//!   order, so its schedule is bit-identical (DESIGN.md §"The one-list
 //!   contract"; pinned by a property test below and, in debug builds, by
 //!   a cross-check inside DES).
 
@@ -129,8 +129,8 @@ pub fn energy_opt(jobs: &JobSet) -> EnergyOptResult {
 /// `jobs` must be in (deadline, id) order with distinct ids, and `job`
 /// must map each entry to `(id, deadline, work)` with `work > 0` and
 /// `now < deadline < now + 2^52 µs` (about 142 years). The accessor lets
-/// callers pass their own job records (DES's ready index, Online-QE's
-/// trimmed list) without copying them. The plan is built in a vector
+/// callers pass their own job records (the engine's per-core lists DES
+/// reads in place, Online-QE's trimmed list) without copying them. The plan is built in a vector
 /// from the free list ([`slice_vec`]).
 pub fn energy_opt_common_release<T>(
     now: SimTime,

@@ -69,6 +69,18 @@ impl ReadyJob {
     pub fn remaining(&self) -> f64 {
         (self.job.demand - self.processed).max(0.0)
     }
+
+    /// Whether the job can still be scheduled at `now`: its deadline is
+    /// after `now` and more than 1e-9 units of demand remain.
+    pub fn is_live(&self, now: SimTime) -> bool {
+        self.job.deadline > now && self.remaining() > 1e-9
+    }
+
+    /// The job's place in canonical (deadline, id) order, the order
+    /// Online-QE plans in and the engine keeps each core's jobs in.
+    pub fn edf_key(&self) -> (SimTime, JobId) {
+        (self.job.deadline, self.job.id)
+    }
 }
 
 /// Output of one [`online_qe`] invocation.
@@ -166,7 +178,7 @@ pub fn online_qe(
 /// amortize allocations — so callers may share one solver across cores,
 /// invocations, and [`crate::online_qe::OnlineMode`]s without affecting
 /// results. DES keeps one per core, warm across invocations, and solves
-/// off its ready index with [`QeSolver::solve_sorted`].
+/// the core's sorted live set with [`QeSolver::solve_sorted`].
 #[derive(Clone, Debug, Default)]
 pub struct QeSolver {
     /// [`QeSolver::solve`]'s live, canonically ordered copy of its input.
@@ -219,19 +231,13 @@ impl QeSolver {
         }
 
         self.active.clear();
-        self.active.extend(
-            ready
-                .iter()
-                .filter(|r| r.job.deadline > now && r.remaining() > 1e-9)
-                .copied(),
-        );
-        // Canonical order. The caller's slice order is arbitrary (the
-        // engine's per-core lists are permuted by `swap_remove`), and the
+        self.active
+            .extend(ready.iter().filter(|r| r.is_live(now)).copied());
+        // Canonical order. The caller's slice order is arbitrary, and the
         // float summations downstream are order-sensitive; sorting makes
         // the outcome a function of the job *set* (`prop_order_insensitive`
         // checks this).
-        self.active
-            .sort_unstable_by_key(|r| (r.job.deadline, r.job.id));
+        self.active.sort_unstable_by_key(ReadyJob::edf_key);
         let schedule = self.scratch.plan(now, &self.active, cap, mode);
         let discarded = self.scratch.discarded.clone();
         // Planned totals: sunk work plus what the schedule will run.
@@ -263,13 +269,11 @@ impl QeSolver {
         mode: OnlineMode,
     ) -> (CoreSchedule, &[JobId]) {
         debug_assert!(
-            jobs.iter()
-                .all(|r| r.job.deadline > now && r.remaining() > 1e-9),
+            jobs.iter().all(|r| r.is_live(now)),
             "solve_sorted input holds a job that is not live"
         );
         debug_assert!(
-            jobs.windows(2)
-                .all(|w| (w[0].job.deadline, w[0].job.id) < (w[1].job.deadline, w[1].job.id)),
+            jobs.windows(2).all(|w| w[0].edf_key() < w[1].edf_key()),
             "solve_sorted input is not strictly (deadline, id)-sorted"
         );
         if cap.s_max <= 0.0 {

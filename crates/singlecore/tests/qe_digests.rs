@@ -92,6 +92,9 @@ fn online_qe_plans_are_pinned() {
     // One warm solver for the whole corpus, as DES keeps one per core.
     let mut solver = QeSolver::default();
     let mut h = Fnv::new();
+    // The load factors alone: `powf` is the one library call in the
+    // corpus, and a build may round it differently.
+    let mut rhos = Fnv::new();
     let (mut solves, mut discards, mut multi_discard, mut satisfied, mut deprived) =
         (0, 0, 0, 0, 0);
     for case in 0..3000u64 {
@@ -109,6 +112,7 @@ fn online_qe_plans_are_pinned() {
         }
         let remaining = cum;
         let rho = 256f64.powf(rng.gen::<f64>()) / 16.0;
+        rhos.eat(&rho.to_bits().to_le_bytes());
         let cap = SpeedCap::new(&MODEL, MODEL.dynamic_power(need / rho));
         for mode in [OnlineMode::Eager, OnlineMode::Efficient] {
             let (schedule, discarded) = solver.solve_sorted(now, &ready, cap, mode);
@@ -134,6 +138,11 @@ fn online_qe_plans_are_pinned() {
     assert!(multi_discard > 50, "{multi_discard} multi-discard solves");
     assert!(satisfied > 100, "{satisfied} fully satisfied solves");
     assert!(deprived > 100, "{deprived} deeply deprived solves");
+    assert_eq!(
+        rhos.0, 0xd234_149a_6bd8_6573,
+        "the corpus generator's load factors `256f64.powf(u) / 16.0` differ in this \
+         build, so the corpus is not the pinned one; the plan digest below cannot match"
+    );
     assert_eq!((solves, h.0), (6000, 0x078e_fedf_1933_2050));
 }
 

@@ -10,8 +10,8 @@
 //!   moves. We assert normalized quality within 1 % while the policy is
 //!   invoked strictly fewer times.
 //! * **DES cross-checks hold.** Debug builds of DES check, on every
-//!   invocation, that its per-core ready index equals the sorted live
-//!   set, that the indexed power probe equals the sorting one, and that
+//!   invocation, that the per-core live set it plans from equals the
+//!   sorted live jobs, that its power probe equals the sorting one, and that
 //!   every fast-path plan equals the general solver's (`energy_opt`,
 //!   `QeSolver::solve`), bit for bit. The `des_cross_checks_hold_*`
 //!   tests drive moderate, overloaded and overhead-shifted runs under
@@ -129,7 +129,7 @@ fn des_cross_checks_hold_on_moderate_and_overloaded_runs() {
 fn des_cross_checks_hold_under_scheduling_overhead() {
     // Nonzero overhead delays plan installation, shifting every
     // subsequent trigger instant — a different event interleaving that
-    // the ready index must still track exactly.
+    // the per-core live sets must still track exactly.
     let (jobs, end) = overloaded_workload();
     let overhead = SimDuration::from_micros(2_000);
     for (label, triggers) in trigger_modes() {

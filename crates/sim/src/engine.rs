@@ -94,8 +94,10 @@ impl Simulator {
     ///
     /// # Panics
     ///
-    /// If `cfg.num_cores` is zero or `cfg.budget` is NaN. Infinite and
-    /// negative budgets are accepted.
+    /// If `cfg.num_cores` is zero, `cfg.budget` is NaN, or a job's
+    /// deadline lies 2^52 µs or more after its release: the planners
+    /// turn µs spans into exact f64 values, and beyond 2^52 they round.
+    /// Infinite and negative budgets are accepted.
     pub fn run_observed<O: Observer>(
         cfg: &SimConfig<'_>,
         policy: &mut dyn SchedulingPolicy,
@@ -104,6 +106,11 @@ impl Simulator {
     ) -> (SimReport, SimTrace) {
         assert!(cfg.num_cores > 0, "a machine needs at least one core");
         assert!(!cfg.budget.is_nan(), "the power budget is NaN");
+        assert!(
+            jobs.iter()
+                .all(|j| j.deadline.saturating_since(j.release).as_micros() < 1 << 52),
+            "a job's deadline lies 2^52 µs or more after its release"
+        );
         Engine::new(cfg, jobs, obs).run(policy)
     }
 }
@@ -867,6 +874,30 @@ mod tests {
     fn zero_cores_are_rejected_at_entry() {
         let jobs = JobSet::new(vec![job(0, 0, 150, 100.0)]).unwrap();
         Simulator::run(&cfg(1000, 0, 40.0), &mut DesPolicy::new(), &jobs);
+    }
+
+    #[test]
+    #[should_panic(expected = "2^52 µs or more after its release")]
+    fn a_deadline_window_of_2_pow_52_us_is_rejected_at_entry() {
+        let long = Job::new(1, ms(10), SimTime::from_micros(10_000 + (1 << 52)), 100.0).unwrap();
+        let jobs = JobSet::new(vec![job(0, 0, 150, 100.0), long]).unwrap();
+        Simulator::run(&cfg(1000, 2, 40.0), &mut DesPolicy::new(), &jobs);
+    }
+
+    #[test]
+    fn a_deadline_window_just_under_2_pow_52_us_runs() {
+        let long = Job::new(
+            1,
+            ms(10),
+            SimTime::from_micros(10_000 + (1 << 52) - 1),
+            100.0,
+        )
+        .unwrap();
+        let jobs = JobSet::new(vec![job(0, 0, 150, 100.0), long]).unwrap();
+        // Debug builds check every planned span against 2^52 µs. The
+        // engine drains in-flight jobs past `end`, so both are served.
+        let report = Simulator::run(&cfg(1000, 2, 40.0), &mut DesPolicy::new(), &jobs).0;
+        assert_eq!(report.jobs_satisfied(), 2);
     }
 
     #[test]

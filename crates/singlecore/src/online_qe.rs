@@ -31,12 +31,13 @@
 //! jobs: the rewound virtual jobs, built straight into the volume
 //! decomposition (which sorts them once for all its rounds) while the
 //! rewind shift is folded; the discard loop, run only when a job is
-//! non-partial; and one loop from volumes to slices that trims, caps at
-//! EDF capacity and feeds the mode's sink. Every stage repeats the float
-//! operations of the multi-pass form it replaced, so plans are
-//! bit-identical to it; `tests/qe_digests.rs` pins them, and debug builds
-//! check each search round and each decomposition against a reference
-//! (DESIGN.md §6).
+//! non-partial, which loads the surviving jobs the same way and solves
+//! them again from scratch after each discard; and one loop from volumes
+//! to slices that trims, caps at EDF capacity and feeds the mode's sink.
+//! Every stage repeats the float operations of the multi-pass form it
+//! replaced, so plans are bit-identical to it; `tests/qe_digests.rs` pins
+//! them, and debug builds check each search round and each decomposition
+//! against a reference (DESIGN.md §6).
 
 use qes_core::job::{Job, JobId};
 use qes_core::power::PowerModel;
@@ -44,7 +45,7 @@ use qes_core::schedule::{slice_vec, CoreSchedule, Slice};
 use qes_core::time::SimTime;
 
 use crate::energy_opt::energy_opt_common_release;
-use crate::quality_opt::VolumeDecomposition;
+use crate::quality_opt::BdiRounds;
 use crate::timeline::{ceil_u64, round_u64, VJob};
 
 /// A job visible to the scheduler at invocation time, with its progress.
@@ -171,8 +172,8 @@ pub fn online_qe(
     QeSolver::default().solve(now, ready, model, budget, OnlineMode::Efficient)
 }
 
-/// Reusable Online-QE solver state: scratch buffers plus the most recent
-/// volume decomposition (resumed by the §V-D discard loop).
+/// Reusable Online-QE solver state: the buffers of one solve, from the
+/// volume decomposition's search to the discarded ids.
 ///
 /// Every solve is bitwise independent of prior solves — the buffers only
 /// amortize allocations — so callers may share one solver across cores,
@@ -192,7 +193,7 @@ pub struct QeSolver {
 struct QeScratch {
     alive: Vec<bool>,
     vols: Vec<f64>,
-    decomp: VolumeDecomposition,
+    rounds: BdiRounds,
     /// `Efficient` mode's trimmed remainders: (id, deadline, demand) in
     /// EDF order.
     trimmed: Vec<(JobId, SimTime, f64)>,
@@ -308,104 +309,40 @@ impl QeScratch {
             now_f: now.as_micros() as f64,
             us_per_unit,
         };
-        // Snapshots are recorded, and `alive` kept, only when a discard
-        // can actually happen.
-        let record = active.iter().any(|r| !r.job.partial);
-
+        // Step 1: the myopic volumes. A job without demand is not loaded
+        // and keeps volume 0.
         self.vols.clear();
-        if n > 0 {
-            // Step 1: the myopic volumes. The rewind shift is the least
-            // rewound release, found while the jobs are loaded unshifted;
-            // it is 0 unless the sunk work reaches back past time 0, and
-            // only then are the jobs loaded again. Every job's volume
-            // starts at 0 on the same pass.
-            let mut min_adj = f64::INFINITY;
-            let vols = &mut self.vols;
-            self.decomp
-                .load(active.iter().enumerate().filter_map(|(i, r)| {
-                    min_adj = min_adj.min(rewind.release(r));
-                    vols.push(0.0);
-                    rewind.vjob(i, r, 0)
-                }));
-            let mut shift_us = ceil_u64((-min_adj).max(0.0));
-            if shift_us != 0 {
-                self.decomp.load(
-                    active
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(i, r)| rewind.vjob(i, r, shift_us)),
-                );
-            }
-            debug_assert_eq!(shift_us, rewind.shift_us(active, &vec![true; n]));
-            self.decomp
-                .solve_loaded(units_per_us, record, &mut self.vols);
-            // Then the §V-D discard loop for non-partial jobs.
-            if record {
-                self.alive.clear();
-                self.alive.resize(n, true);
-                loop {
-                    // Discard at most one unfinishable non-partial job per
-                    // round (the one with the largest shortfall), then
-                    // recompute: discarding frees capacity that may rescue
-                    // the others.
-                    let worst = active
-                        .iter()
-                        .enumerate()
-                        .filter(|&(i, r)| {
-                            self.alive[i] && !r.job.partial && r.job.demand - self.vols[i] > 1e-6
-                        })
-                        .map(|(i, r)| (i, r.job.demand - self.vols[i]))
-                        .max_by(|a, b| a.1.total_cmp(&b.1));
-                    let Some((x, _)) = worst else { break };
-                    self.discarded.push(active[x].job.id);
-                    self.alive[x] = false;
-                    self.vols[x] = 0.0;
-                    // Removing a job can change the rewind shift (if it held
-                    // the minimum adjusted release) and thereby every other
-                    // job's rounded virtual window — the virtual geometry
-                    // moves, so the recorded decomposition is useless. Resume
-                    // only when the shift is unchanged *and* the earlier
-                    // rounds' chosen intervals survive the removal; otherwise
-                    // rebuild and re-solve from scratch (the invalidation
-                    // contract — DESIGN.md §"Interval reuse").
-                    let new_shift = rewind.shift_us(active, &self.alive);
-                    if new_shift == shift_us
-                        && self.decomp.can_resume_without(x as u32, &self.alive)
-                    {
-                        self.decomp.resume_without(
-                            x as u32,
-                            &self.alive,
-                            units_per_us,
-                            &mut self.vols,
-                        );
-                    } else {
-                        shift_us = new_shift;
-                        self.decomp.solve(
-                            rewind.alive_vjobs(active, &self.alive, shift_us),
-                            units_per_us,
-                            true,
-                            &mut self.vols,
-                        );
-                    }
-                    #[cfg(debug_assertions)]
-                    {
-                        // The resume contract, enforced: identical bits to a
-                        // from-scratch solve over the surviving jobs.
-                        let mut ref_vols = vec![0.0; n];
-                        VolumeDecomposition::default().solve(
-                            rewind.alive_vjobs(active, &self.alive, new_shift),
-                            units_per_us,
-                            false,
-                            &mut ref_vols,
-                        );
-                        for (i, (v, rv)) in self.vols.iter().zip(&ref_vols).enumerate() {
-                            debug_assert!(
-                                !self.alive[i] || v.to_bits() == rv.to_bits(),
-                                "discard resume diverged from a full re-solve at job {i}"
-                            );
-                        }
-                    }
-                }
+        self.vols.resize(n, 0.0);
+        rewind.load(&mut self.rounds, active, |_| true);
+        self.rounds.volumes(units_per_us, &mut self.vols);
+        // Then the §V-D discard loop for non-partial jobs.
+        if active.iter().any(|r| !r.job.partial) {
+            self.alive.clear();
+            self.alive.resize(n, true);
+            loop {
+                // Discard at most one unfinishable non-partial job per
+                // round (the one with the largest shortfall), then
+                // recompute: discarding frees capacity that may rescue
+                // the others.
+                let worst = active
+                    .iter()
+                    .enumerate()
+                    .filter(|&(i, r)| {
+                        self.alive[i] && !r.job.partial && r.job.demand - self.vols[i] > 1e-6
+                    })
+                    .map(|(i, r)| (i, r.job.demand - self.vols[i]))
+                    .max_by(|a, b| a.1.total_cmp(&b.1));
+                let Some((x, _)) = worst else { break };
+                self.discarded.push(active[x].job.id);
+                self.alive[x] = false;
+                self.vols[x] = 0.0;
+                // The survivors are solved again from scratch. Removing
+                // a job can move the rewind shift, and with it every
+                // other window, and the sets a discard meets are too
+                // small for reusing earlier rounds to pay (DESIGN.md §6).
+                let alive = &self.alive;
+                rewind.load(&mut self.rounds, active, |i| alive[i]);
+                self.rounds.volumes(units_per_us, &mut self.vols);
             }
         }
 
@@ -534,23 +471,23 @@ impl Rewind {
         self.now_f - r.processed * self.us_per_unit
     }
 
-    /// The integral µs shift making every *alive* rewound release land
-    /// ≥ 0.
-    fn shift_us(&self, active: &[ReadyJob], alive: &[bool]) -> u64 {
+    /// The integral µs shift making every rewound release of the
+    /// `active` jobs that `keep` admits land ≥ 0, in its own pass: the
+    /// oracle of the shift [`Self::load`] folds.
+    fn shift_us(&self, active: &[ReadyJob], keep: impl Fn(usize) -> bool) -> u64 {
         let min_adj = active
             .iter()
-            .zip(alive)
-            .filter(|&(_, &a)| a)
-            .map(|(r, _)| self.release(r))
+            .enumerate()
+            .filter(|&(i, _)| keep(i))
+            .map(|(_, r)| self.release(r))
             .fold(f64::INFINITY, f64::min);
         ceil_u64((-min_adj).max(0.0))
     }
 
     /// The rewound virtual job of `r`, the job at index `i` of `active`,
     /// shifting its release *and* deadline by the same integral µs
-    /// amount `shift_us` ([`Self::shift_us`]) so a fractional rewind
-    /// cannot skew its window length; `None` for a job without demand.
-    /// `VJob::id` carries `i`.
+    /// amount `shift_us` so a fractional rewind cannot skew its window
+    /// length; `None` for a job without demand. `VJob::id` carries `i`.
     fn vjob(self, i: usize, r: &ReadyJob, shift_us: u64) -> Option<VJob> {
         (r.job.demand > 0.0).then(|| VJob {
             id: JobId(i as u32),
@@ -560,19 +497,25 @@ impl Rewind {
         })
     }
 
-    /// [`Self::vjob`] over the alive subset of `active`.
-    fn alive_vjobs<'a>(
-        self,
-        active: &'a [ReadyJob],
-        alive: &'a [bool],
-        shift_us: u64,
-    ) -> impl Iterator<Item = VJob> + 'a {
-        active
-            .iter()
-            .zip(alive)
-            .enumerate()
-            .filter(|&(_, (_, &a))| a)
-            .filter_map(move |(i, (r, _))| self.vjob(i, r, shift_us))
+    /// Load into `rounds` the virtual jobs ([`Self::vjob`]) of the
+    /// `active` jobs that `keep` admits, under the shift that makes every
+    /// admitted rewound release land ≥ 0. The shift comes from the least
+    /// rewound release, found while the jobs are loaded unshifted; it is
+    /// 0 unless the sunk work reaches back past time 0, and only then are
+    /// the jobs loaded again.
+    fn load(self, rounds: &mut BdiRounds, active: &[ReadyJob], keep: impl Fn(usize) -> bool) {
+        let keep = &keep;
+        let kept = || active.iter().enumerate().filter(move |&(i, _)| keep(i));
+        let mut min_adj = f64::INFINITY;
+        rounds.load(kept().filter_map(|(i, r)| {
+            min_adj = min_adj.min(self.release(r));
+            self.vjob(i, r, 0)
+        }));
+        let shift_us = ceil_u64((-min_adj).max(0.0));
+        if shift_us != 0 {
+            rounds.load(kept().filter_map(|(i, r)| self.vjob(i, r, shift_us)));
+        }
+        debug_assert_eq!(shift_us, self.shift_us(active, keep));
     }
 }
 
@@ -928,15 +871,10 @@ mod tests {
             now_f: now.as_micros() as f64,
             us_per_unit: 1000.0 / s_max,
         };
-        let alive = [true, true];
-        let shift_us = rewind.shift_us(&active, &alive);
+        let mut rounds = BdiRounds::default();
+        rewind.load(&mut rounds, &active, |_| true);
         let mut got = vec![0.0; active.len()];
-        VolumeDecomposition::default().solve(
-            rewind.alive_vjobs(&active, &alive, shift_us),
-            s_max / 1000.0,
-            false,
-            &mut got,
-        );
+        rounds.volumes(s_max / 1000.0, &mut got);
 
         // Hand-shifted instance: S = ⌈250.25⌉ = 251 µs applied to both
         // endpoints, releases rounded after the shift.
@@ -969,12 +907,13 @@ mod tests {
     #[test]
     fn discard_loop_stays_exact_when_rewind_shift_moves() {
         // Three unfinishable non-partial jobs, one carrying the prior
-        // progress that defines the rewind shift. The §V-D loop crosses
-        // both the resume path and the rebuild fallback (discarding the
-        // shift-defining job changes the virtual geometry); the
-        // debug_assertions cross-check in `solve` compares every round
-        // against a from-scratch solve, so this test failing — or
-        // panicking — means the invalidation contract broke.
+        // progress that defines the rewind shift. Discarding the
+        // shift-defining job moves every other virtual window, so the
+        // re-solve must load the survivors under the new shift; debug
+        // builds check that shift against its two-pass oracle and every
+        // re-solve's volumes against the textbook recursion, so this
+        // test failing — or panicking — means a re-solve ran on stale
+        // windows.
         let now = ms(100);
         let mut a = rj(0, 0, 200, 120.0, 90.0);
         let mut b = rj(1, 0, 200, 120.0, 0.0);
@@ -999,14 +938,10 @@ mod tests {
 
     #[test]
     fn second_discard_does_not_resurrect_the_first() {
-        // Regression (caught by the debug cross-check on a live sim):
-        // with two discards in one invocation, resuming the decomposition
-        // from a round recorded *before* the first discard must not
-        // re-admit the already-discarded job — it lingers in early
-        // snapshots as an unfixed participant and must be filtered by the
-        // alive set. Pre-fix, the resurrected job depressed the
-        // survivor's volume below its demand, cascading into a third
-        // (wrong) discard.
+        // Two discards in one invocation: the second re-solve must load
+        // only the jobs still alive, not re-admit the first discarded
+        // job. A re-admitted job depresses the survivor's volume below
+        // its demand, cascading into a third (wrong) discard.
         let now = SimTime::from_micros(148_242);
         let mk = |id, r_us: u64, d_us: u64, w: f64, done: f64| {
             let mut j = Job::new(
@@ -1046,6 +981,82 @@ mod tests {
             kept.job.id,
             out.planned(kept.job.id)
         );
+    }
+
+    #[test]
+    fn prop_discard_loop_postcondition() {
+        // §V-D's postcondition on mixed partial and non-partial sets of
+        // 1–12 jobs, in release builds too: only non-partial jobs of the
+        // input are discarded, and every non-partial job kept is planned
+        // in full up to Eager's rounding. That rounding moves each slice
+        // boundary at most 0.5 µs, so the tolerance is the one Eager's
+        // own debug check uses, `(kept + 1)·units_per_us + 1e-6`, with
+        // `kept` bounded by the jobs not discarded.
+        let runner = proptest::TestRunner::new(
+            ProptestConfig::with_cases(512),
+            "prop_discard_loop_postcondition",
+        );
+        let jobs_strategy = proptest::collection::vec(
+            // (deadline µs beyond now, demand draw, processed fraction,
+            // partial)
+            (
+                1u64..300_000,
+                0.0f64..1.0,
+                0.0f64..0.999,
+                proptest::bool::ANY,
+            ),
+            1..13,
+        );
+        let (mut discards, mut kept_rigid) = (0, 0);
+        for case in 0..runner.cases() {
+            let mut rng = runner.rng_for_case(case);
+            let raw = jobs_strategy.generate(&mut rng);
+            let budget = (0.5f64..60.0).generate(&mut rng);
+            let now = ms(50);
+            let ready: Vec<ReadyJob> = raw
+                .iter()
+                .zip(0..)
+                .map(|(&(off, w_draw, frac, partial), id)| {
+                    let demand = 0.01 + 400.0 * w_draw;
+                    let mut job =
+                        Job::new(id, ms(0), now + SimDuration::from_micros(off), demand).unwrap();
+                    job.partial = partial;
+                    // Every other job carries sunk work, rewinding its
+                    // release before `now`.
+                    let processed = if id % 2 == 0 { demand * frac } else { 0.0 };
+                    ReadyJob { job, processed }
+                })
+                .collect();
+            let out = QeSolver::default().solve(now, &ready, &MODEL, budget, OnlineMode::Eager);
+            for id in &out.discarded {
+                let r = ready.iter().find(|r| r.job.id == *id);
+                assert!(
+                    r.is_some_and(|r| !r.job.partial),
+                    "case {case}: discarded {id:?} is not a non-partial input job"
+                );
+            }
+            discards += out.discarded.len();
+            let units_per_us = out.max_speed / 1000.0;
+            let kept = ready.len() - out.discarded.len();
+            let tol = (kept as f64 + 1.0) * units_per_us + 1e-6;
+            let rigid_kept = ready
+                .iter()
+                .filter(|r| !r.job.partial && !out.discarded.contains(&r.job.id));
+            for r in rigid_kept {
+                kept_rigid += 1;
+                let planned = out.planned(r.job.id);
+                assert!(
+                    (planned - r.job.demand).abs() <= tol,
+                    "case {case}: {:?} kept with {planned} of {} planned",
+                    r.job.id,
+                    r.job.demand
+                );
+            }
+        }
+        // The generator must reach the discard loop and keep non-partial
+        // jobs past it.
+        assert!(discards > 100, "{discards} discards");
+        assert!(kept_rigid > 100, "{kept_rigid} non-partial jobs kept");
     }
 
     #[test]

@@ -23,12 +23,14 @@
 //! interval compresses the other windows monotonically, so both orders
 //! hold in every later round without sorting again. Candidates whose
 //! `capacity / k` clears the best level by a proven margin are skipped
-//! without computing their d-mean. Debug builds compare every round with
-//! a reference search that sorts afresh (DESIGN.md §6, "Interval reuse
-//! and invalidation").
+//! without computing their d-mean. Online-QE runs the same rounds for
+//! volumes only (`BdiRounds::volumes`), once per §V-D discard as well:
+//! each discard re-solves the surviving jobs from scratch. Debug builds
+//! compare every round with a reference search that sorts afresh, and
+//! every decomposition's volumes with the textbook recursion (DESIGN.md
+//! §6, "Interval reuse and invalidation").
 
 use std::collections::HashMap;
-use std::ops::Range;
 
 use qes_core::job::{JobId, JobSet};
 use qes_core::schedule::{CoreSchedule, Slice};
@@ -186,7 +188,9 @@ pub(crate) fn d_mean(capacity: f64, demands: &[f64]) -> Option<(f64, usize)> {
 /// the rest through `[a, b)`; [`compress_point`] is monotone, so both
 /// orders survive the compression and no round sorts again. Points that
 /// compression merges become equal neighbours, which the search steps
-/// over as one candidate endpoint.
+/// over as one candidate endpoint. [`quality_opt`] drives the rounds
+/// itself to build its schedule; [`Self::volumes`] runs them to the end
+/// for Online-QE, which needs only the volumes.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct BdiRounds {
     /// Unfixed jobs in deadline order, windows compressed through every
@@ -224,12 +228,6 @@ impl BdiRounds {
     /// The jobs not yet fixed, in deadline order.
     pub(crate) fn work(&self) -> &[VJob] {
         &self.work
-    }
-
-    /// Fix every job left.
-    fn clear(&mut self) {
-        self.work.clear();
-        self.by_r.clear();
     }
 
     /// Find the busiest deprived interval of the current round: the
@@ -318,6 +316,54 @@ impl BdiRounds {
                 *p != u32::MAX
             });
         }
+    }
+
+    /// Run the decomposition over the loaded jobs to its end and write
+    /// each job's volume into `vols[id]`: the per-job volumes of
+    /// [`quality_opt`], without a schedule, which is what Online-QE's
+    /// myopic step consumes. `VJob::id` carries the job's index in the
+    /// caller's array, and `vols` must cover every loaded id.
+    ///
+    /// A round with one job left is fixed in closed form (DESIGN.md §6).
+    /// Debug builds compare the volumes bit for bit with
+    /// [`reference_volumes`].
+    pub(crate) fn volumes(&mut self, units_per_us: f64, vols: &mut [f64]) {
+        #[cfg(debug_assertions)]
+        let loaded = self.work.clone();
+        while !self.work.is_empty() {
+            if let [j] = *self.work {
+                // One job: its own window is the only candidate, and
+                // `d_mean` over one demand is `capacity / 1.0`, so the
+                // search would return level `capacity.max(0.0)` exactly
+                // when `d > r` and the demand exceeds `capacity + 1e-9`.
+                let capacity = j.d.saturating_sub(j.r) as f64 * units_per_us;
+                vols[j.id.0 as usize] = if j.d <= j.r || j.w <= capacity + 1e-9 {
+                    j.w
+                } else {
+                    let level = capacity.max(0.0);
+                    if j.w <= level + 1e-9 {
+                        j.w
+                    } else {
+                        level
+                    }
+                };
+                break;
+            }
+            match self.busiest(units_per_us) {
+                None => {
+                    // Everything remaining is satisfiable in full.
+                    for j in &self.work {
+                        vols[j.id.0 as usize] = j.w;
+                    }
+                    break;
+                }
+                Some((a, b, level)) => self.extract(a, b, |j| {
+                    vols[j.id.0 as usize] = if j.w <= level + 1e-9 { j.w } else { level };
+                }),
+            }
+        }
+        #[cfg(debug_assertions)]
+        check_volumes(&loaded, units_per_us, vols);
     }
 }
 
@@ -459,217 +505,10 @@ fn busiest_deprived_interval(vjobs: &[VJob], units_per_us: f64) -> Option<(u64, 
     best
 }
 
-/// The busiest-deprived-interval recursion of [`quality_opt`], reduced to
-/// what Online-QE's myopic step actually consumes: per-job volumes, no
-/// schedule. Exposed as a structure so the §V-D discard loop can *resume*
-/// the recursion after removing a job instead of re-running it from
-/// scratch.
-///
-/// Jobs are addressed by their index in the caller's array: `VJob::id`
-/// carries the index, and `vols` is indexed by it.
-///
-/// When `record` is set, the job state at the start of every round is
-/// snapshotted. [`Self::resume_without`] then replays the recursion from
-/// the round that fixed a removed job's volume. The resume is
-/// bit-identical to a from-scratch solve without that job provided the
-/// chosen intervals of all earlier rounds survive the removal — which
-/// [`Self::can_resume_without`] checks: every earlier chosen endpoint must
-/// be anchored by some *other* job alive in that round (a removed job that
-/// was the sole holder of a chosen endpoint would have changed the
-/// candidate enumeration itself). See DESIGN.md §"Interval reuse and
-/// invalidation" for the full contract.
-///
-/// A round with one job left is fixed in closed form (DESIGN.md §6).
-/// Debug builds compare the volumes of every solve and resume bit for bit
-/// with [`reference_volumes`].
-#[derive(Clone, Debug, Default)]
-pub(crate) struct VolumeDecomposition {
-    /// Surviving jobs and the search over them.
-    rounds: BdiRounds,
-    /// Round in which each job index had its volume fixed (only kept
-    /// when recording).
-    fixed_round: Vec<u32>,
-    /// The surviving jobs as of the start of each round, back to back
-    /// (only kept when recording).
-    snap_jobs: Vec<VJob>,
-    /// Where each round's snapshot starts in `snap_jobs`.
-    snap_start: Vec<u32>,
-    /// The `(a, b)` chosen by each completed group round (only kept when
-    /// recording).
-    chosen: Vec<(u64, u64)>,
-}
-
-impl VolumeDecomposition {
-    /// Run the full decomposition over `vjobs`, writing each job's volume
-    /// into `vols[id]`. `vols` must cover every id in `vjobs`.
-    pub(crate) fn solve(
-        &mut self,
-        vjobs: impl IntoIterator<Item = VJob>,
-        units_per_us: f64,
-        record: bool,
-        vols: &mut [f64],
-    ) {
-        self.load(vjobs);
-        self.solve_loaded(units_per_us, record, vols);
-    }
-
-    /// Load `vjobs` for [`Self::solve_loaded`].
-    #[inline]
-    pub(crate) fn load(&mut self, vjobs: impl IntoIterator<Item = VJob>) {
-        self.rounds.load(vjobs);
-    }
-
-    /// [`Self::solve`] over the jobs last given to [`Self::load`].
-    pub(crate) fn solve_loaded(&mut self, units_per_us: f64, record: bool, vols: &mut [f64]) {
-        self.snap_jobs.clear();
-        self.snap_start.clear();
-        self.chosen.clear();
-        self.fixed_round.clear();
-        if record {
-            self.fixed_round.resize(vols.len(), u32::MAX);
-        }
-        #[cfg(debug_assertions)]
-        let loaded = self.rounds.work().to_vec();
-        self.run(0, units_per_us, record, vols);
-        #[cfg(debug_assertions)]
-        check_volumes(&loaded, units_per_us, vols);
-    }
-
-    /// Where the snapshot of round `k` sits in `snap_jobs`.
-    fn snapshot(&self, k: usize) -> Range<usize> {
-        let end = self
-            .snap_start
-            .get(k + 1)
-            .map_or(self.snap_jobs.len(), |&e| e as usize);
-        self.snap_start[k] as usize..end
-    }
-
-    /// Whether [`Self::resume_without`] would be bit-identical to a
-    /// from-scratch solve over the `alive` jobs after removing job `x`
-    /// (the caller has already cleared `alive[x]`): `x` must have a
-    /// recorded fixing round, and every earlier round's chosen interval
-    /// must keep both endpoints anchored by a still-alive job. Snapshots
-    /// of early rounds predate later removals, so dead jobs linger in
-    /// them as unfixed participants — they must anchor nothing and be
-    /// filtered out on replay.
-    pub(crate) fn can_resume_without(&self, x: u32, alive: &[bool]) -> bool {
-        let k = self
-            .fixed_round
-            .get(x as usize)
-            .copied()
-            .unwrap_or(u32::MAX);
-        if (k as usize) >= self.snap_start.len() {
-            return false;
-        }
-        self.chosen[..k as usize]
-            .iter()
-            .enumerate()
-            .all(|(round, &(a, b))| {
-                let mut a_held = false;
-                let mut b_held = false;
-                for j in &self.snap_jobs[self.snapshot(round)] {
-                    if alive[j.id.0 as usize] {
-                        a_held |= j.r == a;
-                        b_held |= j.d == b;
-                    }
-                }
-                a_held && b_held
-            })
-    }
-
-    /// Replay the recursion from the round that fixed job `x`, over the
-    /// still-`alive` jobs of that round's snapshot. Only valid right
-    /// after a solve/resume in which `record` was set and
-    /// [`Self::can_resume_without`]`(x, alive)` holds.
-    pub(crate) fn resume_without(
-        &mut self,
-        x: u32,
-        alive: &[bool],
-        units_per_us: f64,
-        vols: &mut [f64],
-    ) {
-        let k = self.fixed_round[x as usize] as usize;
-        debug_assert!(k < self.snap_start.len());
-        let snap = self.snapshot(k);
-        let start = snap.start;
-        self.rounds.load(
-            self.snap_jobs[snap]
-                .iter()
-                .filter(|j| alive[j.id.0 as usize])
-                .copied(),
-        );
-        self.snap_jobs.truncate(start);
-        self.snap_start.truncate(k);
-        self.chosen.truncate(k);
-        self.run(k as u32, units_per_us, true, vols);
-    }
-
-    fn run(&mut self, first_round: u32, units_per_us: f64, record: bool, vols: &mut [f64]) {
-        let mut round = first_round;
-        while !self.rounds.work().is_empty() {
-            if record {
-                self.snap_start.push(self.snap_jobs.len() as u32);
-                self.snap_jobs.extend_from_slice(self.rounds.work());
-            }
-            let fixed_round = &mut self.fixed_round;
-            let mut fix = |idx: usize, v: f64| {
-                vols[idx] = v;
-                if record {
-                    fixed_round[idx] = round;
-                }
-            };
-            if let [j] = *self.rounds.work() {
-                // One job: its own window is the only candidate, and
-                // `d_mean` over one demand is `capacity / 1.0`, so the
-                // search would return level `capacity.max(0.0)` exactly
-                // when `d > r` and the demand exceeds `capacity + 1e-9`.
-                let capacity = j.d.saturating_sub(j.r) as f64 * units_per_us;
-                let v = if j.d <= j.r || j.w <= capacity + 1e-9 {
-                    j.w
-                } else {
-                    let level = capacity.max(0.0);
-                    if record {
-                        self.chosen.push((j.r, j.d));
-                    }
-                    if j.w <= level + 1e-9 {
-                        j.w
-                    } else {
-                        level
-                    }
-                };
-                fix(j.id.0 as usize, v);
-                self.rounds.clear();
-                break;
-            }
-            match self.rounds.busiest(units_per_us) {
-                None => {
-                    // Everything remaining is satisfiable in full.
-                    for j in self.rounds.work() {
-                        fix(j.id.0 as usize, j.w);
-                    }
-                    break;
-                }
-                Some((a, b, level)) => {
-                    if record {
-                        self.chosen.push((a, b));
-                    }
-                    self.rounds.extract(a, b, |j| {
-                        fix(
-                            j.id.0 as usize,
-                            if j.w <= level + 1e-9 { j.w } else { level },
-                        )
-                    });
-                    round += 1;
-                }
-            }
-        }
-    }
-}
-
 /// The volumes of the decomposition over `vjobs` by its textbook
 /// recursion: the sorting [`busiest_deprived_interval`] in every round,
 /// every window compressed afresh, and no closed form. The oracle that
-/// debug builds compare [`VolumeDecomposition`]'s fast paths with.
+/// debug builds compare [`BdiRounds::volumes`]' fast paths with.
 #[cfg(any(test, debug_assertions))]
 fn reference_volumes(vjobs: &[VJob], units_per_us: f64, vols: &mut [f64]) {
     let mut work = vjobs.to_vec();
@@ -978,8 +817,8 @@ mod tests {
         /// in every round of a decomposition, and the decomposition's
         /// volumes equal the reference recursion's, on windows sharing
         /// many endpoints (a 1 ms grid) and zero demands. Unlike the
-        /// checks inside `BdiRounds::busiest` and
-        /// `VolumeDecomposition::solve`, this also runs in release builds.
+        /// checks inside `BdiRounds::busiest` and `BdiRounds::volumes`,
+        /// this also runs in release builds.
         #[test]
         fn prop_sort_once_bdi_search_matches_the_reference(
             raw in proptest::collection::vec(
@@ -1011,7 +850,8 @@ mod tests {
             // included, against the textbook recursion.
             let n = raw.len();
             let (mut got, mut want) = (vec![0.0; n], vec![0.0; n]);
-            VolumeDecomposition::default().solve(vjobs.clone(), units_per_us, false, &mut got);
+            rounds.load(vjobs.clone());
+            rounds.volumes(units_per_us, &mut got);
             reference_volumes(&vjobs.collect::<Vec<_>>(), units_per_us, &mut want);
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             prop_assert_eq!(bits(&got), bits(&want));

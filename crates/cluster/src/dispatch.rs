@@ -35,8 +35,8 @@
 //! * **Routing is a sequential pre-pass.** Shard assignment — and all
 //!   fault and overload handling: stranding, retry re-release,
 //!   dropping, admission, hedging — is computed by one in-order scan of
-//!   a single event heap (arrivals, crash instants, retries, hedge
-//!   fires) before any simulation starts, so it cannot depend on thread
+//!   one event order (arrivals, crash instants, retries, hedge fires)
+//!   before any simulation starts, so it cannot depend on thread
 //!   scheduling.
 //! * **Lane count is unobservable.** Per-shard simulations are pure
 //!   functions of (shard job set, fault epochs, policy, machine config);
@@ -358,9 +358,10 @@ enum ScanEvent {
 /// A queued scan event, ordered by its `(t_us, class, deadline_us, id)`
 /// key alone, where the class gives the tie order at one instant:
 /// crash 0 < arrival 1 < retry 2 < hedge 3. The heap holds at most one
-/// crash and one arrival (their cursors refill it on pop) and at most
-/// one retry and one hedge per job, so with distinct job ids the key is
-/// unique and heap order is the key's total order.
+/// crash (its cursor refills it on pop) and at most one retry and one
+/// hedge per job; the next original arrival waits beside it, keyed the
+/// same way. With distinct job ids the key is unique, so the scan's
+/// order is the key's total order.
 struct Queued {
     key: (u64, u8, u64, u32),
     event: ScanEvent,
@@ -645,9 +646,9 @@ impl Router<'_> {
 /// Assign every job of the release-sorted stream to a shard, under a
 /// fault plan and an overload-protection policy.
 ///
-/// A deterministic sequential pre-pass over one event heap holding
-/// original arrivals, crash instants, retry re-releases and hedge fire
-/// instants (ties resolve crash → arrival → retry → hedge):
+/// A deterministic sequential pre-pass over original arrivals, crash
+/// instants, retry re-releases and hedge fire instants in one event
+/// order (ties resolve crash → arrival → retry → hedge):
 ///
 /// * **Routing and failover**: each arrival goes to an eligible
 ///   (not crashed) shard under `routing`, and is dropped when every
@@ -766,19 +767,17 @@ pub(crate) fn dispatch_observed<D: Observer>(
         },
     };
 
-    // The arrival at input position `pos`, if any.
+    // The arrival at input position `pos`, if any. Original arrivals
+    // come from the release-sorted input through this cursor, not through
+    // the queue; the scan takes whichever of the two keys is smaller.
     let arrival = |pos: usize| {
-        arrivals.get(pos).map(|j| {
-            Reverse(Queued::new(
-                j.release,
-                ScanEvent::Arrival { pos: pos as u32 },
-                j,
-            ))
-        })
+        arrivals
+            .get(pos)
+            .map(|j| Queued::new(j.release, ScanEvent::Arrival { pos: pos as u32 }, j))
     };
+    let mut next_arrival = arrival(0);
     let mut crashes = plan.crash_starts().into_iter().filter(|&(t, _)| t < end);
     let mut queue: BinaryHeap<Reverse<Queued>> = BinaryHeap::new();
-    queue.extend(arrival(0));
     queue.extend(crashes.next().map(Queued::crash).map(Reverse));
     // Per-job state by input position: the strand count (the retry
     // budget's meter), and — only while hedging — the live copies. A
@@ -799,7 +798,19 @@ pub(crate) fn dispatch_observed<D: Observer>(
     let mut retried = 0u64;
     let mut hedges: Vec<HedgeRecord> = Vec::new();
 
-    while let Some(Reverse(Queued { key, event })) = queue.pop() {
+    loop {
+        let queued_first = match (&next_arrival, queue.peek()) {
+            (Some(a), Some(Reverse(q))) => q.key < a.key,
+            (a, _) => a.is_none(),
+        };
+        let next = if queued_first {
+            queue.pop().map(|Reverse(q)| q)
+        } else {
+            next_arrival.take()
+        };
+        let Some(Queued { key, event }) = next else {
+            break;
+        };
         let t = SimTime::from_micros(key.0);
         match event {
             ScanEvent::Crash { shard } => {
@@ -854,7 +865,7 @@ pub(crate) fn dispatch_observed<D: Observer>(
                 router.refresh_pending(shard);
             }
             ScanEvent::Arrival { pos } => {
-                queue.extend(arrival(pos as usize + 1));
+                next_arrival = arrival(pos as usize + 1);
                 let job = arrivals[pos as usize];
                 router.advance(t);
                 if screened && !router.eligible.is_empty() && !router.admits(&job) {

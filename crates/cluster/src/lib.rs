@@ -25,7 +25,7 @@
 //!   cluster: *exact* energy (what the simulator predicts) and *measured*
 //!   energy (what the meter reports) for Fig. 11;
 //! * [`dispatch`] — the sharded cluster *front end*: a deterministic
-//!   dispatcher ([`dispatch_protected`], one scan of one event heap)
+//!   dispatcher ([`dispatch_protected`], one scan in one event order)
 //!   splitting one arrival stream over N independent simulated machines,
 //!   and [`ClusterEngine`] running the per-shard simulations in parallel
 //!   and merging their reports (determinism contract in DESIGN.md §9);

@@ -77,7 +77,7 @@ impl PiecewiseLinearQuality {
     /// knots up to `x_max` — handy for comparing tabular against analytic
     /// behaviour.
     pub fn approximating_exp(c: f64, x_max: f64, n: usize) -> Self {
-        let q = crate::quality::ExpQuality { c, x_ref: x_max };
+        let q = crate::quality::ExpQuality::normalized_at(c, x_max);
         let knots = (0..=n)
             .map(|i| {
                 let x = x_max * i as f64 / n as f64;

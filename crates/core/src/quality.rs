@@ -54,31 +54,51 @@ pub trait QualityFunction: Send + Sync {
 pub struct ExpQuality {
     /// Concavity multiplier `c` (paper default 0.003; larger = more
     /// concave, see Fig. 7a).
-    pub c: f64,
+    c: f64,
     /// Normalization point: `value(x_ref) = 1`. Paper uses 1000 (the
     /// maximum service demand).
-    pub x_ref: f64,
+    x_ref: f64,
+    /// The normalizer `1 − e^(−c·x_ref)`, computed once.
+    norm: f64,
 }
 
 impl ExpQuality {
-    /// The paper's default: `c = 0.003`, normalized at 1000 units.
+    /// The paper's default: `c = 0.003`, normalized at 1000 units. The
+    /// normalizer is `1 − e^(−3)` in the bits [`Self::normalized_at`]
+    /// computes, written out because `exp` is not `const`.
     pub const PAPER_DEFAULT: ExpQuality = ExpQuality {
         c: 0.003,
         x_ref: 1000.0,
+        norm: f64::from_bits(0x3fee_6824_f333_14f5),
     };
 
     /// Construct with the paper's normalization point (1000 units).
     pub fn new(c: f64) -> Self {
         assert!(c > 0.0 && c.is_finite(), "c must be positive and finite");
-        ExpQuality { c, x_ref: 1000.0 }
+        Self::normalized_at(c, 1000.0)
+    }
+
+    /// Construct with concavity `c`, normalized so that
+    /// `value(x_ref) = 1`. Unlike [`Self::new`] it checks neither.
+    pub fn normalized_at(c: f64, x_ref: f64) -> Self {
+        ExpQuality {
+            c,
+            x_ref,
+            norm: 1.0 - (-c * x_ref).exp(),
+        }
     }
 }
 
 impl QualityFunction for ExpQuality {
     #[inline]
     fn value(&self, x: f64) -> f64 {
+        debug_assert_eq!(
+            self.norm.to_bits(),
+            Self::normalized_at(self.c, self.x_ref).norm.to_bits(),
+            "ExpQuality's stored normalizer is stale"
+        );
         let x = x.max(0.0);
-        (1.0 - (-self.c * x).exp()) / (1.0 - (-self.c * self.x_ref).exp())
+        (1.0 - (-self.c * x).exp()) / self.norm
     }
 }
 
@@ -183,6 +203,18 @@ mod tests {
 
     fn job(demand: f64, partial: bool) -> Job {
         Job::with_partial(0, SimTime::ZERO, SimTime::from_millis(150), demand, partial).unwrap()
+    }
+
+    #[test]
+    fn paper_default_normalizer_is_the_computed_one() {
+        let q = ExpQuality::PAPER_DEFAULT;
+        let computed = ExpQuality::new(0.003);
+        assert_eq!(q.norm.to_bits(), computed.norm.to_bits());
+        assert_eq!(
+            q.norm.to_bits(),
+            (1.0 - (-0.003f64 * 1000.0).exp()).to_bits()
+        );
+        assert_eq!((q.c, q.x_ref), (computed.c, computed.x_ref));
     }
 
     #[test]

@@ -15,16 +15,19 @@
 //! EDF order without sorting it. The index hashes each `u32` id with
 //! one multiply (`IdHasher`) instead of SipHash.
 //!
-//! The event heap holds only deadlines and quantum ticks. Arrivals are
-//! not pre-pushed onto it: the release-sorted job list is merged with the
-//! heap through a cursor, and a job's deadline event is only scheduled
-//! when it actually arrives, keeping the heap proportional to the
-//! in-flight window rather than the whole trace. Plan ends are not heap
-//! events either: each core holds one timer for its *current* plan,
-//! overwritten whenever a plan is installed, and the main loop takes the
-//! earliest of the next arrival, the heap top and the earliest timer
-//! (found by scanning the cores after each install batch and each fired
-//! timer). A replaced plan therefore leaves nothing behind to pop.
+//! There is no general event heap. Arrivals come from the release-sorted
+//! job list through a cursor, and a job's deadline event is only
+//! scheduled when it actually arrives, so the pending deadlines are
+//! proportional to the in-flight window rather than the whole trace.
+//! Deadlines wait in a `DeadlineQueue`: a FIFO while they are pushed
+//! in order, which every agreeable (`JobSet::new`) stream does, and a
+//! small heap for the pushes that are not. Plan ends are timers: each
+//! core holds one for its *current* plan, overwritten whenever a plan is
+//! installed, so a replaced plan leaves nothing behind to pop; the
+//! pending quantum tick is one more timer. The main loop takes the
+//! earliest of the next arrival, the next deadline, the earliest plan
+//! end (found by scanning the cores after each install batch and each
+//! fired timer) and the quantum tick.
 //!
 //! Installing a plan neither allocates nor copies: the core keeps the
 //! policy's slice vector as its plan, read through a cursor, and the
@@ -32,7 +35,7 @@
 //! per-thread free list, from which the planners build the next plans.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 
 use qes_core::job::{Job, JobId, JobSet};
@@ -115,26 +118,13 @@ impl Simulator {
     }
 }
 
-/// Heap event kinds. Arrivals (the release-sorted cursor) and plan ends
-/// (the per-core timers) are not heap events; all four share one
-/// same-instant order through the priorities below.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-enum EventKind {
-    /// A job's deadline passed: settle its quality.
-    Deadline(JobId),
-    /// Periodic quantum tick.
-    Quantum,
-}
-
 /// `(instant, priority, sequence)`: the engine processes the smallest key
 /// next. The sequence number orders same-priority events at one instant
 /// by the order they were scheduled.
 type Key = (SimTime, u8, u64);
 
-type Event = (SimTime, u8, u64, EventKind);
-
-/// Same-instant processing order: deadlines, then arrivals, then plan
-/// ends, then quantum ticks.
+/// Same-instant processing order of the four event sources: deadlines,
+/// then arrivals, then plan ends, then quantum ticks.
 const DEADLINE_PRIO: u8 = 0;
 const ARRIVAL_PRIO: u8 = 1;
 const PLAN_END_PRIO: u8 = 2;
@@ -160,6 +150,55 @@ impl Hasher for IdHasher {
 
     fn write(&mut self, _: &[u8]) {
         unreachable!("a JobId hashes as a single u32");
+    }
+}
+
+/// Pending deadline events, popped in `(instant, sequence)` order.
+///
+/// A push that comes no earlier than the last one in the FIFO is
+/// appended to it, so the FIFO stays sorted; any other push goes to a
+/// binary heap. The earlier of the two fronts is the earliest event.
+/// An agreeable stream pushes its deadlines in order, so each push and
+/// pop costs O(1); the heap takes what cluster retries and
+/// `JobSet::new_unchecked` streams push out of order, at O(log n) each.
+#[derive(Default)]
+struct DeadlineQueue {
+    fifo: VecDeque<(SimTime, u64, JobId)>,
+    late: BinaryHeap<Reverse<(SimTime, u64, JobId)>>,
+}
+
+impl DeadlineQueue {
+    fn push(&mut self, t: SimTime, seq: u64, id: JobId) {
+        if self
+            .fifo
+            .back()
+            .is_none_or(|&(bt, bs, _)| (bt, bs) <= (t, seq))
+        {
+            self.fifo.push_back((t, seq, id));
+        } else {
+            self.late.push(Reverse((t, seq, id)));
+        }
+    }
+
+    /// The `(instant, sequence)` of the earliest event.
+    fn peek(&self) -> Option<(SimTime, u64)> {
+        match (self.fifo.front(), self.late.peek()) {
+            (Some(&(t, s, _)), Some(&Reverse((u, r, _)))) => Some((t, s).min((u, r))),
+            (Some(&(t, s, _)), None) | (None, Some(&Reverse((t, s, _)))) => Some((t, s)),
+            (None, None) => None,
+        }
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, u64, JobId)> {
+        let from_fifo = match (self.fifo.front(), self.late.peek()) {
+            (Some(f), Some(Reverse(h))) => f < h,
+            (f, _) => f.is_some(),
+        };
+        if from_fifo {
+            self.fifo.pop_front()
+        } else {
+            self.late.pop().map(|Reverse(e)| e)
+        }
     }
 }
 
@@ -217,7 +256,9 @@ struct Engine<'a, O: Observer> {
     /// `next_arrival`.
     arrivals: &'a [Job],
     next_arrival: usize,
-    events: BinaryHeap<Reverse<Event>>,
+    deadlines: DeadlineQueue,
+    /// The pending quantum tick, if any.
+    next_quantum: Option<SimTime>,
     seq: u64,
     /// The earliest core timer, `(instant, sequence, core)`.
     next_plan_end: Option<(SimTime, u64, usize)>,
@@ -266,7 +307,8 @@ impl<'a, O: Observer> Engine<'a, O> {
             cfg,
             arrivals,
             next_arrival: 0,
-            events: BinaryHeap::new(),
+            deadlines: DeadlineQueue::default(),
+            next_quantum: None,
             seq: 0,
             next_plan_end: None,
             last_plan_end: SimTime::ZERO,
@@ -296,18 +338,10 @@ impl<'a, O: Observer> Engine<'a, O> {
         }
     }
 
-    fn push_event(&mut self, t: SimTime, kind: EventKind) {
-        let prio = match kind {
-            EventKind::Deadline(_) => DEADLINE_PRIO,
-            EventKind::Quantum => QUANTUM_PRIO,
-        };
-        self.seq += 1;
-        self.events.push(Reverse((t, prio, self.seq, kind)));
-    }
-
     /// The key of whatever the engine processes next: the next arrival,
-    /// the heap top or the earliest plan end. Priorities differ between
-    /// the three sources, so keys never tie across them.
+    /// the next deadline, the earliest plan end or the quantum tick.
+    /// Priorities differ between the four sources, so keys never tie
+    /// across them.
     fn next_key(&self) -> Option<Key> {
         fn earlier(a: Option<Key>, b: Option<Key>) -> Option<Key> {
             match (a, b) {
@@ -319,9 +353,10 @@ impl<'a, O: Observer> Engine<'a, O> {
             .arrivals
             .get(self.next_arrival)
             .map(|j| (j.release, ARRIVAL_PRIO, 0));
-        let heap = self.events.peek().map(|&Reverse((t, p, s, _))| (t, p, s));
+        let deadline = self.deadlines.peek().map(|(t, s)| (t, DEADLINE_PRIO, s));
         let timer = self.next_plan_end.map(|(t, s, _)| (t, PLAN_END_PRIO, s));
-        earlier(earlier(arrival, heap), timer)
+        let quantum = self.next_quantum.map(|t| (t, QUANTUM_PRIO, 0));
+        earlier(earlier(arrival, deadline), earlier(timer, quantum))
     }
 
     /// Rescan the cores for the earliest plan-end timer (m is small).
@@ -337,17 +372,15 @@ impl<'a, O: Observer> Engine<'a, O> {
     fn run(mut self, policy: &mut dyn SchedulingPolicy) -> (SimReport, SimTrace) {
         self.report.policy = policy.name();
         let trig = policy.triggers();
-        if let Some(q) = trig.quantum {
-            if !q.is_zero() {
-                self.push_event(SimTime::ZERO + q, EventKind::Quantum);
-            }
-        }
+        self.next_quantum = trig
+            .quantum
+            .filter(|q| !q.is_zero())
+            .map(|q| SimTime::ZERO + q);
         // Arrivals stop at `end`; the loop then drains until every job is
-        // settled (quantum ticks stop rescheduling past `end`, so the heap
-        // empties within one relative deadline, and plan ends fall within
+        // settled (quantum ticks stop rescheduling past `end`, deadlines
+        // run out within one relative deadline, and plan ends fall within
         // their jobs' windows or one overhead after the last invocation).
-        // Arrivals come from the release-sorted cursor and plan ends from
-        // the per-core timers, merged with the heap by `next_key`.
+        // `next_key` merges the four sources.
         while let Some((t, prio, _)) = self.next_key() {
             self.now = t;
             if prio == ARRIVAL_PRIO {
@@ -367,8 +400,9 @@ impl<'a, O: Observer> Engine<'a, O> {
                     self.report.max_quality += self.cfg.quality.max_job_quality(&job);
                     batch += 1;
                     // The deadline event is only scheduled now that the
-                    // job exists — the heap never holds the whole trace.
-                    self.push_event(job.deadline, EventKind::Deadline(job.id));
+                    // job exists: the queue never holds the whole trace.
+                    self.seq += 1;
+                    self.deadlines.push(job.deadline, self.seq, job.id);
                 }
                 if O::ENABLED {
                     self.obs.record(t, ObsEvent::Arrivals { count: batch });
@@ -426,44 +460,47 @@ impl<'a, O: Observer> Engine<'a, O> {
                 }
                 continue;
             }
-            let Reverse((_, _, _, kind)) = self.events.pop().expect("heap checked above");
+            if prio == DEADLINE_PRIO {
+                let (_, _, id) = self.deadlines.pop().expect("deadline checked above");
+                if O::ENABLED {
+                    self.obs.record(
+                        t,
+                        ObsEvent::Dequeue {
+                            kind: DequeueKind::Deadline,
+                        },
+                    );
+                }
+                if let Some(&Loc::Core(core)) = self.loc.get(&id) {
+                    self.advance_core(core as usize, t);
+                }
+                // The job may have completed (and settled) during the
+                // advance, or settled earlier; `settle` re-checks its
+                // location.
+                self.settle(id);
+                continue;
+            }
+            debug_assert_eq!(prio, QUANTUM_PRIO);
             if O::ENABLED {
-                let dk = match kind {
-                    EventKind::Deadline(_) => DequeueKind::Deadline,
-                    EventKind::Quantum => DequeueKind::Quantum,
-                };
-                self.obs.record(t, ObsEvent::Dequeue { kind: dk });
+                self.obs.record(
+                    t,
+                    ObsEvent::Dequeue {
+                        kind: DequeueKind::Quantum,
+                    },
+                );
+                self.obs.record(
+                    t,
+                    ObsEvent::Trigger {
+                        cause: TriggerCause::Quantum,
+                    },
+                );
             }
-            match kind {
-                EventKind::Deadline(id) => {
-                    if let Some(&Loc::Core(core)) = self.loc.get(&id) {
-                        self.advance_core(core as usize, t);
-                    }
-                    // The job may have completed (and settled) during the
-                    // advance, or settled earlier; `settle` re-checks its
-                    // location.
-                    self.settle(id);
-                }
-                EventKind::Quantum => {
-                    if O::ENABLED {
-                        self.obs.record(
-                            t,
-                            ObsEvent::Trigger {
-                                cause: TriggerCause::Quantum,
-                            },
-                        );
-                    }
-                    self.invoke(policy);
-                    if let Some(q) = trig.quantum {
-                        // `t + q` saturates at `SimTime::MAX`: a grid
-                        // that stops advancing must stop ticking.
-                        let next = t + q;
-                        if next > t && next <= self.cfg.end {
-                            self.push_event(next, EventKind::Quantum);
-                        }
-                    }
-                }
-            }
+            self.invoke(policy);
+            // `t + q` saturates at `SimTime::MAX`: a grid that stops
+            // advancing must stop ticking.
+            self.next_quantum = trig
+                .quantum
+                .map(|q| t + q)
+                .filter(|&next| next > t && next <= self.cfg.end);
         }
         // Horizon reached: integrate the tail and settle everything left.
         // The run drains to the latest plan end ever scheduled, replaced
@@ -782,10 +819,21 @@ impl<'a, O: Observer> Engine<'a, O> {
             };
             let mut slices = plan.into_slices();
             let planned_work = !slices.is_empty();
-            slices.retain_mut(|s| {
-                s.start = s.start.max(effective);
-                s.end > effective
-            });
+            // A plan's slices are non-empty and start-ordered, so one
+            // that starts no earlier than `effective` has nothing to trim.
+            if slices.first().is_some_and(|s| s.start < effective) {
+                slices.retain_mut(|s| {
+                    s.start = s.start.max(effective);
+                    s.end > effective
+                });
+            } else {
+                debug_assert!(
+                    slices
+                        .iter()
+                        .all(|s| s.start >= effective && s.end > s.start),
+                    "a plan's slices are empty or out of start order"
+                );
+            }
             let core = &mut self.cores[c];
             recycle_slices(std::mem::replace(&mut core.plan, slices));
             core.next = 0;
@@ -1740,6 +1788,44 @@ mod tests {
             prop_assert_eq!(triggers, fired);
         }
 
+        /// Random pushes (in order, out of order, and tied at one
+        /// instant) interleaved with pops leave the deadline queue in
+        /// step with a `BinaryHeap<Reverse<(instant, sequence)>>`.
+        #[test]
+        fn deadline_queue_pops_in_heap_order(
+            ops in proptest::collection::vec((0u64..5, 0u64..4), 1..120),
+        ) {
+            let mut queue = DeadlineQueue::default();
+            let mut heap = BinaryHeap::new();
+            // The latest instant pushed in order so far.
+            let mut last = 0u64;
+            let id = |seq: u64| JobId(seq as u32);
+            for (seq, &(op, step)) in (1u64..).zip(&ops) {
+                let t = match op {
+                    0 => {
+                        let want = heap.pop().map(|Reverse((t, s))| (t, s, id(s)));
+                        prop_assert_eq!(queue.pop(), want);
+                        continue;
+                    }
+                    // At or after the latest in-order push; a step of 0
+                    // ties with it.
+                    1 | 2 => {
+                        last += step;
+                        last
+                    }
+                    // Up to three steps before it, or tied.
+                    _ => last.saturating_sub(step),
+                };
+                queue.push(ms(t), seq, id(seq));
+                heap.push(Reverse((ms(t), seq)));
+                prop_assert_eq!(queue.peek(), heap.peek().map(|&Reverse(e)| e));
+            }
+            while let Some(Reverse((t, s))) = heap.pop() {
+                prop_assert_eq!(queue.pop(), Some((t, s, id(s))));
+            }
+            prop_assert_eq!(queue.pop(), None);
+        }
+
         /// Under random assignments, discards, completions and
         /// deadlines, every core view a policy receives lists live jobs
         /// in strictly increasing (deadline, id) order.
@@ -1772,6 +1858,57 @@ mod tests {
             );
             prop_assert_eq!(report.jobs_total(), jobs.len());
         }
+    }
+
+    #[test]
+    fn non_agreeable_deadlines_settle_in_deadline_order() {
+        // Jobs 2 and 3 come as a cluster retry does: released late with
+        // an early deadline, so their deadline events are pushed out of
+        // order. Job 3's deadline ties with job 0's, which was pushed
+        // first and must settle first; job 4 is in order again.
+        let jobs = JobSet::new_unchecked(vec![
+            job(0, 0, 150, 100.0),
+            job(1, 10, 400, 300.0),
+            job(2, 60, 100, 80.0),
+            job(3, 70, 150, 400.0),
+            job(4, 80, 450, 50.0),
+        ]);
+        let mut rec = Recorder::default();
+        let (report, _) =
+            Simulator::run_observed(&cfg(1000, 3, 30.0), &mut DesPolicy::new(), &jobs, &mut rec);
+        let settles: Vec<_> = rec
+            .0
+            .iter()
+            .filter_map(|&(t, e)| match e {
+                ObsEvent::JobSettle { job, outcome, .. } => Some((t, job.0, outcome)),
+                _ => None,
+            })
+            .collect();
+        use SettleOutcome::{Partial, Satisfied};
+        assert_eq!(
+            settles,
+            vec![
+                (ms(100), 2, Satisfied),
+                (ms(150), 0, Partial),
+                (ms(150), 3, Partial),
+                (ms(400), 1, Satisfied),
+                (ms(450), 4, Satisfied),
+            ]
+        );
+        let k = &report.counters;
+        assert_eq!(
+            (
+                k.jobs_satisfied,
+                k.jobs_partial,
+                k.jobs_zero,
+                k.jobs_discarded
+            ),
+            (3, 2, 0, 0)
+        );
+        assert_eq!((k.invocations, k.invocations_kept), (6, 0));
+        assert_eq!((k.plans_installed, k.plans_kept), (15, 3));
+        assert_eq!(report.total_quality.to_bits(), 4609431719372785053);
+        assert_eq!(report.energy_joules.to_bits(), 4615635171758404292);
     }
 
     #[test]

@@ -98,7 +98,7 @@ pub fn quality_opt(jobs: &JobSet, speed_ghz: f64) -> QualityOptResult {
                 // Satisfied jobs (w ≤ level) get w; deprived get the d-mean.
                 let assigned: Vec<(VJob, f64)> = group
                     .iter()
-                    .map(|&j| (j, if j.w <= level + 1e-9 { j.w } else { level }))
+                    .map(|&j| (j, fixed_volume(j.w, level)))
                     .collect();
                 emit(&map, &assigned, speed_ghz, a, &mut slices, &mut volumes);
                 map.cut(a, b);
@@ -324,30 +324,23 @@ impl BdiRounds {
     /// myopic step consumes. `VJob::id` carries the job's index in the
     /// caller's array, and `vols` must cover every loaded id.
     ///
-    /// A round with one job left is fixed in closed form (DESIGN.md §6).
-    /// Debug builds compare the volumes bit for bit with
+    /// A round with one or two jobs left is fixed in closed form
+    /// (DESIGN.md §6). Debug builds compare the volumes bit for bit with
     /// [`reference_volumes`].
     pub(crate) fn volumes(&mut self, units_per_us: f64, vols: &mut [f64]) {
         #[cfg(debug_assertions)]
         let loaded = self.work.clone();
         while !self.work.is_empty() {
-            if let [j] = *self.work {
-                // One job: its own window is the only candidate, and
-                // `d_mean` over one demand is `capacity / 1.0`, so the
-                // search would return level `capacity.max(0.0)` exactly
-                // when `d > r` and the demand exceeds `capacity + 1e-9`.
-                let capacity = j.d.saturating_sub(j.r) as f64 * units_per_us;
-                vols[j.id.0 as usize] = if j.d <= j.r || j.w <= capacity + 1e-9 {
-                    j.w
-                } else {
-                    let level = capacity.max(0.0);
-                    if j.w <= level + 1e-9 {
-                        j.w
-                    } else {
-                        level
-                    }
-                };
-                break;
+            match *self.work {
+                [j] => {
+                    vols[j.id.0 as usize] = one_job_volume(j, units_per_us);
+                    break;
+                }
+                [x, y] => {
+                    two_job_volumes(x, y, units_per_us, vols);
+                    break;
+                }
+                _ => {}
             }
             match self.busiest(units_per_us) {
                 None => {
@@ -358,12 +351,99 @@ impl BdiRounds {
                     break;
                 }
                 Some((a, b, level)) => self.extract(a, b, |j| {
-                    vols[j.id.0 as usize] = if j.w <= level + 1e-9 { j.w } else { level };
+                    vols[j.id.0 as usize] = fixed_volume(j.w, level);
                 }),
             }
         }
         #[cfg(debug_assertions)]
         check_volumes(&loaded, units_per_us, vols);
+    }
+}
+
+/// The volume a round fixes a job of demand `w` at, in a group whose
+/// level is `level`: its demand if that is within the level, else the
+/// level.
+#[inline]
+fn fixed_volume(w: f64, level: f64) -> f64 {
+    if w <= level + 1e-9 {
+        w
+    } else {
+        level
+    }
+}
+
+/// The volume of `j` when it is the only job left. Its own window is the
+/// only candidate, and `d_mean` over one demand is `capacity / 1.0`, so
+/// the search would return level `capacity.max(0.0)` exactly when
+/// `d > r` and the demand exceeds `capacity + 1e-9`.
+#[inline]
+fn one_job_volume(j: VJob, units_per_us: f64) -> f64 {
+    let capacity = j.d.saturating_sub(j.r) as f64 * units_per_us;
+    if j.d <= j.r || j.w <= capacity + 1e-9 {
+        j.w
+    } else {
+        fixed_volume(j.w, capacity.max(0.0))
+    }
+}
+
+/// The volumes of the last two jobs, `x` due no later than `y` (the
+/// deadline order of `BdiRounds::work`). The round's candidates are the
+/// windows `[a, b)` with `a` a release and `b` a deadline after it whose
+/// group (the jobs released at or after `a` and due after `a`, by `b`)
+/// is not empty: at most three distinct groups. They are visited in the
+/// search's order, `a` then `b` ascending, each group's demands go to
+/// `d_mean` sorted the way the search's insert sorts them, and the first
+/// strict minimum wins. A repeated release or deadline visits a
+/// candidate again, which changes nothing: `d_mean` never returns a NaN
+/// level, so the best of the candidates visited so far is at most each
+/// of their levels and keeps its place. Then the round extracts as
+/// [`BdiRounds::extract`] does and the survivor, if any, is fixed by
+/// [`one_job_volume`] in its compressed window.
+#[inline]
+fn two_job_volumes(x: VJob, y: VJob, units_per_us: f64, vols: &mut [f64]) {
+    debug_assert!(x.d <= y.d);
+    let mut best: Option<(u64, u64, f64)> = None;
+    for a in [x.r.min(y.r), x.r.max(y.r)] {
+        let in_x = x.r >= a && x.d > a;
+        let in_y = y.r >= a && y.d > a;
+        for b in [x.d, y.d] {
+            if b <= a {
+                continue;
+            }
+            let capacity = (b - a) as f64 * units_per_us;
+            let level = match (in_x, in_y && y.d <= b) {
+                (true, true) if x.w < y.w => d_mean(capacity, &[x.w, y.w]),
+                (true, true) => d_mean(capacity, &[y.w, x.w]),
+                (true, false) => d_mean(capacity, &[x.w]),
+                (false, true) => d_mean(capacity, &[y.w]),
+                (false, false) => continue,
+            };
+            if let Some((level, _)) = level {
+                if !best.is_some_and(|(_, _, l)| l <= level) {
+                    best = Some((a, b, level));
+                }
+            }
+        }
+    }
+    let Some((a, b, level)) = best else {
+        vols[x.id.0 as usize] = x.w;
+        vols[y.id.0 as usize] = y.w;
+        return;
+    };
+    let mut survivor = None;
+    for j in [x, y] {
+        if j.r >= a && j.d <= b {
+            vols[j.id.0 as usize] = fixed_volume(j.w, level);
+        } else {
+            survivor = Some(VJob {
+                r: compress_point(j.r, a, b),
+                d: compress_point(j.d, a, b),
+                ..j
+            });
+        }
+    }
+    if let Some(j) = survivor {
+        vols[j.id.0 as usize] = one_job_volume(j, units_per_us);
     }
 }
 
@@ -808,6 +888,84 @@ mod tests {
         let tot = r.volume(JobId(0)) + r.volume(JobId(1));
         assert!(tot <= 90.0 + 1e-6);
         assert!(tot > 80.0, "should use nearly all capacity, got {tot}");
+    }
+
+    /// The two-job round's closed form equals the textbook recursion bit
+    /// for bit, in release builds too, over generated pairs on a coarse
+    /// µs grid. The draws make ties and edges common, and the test
+    /// requires each of them to occur: equal deadlines, equal releases, a
+    /// survivor whose compressed window is empty, zero capacity, and
+    /// demands within 1e-9 of a window's capacity.
+    #[test]
+    fn two_job_volumes_match_the_reference() {
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |n: u64| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed % n
+        };
+        let mut seen = [0u32; 5];
+        for case in 0..200_000u32 {
+            let units_per_us = match next(8) {
+                0 => 0.0,
+                k => 0.25 * k as f64,
+            };
+            let mut pair = [(); 2].map(|_| {
+                let r = 10 * next(6);
+                (r, r + 10 * next(7))
+            });
+            if next(4) == 0 {
+                pair[1].1 = pair[0].1;
+            }
+            let cap = |(r, d): (u64, u64)| d.saturating_sub(r) as f64 * units_per_us;
+            let union = (pair[0].0.min(pair[1].0), pair[0].1.max(pair[1].1));
+            let jitter = |k: u64| (k as f64 - 2.0) * 0.5e-9;
+            let mut w = [0.0f64; 2];
+            for i in 0..2 {
+                w[i] = match next(6) {
+                    0 => 0.0,
+                    1 => cap(pair[i]) + jitter(next(5)),
+                    2 => (cap(union) - w[0]).max(0.0) + jitter(next(5)),
+                    _ => 20.0 * next(1_000) as f64 / 1_000.0,
+                };
+            }
+            let vjobs: Vec<VJob> = (0..2)
+                .map(|i| VJob {
+                    id: JobId(i as u32),
+                    r: pair[i].0,
+                    d: pair[i].1,
+                    w: w[i],
+                })
+                .collect();
+            let (x, y) = (vjobs[0], vjobs[1]);
+            seen[0] += u32::from(x.d == y.d);
+            seen[1] += u32::from(x.r == y.r);
+            seen[3] += u32::from(units_per_us == 0.0);
+            let near = |w: f64, c: f64| w != c && (w - c).abs() <= 1e-9;
+            seen[4] += u32::from(
+                (0..2).any(|i| near(w[i], cap(pair[i]))) || near(w[0] + w[1], cap(union)),
+            );
+            let mut rounds = BdiRounds::default();
+            rounds.load(vjobs.iter().copied());
+            if let Some((a, b, _)) = rounds.busiest(units_per_us) {
+                rounds.extract(a, b, |_| {});
+                seen[2] += u32::from(matches!(*rounds.work(), [j] if j.d <= j.r));
+            }
+            let (mut got, mut want) = ([f64::NAN; 2], [f64::NAN; 2]);
+            rounds.load(vjobs.iter().copied());
+            rounds.volumes(units_per_us, &mut got);
+            reference_volumes(&vjobs, units_per_us, &mut want);
+            assert_eq!(
+                got.map(f64::to_bits),
+                want.map(f64::to_bits),
+                "case {case}: {vjobs:?} at {units_per_us} units/µs"
+            );
+        }
+        assert!(
+            seen.iter().all(|&n| n >= 1_000),
+            "edge cases seen: {seen:?}"
+        );
     }
 
     proptest! {

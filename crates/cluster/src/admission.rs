@@ -52,9 +52,8 @@ pub enum AdmissionPolicy {
         /// rejected.
         floor: f64,
         /// One shard's aggregate compute capacity in GHz (e.g. cores ×
-        /// nominal per-core speed, or
-        /// `ClusterSpec::peak_capacity_ghz`). Scaled down by the fault
-        /// plan's per-shard capacity fraction during brownouts.
+        /// the per-core top speed). Scaled down by the fault plan's
+        /// per-shard capacity fraction during brownouts.
         capacity_ghz: f64,
     },
     /// Per-shard in-flight demand cap with hysteresis, fed by the same

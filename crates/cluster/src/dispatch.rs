@@ -1286,6 +1286,12 @@ impl ClusterEngine {
     /// builds shard `i`'s scheduling policy (one fresh instance per
     /// fault epoch). Shards record no trace, whatever
     /// `cfg.record_trace` says.
+    ///
+    /// # Panics
+    ///
+    /// As [`SimConfig::assert_valid`] on `cfg` and `jobs`, whatever the
+    /// fault plan: a cluster whose shards are all crashed checks its
+    /// configuration like one whose shards run.
     pub fn run<F>(&self, cfg: &SimConfig<'_>, jobs: &JobSet, make_policy: F) -> ClusterReport
     where
         F: Fn(usize) -> Box<dyn SchedulingPolicy> + Sync + Send,
@@ -1301,6 +1307,10 @@ impl ClusterEngine {
     /// [`Event::ShardDown`]/[`Event::ShardUp`], crashes report their
     /// stranded jobs as [`Event::Redispatch`]. Observers are passive:
     /// the cluster report is bitwise-identical with or without them.
+    ///
+    /// # Panics
+    ///
+    /// As [`ClusterEngine::run`].
     pub fn run_observed<O, F, M>(
         &self,
         cfg: &SimConfig<'_>,
@@ -1322,6 +1332,10 @@ impl ClusterEngine {
     /// them (scan order, non-decreasing timestamps), before the shards
     /// run. Like every observer, it is passive — the report is
     /// bitwise-identical with a [`NoopObserver`].
+    ///
+    /// # Panics
+    ///
+    /// As [`ClusterEngine::run`].
     pub fn run_observed_with_dispatch<O, F, M, D>(
         &self,
         cfg: &SimConfig<'_>,
@@ -1336,6 +1350,7 @@ impl ClusterEngine {
         M: Fn(usize) -> O + Sync + Send,
         D: Observer,
     {
+        cfg.assert_valid(jobs);
         let dispatch = dispatch_observed(
             jobs,
             self.shards,
@@ -2012,7 +2027,7 @@ mod tests {
     }
 
     #[test]
-    fn feedback_skips_crashed_and_sheds_from_browned_out_shards() {
+    fn feedback_skips_crashed_and_sheds_from_brownout_shards() {
         let jobs = stream(12, 1, 100.0);
         let horizon = SimTime::from_secs(1);
         // Shard 0 crashed, shard 1 at 40 % capacity, shard 2 healthy.
@@ -2700,5 +2715,50 @@ mod tests {
             SimTime::from_secs(1),
         );
         assert!(d2.retried >= d.retried);
+    }
+
+    /// Run a 2-shard cluster whose shards are both crashed for the whole
+    /// horizon, so no shard ever reaches `Simulator::run_observed`.
+    fn run_all_crashed(num_cores: usize, budget: f64, jobs: &JobSet) -> ClusterReport {
+        let end = SimTime::from_secs(1);
+        let crash = FaultWindow {
+            start: SimTime::ZERO,
+            end,
+            kind: FaultKind::Crash,
+        };
+        let plan = FaultPlan::none(2)
+            .with_window(0, crash)
+            .with_window(1, crash);
+        let cfg = SimConfig {
+            num_cores,
+            budget,
+            model: &PolynomialPower::PAPER_SIM,
+            quality: &ExpQuality::PAPER_DEFAULT,
+            end,
+            record_trace: false,
+            overhead: SimDuration::ZERO,
+        };
+        ClusterEngine::new(2)
+            .with_fault_plan(plan)
+            .run(&cfg, jobs, |_| Box::new(qes_multicore::DesPolicy::new()))
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one core")]
+    fn all_crashed_cluster_rejects_zero_cores_at_entry() {
+        run_all_crashed(0, 40.0, &stream(3, 20, 100.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "budget is NaN")]
+    fn all_crashed_cluster_rejects_a_nan_budget_at_entry() {
+        run_all_crashed(4, f64::NAN, &JobSet::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "2^52 µs or more after its release")]
+    fn all_crashed_cluster_rejects_a_2_pow_52_us_window_at_entry() {
+        let long = Job::new(0, SimTime::ZERO, SimTime::from_micros(1 << 52), 100.0).unwrap();
+        run_all_crashed(4, 40.0, &JobSet::new(vec![long]).unwrap());
     }
 }

@@ -32,40 +32,9 @@ impl ClusterSpec {
         }
     }
 
-    /// The full 8-node cluster.
-    pub fn full_cluster() -> Self {
-        ClusterSpec {
-            nodes: 8,
-            ..Self::paper_validation()
-        }
-    }
-
     /// Total powered cores.
     pub fn total_cores(&self) -> usize {
         self.nodes * self.cores_per_node
-    }
-
-    /// The spec of this cluster under a brownout that powers off a
-    /// `loss` fraction of each node's cores (at least one core per node
-    /// stays up — the floor [`effective_cores`] applies per node).
-    ///
-    /// [`effective_cores`]: crate::fault::effective_cores
-    pub fn browned_out(&self, loss: f64) -> Self {
-        ClusterSpec {
-            cores_per_node: crate::fault::effective_cores(self.cores_per_node, loss),
-            ..self.clone()
-        }
-    }
-
-    /// Aggregate peak service capacity (GHz): every powered core at the
-    /// table's top speed. This is the natural `capacity_ghz` input for
-    /// the front end's [`AdmissionPolicy::SlackFloor`], pricing a
-    /// shard's achievable completed fraction against the same step-2
-    /// probe the routing policies use.
-    ///
-    /// [`AdmissionPolicy::SlackFloor`]: crate::admission::AdmissionPolicy::SlackFloor
-    pub fn peak_capacity_ghz(&self) -> f64 {
-        self.total_cores() as f64 * self.speed_table.max_speed()
     }
 
     /// Total power (W) a core draws at `speed` (0 ⇒ idle draw).
@@ -86,27 +55,6 @@ mod tests {
     fn paper_validation_topology() {
         let c = ClusterSpec::paper_validation();
         assert_eq!(c.total_cores(), 16);
-        assert_eq!(ClusterSpec::full_cluster().total_cores(), 64);
-    }
-
-    #[test]
-    fn browned_out_powers_down_cores_with_a_floor() {
-        let c = ClusterSpec::paper_validation();
-        // 8 cores/node at 50 % loss -> 4 cores/node, 8 total.
-        assert_eq!(c.browned_out(0.5).total_cores(), 8);
-        // Extreme loss never drops below one core per node.
-        assert_eq!(c.browned_out(0.999).cores_per_node, 1);
-        // Zero loss is the identity.
-        assert_eq!(c.browned_out(0.0).total_cores(), c.total_cores());
-    }
-
-    #[test]
-    fn peak_capacity_is_cores_times_top_speed() {
-        let c = ClusterSpec::paper_validation();
-        // 16 cores × 2.5 GHz Opteron top speed.
-        assert!((c.peak_capacity_ghz() - 40.0).abs() < 1e-9);
-        // Brownouts shrink capacity with the powered-core count.
-        assert!((c.browned_out(0.5).peak_capacity_ghz() - 20.0).abs() < 1e-9);
     }
 
     #[test]

@@ -83,19 +83,6 @@ impl Job {
     pub fn window(&self) -> SimDuration {
         self.deadline.saturating_since(self.release)
     }
-
-    /// Minimum speed (GHz) that completes the job within its window.
-    #[inline]
-    pub fn min_full_speed(&self) -> f64 {
-        crate::speed_for_volume(self.demand, self.window())
-    }
-
-    /// True if the job's window contains instant `t` (inclusive of release,
-    /// exclusive of deadline).
-    #[inline]
-    pub fn is_live_at(&self, t: SimTime) -> bool {
-        self.release <= t && t < self.deadline
-    }
 }
 
 /// An ordered collection of jobs with validated agreeable deadlines.
@@ -173,18 +160,6 @@ impl JobSet {
     pub fn last_deadline(&self) -> Option<SimTime> {
         self.jobs.iter().map(|j| j.deadline).max()
     }
-
-    /// Jobs whose whole window `[r_j, d_j]` lies inside `[z, z']`.
-    ///
-    /// This is the membership rule for both the critical-interval search of
-    /// Energy-OPT and the busiest-deprived-interval search of Quality-OPT.
-    pub fn contained_in(&self, z: SimTime, z2: SimTime) -> Vec<Job> {
-        self.jobs
-            .iter()
-            .filter(|j| j.release >= z && j.deadline <= z2)
-            .copied()
-            .collect()
-    }
 }
 
 impl IntoIterator for JobSet {
@@ -231,11 +206,9 @@ mod tests {
     }
 
     #[test]
-    fn window_and_min_speed() {
+    fn window_spans_release_to_deadline() {
         let j = Job::new(0, ms(0), ms(150), 300.0).unwrap();
         assert_eq!(j.window(), SimDuration::from_millis(150));
-        // 300 units in 150 ms needs 2 GHz.
-        assert!((j.min_full_speed() - 2.0).abs() < 1e-9);
     }
 
     #[test]
@@ -265,18 +238,6 @@ mod tests {
     }
 
     #[test]
-    fn contained_in_selects_whole_windows() {
-        let a = Job::new(0, ms(0), ms(100), 1.0).unwrap();
-        let b = Job::new(1, ms(50), ms(200), 1.0).unwrap();
-        let s = JobSet::new(vec![a, b]).unwrap();
-        let inside = s.contained_in(ms(0), ms(100));
-        assert_eq!(inside.len(), 1);
-        assert_eq!(inside[0].id, JobId(0));
-        let both = s.contained_in(ms(0), ms(200));
-        assert_eq!(both.len(), 2);
-    }
-
-    #[test]
     fn aggregates() {
         let a = Job::new(0, ms(0), ms(100), 10.0).unwrap();
         let b = Job::new(1, ms(50), ms(200), 20.0).unwrap();
@@ -286,14 +247,5 @@ mod tests {
         assert_eq!(s.last_deadline(), Some(ms(200)));
         assert_eq!(s.get(JobId(1)).unwrap().demand, 20.0);
         assert!(s.get(JobId(99)).is_none());
-    }
-
-    #[test]
-    fn is_live_at_boundaries() {
-        let j = Job::new(0, ms(10), ms(20), 1.0).unwrap();
-        assert!(!j.is_live_at(ms(9)));
-        assert!(j.is_live_at(ms(10)));
-        assert!(j.is_live_at(ms(19)));
-        assert!(!j.is_live_at(ms(20)));
     }
 }

@@ -28,7 +28,6 @@ pub mod gantt;
 pub mod job;
 pub mod metric;
 pub mod obs;
-pub mod piecewise;
 pub mod power;
 pub mod quality;
 pub mod schedule;
@@ -43,9 +42,8 @@ pub use obs::{
     DequeueKind, Event, MetricsRegistry, NoopObserver, Observer, OutageKind, SettleOutcome,
     TraceObserver, TriggerCause,
 };
-pub use piecewise::PiecewiseLinearQuality;
 pub use power::{DiscreteSpeedSet, PolynomialPower, PowerModel};
-pub use quality::{ExpQuality, LinearQuality, LogQuality, QualityFunction, StepQuality};
+pub use quality::{ExpQuality, QualityFunction};
 pub use schedule::{CoreSchedule, Schedule, Slice};
 pub use speed::{SpeedPlan, SpeedSegment};
 pub use time::{SimDuration, SimTime};

@@ -201,12 +201,6 @@ impl DiscreteSpeedSet {
         self.levels.last().unwrap().0
     }
 
-    /// Slowest available speed.
-    #[inline]
-    pub fn min_speed(&self) -> f64 {
-        self.levels.first().unwrap().0
-    }
-
     /// Smallest discrete speed `≥ s`, or `None` if `s` exceeds the fastest
     /// level. This is the §V-F rectification's first choice.
     pub fn round_up(&self, s: f64) -> Option<f64> {
@@ -237,14 +231,6 @@ impl DiscreteSpeedSet {
             .min_by(|x, y| (x.0 - s).abs().total_cmp(&(y.0 - s).abs()))
             .map(|&(_, p)| p)
             .unwrap_or(0.0)
-    }
-
-    /// Dynamic power at a discrete speed (table power minus static share).
-    pub fn dynamic_power_at(&self, s: f64) -> f64 {
-        if s <= 0.0 {
-            return 0.0;
-        }
-        (self.power_at(s) - self.static_power).max(0.0)
     }
 
     /// Fastest speed whose *dynamic* power fits within `p` watts, or `None`
@@ -306,7 +292,7 @@ mod tests {
     fn opteron_table_matches_paper() {
         let d = DiscreteSpeedSet::opteron_2380();
         assert_eq!(d.levels().len(), 4);
-        assert!((d.min_speed() - 0.8).abs() < 1e-12);
+        assert!((d.levels()[0].0 - 0.8).abs() < 1e-12);
         assert!((d.max_speed() - 2.5).abs() < 1e-12);
         assert!((d.power_at(1.8) - 16.85).abs() < 1e-12);
     }
@@ -335,7 +321,7 @@ mod tests {
         let m = PolynomialPower::PAPER_SIM;
         let d = DiscreteSpeedSet::from_model(&m, &[1.0, 2.0, 3.0]).unwrap();
         assert!((d.power_at(2.0) - 20.0).abs() < 1e-12);
-        assert!((d.dynamic_power_at(3.0) - 45.0).abs() < 1e-12);
+        assert!((d.power_at(3.0) - 45.0).abs() < 1e-12);
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! ```
 //!
 //! normalized so that `q(1000) = 1` where 1000 units is the maximum service
-//! demand of the workload (§V-B). [`ExpQuality`] implements it; the other
-//! types here exist for sensitivity studies and for tests.
+//! demand of the workload (§V-B). [`ExpQuality`] implements it, and every
+//! scheduler reads it through [`QualityFunction`].
 
 use crate::job::Job;
 
@@ -21,8 +21,8 @@ use crate::job::Job;
 ///
 /// Implementations must be non-decreasing on `x ≥ 0` with `value(0) = 0`.
 /// Strict concavity is required by the optimality analysis of QE-OPT; the
-/// trait cannot enforce it, but [`is_concave_on`] provides a numerical
-/// check used by the property tests.
+/// trait cannot enforce it, so [`ExpQuality`]'s unit tests check it
+/// numerically.
 pub trait QualityFunction: Send + Sync {
     /// Quality for `x` processed units (clamped to `x ≥ 0`).
     fn value(&self, x: f64) -> f64;
@@ -64,8 +64,8 @@ pub struct ExpQuality {
 
 impl ExpQuality {
     /// The paper's default: `c = 0.003`, normalized at 1000 units. The
-    /// normalizer is `1 − e^(−3)` in the bits [`Self::normalized_at`]
-    /// computes, written out because `exp` is not `const`.
+    /// normalizer is `1 − e^(−3)` in the bits [`Self::new`] computes for
+    /// `c = 0.003`, written out because `exp` is not `const`.
     pub const PAPER_DEFAULT: ExpQuality = ExpQuality {
         c: 0.003,
         x_ref: 1000.0,
@@ -80,7 +80,7 @@ impl ExpQuality {
 
     /// Construct with concavity `c`, normalized so that
     /// `value(x_ref) = 1`. Unlike [`Self::new`] it checks neither.
-    pub fn normalized_at(c: f64, x_ref: f64) -> Self {
+    fn normalized_at(c: f64, x_ref: f64) -> Self {
         ExpQuality {
             c,
             x_ref,
@@ -102,100 +102,6 @@ impl QualityFunction for ExpQuality {
     }
 }
 
-/// Linear quality `q(x) = x / x_ref` (concave but not strictly): the
-/// boundary case where partial evaluation brings no diminishing returns.
-#[derive(Clone, Copy, Debug)]
-pub struct LinearQuality {
-    /// Normalization point: `value(x_ref) = 1`.
-    pub x_ref: f64,
-}
-
-impl QualityFunction for LinearQuality {
-    #[inline]
-    fn value(&self, x: f64) -> f64 {
-        x.max(0.0) / self.x_ref
-    }
-}
-
-/// Logarithmic quality `q(x) = ln(1 + k·x) / ln(1 + k·x_ref)` — an
-/// alternative strictly concave family used in sensitivity tests.
-#[derive(Clone, Copy, Debug)]
-pub struct LogQuality {
-    /// Curvature parameter (> 0).
-    pub k: f64,
-    /// Normalization point: `value(x_ref) = 1`.
-    pub x_ref: f64,
-}
-
-impl QualityFunction for LogQuality {
-    #[inline]
-    fn value(&self, x: f64) -> f64 {
-        (1.0 + self.k * x.max(0.0)).ln() / (1.0 + self.k * self.x_ref).ln()
-    }
-}
-
-/// Step quality: zero until `threshold`, then 1. Models strictly
-/// all-or-nothing requests (the classic firm real-time value model the
-/// paper contrasts against in §V-D / §VI).
-#[derive(Clone, Copy, Debug)]
-pub struct StepQuality {
-    /// Volume at which the full value is earned.
-    pub threshold: f64,
-}
-
-impl QualityFunction for StepQuality {
-    #[inline]
-    fn value(&self, x: f64) -> f64 {
-        if x + 1e-12 >= self.threshold {
-            1.0
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Numerically check concavity of `f` on `[0, hi]` by sampling midpoint
-/// chords: `f((a+b)/2) ≥ (f(a)+f(b))/2 − tol`.
-pub fn is_concave_on(f: &dyn QualityFunction, hi: f64, samples: usize, tol: f64) -> bool {
-    let step = hi / samples as f64;
-    for i in 0..samples {
-        for j in (i + 1)..=samples {
-            let a = i as f64 * step;
-            let b = j as f64 * step;
-            let mid = 0.5 * (a + b);
-            if f.value(mid) + tol < 0.5 * (f.value(a) + f.value(b)) {
-                return false;
-            }
-        }
-    }
-    true
-}
-
-/// Numerically check that `f` is non-decreasing on `[0, hi]`.
-pub fn is_non_decreasing_on(f: &dyn QualityFunction, hi: f64, samples: usize) -> bool {
-    let step = hi / samples as f64;
-    let mut prev = f.value(0.0);
-    for i in 1..=samples {
-        let v = f.value(i as f64 * step);
-        if v + 1e-12 < prev {
-            return false;
-        }
-        prev = v;
-    }
-    true
-}
-
-/// Total quality of a set of (job, processed-volume) pairs.
-pub fn total_quality<'a>(
-    f: &dyn QualityFunction,
-    pairs: impl IntoIterator<Item = (&'a Job, f64)>,
-) -> f64 {
-    pairs
-        .into_iter()
-        .map(|(job, p)| f.job_quality(job, p))
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,6 +109,37 @@ mod tests {
 
     fn job(demand: f64, partial: bool) -> Job {
         Job::with_partial(0, SimTime::ZERO, SimTime::from_millis(150), demand, partial).unwrap()
+    }
+
+    /// Numerically check concavity of `f` on `[0, hi]` by sampling midpoint
+    /// chords: `f((a+b)/2) ≥ (f(a)+f(b))/2 − tol`.
+    fn is_concave_on(f: &dyn QualityFunction, hi: f64, samples: usize, tol: f64) -> bool {
+        let step = hi / samples as f64;
+        for i in 0..samples {
+            for j in (i + 1)..=samples {
+                let a = i as f64 * step;
+                let b = j as f64 * step;
+                let mid = 0.5 * (a + b);
+                if f.value(mid) + tol < 0.5 * (f.value(a) + f.value(b)) {
+                    return false;
+                }
+            }
+        }
+        true
+    }
+
+    /// Numerically check that `f` is non-decreasing on `[0, hi]`.
+    fn is_non_decreasing_on(f: &dyn QualityFunction, hi: f64, samples: usize) -> bool {
+        let step = hi / samples as f64;
+        let mut prev = f.value(0.0);
+        for i in 1..=samples {
+            let v = f.value(i as f64 * step);
+            if v + 1e-12 < prev {
+                return false;
+            }
+            prev = v;
+        }
+        true
     }
 
     #[test]
@@ -247,27 +184,6 @@ mod tests {
     }
 
     #[test]
-    fn log_and_linear_are_concave() {
-        let lg = LogQuality {
-            k: 0.01,
-            x_ref: 1000.0,
-        };
-        let ln = LinearQuality { x_ref: 1000.0 };
-        assert!(is_concave_on(&lg, 1000.0, 60, 1e-9));
-        assert!(is_concave_on(&ln, 1000.0, 60, 1e-9));
-        assert!((lg.value(1000.0) - 1.0).abs() < 1e-12);
-        assert!((ln.value(1000.0) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn step_quality_is_all_or_nothing() {
-        let s = StepQuality { threshold: 100.0 };
-        assert_eq!(s.value(99.9), 0.0);
-        assert_eq!(s.value(100.0), 1.0);
-        assert!(!is_concave_on(&s, 200.0, 40, 1e-9));
-    }
-
-    #[test]
     fn partial_flag_gates_quality() {
         let q = ExpQuality::PAPER_DEFAULT;
         let yes = job(400.0, true);
@@ -286,14 +202,5 @@ mod tests {
         let j = job(300.0, true);
         assert!((q.job_quality(&j, 1e6) - q.value(300.0)).abs() < 1e-12);
         assert_eq!(q.job_quality(&j, -5.0), 0.0);
-    }
-
-    #[test]
-    fn total_quality_sums() {
-        let q = ExpQuality::PAPER_DEFAULT;
-        let a = job(100.0, true);
-        let b = job(200.0, true);
-        let t = total_quality(&q, [(&a, 100.0), (&b, 100.0)]);
-        assert!((t - (q.value(100.0) * 2.0)).abs() < 1e-12);
     }
 }

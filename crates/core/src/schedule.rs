@@ -18,7 +18,6 @@ use std::collections::HashMap;
 use crate::error::QesError;
 use crate::job::{JobId, JobSet};
 use crate::power::PowerModel;
-use crate::quality::QualityFunction;
 use crate::speed::{SpeedPlan, SpeedSegment};
 use crate::time::SimTime;
 use crate::volume;
@@ -215,15 +214,6 @@ impl Schedule {
         self.cores.iter().map(|c| c.energy(model)).sum()
     }
 
-    /// Total quality of the schedule for `jobs` under `f`. Jobs absent from
-    /// the schedule contribute `f(0)` (or 0 for non-partial jobs).
-    pub fn total_quality(&self, jobs: &JobSet, f: &dyn QualityFunction) -> f64 {
-        let vols = self.volumes();
-        jobs.iter()
-            .map(|j| f.job_quality(j, vols.get(&j.id).copied().unwrap_or(0.0)))
-            .sum()
-    }
-
     /// Instantaneous total dynamic power at `t`.
     pub fn power_at(&self, t: SimTime, model: &dyn PowerModel) -> f64 {
         self.cores
@@ -333,7 +323,6 @@ mod tests {
     use super::*;
     use crate::job::Job;
     use crate::power::PolynomialPower;
-    use crate::quality::ExpQuality;
 
     fn ms(x: u64) -> SimTime {
         SimTime::from_millis(x)
@@ -450,19 +439,14 @@ mod tests {
     }
 
     #[test]
-    fn quality_and_energy_aggregate() {
-        let jobs = jobset();
+    fn energy_aggregates() {
         let sched = Schedule::new(vec![
             CoreSchedule::new(vec![slice(0, 0, 100, 2.0)]),
             CoreSchedule::new(vec![slice(1, 10, 110, 1.0)]),
         ]);
         let m = PolynomialPower::PAPER_SIM;
-        let q = ExpQuality::PAPER_DEFAULT;
         // Energy: 20 W × 0.1 s + 5 W × 0.1 s = 2.5 J.
         assert!((sched.total_energy(&m) - 2.5).abs() < 1e-9);
-        let quality = sched.total_quality(&jobs, &q);
-        let expect = q.value(200.0) + q.value(100.0);
-        assert!((quality - expect).abs() < 1e-9);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! DVFS schedulers emit, per core, a sequence of `(start, end, speed)`
 //! segments. [`SpeedPlan`] stores them sorted and non-overlapping and
-//! provides the integrals the rest of the system needs: processed volume
-//! over a window, instantaneous power, and energy.
+//! provides the integrals the rest of the system needs: processed volume,
+//! instantaneous power, and energy.
 
 use crate::power::PowerModel;
 use crate::time::{SimDuration, SimTime};
@@ -100,43 +100,9 @@ impl SpeedPlan {
             .fold(0.0, f64::max)
     }
 
-    /// Total work volume over `[from, to)`.
-    pub fn volume_in(&self, from: SimTime, to: SimTime) -> f64 {
-        let mut v = 0.0;
-        for s in &self.segments {
-            if s.end <= from {
-                continue;
-            }
-            if s.start >= to {
-                break;
-            }
-            let a = s.start.max(from);
-            let b = s.end.min(to);
-            v += volume(s.speed, b.saturating_since(a));
-        }
-        v
-    }
-
     /// Total work volume of the plan.
     pub fn total_volume(&self) -> f64 {
         self.segments.iter().map(|s| s.volume()).sum()
-    }
-
-    /// Dynamic energy (J) over `[from, to)` under `model`.
-    pub fn energy_in(&self, from: SimTime, to: SimTime, model: &dyn PowerModel) -> f64 {
-        let mut e = 0.0;
-        for s in &self.segments {
-            if s.end <= from {
-                continue;
-            }
-            if s.start >= to {
-                break;
-            }
-            let a = s.start.max(from);
-            let b = s.end.min(to);
-            e += model.dynamic_energy(s.speed, b.saturating_since(a).as_secs_f64());
-        }
-        e
     }
 
     /// Total dynamic energy (J) of the plan.
@@ -155,20 +121,6 @@ impl SpeedPlan {
     /// Start of the first segment (or `None` for an empty plan).
     pub fn start(&self) -> Option<SimTime> {
         self.segments.first().map(|s| s.start)
-    }
-
-    /// Keep only the part of the plan at or after `t` (clipping a segment
-    /// that straddles `t`).
-    pub fn truncate_before(&mut self, t: SimTime) {
-        self.segments.retain_mut(|s| {
-            if s.end <= t {
-                return false;
-            }
-            if s.start < t {
-                s.start = t;
-            }
-            true
-        });
     }
 
     /// The maximum speed used anywhere in the plan.
@@ -214,33 +166,18 @@ mod tests {
     }
 
     #[test]
-    fn volume_integrals() {
+    fn total_volume_sums_segments() {
         // 1 GHz for 10 ms = 10 units; 2 GHz for 10 ms = 20 units.
         let p = SpeedPlan::new(vec![seg(0, 10, 1.0), seg(20, 30, 2.0)]);
         assert!((p.total_volume() - 30.0).abs() < 1e-9);
-        assert!((p.volume_in(ms(0), ms(10)) - 10.0).abs() < 1e-9);
-        assert!((p.volume_in(ms(5), ms(25)) - (5.0 + 10.0)).abs() < 1e-9);
-        assert_eq!(p.volume_in(ms(10), ms(20)), 0.0);
     }
 
     #[test]
-    fn energy_integrals() {
+    fn total_energy_and_peak_power() {
         let m = PolynomialPower::PAPER_SIM; // 5 s^2
         let p = SpeedPlan::new(vec![seg(0, 1000, 2.0)]); // 20 W for 1 s
         assert!((p.total_energy(&m) - 20.0).abs() < 1e-9);
-        assert!((p.energy_in(ms(0), ms(500), &m) - 10.0).abs() < 1e-9);
         assert!((p.peak_power(&m) - 20.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn truncate_clips_straddling_segment() {
-        let mut p = SpeedPlan::new(vec![seg(0, 10, 1.0), seg(10, 20, 2.0)]);
-        p.truncate_before(ms(5));
-        assert_eq!(p.segments().len(), 2);
-        assert_eq!(p.segments()[0].start, ms(5));
-        assert!((p.total_volume() - (5.0 + 20.0)).abs() < 1e-9);
-        p.truncate_before(ms(20));
-        assert!(p.is_empty());
     }
 
     #[test]

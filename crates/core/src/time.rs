@@ -73,12 +73,6 @@ impl SimTime {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 
-    /// Checked difference: `None` if `earlier > self`.
-    #[inline]
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
-
     /// The earlier of two instants.
     #[inline]
     pub fn min(self, other: SimTime) -> SimTime {
@@ -143,12 +137,6 @@ impl SimDuration {
     #[inline]
     pub const fn is_zero(self) -> bool {
         self.0 == 0
-    }
-
-    /// Scale by a non-negative factor, rounding to the nearest µs.
-    #[inline]
-    pub fn mul_f64(self, k: f64) -> SimDuration {
-        SimDuration((self.0 as f64 * k.max(0.0)).round() as u64)
     }
 }
 
@@ -286,8 +274,6 @@ mod tests {
         let b = SimTime::from_millis(30);
         assert_eq!(b.saturating_since(a), SimDuration::from_millis(20));
         assert_eq!(a.saturating_since(b), SimDuration::ZERO);
-        assert_eq!(a.checked_since(b), None);
-        assert_eq!(b.checked_since(a), Some(SimDuration::from_millis(20)));
     }
 
     #[test]
@@ -312,14 +298,5 @@ mod tests {
                 SimTime::from_millis(5)
             ]
         );
-    }
-
-    #[test]
-    fn mul_f64_rounds() {
-        let d = SimDuration::from_micros(100);
-        assert_eq!(d.mul_f64(0.5).as_micros(), 50);
-        assert_eq!(d.mul_f64(1.004).as_micros(), 100);
-        assert_eq!(d.mul_f64(1.01).as_micros(), 101);
-        assert_eq!(d.mul_f64(-2.0), SimDuration::ZERO);
     }
 }

@@ -396,7 +396,7 @@ impl DesPolicy {
         // Debug builds copy the ids, so the solver is free to re-solve.
         #[cfg(debug_assertions)]
         let disc = disc.to_vec();
-        discarded.extend_from_slice(&disc);
+        discarded.extend_from_slice(disc.as_ref());
         #[cfg(debug_assertions)]
         {
             let reference = solver.solve(view.now, jobs, view.model, grant, mode);

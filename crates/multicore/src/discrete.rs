@@ -219,7 +219,7 @@ mod tests {
     #[test]
     fn default_ladder_brackets_operating_point() {
         let set = default_ladder(&MODEL);
-        assert!((set.min_speed() - 0.25).abs() < 1e-12);
+        assert!((set.levels()[0].0 - 0.25).abs() < 1e-12);
         assert!((set.max_speed() - 3.0).abs() < 1e-12);
         assert_eq!(set.round_up(2.0), Some(2.0)); // equal-share speed on the ladder
     }

@@ -35,7 +35,6 @@ pub mod baselines;
 pub mod crr;
 pub mod des;
 pub mod discrete;
-pub mod offline;
 pub mod policy;
 pub mod water_filling;
 
@@ -43,6 +42,5 @@ pub use arch::ArchKind;
 pub use baselines::{BaselineOrder, BaselinePolicy};
 pub use crr::CrrDistributor;
 pub use des::{DesPolicy, JobSharing, PowerSharing};
-pub use offline::{offline_best_assignment, offline_crr_qe_opt, OfflineResult};
 pub use policy::{CoreView, PolicyDecision, SchedulingPolicy, SystemView, TriggerRequest};
 pub use water_filling::water_filling;

@@ -75,12 +75,37 @@ pub struct SimConfig<'a> {
     pub overhead: SimDuration,
 }
 
+impl SimConfig<'_> {
+    /// Check that the engine can run `jobs` under this configuration.
+    /// Every [`Simulator`] and cluster run calls it on entry.
+    ///
+    /// # Panics
+    ///
+    /// If `num_cores` is zero, `budget` is NaN, or a job's deadline lies
+    /// 2^52 µs or more after its release: the planners turn µs spans
+    /// into exact f64 values, and beyond 2^52 they round. Infinite and
+    /// negative budgets are accepted.
+    pub fn assert_valid(&self, jobs: &JobSet) {
+        assert!(self.num_cores > 0, "a machine needs at least one core");
+        assert!(!self.budget.is_nan(), "the power budget is NaN");
+        assert!(
+            jobs.iter()
+                .all(|j| j.deadline.saturating_since(j.release).as_micros() < 1 << 52),
+            "a job's deadline lies 2^52 µs or more after its release"
+        );
+    }
+}
+
 /// The simulator. Construct one per run via [`Simulator::run`].
 pub struct Simulator;
 
 impl Simulator {
     /// Simulate `policy` over `jobs`, returning the aggregate report and
     /// (if requested) the execution trace.
+    ///
+    /// # Panics
+    ///
+    /// As [`SimConfig::assert_valid`] on `cfg` and `jobs`.
     pub fn run(
         cfg: &SimConfig<'_>,
         policy: &mut dyn SchedulingPolicy,
@@ -97,23 +122,14 @@ impl Simulator {
     ///
     /// # Panics
     ///
-    /// If `cfg.num_cores` is zero, `cfg.budget` is NaN, or a job's
-    /// deadline lies 2^52 µs or more after its release: the planners
-    /// turn µs spans into exact f64 values, and beyond 2^52 they round.
-    /// Infinite and negative budgets are accepted.
+    /// As [`SimConfig::assert_valid`] on `cfg` and `jobs`.
     pub fn run_observed<O: Observer>(
         cfg: &SimConfig<'_>,
         policy: &mut dyn SchedulingPolicy,
         jobs: &JobSet,
         obs: &mut O,
     ) -> (SimReport, SimTrace) {
-        assert!(cfg.num_cores > 0, "a machine needs at least one core");
-        assert!(!cfg.budget.is_nan(), "the power budget is NaN");
-        assert!(
-            jobs.iter()
-                .all(|j| j.deadline.saturating_since(j.release).as_micros() < 1 << 52),
-            "a job's deadline lies 2^52 µs or more after its release"
-        );
+        cfg.assert_valid(jobs);
         Engine::new(cfg, jobs, obs).run(policy)
     }
 }

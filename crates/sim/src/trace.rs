@@ -96,7 +96,7 @@ mod tests {
     }
 
     #[test]
-    fn energy_and_volume_integrals() {
+    fn energy_and_volume_totals() {
         let mut t = SimTrace::default();
         t.push(TraceSlice {
             core: 0,

@@ -42,6 +42,6 @@ pub mod quality_opt;
 pub(crate) mod timeline;
 
 pub use energy_opt::{energy_opt, EnergyOptResult};
-pub use online_qe::{online_qe, OnlineMode, OnlineQeOutcome, QeSolver, ReadyJob, SpeedCap};
+pub use online_qe::{OnlineMode, OnlineQeOutcome, QeSolver, ReadyJob, SpeedCap};
 pub use qe_opt::{qe_opt, QeOptResult};
 pub use quality_opt::{quality_opt, QualityOptResult};

@@ -84,7 +84,7 @@ impl ReadyJob {
     }
 }
 
-/// Output of one [`online_qe`] invocation.
+/// Output of one [`QeSolver::solve`] invocation.
 #[derive(Clone, Debug)]
 pub struct OnlineQeOutcome {
     /// Slices from `now` onward realizing the myopic plan.
@@ -159,17 +159,6 @@ impl SpeedCap {
     pub fn max_speed(self) -> f64 {
         self.s_max
     }
-}
-
-/// [`QeSolver::solve`] on a fresh solver in [`OnlineMode::Efficient`]
-/// mode.
-pub fn online_qe(
-    now: SimTime,
-    ready: &[ReadyJob],
-    model: &dyn PowerModel,
-    budget: f64,
-) -> OnlineQeOutcome {
-    QeSolver::default().solve(now, ready, model, budget, OnlineMode::Efficient)
 }
 
 /// Reusable Online-QE solver state: the buffers of one solve, from the
@@ -534,6 +523,16 @@ mod tests {
         SimTime::from_millis(x)
     }
 
+    /// One `Efficient`-mode solve on a fresh solver.
+    fn efficient_qe(
+        now: SimTime,
+        ready: &[ReadyJob],
+        model: &dyn PowerModel,
+        budget: f64,
+    ) -> OnlineQeOutcome {
+        QeSolver::default().solve(now, ready, model, budget, OnlineMode::Efficient)
+    }
+
     fn rj(id: u32, r: u64, d: u64, w: f64, done: f64) -> ReadyJob {
         ReadyJob {
             job: Job::new(id, ms(r), ms(d), w).unwrap(),
@@ -545,7 +544,7 @@ mod tests {
     fn fresh_invocation_matches_qe_opt() {
         // With no progress and all jobs ready now, Online-QE = QE-OPT.
         let ready = vec![rj(0, 0, 150, 200.0, 0.0), rj(1, 0, 160, 150.0, 0.0)];
-        let out = online_qe(ms(0), &ready, &MODEL, 20.0);
+        let out = efficient_qe(ms(0), &ready, &MODEL, 20.0);
         let jobs = JobSet::new(ready.iter().map(|r| r.job).collect()).unwrap();
         let qe = crate::qe_opt::qe_opt(&jobs, &MODEL, 20.0);
         for r in &ready {
@@ -561,7 +560,7 @@ mod tests {
     fn schedule_lives_in_the_future() {
         let now = ms(50);
         let ready = vec![rj(0, 0, 150, 200.0, 60.0), rj(1, 40, 190, 100.0, 0.0)];
-        let out = online_qe(now, &ready, &MODEL, 20.0);
+        let out = efficient_qe(now, &ready, &MODEL, 20.0);
         for s in out.schedule.slices() {
             assert!(s.start >= now, "slice starts in the past: {:?}", s);
         }
@@ -578,7 +577,7 @@ mod tests {
             rj(1, 0, 100, 200.0, 0.0),
         ];
         // Budget 5 W → s* = 1 GHz → 100 units of future capacity.
-        let out = online_qe(now, &ready, &MODEL, 5.0);
+        let out = efficient_qe(now, &ready, &MODEL, 5.0);
         let t0 = out.planned(JobId(0));
         let t1 = out.planned(JobId(1));
         // Totals should equalize: 80 sunk + 100 future = 180 → 90 each.
@@ -593,7 +592,7 @@ mod tests {
     fn planned_never_below_sunk() {
         let now = ms(80);
         let ready = vec![rj(0, 0, 100, 500.0, 450.0), rj(1, 0, 100, 500.0, 0.0)];
-        let out = online_qe(now, &ready, &MODEL, 5.0);
+        let out = efficient_qe(now, &ready, &MODEL, 5.0);
         assert!(out.planned(JobId(0)) >= 450.0 - 1e-6);
     }
 
@@ -606,7 +605,7 @@ mod tests {
             rj(2, 25, 175, 300.0, 0.0),
         ];
         let budget = 20.0;
-        let out = online_qe(now, &ready, &MODEL, budget);
+        let out = efficient_qe(now, &ready, &MODEL, budget);
         let jobs = JobSet::new(ready.iter().map(|r| r.job).collect()).unwrap();
         Schedule::single(out.schedule.clone())
             .validate_with_tolerance(&jobs, &MODEL, budget, 0.05, 1e-6)
@@ -627,7 +626,7 @@ mod tests {
             rj(1, 0, 200, 100.0, 100.0), // complete
             rj(2, 0, 200, 100.0, 0.0),
         ];
-        let out = online_qe(now, &ready, &MODEL, 20.0);
+        let out = efficient_qe(now, &ready, &MODEL, 20.0);
         let vols = out.schedule.volumes();
         assert!(!vols.contains_key(&JobId(0)));
         assert!(!vols.contains_key(&JobId(1)));
@@ -644,7 +643,7 @@ mod tests {
         let mut b = rj(1, 0, 100, 80.0, 0.0);
         a.job.partial = false;
         b.job.partial = false;
-        let out = online_qe(now, &[a, b], &MODEL, 5.0);
+        let out = efficient_qe(now, &[a, b], &MODEL, 5.0);
         // One is discarded, the other completes in full.
         assert_eq!(out.discarded.len(), 1);
         let kept = if out.discarded[0] == JobId(0) {
@@ -660,7 +659,7 @@ mod tests {
     fn partial_jobs_not_discarded() {
         let now = ms(0);
         let ready = vec![rj(0, 0, 100, 80.0, 0.0), rj(1, 0, 100, 80.0, 0.0)];
-        let out = online_qe(now, &ready, &MODEL, 5.0);
+        let out = efficient_qe(now, &ready, &MODEL, 5.0);
         assert!(out.discarded.is_empty());
         // Both get half of the 100-unit capacity.
         assert!((out.planned(JobId(0)) - 50.0).abs() < 1.0);
@@ -670,7 +669,7 @@ mod tests {
     #[test]
     fn zero_budget_plans_nothing() {
         let ready = vec![rj(0, 0, 100, 50.0, 10.0)];
-        let out = online_qe(ms(0), &ready, &MODEL, 0.0);
+        let out = efficient_qe(ms(0), &ready, &MODEL, 0.0);
         assert!(out.schedule.is_empty());
         assert!((out.planned(JobId(0)) - 10.0).abs() < 1e-9);
     }
@@ -921,7 +920,7 @@ mod tests {
         a.job.partial = false;
         b.job.partial = false;
         c.job.partial = false;
-        let out = online_qe(now, &[a, b, c], &MODEL, 5.0); // 1 GHz
+        let out = efficient_qe(now, &[a, b, c], &MODEL, 5.0); // 1 GHz
         assert!(!out.discarded.is_empty());
         // Whatever survives as non-partial is planned in full.
         for r in [a, b, c] {
@@ -969,7 +968,7 @@ mod tests {
             mk(2, 124_422, 274_422, 256.164_825_893_611, 0.0),
         ];
         let budget = MODEL.dynamic_power(2.391_620_727_883_861);
-        let out = online_qe(now, &ready, &MODEL, budget);
+        let out = efficient_qe(now, &ready, &MODEL, budget);
         assert_eq!(out.discarded.len(), 2, "discarded: {:?}", out.discarded);
         let kept = ready
             .iter()
@@ -1064,11 +1063,11 @@ mod tests {
         // First invocation at high budget, second at low: the second plan
         // still respects its (smaller) budget.
         let ready = vec![rj(0, 0, 150, 300.0, 0.0), rj(1, 0, 150, 300.0, 0.0)];
-        let out1 = online_qe(ms(0), &ready, &MODEL, 45.0); // 3 GHz
+        let out1 = efficient_qe(ms(0), &ready, &MODEL, 45.0); // 3 GHz
         assert!(out1.max_speed > 2.9);
         // Pretend 50 units of job 0 ran, then budget drops.
         let ready2 = vec![rj(0, 0, 150, 300.0, 50.0), rj(1, 0, 150, 300.0, 0.0)];
-        let out2 = online_qe(ms(20), &ready2, &MODEL, 5.0); // 1 GHz
+        let out2 = efficient_qe(ms(20), &ready2, &MODEL, 5.0); // 1 GHz
         let jobs = JobSet::new(ready2.iter().map(|r| r.job).collect()).unwrap();
         Schedule::single(out2.schedule.clone())
             .validate_with_tolerance(&jobs, &MODEL, 5.0, 0.05, 1e-6)

@@ -97,7 +97,7 @@ fn main() {
             processed: if j.id == JobId(0) { 120.0 } else { 0.0 },
         })
         .collect();
-    let out = online_qe::online_qe(ms(100), &ready, &model, budget);
+    let out = QeSolver::default().solve(ms(100), &ready, &model, budget, OnlineMode::Efficient);
     println!("\nOnline-QE invoked at t = 100 ms (J0 already 120/180 done):");
     for j in jobs.iter() {
         println!("  {}: planned total {:>6.1} units", j.id, out.planned(j.id));

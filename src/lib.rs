@@ -49,15 +49,14 @@ pub use qes_workload as workload;
 pub mod prelude {
     pub use qes_core::{
         render_gantt, DiscreteSpeedSet, ExpQuality, GanttOptions, Job, JobId, JobSet,
-        PiecewiseLinearQuality, PolynomialPower, PowerModel, QualityEnergy, QualityFunction,
-        Schedule, SimDuration, SimTime,
+        PolynomialPower, PowerModel, QualityEnergy, QualityFunction, Schedule, SimDuration,
+        SimTime,
     };
     pub use qes_experiments::{run_jobset, run_policy, ExperimentConfig, PolicyKind};
     pub use qes_multicore::{
-        offline_crr_qe_opt, water_filling, ArchKind, BaselineOrder, CrrDistributor, DesPolicy,
-        JobSharing, PowerSharing,
+        water_filling, ArchKind, BaselineOrder, CrrDistributor, DesPolicy, JobSharing, PowerSharing,
     };
     pub use qes_sim::{SimReport, Simulator, TriggerConfig};
-    pub use qes_singlecore::{energy_opt, online_qe, qe_opt, quality_opt, OnlineMode};
+    pub use qes_singlecore::{energy_opt, qe_opt, quality_opt, OnlineMode, QeSolver};
     pub use qes_workload::{BoundedPareto, DiurnalRate, WebSearchWorkload};
 }

@@ -1,13 +1,12 @@
 //! Second property-test suite: discrete rectification, trace round-trips,
-//! Gantt robustness, the modulated arrival process, and the piecewise
-//! quality validator — the components the first suite doesn't reach.
+//! Gantt robustness and the modulated arrival process — the components
+//! the first suite doesn't reach.
 
 use proptest::prelude::*;
 
 use qes::core::{
-    render_gantt, CoreSchedule, DiscreteSpeedSet, GanttOptions, Job, JobSet,
-    PiecewiseLinearQuality, PolynomialPower, PowerModel, QualityFunction, Schedule, SimDuration,
-    SimTime, Slice,
+    render_gantt, CoreSchedule, DiscreteSpeedSet, GanttOptions, Job, JobSet, PolynomialPower,
+    PowerModel, Schedule, SimDuration, SimTime, Slice,
 };
 use qes::multicore::discrete::{rectify_speeds, snap_plan_up};
 use qes::workload::{from_csv, to_csv, ArrivalProcess, DiurnalRate};
@@ -199,35 +198,6 @@ proptest! {
         }
     }
 
-    // ---- piecewise quality validator ----
-
-    #[test]
-    fn random_concave_tables_validate_and_behave(
-        increments in proptest::collection::vec((1.0f64..200.0, 0.0f64..0.5), 1..10)
-    ) {
-        // Build knots with non-increasing slopes by sorting slopes desc.
-        let mut slopes: Vec<(f64, f64)> = increments;
-        slopes.sort_by(|a, b| {
-            (b.1 / b.0).partial_cmp(&(a.1 / a.0)).unwrap()
-        });
-        let mut knots = vec![(0.0, 0.0)];
-        let (mut x, mut q) = (0.0, 0.0);
-        for (dx, dq) in slopes {
-            x += dx;
-            q += dq;
-            knots.push((x, q));
-        }
-        let f = PiecewiseLinearQuality::new(knots.clone());
-        prop_assert!(f.is_ok(), "rejected {:?}", knots);
-        let f = f.unwrap();
-        // Non-decreasing on a sample grid.
-        let mut prev = -1.0;
-        for i in 0..50 {
-            let v = f.value(x * i as f64 / 49.0);
-            prop_assert!(v + 1e-9 >= prev);
-            prev = v;
-        }
-    }
 }
 
 #[test]

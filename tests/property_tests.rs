@@ -10,7 +10,7 @@ use qes::core::{
 };
 use qes::multicore::water_filling;
 use qes::singlecore::online_qe::{OnlineMode, QeSolver, ReadyJob};
-use qes::singlecore::{energy_opt, online_qe, qe_opt, quality_opt};
+use qes::singlecore::{energy_opt, qe_opt, quality_opt};
 
 const MODEL: PolynomialPower = PolynomialPower::PAPER_SIM;
 
@@ -151,7 +151,7 @@ proptest! {
         if let Some(first) = ready.iter_mut().find(|r| r.job.release <= now && r.job.deadline > now) {
             first.processed = first.job.demand * progress_frac;
         }
-        let out = online_qe::online_qe(now, &ready, &MODEL, budget);
+        let out = QeSolver::default().solve(now, &ready, &MODEL, budget, OnlineMode::Efficient);
         let s_max = MODEL.speed_for_dynamic_power(budget);
         for s in out.schedule.slices() {
             prop_assert!(s.start >= now);

@@ -112,7 +112,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 
-use crate::admission::{AdmissionPolicy, OverloadPolicy};
+use crate::admission::{AdmissionPolicy, HedgePolicy, OverloadPolicy};
 use crate::fault::{effective_cores, FaultKind, FaultPlan};
 
 #[cfg(test)]
@@ -168,17 +168,23 @@ pub fn split_seed(base: u64, lane: u64) -> u64 {
 }
 
 /// One entry of a shard's in-flight window: a routed copy whose
-/// deadline is still ahead.
+/// deadline is still ahead, with its job's dispatch state. A job's state
+/// lives only in its copies' entries, so it takes memory only while a
+/// copy is in flight. 32 bytes.
 #[derive(Clone, Copy, Debug)]
 struct InFlightJob {
     deadline_us: u64,
     demand: f64,
     /// Index into the shard's routed-job stream, so a crash can strand
-    /// exactly the copies still in the window.
+    /// exactly the copies still in the window; the stream entry names
+    /// the job.
     slot: u32,
-    /// The job's position in the input stream: the index of its
-    /// per-job dispatch state.
-    pos: u32,
+    /// How often the job was stranded before this copy was routed: the
+    /// retry budget's meter.
+    strands: u32,
+    /// The location of the copy's hedge twin, [`NO_COPY`] when it has
+    /// none.
+    twin: CopyLoc,
 }
 
 /// The in-flight window of one shard. Deadline-sorted by construction;
@@ -253,34 +259,51 @@ impl RoutedCopy {
 
 /// One hedge dispatch: a second copy of a slow job sent to another
 /// shard ([`dispatch_protected`] with
-/// [`HedgePolicy::SlackFraction`](crate::admission::HedgePolicy::SlackFraction)).
-/// 32 bytes: the hedged job is named by its input position.
+/// [`HedgePolicy::SlackFraction`]). 20 bytes: the hedged job is named
+/// by its input position, and its fire instant is a function of that
+/// job ([`HedgeRecord::fired_at`]).
 #[derive(Clone, Copy, Debug)]
 pub struct HedgeRecord {
-    /// The instant the hedge copy was dispatched.
-    pub at: SimTime,
     /// The hedged job's position in the input [`JobSet`] (its entry
     /// there carries the original release and deadline).
     pub pos: u32,
-    /// Shard holding the primary copy at dispatch time.
-    pub from: u32,
-    /// Shard the hedge copy went to.
-    pub to: u32,
     /// Stream slot of the primary copy on `from`.
     pub primary_slot: u32,
     /// Stream slot of the hedge copy on `to`.
     pub hedge_slot: u32,
+    /// Shard holding the primary copy at dispatch time.
+    pub from: u16,
+    /// Shard the hedge copy went to.
+    pub to: u16,
     /// True when both copies survived to simulation (neither was
     /// stranded by a later crash): the merged report must settle the
     /// duel with first-wins accounting.
     pub duel: bool,
 }
 
+impl HedgeRecord {
+    /// The instant the hedge copy was dispatched, `jobs` and `hedge`
+    /// being the input stream and hedge policy the plan was made with:
+    /// a hedge fires only for an original arrival, at `hedge`'s fire
+    /// instant for the job's release and deadline.
+    ///
+    /// # Panics
+    ///
+    /// If `hedge` gives that job no fire instant.
+    pub fn fired_at(&self, jobs: &[Job], hedge: &HedgePolicy) -> SimTime {
+        let job = &jobs[self.pos as usize];
+        let at = hedge
+            .fire_at_us(job.release.as_micros(), job.deadline.as_micros())
+            .expect("the plan was made with another hedge policy");
+        SimTime::from_micros(at)
+    }
+}
+
 /// The outcome of the dispatch pre-pass ([`dispatch_protected`]).
 ///
 /// Jobs are named by their position in the input [`JobSet`], never
 /// copied: a routed copy is a 16-byte [`RoutedCopy`] and a hedge a
-/// 32-byte [`HedgeRecord`]. [`DispatchPlan::shard_jobs`] materializes
+/// 20-byte [`HedgeRecord`]. [`DispatchPlan::shard_jobs`] materializes
 /// the per-shard job sets.
 #[derive(Clone, Debug)]
 pub struct DispatchPlan {
@@ -292,11 +315,12 @@ pub struct DispatchPlan {
     /// job's slack (streams may lose agreeability; the per-shard engine
     /// does not require it).
     pub routed: Vec<Vec<RoutedCopy>>,
-    /// Shard of each *original* job in stream order, `u32::MAX` when
-    /// the dispatcher dropped it (no eligible shard at release, or a
-    /// later stranding with an infeasible retry) or the admission
-    /// policy rejected it (the `dropped`/`rejected` lists distinguish
-    /// the two).
+    /// Shard each *original* job was first routed to, in stream order,
+    /// or `u32::MAX` when it was never routed: no shard was eligible at
+    /// its release, or the admission policy rejected it (the
+    /// `dropped`/`rejected` lists distinguish the two). A later
+    /// stranding does not change the entry, whether the job's retry is
+    /// routed elsewhere or dropped.
     pub assignment: Vec<u32>,
     /// Jobs the dispatcher dropped, with the drop instant.
     pub dropped: Vec<(SimTime, Job)>,
@@ -567,11 +591,12 @@ impl Router<'_> {
         }
     }
 
-    /// Route one arrival (original or retry, at input position `pos`)
-    /// at the scan instant, which [`Router::advance`] must have moved
-    /// to its release. Returns the chosen shard and the copy's slot
-    /// there, or `None` when every shard is crashed.
-    fn route(&mut self, job: Job, pos: u32) -> Option<(usize, u32)> {
+    /// Route one arrival (original or retry, at input position `pos`,
+    /// stranded `strands` times before) at the scan instant, which
+    /// [`Router::advance`] must have moved to its release. Returns the
+    /// chosen shard and the copy's slot there, or `None` when every
+    /// shard is crashed.
+    fn route(&mut self, job: Job, pos: u32, strands: u32) -> Option<(usize, u32)> {
         let &first = self.eligible.first()?;
         let now_us = self.now.as_micros();
         let eligible = self.eligible.iter().copied();
@@ -612,14 +637,16 @@ impl Router<'_> {
             RoutingPolicy::Feedback => lowest(eligible, |s| self.depth(s) / self.capacity(s))
                 .expect("eligible set is non-empty"),
         };
-        Some((shard, self.place(shard, job, pos)))
+        let slot = self.place(shard, job, pos, strands, NO_COPY);
+        Some((shard, slot))
     }
 
     /// Append a copy of the job at input position `pos` to `shard`'s
-    /// stream and window, returning its slot. The window insert keeps
-    /// deadline order, equal deadlines in arrival order; for an
-    /// agreeable stream with no retries it is a push at the back.
-    fn place(&mut self, shard: usize, job: Job, pos: u32) -> u32 {
+    /// stream and window, with the job's strand count and the copy's
+    /// twin, returning its slot. The window insert keeps deadline order,
+    /// equal deadlines in arrival order; for an agreeable stream with
+    /// no retries it is a push at the back.
+    fn place(&mut self, shard: usize, job: Job, pos: u32, strands: u32, twin: CopyLoc) -> u32 {
         let slot = self.streams[shard].len() as u32;
         self.streams[shard].push(RoutedCopy {
             pos,
@@ -635,11 +662,22 @@ impl Router<'_> {
                 deadline_us,
                 demand: job.demand,
                 slot,
-                pos,
+                strands,
+                twin,
             },
         );
         self.refresh_pending(shard);
         slot
+    }
+
+    /// The window entry of the live copy in `slot` on `shard`, whose
+    /// deadline is `deadline_us`.
+    fn entry(&mut self, shard: usize, slot: u32, deadline_us: u64) -> &mut InFlightJob {
+        let w = &mut self.inflight[shard];
+        let from = w.partition_point(|e| e.deadline_us < deadline_us);
+        w.range_mut(from..)
+            .find(|e| e.slot == slot)
+            .expect("a live copy whose deadline is ahead is in its window")
     }
 }
 
@@ -684,14 +722,21 @@ impl Router<'_> {
 /// arrivals + duels`.
 ///
 /// Each event costs O(shards + window) with no per-job allocation (see
-/// DESIGN.md §11, "Dispatch data layout"): per-job state lives in
-/// dense arrays indexed by the job's position in `jobs`, the heap is
-/// keyed by `(instant, class, deadline, id)` — so job ids must be
-/// distinct — and fault state comes from a per-shard cursor over the
-/// plan's windows. The cursor is sound because event times never
-/// decrease: arrivals are release-sorted, a retry re-releases at or
-/// after the crash that stranded it, and a hedge fires strictly after
-/// its release.
+/// DESIGN.md §11, "Dispatch data layout"): a job's strand count and
+/// hedge twin live in its copies' in-flight window entries, so per-job
+/// state takes memory only while a copy is in flight; the heap is keyed
+/// by `(instant, class, deadline, id)` — so job ids must be distinct —
+/// and fault state comes from a per-shard cursor over the plan's
+/// windows. The cursor is sound because event times never decrease:
+/// arrivals are release-sorted, a retry re-releases at or after the
+/// crash that stranded it, and a hedge fires strictly after its
+/// release.
+///
+/// # Panics
+///
+/// If `shards` is 0 or above 65,536 (hedge records name shards in 16
+/// bits), if `plan` covers another number of shards, or if `jobs` has
+/// more than `u32::MAX` jobs.
 #[allow(clippy::too_many_arguments)]
 pub fn dispatch_protected(
     jobs: &JobSet,
@@ -739,6 +784,10 @@ pub(crate) fn dispatch_observed<D: Observer>(
         u32::try_from(arrivals.len()).is_ok(),
         "job positions must fit in u32"
     );
+    assert!(
+        u16::try_from(shards - 1).is_ok(),
+        "shard indices must fit in u16"
+    );
     let retry_policy = &overload.retry;
     let hedging = !overload.hedge.is_disabled();
     let screened = !matches!(overload.admission, AdmissionPolicy::AcceptAll);
@@ -779,24 +828,15 @@ pub(crate) fn dispatch_observed<D: Observer>(
     let mut crashes = plan.crash_starts().into_iter().filter(|&(t, _)| t < end);
     let mut queue: BinaryHeap<Reverse<Queued>> = BinaryHeap::new();
     queue.extend(crashes.next().map(Queued::crash).map(Reverse));
-    // Per-job state by input position: the strand count (the retry
-    // budget's meter), and — only while hedging — the live copies. A
-    // job has at most two (primary and hedge): hedge targets always
-    // differ from the primary's shard, and a retry fires only once no
-    // copy is alive.
-    let mut attempts: Vec<u32> = vec![0; arrivals.len()];
-    let mut copies: Vec<[CopyLoc; 2]> = if hedging {
-        vec![[NO_COPY; 2]; arrivals.len()]
-    } else {
-        Vec::new()
-    };
-
     let mut assignment: Vec<u32> = Vec::with_capacity(arrivals.len());
     let mut dropped: Vec<(SimTime, Job)> = Vec::new();
     let mut rejected: Vec<(SimTime, Job)> = Vec::new();
     let mut redispatches: Vec<(SimTime, JobId, u32)> = Vec::new();
     let mut retried = 0u64;
-    let mut hedges: Vec<HedgeRecord> = Vec::new();
+    // A hedge fires at most once per original arrival: reserving that
+    // bound spares the list the copies and freed blocks of its doubling
+    // growth.
+    let mut hedges: Vec<HedgeRecord> = Vec::with_capacity(if hedging { arrivals.len() } else { 0 });
 
     loop {
         let queued_first = match (&next_arrival, queue.peek()) {
@@ -823,25 +863,21 @@ pub(crate) fn dispatch_observed<D: Observer>(
                     w.pop_front();
                 }
                 for e in w.drain(..) {
-                    let job = router.streams[shard][e.slot as usize].job(arrivals);
+                    let copy = router.streams[shard][e.slot as usize];
+                    let job = copy.job(arrivals);
                     router.alive[shard][e.slot as usize] = false;
                     redispatches.push((t, job.id, shard as u32));
-                    let pos = e.pos as usize;
-                    if hedging {
-                        let locs = &mut copies[pos];
-                        for loc in locs.iter_mut() {
-                            if *loc == (shard as u32, e.slot) {
-                                *loc = NO_COPY;
-                            }
-                        }
-                        if locs.iter().any(|&loc| loc != NO_COPY) {
-                            // The twin copy survives: cancel this
-                            // strand silently — no retry, no drop.
-                            continue;
-                        }
+                    // A job has at most two live copies, a hedged pair
+                    // on two shards: a retry fires only once no copy is
+                    // alive. The twin shares this copy's deadline, so
+                    // it has not retired; if no crash stranded it
+                    // either, cancel this strand silently — no retry,
+                    // no drop.
+                    let (twin_shard, twin_slot) = e.twin;
+                    if e.twin != NO_COPY && router.alive[twin_shard as usize][twin_slot as usize] {
+                        continue;
                     }
-                    attempts[pos] += 1;
-                    let attempt = attempts[pos];
+                    let attempt = e.strands + 1;
                     if attempt > retry_policy.max_attempts {
                         // Retry budget exhausted: give up cleanly.
                         dropped.push((t, job));
@@ -856,7 +892,7 @@ pub(crate) fn dispatch_observed<D: Observer>(
                         dropped.push((t, job));
                     } else {
                         let retry = ScanEvent::Retry {
-                            pos: e.pos,
+                            pos: copy.pos,
                             attempt,
                         };
                         queue.push(Reverse(Queued::new(new_release, retry, &job)));
@@ -882,11 +918,10 @@ pub(crate) fn dispatch_observed<D: Observer>(
                     rejected.push((t, job));
                     continue;
                 }
-                match router.route(job, pos) {
+                match router.route(job, pos, 0) {
                     Some((s, slot)) => {
                         assignment.push(s as u32);
                         if hedging {
-                            copies[pos as usize] = [(s as u32, slot), NO_COPY];
                             // Only hedge when the fire instant lies
                             // strictly inside the job's window and
                             // before the horizon.
@@ -917,8 +952,8 @@ pub(crate) fn dispatch_observed<D: Observer>(
                     ..arrivals[pos as usize]
                 };
                 router.advance(t);
-                match router.route(job, pos) {
-                    Some((s, slot)) => {
+                match router.route(job, pos, attempt) {
+                    Some(_) => {
                         retried += 1;
                         if D::ENABLED {
                             obs.record(
@@ -928,9 +963,6 @@ pub(crate) fn dispatch_observed<D: Observer>(
                                     attempt,
                                 },
                             );
-                        }
-                        if hedging {
-                            copies[pos as usize] = [(s as u32, slot), NO_COPY];
                         }
                     }
                     None => dropped.push((t, job)),
@@ -959,12 +991,15 @@ pub(crate) fn dispatch_observed<D: Observer>(
                     // No healthy twin shard: skip this hedge.
                     continue;
                 };
-                let slot = router.place(to_shard, Job { release: t, ..job }, pos);
-                let free = copies[pos as usize]
-                    .iter_mut()
-                    .find(|loc| **loc == NO_COPY)
-                    .expect("a job has at most two live copies");
-                *free = (to_shard as u32, slot);
+                // The hedge copy takes the job's strand count, zero: the
+                // primary is an original arrival, never stranded. Its
+                // deadline is ahead of the fire instant, so its entry
+                // is still in its window, where the twins are linked.
+                let copy = Job { release: t, ..job };
+                let slot = router.place(to_shard, copy, pos, 0, (p_shard as u32, p_slot));
+                let primary = router.entry(p_shard, p_slot, job.deadline.as_micros());
+                debug_assert_eq!((primary.strands, primary.twin), (0, NO_COPY));
+                primary.twin = (to_shard as u32, slot);
                 if D::ENABLED {
                     obs.record(
                         t,
@@ -975,10 +1010,9 @@ pub(crate) fn dispatch_observed<D: Observer>(
                     );
                 }
                 hedges.push(HedgeRecord {
-                    at: t,
                     pos,
-                    from: p_shard as u32,
-                    to: to_shard as u32,
+                    from: p_shard as u16,
+                    to: to_shard as u16,
                     primary_slot: p_slot,
                     hedge_slot: slot,
                     duel: false,
@@ -1088,7 +1122,7 @@ pub struct ClusterReport {
     /// [`AdmissionPolicy::AcceptAll`].
     pub jobs_rejected: u64,
     /// Hedge copies dispatched by the overload policy. Zero under
-    /// [`HedgePolicy::Disabled`](crate::admission::HedgePolicy::Disabled).
+    /// [`HedgePolicy::Disabled`].
     pub jobs_hedged: u64,
     /// Hedge duels the *hedge copy* won (strictly better quality than
     /// the primary; ties go to the primary).
@@ -1291,7 +1325,8 @@ impl ClusterEngine {
     ///
     /// As [`SimConfig::assert_valid`] on `cfg` and `jobs`, whatever the
     /// fault plan: a cluster whose shards are all crashed checks its
-    /// configuration like one whose shards run.
+    /// configuration like one whose shards run. As
+    /// [`dispatch_protected`] on a cluster of more than 65,536 shards.
     pub fn run<F>(&self, cfg: &SimConfig<'_>, jobs: &JobSet, make_policy: F) -> ClusterReport
     where
         F: Fn(usize) -> Box<dyn SchedulingPolicy> + Sync + Send,
@@ -1351,7 +1386,15 @@ impl ClusterEngine {
         D: Observer,
     {
         cfg.assert_valid(jobs);
-        let dispatch = dispatch_observed(
+        let DispatchPlan {
+            routed,
+            assignment,
+            dropped,
+            rejected,
+            redispatches,
+            retried,
+            hedges,
+        } = dispatch_observed(
             jobs,
             self.shards,
             &self.routing,
@@ -1362,36 +1405,52 @@ impl ClusterEngine {
             cfg.end,
             dispatch_obs,
         );
+        // The plan is taken apart here, so that the shard phase holds
+        // only what it reads: each shard's stream moves into its run and
+        // goes when that run ends, and of the hedge list only the duels
+        // outlive the hand-off.
+        drop(assignment);
         let arrivals = jobs.jobs();
-        let routed = &dispatch.routed;
+        let jobs_dropped = dropped.len() as u64;
+        let jobs_rejected = rejected.len() as u64;
+        let max_quality_of = |lost: Vec<(SimTime, Job)>| -> f64 {
+            lost.iter()
+                .map(|(_, j)| cfg.quality.max_job_quality(j))
+                .sum()
+        };
+        let dropped_max_quality = max_quality_of(dropped);
+        let rejected_max_quality = max_quality_of(rejected);
         // Group stranding records by crashed shard for event emission.
         let mut redispatched: Vec<Vec<(SimTime, JobId)>> = vec![Vec::new(); self.shards];
-        for &(t, job, from) in &dispatch.redispatches {
+        for (t, job, from) in redispatches {
             redispatched[from as usize].push((t, job));
         }
         // Hedge duels: both copies run, so the merge must harvest their
-        // per-shard outcomes and settle first-wins. Each shard gets its
-        // duelling copies as an id-sorted `(id, duel slot)` list.
-        let mut duel_slots: Vec<Vec<(u32, u32)>> = vec![Vec::new(); self.shards];
-        for (k, h) in (0u32..).zip(dispatch.hedges.iter().filter(|h| h.duel)) {
-            let id = arrivals[h.pos as usize].id.0;
-            duel_slots[h.from as usize].push((id, 2 * k));
-            duel_slots[h.to as usize].push((id, 2 * k + 1));
-        }
-        for slots in &mut duel_slots {
-            slots.sort_unstable();
-        }
+        // per-shard outcomes and settle first-wins, in hedge order.
+        let jobs_hedged = hedges.len() as u64;
+        let duels: Vec<Duel> = hedges
+            .iter()
+            .filter(|h| h.duel)
+            .map(|h| Duel {
+                pos: h.pos,
+                primary: h.from,
+                hedge: h.to,
+            })
+            .collect();
+        drop(hedges);
 
-        let runs: Vec<(ShardRun, O, Vec<DuelOutcome>)> = (0..self.shards)
+        let inputs: Vec<_> = routed.into_iter().zip(redispatched).collect();
+        let runs: Vec<(ShardRun, O, Vec<DuelOutcome>)> = inputs
             .into_par_iter()
-            .map(|i| {
+            .enumerate()
+            .map(|(i, (copies, redispatched))| {
                 let mut obs = make_observer(i);
                 if O::ENABLED {
                     obs.record(
                         SimTime::ZERO,
                         Event::ShardAssign {
                             shard: i as u32,
-                            jobs: routed[i].len() as u32,
+                            jobs: copies.len() as u32,
                         },
                     );
                 }
@@ -1399,10 +1458,10 @@ impl ClusterEngine {
                     cfg,
                     i,
                     arrivals,
-                    &routed[i],
+                    &copies,
                     &self.fault,
-                    &redispatched[i],
-                    &duel_slots[i],
+                    &redispatched,
+                    &duel_slots(&duels, arrivals, i),
                     &make_policy,
                     &mut obs,
                 );
@@ -1429,12 +1488,7 @@ impl ClusterEngine {
             add_counters(&mut merged.counters, &s.report.counters);
         }
 
-        let duelled = dispatch.hedges.iter().filter(|h| h.duel).map(|h| Duel {
-            primary: h.from,
-            hedge: h.to,
-            job: &arrivals[h.pos as usize],
-        });
-        let hedges_won = settle_duels(&mut merged, cfg.quality, duelled, &mut outcomes);
+        let hedges_won = settle_duels(&mut merged, cfg.quality, arrivals, &duels, &mut outcomes);
 
         merged.policy = format!(
             "cluster/{}x/{}/{}",
@@ -1442,26 +1496,16 @@ impl ClusterEngine {
             self.routing.label(),
             shards[0].report.policy
         );
-        let dropped_max_quality: f64 = dispatch
-            .dropped
-            .iter()
-            .map(|(_, j)| cfg.quality.max_job_quality(j))
-            .sum();
-        let rejected_max_quality: f64 = dispatch
-            .rejected
-            .iter()
-            .map(|(_, j)| cfg.quality.max_job_quality(j))
-            .sum();
 
         (
             ClusterReport {
                 routing: self.routing.label().to_string(),
                 merged,
                 shards,
-                jobs_dropped: dispatch.dropped.len() as u64,
-                jobs_retried: dispatch.retried,
-                jobs_rejected: dispatch.rejected.len() as u64,
-                jobs_hedged: dispatch.hedges.len() as u64,
+                jobs_dropped,
+                jobs_retried: retried,
+                jobs_rejected,
+                jobs_hedged,
                 hedges_won,
                 dropped_max_quality,
                 rejected_max_quality,
@@ -1471,12 +1515,32 @@ impl ClusterEngine {
     }
 }
 
-/// One hedge duel to settle: the shards holding its primary and hedge
-/// copies, and the duelled job.
-struct Duel<'a> {
-    primary: u32,
-    hedge: u32,
-    job: &'a Job,
+/// One hedge duel to settle: the duelled job's input position and the
+/// shards holding its primary and hedge copies. 8 bytes.
+#[derive(Clone, Copy, Debug)]
+struct Duel {
+    pos: u32,
+    primary: u16,
+    hedge: u16,
+}
+
+/// `shard`'s duelling copies as id-sorted `(id, duel slot)` pairs, where
+/// duel `k` of `duels` (over the input stream `jobs`) gives its primary
+/// copy slot `2k` and its hedge copy `2k + 1`. Each shard builds its own
+/// list when its run starts and drops it when the run ends.
+fn duel_slots(duels: &[Duel], jobs: &[Job], shard: usize) -> Vec<(u32, u32)> {
+    let mut slots = Vec::new();
+    for (k, duel) in (0u32..).zip(duels) {
+        let id = jobs[duel.pos as usize].id.0;
+        if usize::from(duel.primary) == shard {
+            slots.push((id, 2 * k));
+        }
+        if usize::from(duel.hedge) == shard {
+            slots.push((id, 2 * k + 1));
+        }
+    }
+    slots.sort_unstable();
+    slots
 }
 
 /// First-wins settlement of hedge duels into the merged report; returns
@@ -1491,16 +1555,17 @@ struct Duel<'a> {
 /// comparison uses `total_cmp`, ties go to the primary, so the
 /// settlement is deterministic.
 ///
-/// `duels` yields duel `k` as the `k`-th item, whose primary copy
-/// reported into slot `2k` and hedge copy into slot `2k + 1` of its
-/// shard's entry in `outcomes`. Each shard's outcomes are sorted by slot
+/// Duel `k` of `duels` (over the input stream `jobs`) had its primary
+/// copy report into slot `2k` and its hedge copy into slot `2k + 1` of
+/// its shard's entry in `outcomes`. Each shard's outcomes are sorted by slot
 /// and read with one cursor, so the walk needs no table indexed by
 /// slot. A duel with a copy that never settled (no outcome in its slot)
 /// is skipped.
-fn settle_duels<'a>(
+fn settle_duels(
     merged: &mut SimReport,
     quality: &dyn QualityFunction,
-    duels: impl Iterator<Item = Duel<'a>>,
+    jobs: &[Job],
+    duels: &[Duel],
     outcomes: &mut [Vec<DuelOutcome>],
 ) -> u64 {
     for shard in outcomes.iter_mut() {
@@ -1512,8 +1577,8 @@ fn settle_duels<'a>(
     }
     let mut next = vec![0usize; outcomes.len()];
     // The outcome of `shard`'s copy in `slot`, if it settled.
-    let mut take = |shard: u32, slot: u32| {
-        let shard = shard as usize;
+    let mut take = |shard: u16, slot: u32| {
+        let shard = usize::from(shard);
         let &(s, class, q) = outcomes[shard].get(next[shard])?;
         (s == slot).then(|| {
             next[shard] += 1;
@@ -1533,7 +1598,7 @@ fn settle_duels<'a>(
         }
         let (lc, lq) = if hedge_wins { (pc, pq) } else { (hc, hq) };
         merged.total_quality -= lq;
-        merged.max_quality -= quality.max_job_quality(duel.job);
+        merged.max_quality -= quality.max_job_quality(&jobs[duel.pos as usize]);
         merged.counters.jobs_total -= 1;
         match lc {
             SettleOutcome::Satisfied => merged.counters.jobs_satisfied -= 1,
@@ -1563,10 +1628,13 @@ fn settle_duels<'a>(
 /// each epoch builds its epoch-local jobs straight from them, so no
 /// full-size per-shard job set exists.
 /// `duels` lists this shard's duelling copies as id-sorted
-/// `(id, duel slot)` pairs: a [`DuelObserver`] teed beside the caller's
-/// observer reads their settle events, so the cluster merge can settle
-/// first-wins. Observers are passive, so it changes no simulation
-/// arithmetic; with an empty list it collects nothing.
+/// `(id, duel slot)` pairs ([`duel_slots`]): a [`DuelObserver`] teed
+/// beside the caller's observer reads their settle events, so the
+/// cluster merge can settle first-wins. Observers are passive, so it
+/// changes no simulation arithmetic; with an empty list it collects
+/// nothing. The cluster run owns `copies` and `duels` for this shard's
+/// run alone and drops them when it returns, so a shard that has
+/// finished holds only its report and duel outcomes.
 #[allow(clippy::too_many_arguments)]
 fn run_shard_epochs<O, F>(
     cfg: &SimConfig<'_>,
@@ -2163,7 +2231,8 @@ mod tests {
                 deadline_us,
                 demand,
                 slot: i,
-                pos: i,
+                strands: 0,
+                twin: NO_COPY,
             })
             .collect()
     }
@@ -2214,16 +2283,16 @@ mod tests {
         };
         let c = &mut merged.counters;
         (c.jobs_total, c.jobs_satisfied, c.jobs_partial, c.jobs_zero) = (10, 4, 3, 3);
-        let job = duelled_job();
         let duel = |primary, hedge| Duel {
+            pos: 0,
             primary,
             hedge,
-            job: &job,
         };
         let won = settle_duels(
             &mut merged,
             &ExpQuality::PAPER_DEFAULT,
-            [duel(0, 1), duel(1, 0)].into_iter(),
+            &[duelled_job()],
+            &[duel(0, 1), duel(1, 0)],
             &mut outcomes.to_vec(),
         );
         let c = merged.counters;
@@ -2513,7 +2582,10 @@ mod tests {
         );
         assert_eq!(d.hedges.len(), 1);
         let h = d.hedges[0];
-        assert_eq!(h.at, SimTime::from_millis(50));
+        assert_eq!(
+            h.fired_at(jobs.jobs(), &overload.hedge),
+            SimTime::from_millis(50)
+        );
         assert_eq!(h.from, 0);
         assert_eq!(h.to, 1);
         assert!(h.duel, "both copies survive a fault-free run");
@@ -2715,6 +2787,124 @@ mod tests {
             SimTime::from_secs(1),
         );
         assert!(d2.retried >= d.retried);
+    }
+
+    /// A crash of `shard` over `[start_ms, end_ms)`.
+    fn crash(plan: FaultPlan, shard: usize, start_ms: u64, end_ms: u64) -> FaultPlan {
+        plan.with_window(
+            shard,
+            FaultWindow {
+                start: SimTime::from_millis(start_ms),
+                end: SimTime::from_millis(end_ms),
+                kind: FaultKind::Crash,
+            },
+        )
+    }
+
+    /// Round-robin dispatch of `jobs` over `plan`'s shards, with the
+    /// retry events the scan records as `(instant, attempt)`.
+    fn dispatch_retries(
+        jobs: &JobSet,
+        plan: &FaultPlan,
+        overload: &OverloadPolicy,
+    ) -> (DispatchPlan, Vec<(SimTime, u32)>) {
+        let mut obs = TraceObserver::new();
+        let d = dispatch_observed(
+            jobs,
+            plan.shards(),
+            &RoutingPolicy::RoundRobin,
+            &PolynomialPower::PAPER_SIM,
+            &ExpQuality::PAPER_DEFAULT,
+            plan,
+            overload,
+            SimTime::from_secs(1),
+            &mut obs,
+        );
+        let retries = obs
+            .events()
+            .into_iter()
+            .filter_map(|(t, e)| match e {
+                Event::Retry { attempt, .. } => Some((t, attempt)),
+                _ => None,
+            })
+            .collect();
+        (d, retries)
+    }
+
+    #[test]
+    fn a_hedged_pair_retries_only_once_both_copies_strand() {
+        // The primary goes to shard 0 at 0 ms and its hedge to shard 1
+        // at 100 ms. Shards 0 and 1 then crash at 120 and 140 ms, in
+        // either order: the first strand has a live twin and is
+        // cancelled, the second retries (attempt 1) to shard 2 at
+        // 150 ms.
+        let job = Job::new(0, SimTime::ZERO, SimTime::from_millis(200), 100.0).unwrap();
+        let jobs = JobSet::new(vec![job]).unwrap();
+        let overload = OverloadPolicy {
+            hedge: HedgePolicy::SlackFraction { fraction: 0.5 },
+            ..OverloadPolicy::default()
+        };
+        for (first, second) in [(0, 1), (1, 0)] {
+            let plan = crash(crash(FaultPlan::none(3), first, 120, 190), second, 140, 190);
+            let (d, retries) = dispatch_retries(&jobs, &plan, &overload);
+            let ctx = format!("shard {first} crashes first");
+            assert_eq!(d.hedges.len(), 1, "{ctx}");
+            let h = d.hedges[0];
+            assert_eq!((h.from, h.to, h.duel), (0, 1, false), "{ctx}");
+            assert_eq!(
+                d.redispatches,
+                vec![
+                    (SimTime::from_millis(120), job.id, first as u32),
+                    (SimTime::from_millis(140), job.id, second as u32),
+                ],
+                "{ctx}"
+            );
+            assert_eq!(retries, vec![(SimTime::from_millis(150), 1)], "{ctx}");
+            assert_eq!((d.retried, d.dropped.len()), (1, 0), "{ctx}");
+            let retry = RoutedCopy {
+                pos: 0,
+                release: SimTime::from_millis(150),
+            };
+            assert_eq!(d.routed, vec![vec![], vec![], vec![retry]], "{ctx}");
+        }
+    }
+
+    #[test]
+    fn the_strand_count_carries_across_retries_to_the_budget() {
+        // One shard crashing at 10, 30 and 50 ms, retries 5 ms later
+        // with a budget of two: the job strands, retries (attempt 1),
+        // strands, retries (attempt 2), and its third strand drops it.
+        let job = Job::new(0, SimTime::ZERO, SimTime::from_millis(400), 100.0).unwrap();
+        let jobs = JobSet::new(vec![job]).unwrap();
+        let plan = crash(
+            crash(crash(FaultPlan::none(1), 0, 10, 12), 0, 30, 32),
+            0,
+            50,
+            52,
+        );
+        let overload = OverloadPolicy {
+            retry: RetryPolicy {
+                max_attempts: 2,
+                base_delay: SimDuration::from_millis(5),
+                ..RetryPolicy::default()
+            },
+            ..OverloadPolicy::default()
+        };
+        let (d, retries) = dispatch_retries(&jobs, &plan, &overload);
+        assert_eq!(
+            retries,
+            vec![(SimTime::from_millis(15), 1), (SimTime::from_millis(35), 2)]
+        );
+        assert_eq!(d.retried, 2);
+        assert_eq!(d.redispatches.len(), 3);
+        // The dropped record is the stranded copy, released at 35 ms.
+        let copy = Job {
+            release: SimTime::from_millis(35),
+            ..job
+        };
+        assert_eq!(d.dropped, vec![(SimTime::from_millis(50), copy)]);
+        assert_eq!(d.assignment, vec![0]);
+        assert!(d.routed[0].is_empty());
     }
 
     /// Run a 2-shard cluster whose shards are both crashed for the whole

@@ -443,15 +443,20 @@ pub(super) fn dispatch_reference(
                         to: to_shard as u32,
                     },
                 ));
-                hedges.push(HedgeRecord {
-                    at,
+                let hedge = HedgeRecord {
                     pos: pos_of[&job.id.0],
-                    from: p_shard as u32,
-                    to: to_shard as u32,
+                    from: p_shard as u16,
+                    to: to_shard as u16,
                     primary_slot: p_slot,
                     hedge_slot: slot,
                     duel: false,
-                });
+                };
+                assert_eq!(
+                    hedge.fired_at(&stored, &overload.hedge),
+                    at,
+                    "a hedge record's instant is its job's fire instant"
+                );
+                hedges.push(hedge);
             }
         }
     }
@@ -530,7 +535,7 @@ mod tests {
     }
 
     /// Random scenarios: up to 60 jobs with sparse distinct ids (so the
-    /// position-indexed state cannot lean on dense ids), simultaneous
+    /// position-named copies cannot lean on dense ids), simultaneous
     /// arrivals, non-agreeable deadlines and zero demands, over 1–4
     /// shards with random crash and brownout windows, under every
     /// routing × admission × retry × hedge variant, invalid hedge
@@ -700,7 +705,7 @@ mod tests {
         rejected: Vec<(SimTime, JobBits)>,
         redispatches: Vec<(SimTime, JobId, u32)>,
         retried: u64,
-        hedges: Vec<(SimTime, u32, u32, u32, u32, u32, bool)>,
+        hedges: Vec<(u32, u16, u16, u32, u32, bool)>,
         events: Vec<(SimTime, Event)>,
     }
 
@@ -736,7 +741,6 @@ mod tests {
                 .iter()
                 .map(|h| {
                     let HedgeRecord {
-                        at,
                         pos,
                         from,
                         to,
@@ -744,7 +748,7 @@ mod tests {
                         hedge_slot,
                         duel,
                     } = *h;
-                    (at, pos, from, to, primary_slot, hedge_slot, duel)
+                    (pos, from, to, primary_slot, hedge_slot, duel)
                 })
                 .collect(),
             events: events.clone(),

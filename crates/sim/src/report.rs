@@ -148,13 +148,6 @@ impl SimReport {
         reg.set_gauge("sim.energy_joules", self.energy_joules);
         reg.set_gauge("sim.seconds", self.sim_seconds);
     }
-
-    /// The run as a fresh [`MetricsRegistry`].
-    pub fn metrics_registry(&self) -> MetricsRegistry {
-        let mut reg = MetricsRegistry::new();
-        self.export_metrics(&mut reg);
-        reg
-    }
 }
 
 impl std::fmt::Display for SimReport {
@@ -227,10 +220,15 @@ mod tests {
         r.counters.jobs_total = 5;
         r.counters.invocations = 9;
         r.energy_joules = 12.5;
-        let reg = r.metrics_registry();
+        let export = || {
+            let mut reg = MetricsRegistry::new();
+            r.export_metrics(&mut reg);
+            reg
+        };
+        let reg = export();
         assert_eq!(reg.counter("sim.jobs_total"), 5);
         assert_eq!(reg.counter("sim.invocations"), 9);
         assert_eq!(reg.gauge("sim.energy_joules"), Some(12.5));
-        assert_eq!(reg.to_json(), r.metrics_registry().to_json());
+        assert_eq!(reg.to_json(), export().to_json());
     }
 }

@@ -1047,7 +1047,8 @@ fn overload_retry_tying_with_a_hedge_processes_the_retry_first() {
         .iter()
         .any(|j| j.id.0 == 0 && j.release == at));
     assert_eq!(d.hedges.len(), 1);
-    assert_eq!((d.hedges[0].at, d.hedges[0].to), (at, 2));
+    let h = d.hedges[0];
+    assert_eq!((h.fired_at(jobs.jobs(), &overload.hedge), h.to), (at, 2));
 }
 
 #[test]

@@ -1,15 +1,20 @@
 //! Peak live heap bytes per arrival of a protected cluster run.
 //!
 //! The dispatch pre-pass names every routed copy and hedge by the job's
-//! position in the input stream (a 16-byte routed copy, a 32-byte hedge
-//! record) instead of storing the job, the shards build each fault
-//! epoch's jobs straight from those records, and the merge settles duels
-//! by walking each shard's slot-sorted outcomes. The test runs the
-//! protected stack of the cluster benchmark — seeded crash and brownout
-//! windows, slack-floor admission, a retry budget with backoff and
-//! slack-fraction hedging — on a 20k-job diurnal stream and bounds the
-//! run's peak live heap above what was live when it started (the input
-//! stream is not counted), per arrival. A second test bounds what the
+//! position in the input stream (a 16-byte routed copy, a 20-byte hedge
+//! record) instead of storing the job, and keeps a job's strand count
+//! and hedge twin in its copies' in-flight window entries instead of in
+//! arrays over the whole stream. The cluster run keeps of the plan only
+//! what the shard phase reads: each shard's stream goes when that
+//! shard's run ends, and the hedge list becomes an 8-byte duel record
+//! per duel. The shards build each fault epoch's jobs straight from the
+//! routed copies, and the merge settles duels by walking each shard's
+//! slot-sorted outcomes. The test runs the protected stack of the
+//! cluster benchmark — seeded crash and brownout windows, slack-floor
+//! admission, a retry budget with backoff and slack-fraction hedging —
+//! on a 20k-job diurnal stream and bounds the run's peak live heap above
+//! what was live when it started (the input stream is not counted), per
+//! arrival. A second test bounds the pre-pass's own peak and what the
 //! dispatch plan alone holds when the pre-pass returns it.
 //!
 //! Release builds only: in builds with debug assertions DES and the
@@ -88,19 +93,30 @@ unsafe impl GlobalAlloc for Tracking {
 #[global_allocator]
 static ALLOC: Tracking = Tracking;
 
-/// The bound on peak live heap bytes per arrival. The run peaks at 151.4
-/// bytes per arrival; handing the shard phase a dispatch plan with the
-/// slack of its growth made it 192.4, and storing each routed copy and
-/// hedge as a whole job, building a full-size job set per shard and
-/// settling duels through a table indexed by duel slot made it 324.6.
-const PEAK_BYTES_PER_ARRIVAL: f64 = 180.0;
+/// The bound on peak live heap bytes per arrival. The run peaks at 92.7
+/// bytes per arrival, in its shard phase; building every shard's duel
+/// slots before the first shard runs made it 101.6. Holding the whole
+/// dispatch plan through the shard phase, with per-arrival strand
+/// counts and copy locations in the scan and a 32-byte hedge record,
+/// made it 151.4; handing the shard phase that plan with the slack of
+/// its growth made it 192.4, and storing each routed copy and hedge as
+/// a whole job, building a full-size job set per shard and settling
+/// duels through a table indexed by duel slot made it 324.6.
+const PEAK_BYTES_PER_ARRIVAL: f64 = 105.0;
+
+/// The bound on the pre-pass's peak live heap bytes per arrival. It
+/// peaks at 80.4. Growing the hedge list by doubling instead of
+/// reserving one record per arrival made it 93.2, and per-arrival
+/// strand counts and copy locations with a 32-byte hedge record 132.8.
+const PREPASS_PEAK_BYTES_PER_ARRIVAL: f64 = 92.0;
 
 /// The bound on the live heap bytes per arrival that the dispatch plan
-/// holds when the pre-pass hands it to the shard phase. The plan's
-/// records take about 70 bytes per arrival; handing over the hedge list
-/// and the routed streams at the capacity their doubling left made it
-/// 109.
-const PLAN_BYTES_PER_ARRIVAL: f64 = 80.0;
+/// holds when the pre-pass returns it. The plan holds 56.0: 16 bytes
+/// per routed copy, 20 per hedge and 4 per arrival (`assignment`), plus
+/// the dropped, rejected and stranding records. A 32-byte hedge record
+/// made it 68, and the hedge list and the routed streams at the
+/// capacity their doubling left 109.
+const PLAN_BYTES_PER_ARRIVAL: f64 = 64.0;
 
 const SHARDS: usize = 4;
 const ARRIVALS: usize = 20_000;
@@ -125,7 +141,7 @@ fn protected() -> (JobSet, FaultPlan, OverloadPolicy) {
 }
 
 #[test]
-fn dispatch_plan_holds_its_records_without_growth_slack() {
+fn dispatch_pre_pass_peak_and_plan_per_arrival_are_bounded() {
     let (jobs, faults, overload) = protected();
     let end = jobs.last_deadline().expect("non-empty stream");
     HEAP.with(|h| h.set(Some((0, 0))));
@@ -146,14 +162,18 @@ fn dispatch_plan_holds_its_records_without_growth_slack() {
         plan.hedges.len()
     );
     let per_arrival = live as f64 / ARRIVALS as f64;
+    let peak_per_arrival = peak as f64 / ARRIVALS as f64;
     eprintln!(
         "dispatch plan holds {live} bytes over {ARRIVALS} arrivals ({per_arrival:.1} each), \
-         {:.1} each at the pre-pass peak",
-        peak as f64 / ARRIVALS as f64
+         {peak_per_arrival:.1} each at the pre-pass peak"
     );
     assert!(
         per_arrival < PLAN_BYTES_PER_ARRIVAL,
         "dispatch plan holds {live} bytes over {ARRIVALS} arrivals ({per_arrival:.1} each)"
+    );
+    assert!(
+        peak_per_arrival < PREPASS_PEAK_BYTES_PER_ARRIVAL,
+        "the pre-pass peaks at {peak} bytes over {ARRIVALS} arrivals ({peak_per_arrival:.1} each)"
     );
 }
 
